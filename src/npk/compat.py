@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .exterior import first_failing_pair
 from .fields import MultivectorField
 from .polynomial import Polynomial
 
@@ -42,12 +43,8 @@ def is_compatible(structure: MultivectorField, candidate: MultivectorField) -> C
     m = structure.dim
     sc = {a: structure.contract_basis(a) for a in range(1, m + 1)}
     cc = {a: candidate.contract_basis(a) for a in range(1, m + 1)}
-    for a in range(1, m + 1):
-        for b in range(a, m + 1):
-            term = sc[a].wedge(cc[b]) + sc[b].wedge(cc[a])
-            if not term.is_zero():
-                return Compatibility(False, (a, b))
-    return Compatibility(True, None)
+    witness = first_failing_pair(m, lambda a, b: sc[a].wedge(cc[b]) + sc[b].wedge(cc[a]))
+    return Compatibility(witness is None, witness)
 
 
 def delta(structure: MultivectorField, candidate: MultivectorField) -> MultivectorField:

@@ -1,12 +1,18 @@
 """Exact sparse exterior algebra over an m-dimensional rational space.
 
 Basis blades are strictly increasing tuples of 1-based indices.  A
-homogeneous multivector of grade k stores a sparse map from k-blades to
-nonzero coefficients.  Point values (:class:`Multivector`,
-:class:`Covector`) carry ``fractions.Fraction`` coefficients; the low-level
-term kernels (:func:`wedge_terms`, :func:`contract_terms`, ...) only need
-coefficients supporting ``+``, unary ``-``, ``*`` and truthiness, so
-multivector fields with polynomial components reuse them unchanged.
+homogeneous element of grade k stores a sparse map ``terms`` from k-blades
+to nonzero coefficients.  One container, :class:`GradedTerms`, holds that
+map for any coefficient ring: it canonicalises input, keeps the zero above
+the top grade, and provides ``component``, ``wedge`` and ``+ - * ==``.
+Point values (:class:`Multivector`) are the subclass with
+``fractions.Fraction`` coefficients; multivector fields
+(:class:`npk.fields.MultivectorField`) are the subclass with polynomial
+coefficients.  The term kernels (:func:`wedge_terms`,
+:func:`contract_terms`, ...) only need coefficients supporting ``+``,
+unary ``-``, ``*`` and truthiness, so both subclasses share them.
+:func:`first_failing_pair` is the one quantifier over basis covector
+pairs that the bilinear and polarized quadratic conditions reduce to.
 
 Sign conventions, fixed once for the whole package:
 
@@ -94,6 +100,20 @@ def shuffle_sign(left: Iterable[int], right: Iterable[int]) -> int:
     return merged[0]
 
 
+def first_failing_pair(dim: int, term) -> tuple[int, int] | None:
+    """Lexicographically first basis pair ``a <= b`` whose ``term(a, b)`` is nonzero.
+
+    A condition bilinear or polarized-quadratic in covectors holds for all
+    covectors iff it holds on these pairs (lossless over the rationals);
+    ``None`` means it holds.
+    """
+    for a in range(1, dim + 1):
+        for b in range(a, dim + 1):
+            if term(a, b):
+                return a, b
+    return None
+
+
 # ---------------------------------------------------------------------------
 # term-map kernels (coefficient-generic)
 
@@ -162,14 +182,8 @@ def contract_blade_terms(terms: Mapping[Blade, object], blade: Blade) -> dict:
     return cur
 
 
-def scale_terms(terms: Mapping[Blade, object], factor) -> dict:
-    if not factor:
-        return {}
-    return {k: factor * v for k, v in terms.items()}
-
-
 # ---------------------------------------------------------------------------
-# point-level containers
+# the graded container and its rational subclass
 
 def _check_blade(blade: Blade, dim: int, grade: int) -> None:
     if len(blade) != grade:
@@ -183,99 +197,133 @@ def _check_blade(blade: Blade, dim: int, grade: int) -> None:
         raise ValueError(f"blade {blade!r} exceeds dimension {dim}")
 
 
-class Multivector:
-    """Sparse homogeneous grade-k element with exact rational coefficients.
+class GradedTerms:
+    """Sparse homogeneous grade-k element over a coefficient ring.
 
-    The same container represents elements of the exterior powers of the
-    base space and of its dual (the caller tracks variance); see the
-    :data:`MultiCovector` alias.  The canonical zero above the top grade is
-    stored with grade ``dim + 1`` so that out-of-range wedges compare equal.
+    ``terms`` maps k-blades to nonzero coefficients.  Subclasses fix the
+    ring through two hooks: ``_coerce(coef, dim)`` turns an input into a
+    ring element (validating it) and ``_zero(dim)`` is the ring's zero;
+    ``_factors`` lists the types ``*`` accepts.  The canonical zero above
+    the top grade is stored with grade ``dim + 1`` so that out-of-range
+    wedges compare equal.  An element is truthy exactly when it is nonzero,
+    like its coefficients.
     """
 
     __slots__ = ("dim", "grade", "terms")
     __hash__ = None
 
-    def __init__(self, dim: int, grade: int, terms: Mapping[Blade, Fraction] | None = None):
+    def __init__(self, dim: int, grade: int, terms: Mapping[Blade, object] | None = None):
         if dim < 0:
             raise ValueError("dimension must be nonnegative")
         if grade < 0:
             raise ValueError("grade must be nonnegative")
-        if grade > dim:
-            if terms:
-                for blade, coef in terms.items():
-                    if coef:
-                        raise ValueError("no blades exist above the top grade")
-            self.dim = dim
-            self.grade = dim + 1
-            self.terms = {}
-            return
-        clean: dict[Blade, Fraction] = {}
-        if terms:
-            for blade, coef in terms.items():
-                blade = tuple(blade)
-                _check_blade(blade, dim, grade)
-                coef = coef if isinstance(coef, Fraction) else Fraction(coef)
-                if not coef:
-                    continue
-                cur = clean.get(blade)
-                if cur is None:
-                    clean[blade] = coef
-                else:
-                    s = cur + coef
-                    if s:
-                        clean[blade] = s
-                    else:
-                        del clean[blade]
         self.dim = dim
+        self.terms = {}
+        if grade > dim:
+            if terms and any(terms.values()):
+                raise ValueError("no blades exist above the top grade")
+            self.grade = dim + 1
+            return
         self.grade = grade
-        self.terms = clean
-
-    # -- constructors ------------------------------------------------------
+        for blade, coef in (terms or {}).items():
+            blade = tuple(blade)
+            _check_blade(blade, dim, grade)
+            _add_term(self.terms, blade, self._coerce(coef, dim))
 
     @classmethod
-    def zero(cls, dim: int, grade: int) -> "Multivector":
+    def zero(cls, dim: int, grade: int):
         return cls(dim, grade)
 
     @classmethod
-    def blade(cls, dim: int, indices: Iterable[int], coeff=1) -> "Multivector":
+    def blade(cls, dim: int, indices: Iterable[int], coeff=1):
         indices = tuple(indices)
         return cls(dim, len(indices), {indices: coeff})
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
+    def component(self, indices: Iterable[int]):
+        """Fully antisymmetric component for an arbitrary index tuple."""
+        sorted_ = sort_to_blade(indices)
+        coef = None if sorted_ is None else self.terms.get(sorted_[1])
+        if coef is None:
+            return self._zero(self.dim)
+        return coef if sorted_[0] > 0 else -coef
+
+    def vector_components(self) -> tuple:
+        if self.grade != 1:
+            raise ValueError("vector_components needs a grade-1 element")
+        zero = self._zero(self.dim)
+        return tuple(self.terms.get((u,), zero) for u in range(1, self.dim + 1))
+
+    def wedge(self, other):
+        if self.dim != other.dim:
+            raise ValueError("incompatible spaces")
+        grade = self.grade + other.grade
+        if grade > self.dim:
+            return type(self)(self.dim, grade)
+        return type(self)(self.dim, grade, wedge_terms(self.terms, other.terms))
+
+    def __add__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        if self.dim != other.dim:
+            raise ValueError("incompatible spaces")
+        if self.grade != other.grade:
+            raise ValueError("cannot add elements of different grades")
+        out = dict(self.terms)
+        for k, v in other.terms.items():
+            _add_term(out, k, v)
+        return type(self)(self.dim, self.grade, out)
+
+    def __neg__(self):
+        return type(self)(self.dim, self.grade, {k: -v for k, v in self.terms.items()})
+
+    def __sub__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self + (-other)
+
+    def __mul__(self, other):
+        if not isinstance(other, self._factors):
+            return NotImplemented
+        c = self._coerce(other, self.dim)
+        return type(self)(self.dim, self.grade, {k: v * c for k, v in self.terms.items()})
+
+    __rmul__ = __mul__
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self.dim == other.dim and self.grade == other.grade and self.terms == other.terms
+
+
+class Multivector(GradedTerms):
+    """Sparse homogeneous grade-k element with exact rational coefficients.
+
+    The same container represents elements of the exterior powers of the
+    base space and of its dual (the caller tracks variance); see the
+    :data:`MultiCovector` alias.
+    """
+
+    __slots__ = ()
+    _factors = _SCALARS
+
+    @staticmethod
+    def _coerce(coef, dim: int) -> Fraction:
+        return coef if isinstance(coef, Fraction) else Fraction(coef)
+
+    @staticmethod
+    def _zero(dim: int) -> Fraction:
+        return Fraction(0)
 
     @classmethod
     def from_vector(cls, coords: Iterable) -> "Multivector":
         coords = list(coords)
         return cls(len(coords), 1, {(u + 1,): c for u, c in enumerate(coords)})
-
-    # -- queries -----------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def vector_components(self) -> tuple[Fraction, ...]:
-        if self.grade != 1:
-            raise ValueError("vector_components needs a grade-1 multivector")
-        return tuple(self.terms.get((u,), Fraction(0)) for u in range(1, self.dim + 1))
-
-    def component(self, indices: Iterable[int]) -> Fraction:
-        """Fully antisymmetric component for an arbitrary index tuple."""
-        sorted_ = sort_to_blade(indices)
-        if sorted_ is None:
-            return Fraction(0)
-        sign, blade = sorted_
-        coef = self.terms.get(blade)
-        if coef is None:
-            return Fraction(0)
-        return coef if sign > 0 else -coef
-
-    # -- algebra -----------------------------------------------------------
-
-    def wedge(self, other: "Multivector") -> "Multivector":
-        if self.dim != other.dim:
-            raise ValueError("incompatible spaces")
-        grade = self.grade + other.grade
-        if grade > self.dim:
-            return Multivector(self.dim, grade)
-        return Multivector(self.dim, grade, wedge_terms(self.terms, other.terms))
 
     def contract(self, alpha: "Covector") -> "Multivector":
         if self.grade == 0:
@@ -283,39 +331,6 @@ class Multivector:
         if self.dim != alpha.dim:
             raise ValueError("incompatible spaces")
         return Multivector(self.dim, self.grade - 1, contract_terms(alpha.sparse(), self.terms))
-
-    def __add__(self, other):
-        if not isinstance(other, Multivector):
-            return NotImplemented
-        if self.dim != other.dim:
-            raise ValueError("incompatible spaces")
-        if self.grade != other.grade:
-            raise ValueError("cannot add multivectors of different grades")
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            _add_term(out, k, v)
-        return Multivector(self.dim, self.grade, out)
-
-    def __neg__(self):
-        return Multivector(self.dim, self.grade, {k: -v for k, v in self.terms.items()})
-
-    def __sub__(self, other):
-        if not isinstance(other, Multivector):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, _SCALARS):
-            c = Fraction(other)
-            return Multivector(self.dim, self.grade, scale_terms(self.terms, c))
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Multivector):
-            return NotImplemented
-        return self.dim == other.dim and self.grade == other.grade and self.terms == other.terms
 
     def __repr__(self) -> str:
         if not self.terms:

@@ -1,8 +1,13 @@
 """Multivector fields with polynomial components on coordinate space.
 
-A grade-n field on m coordinates stores a sparse map from n-blades to
-polynomials in the coordinates ``x1..xm``.  Evaluating at a rational
-point yields an exact :class:`~npk.exterior.Multivector`.  The module
+A grade-n field on m coordinates is the :class:`~npk.exterior.GradedTerms`
+container with coefficients in the polynomials in ``x1..xm``: its
+``terms`` map n-blades to polynomials, and storage, canonicalisation,
+``component``, ``wedge`` and ``+ - * ==`` are the shared ones.  This
+subclass fixes the coefficient ring (so ``*`` also takes a polynomial
+factor) and adds evaluation at a rational point (an exact
+:class:`~npk.exterior.Multivector`), partial derivatives and contractions
+with covector fields.  The module
 also provides the n-ary bracket a grade-n field induces on polynomial
 functions, the differential defect whose vanishing is the differential
 half of the Poisson conditions, and the generalized Jacobi identity
@@ -14,17 +19,16 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 from math import factorial
-from typing import Iterable, Mapping, Sequence
+from typing import Sequence
 
 from .exterior import (
     Blade,
+    GradedTerms,
     Multivector,
     _add_term,
-    _check_blade,
     contract_basis_terms,
     contract_blade_terms,
     contract_terms,
-    sort_to_blade,
     wedge_terms,
 )
 from .polynomial import Polynomial
@@ -32,89 +36,32 @@ from .polynomial import Polynomial
 _SCALARS = (int, Fraction)
 
 
-class MultivectorField:
+class MultivectorField(GradedTerms):
     """Sparse grade-n multivector field with polynomial components."""
 
-    __slots__ = ("dim", "grade", "components")
-    __hash__ = None
+    __slots__ = ()
+    _factors = _SCALARS + (Polynomial,)
+    # defined in this class's own namespace so that it can be patched here
+    component = GradedTerms.component
 
-    def __init__(self, dim: int, grade: int, components: Mapping[Blade, object] | None = None):
-        if dim < 0:
-            raise ValueError("dimension must be nonnegative")
-        if grade < 0:
-            raise ValueError("grade must be nonnegative")
-        if grade > dim:
-            if components:
-                for blade, coef in components.items():
-                    if coef:
-                        raise ValueError("no blades exist above the top grade")
-            self.dim = dim
-            self.grade = dim + 1
-            self.components = {}
-            return
-        clean: dict[Blade, Polynomial] = {}
-        if components:
-            for blade, coef in components.items():
-                blade = tuple(blade)
-                _check_blade(blade, dim, grade)
-                if not isinstance(coef, Polynomial):
-                    coef = Polynomial.constant(coef, dim)
-                elif coef.num_vars != dim:
-                    raise ValueError("component variable count must equal the coordinate dimension")
-                if not coef:
-                    continue
-                cur = clean.get(blade)
-                if cur is None:
-                    clean[blade] = coef
-                else:
-                    s = cur + coef
-                    if s:
-                        clean[blade] = s
-                    else:
-                        del clean[blade]
-        self.dim = dim
-        self.grade = grade
-        self.components = clean
+    @staticmethod
+    def _coerce(coef, dim: int) -> Polynomial:
+        if not isinstance(coef, Polynomial):
+            return Polynomial.constant(coef, dim)
+        if coef.num_vars != dim:
+            raise ValueError("component variable count must equal the coordinate dimension")
+        return coef
 
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def zero(cls, dim: int, grade: int) -> "MultivectorField":
-        return cls(dim, grade)
+    @staticmethod
+    def _zero(dim: int) -> Polynomial:
+        return Polynomial.zero(dim)
 
     @classmethod
     def from_multivector(cls, value: Multivector) -> "MultivectorField":
         return cls(value.dim, value.grade, dict(value.terms))
 
-    @classmethod
-    def blade(cls, dim: int, indices: Iterable[int], coeff=1) -> "MultivectorField":
-        indices = tuple(indices)
-        return cls(dim, len(indices), {indices: coeff})
-
-    # -- queries -----------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.components
-
     def is_constant(self) -> bool:
-        return all(p.is_constant() for p in self.components.values())
-
-    def component(self, indices: Iterable[int]) -> Polynomial:
-        """Fully antisymmetric component for an arbitrary index tuple."""
-        sorted_ = sort_to_blade(indices)
-        if sorted_ is None:
-            return Polynomial.zero(self.dim)
-        sign, blade = sorted_
-        coef = self.components.get(blade)
-        if coef is None:
-            return Polynomial.zero(self.dim)
-        return coef if sign > 0 else -coef
-
-    def vector_components(self) -> list[Polynomial]:
-        if self.grade != 1:
-            raise ValueError("vector_components needs a grade-1 field")
-        zero = Polynomial.zero(self.dim)
-        return [self.components.get((u,), zero) for u in range(1, self.dim + 1)]
+        return all(p.is_constant() for p in self.terms.values())
 
     # -- pointwise and componentwise operations -----------------------------
 
@@ -122,29 +69,16 @@ class MultivectorField:
         """Exact substitution of a rational point."""
         if len(point) != self.dim:
             raise ValueError(f"point must have {self.dim} coordinates")
-        terms = {blade: poly.evaluate(point) for blade, poly in self.components.items()}
+        terms = {blade: poly.evaluate(point) for blade, poly in self.terms.items()}
         return Multivector(self.dim, self.grade, terms)
 
     def partial(self, u: int) -> "MultivectorField":
         """Componentwise partial derivative along coordinate ``u``."""
         if not 1 <= u <= self.dim:
             raise ValueError(f"coordinate index {u} out of range 1..{self.dim}")
-        out = {}
-        for blade, poly in self.components.items():
-            d = poly.derivative(u)
-            if d:
-                out[blade] = d
-        return MultivectorField(self.dim, self.grade, out)
+        return MultivectorField(self.dim, self.grade, {b: p.derivative(u) for b, p in self.terms.items()})
 
-    # -- exterior algebra ----------------------------------------------------
-
-    def wedge(self, other: "MultivectorField") -> "MultivectorField":
-        if self.dim != other.dim:
-            raise ValueError("incompatible spaces")
-        grade = self.grade + other.grade
-        if grade > self.dim:
-            return MultivectorField(self.dim, grade)
-        return MultivectorField(self.dim, grade, wedge_terms(self.components, other.components))
+    # -- interior products ---------------------------------------------------
 
     def contract_basis(self, u: int) -> "MultivectorField":
         """Interior product with the coordinate covector field dx^u."""
@@ -152,14 +86,14 @@ class MultivectorField:
             raise ValueError("cannot contract a scalar")
         if not 1 <= u <= self.dim:
             raise ValueError(f"coordinate index {u} out of range 1..{self.dim}")
-        return MultivectorField(self.dim, self.grade - 1, contract_basis_terms(self.components, u))
+        return MultivectorField(self.dim, self.grade - 1, contract_basis_terms(self.terms, u))
 
     def contract_blade(self, blade: Blade) -> "MultivectorField":
         """Iterated basis contraction; the first index acts first."""
         blade = tuple(blade)
         if len(blade) > self.grade:
             raise ValueError("contraction exceeds grade")
-        return MultivectorField(self.dim, self.grade - len(blade), contract_blade_terms(self.components, blade))
+        return MultivectorField(self.dim, self.grade - len(blade), contract_blade_terms(self.terms, blade))
 
     def contract_covector(self, comps: Sequence[Polynomial]) -> "MultivectorField":
         """Interior product with a covector field given by m components."""
@@ -168,54 +102,18 @@ class MultivectorField:
         if len(comps) != self.dim:
             raise ValueError("covector field must have one component per coordinate")
         alpha = {u + 1: c for u, c in enumerate(comps) if c}
-        return MultivectorField(self.dim, self.grade - 1, contract_terms(alpha, self.components))
-
-    def __add__(self, other):
-        if not isinstance(other, MultivectorField):
-            return NotImplemented
-        if self.dim != other.dim:
-            raise ValueError("incompatible spaces")
-        if self.grade != other.grade:
-            raise ValueError("cannot add fields of different grades")
-        out = dict(self.components)
-        for k, v in other.components.items():
-            _add_term(out, k, v)
-        return MultivectorField(self.dim, self.grade, out)
-
-    def __neg__(self):
-        return MultivectorField(self.dim, self.grade, {k: -v for k, v in self.components.items()})
-
-    def __sub__(self, other):
-        if not isinstance(other, MultivectorField):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, _SCALARS):
-            other = Polynomial.constant(other, self.dim)
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        out = {}
-        for blade, poly in self.components.items():
-            p = poly * other
-            if p:
-                out[blade] = p
-        return MultivectorField(self.dim, self.grade, out)
-
-    __rmul__ = __mul__
+        return MultivectorField(self.dim, self.grade - 1, contract_terms(alpha, self.terms))
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Multivector):
             other = MultivectorField.from_multivector(other)
-        if not isinstance(other, MultivectorField):
-            return NotImplemented
-        return self.dim == other.dim and self.grade == other.grade and self.components == other.components
+        return super().__eq__(other)
 
     def __repr__(self) -> str:
-        if not self.components:
+        if not self.terms:
             return f"0[grade {self.grade}, dim {self.dim}]"
         parts = []
-        for blade, poly in sorted(self.components.items()):
+        for blade, poly in sorted(self.terms.items()):
             name = "e(" + ",".join(map(str, blade)) + ")" if blade else "1"
             text = repr(poly)
             if len(poly.terms) > 1 or text.startswith("-"):
@@ -239,13 +137,13 @@ def lie_bracket(x: MultivectorField, y: MultivectorField) -> MultivectorField:
         raise ValueError("incompatible spaces")
     m = x.dim
     out: dict[Blade, Polynomial] = {}
-    for (u,), xu in x.components.items():
-        for (j,), yj in y.components.items():
+    for (u,), xu in x.terms.items():
+        for (j,), yj in y.terms.items():
             d = yj.derivative(u)
             if d:
                 _add_term(out, (j,), xu * d)
-    for (u,), yu in y.components.items():
-        for (j,), xj in x.components.items():
+    for (u,), yu in y.terms.items():
+        for (j,), xj in x.terms.items():
             d = xj.derivative(u)
             if d:
                 _add_term(out, (j,), -(yu * d))
@@ -288,7 +186,7 @@ def _bracket_from_gradients(field: MultivectorField, grads: list[list[Polynomial
     m, n = field.dim, field.grade
     acc = Polynomial.zero(m)
     mat = grads
-    for blade, coef in field.components.items():
+    for blade, coef in field.terms.items():
         cols = tuple(a - 1 for a in blade)
         d = _det(mat, tuple(range(n)), cols, m)
         if d:
@@ -331,10 +229,10 @@ def differential_defect(field: MultivectorField) -> MultivectorField:
         du = field.partial(u)
         if du.is_zero():
             continue
-        cu = contract_basis_terms(field.components, u)
+        cu = contract_basis_terms(field.terms, u)
         if not cu:
             continue
-        for key, val in wedge_terms(cu, du.components).items():
+        for key, val in wedge_terms(cu, du.terms).items():
             _add_term(out, key, val)
     return MultivectorField(m, target, out)
 

@@ -32,7 +32,7 @@ from .exterior import (
     iter_blades,
     wedge_terms,
 )
-from .linalg import Subspace, intersect, rank_kernel_image
+from .linalg import Subspace, intersect, rank_kernel
 from .polynomial import Polynomial
 
 
@@ -87,7 +87,7 @@ def sharp_profile(p: Multivector) -> SharpProfile:
     for u in range(1, m + 1):
         for blade, coef in contract_basis_terms(p.terms, u).items():
             rows[positions[blade]][u - 1] = coef
-    _, annihilator, _ = rank_kernel_image(rows, m)
+    _, annihilator = rank_kernel(rows, m)
     profile = SharpProfile(image.dim, image, annihilator)
     if profile.rank + annihilator.dim != m:
         raise AssertionError("rank and annihilator dimensions are inconsistent")
@@ -199,7 +199,7 @@ def contraction_subspace_report(p: Multivector, alpha: Covector) -> ContractionS
     else:
         cp = sharp_profile(contracted)
         small, rank_c = cp.image, cp.rank
-    _, ker_alpha, _ = rank_kernel_image([list(alpha.components)], m)
+    _, ker_alpha = rank_kernel([list(alpha.components)], m)
     bound = intersect(ker_alpha, profile.image)
     inclusion = all(bound.contains(row) for row in small.basis)
     return ContractionSubspaceReport(
@@ -210,7 +210,6 @@ def contraction_subspace_report(p: Multivector, alpha: Covector) -> ContractionS
 
 
 class IrreducibilityKind(Enum):
-    CERTIFIED_IRREDUCIBLE = "certified_irreducible"
     CERTIFIED_BY_RANK = "certified_by_rank"
     NO_WITNESS_FOUND = "no_witness_found"
     REDUCIBILITY_WITNESS = "reducibility_witness"
@@ -230,8 +229,7 @@ def irreducibility_check(p: Multivector, samples: int = 20, seed: int = 0) -> Ir
     random covectors are sampled; a contraction that stays nonzero while
     dropping the rank by at least n witnesses reducibility.  Sampling can
     never certify irreducibility, so the remaining outcome is an honest
-    "no witness found"; the CERTIFIED_IRREDUCIBLE verdict is reserved for
-    callers with a constructive proof.
+    "no witness found".
     """
     if p.is_zero():
         raise ValueError("zero tensor")

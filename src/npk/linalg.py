@@ -92,18 +92,17 @@ class Subspace:
         return not any(v)
 
 
-def rank_kernel_image(rows: Iterable[Sequence], ncols: int | None = None) -> tuple[int, Subspace, Subspace]:
-    """Rank, kernel and column-space image of a rational matrix.
+def rank_kernel(rows: Iterable[Sequence], ncols: int | None = None) -> tuple[int, Subspace]:
+    """Rank and kernel of a rational matrix.
 
-    The kernel lives in the column-index space, the image in the
-    row-index space; ``rank + dim kernel == ncols`` exactly.
+    The kernel lives in the column-index space; ``rank + dim kernel ==
+    ncols`` exactly.
     """
     mat = _to_fraction_rows(rows)
     if ncols is None:
         if not mat:
             raise ValueError("ncols required for an empty matrix")
         ncols = len(mat[0])
-    nrows = len(mat)
     reduced, pivots = rref(mat, ncols) if mat else ([], [])
     rank = len(pivots)
     pivot_set = set(pivots)
@@ -116,10 +115,7 @@ def rank_kernel_image(rows: Iterable[Sequence], ncols: int | None = None) -> tup
         for i, p in enumerate(pivots):
             v[p] = -reduced[i][free]
         kernel_vecs.append(v)
-    kernel = Subspace.from_vectors(kernel_vecs, ncols)
-    columns = [[mat[r][c] for r in range(nrows)] for c in range(ncols)]
-    image = Subspace.from_vectors(columns, nrows)
-    return rank, kernel, image
+    return rank, Subspace.from_vectors(kernel_vecs, ncols)
 
 
 def intersect(u: Subspace, v: Subspace) -> Subspace:
@@ -132,7 +128,7 @@ def intersect(u: Subspace, v: Subspace) -> Subspace:
     # sum a_i u_i + sum b_j v_j = 0, so sum a_i u_i lies in both spaces
     cols = list(u.basis) + list(v.basis)
     rows = [[col[r] for col in cols] for r in range(u.ambient_dim)]
-    _, kernel, _ = rank_kernel_image(rows, len(cols))
+    _, kernel = rank_kernel(rows, len(cols))
     vectors = []
     for kv in kernel.basis:
         combo = [Fraction(0)] * u.ambient_dim

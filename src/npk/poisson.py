@@ -27,7 +27,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
 
-from .exterior import iter_blades, shuffle_sign
+from .exterior import first_failing_pair, iter_blades, shuffle_sign
 from .fields import (
     MultivectorField,
     coordinate_vector_field,
@@ -70,18 +70,12 @@ def algebraic_condition(field: MultivectorField) -> AlgebraicConditionReport:
     lexicographically first failing pair is reported.  For even grade the
     classifier ignores this condition; it is still evaluated and reported.
     """
-    m, n = field.dim, field.grade
-    if n < 3:
+    m = field.dim
+    if field.grade < 3:
         raise ValueError("needs grade at least 3")
-    contractions = {a: field.contract_basis(a) for a in range(1, m + 1)}
-    for a in range(1, m + 1):
-        fa = contractions[a]
-        if fa.is_zero():
-            continue
-        for b in range(a, m + 1):
-            if not fa.wedge(contractions[b]).is_zero():
-                return AlgebraicConditionReport(False, (a, b))
-    return AlgebraicConditionReport(True, None)
+    c = {a: field.contract_basis(a) for a in range(1, m + 1)}
+    witness = first_failing_pair(m, lambda a, b: c[a].wedge(c[b]))
+    return AlgebraicConditionReport(witness is None, witness)
 
 
 def differential_condition(field: MultivectorField) -> bool:
@@ -151,20 +145,14 @@ def _nambu_polarized_route(field: MultivectorField) -> bool:
     # polarized wedge identities over basis covector pairs and basis
     # (n-2)-forms; polarization is lossless in characteristic zero
     m, n = field.dim, field.grade
-    contractions = {a: field.contract_basis(a) for a in range(1, m + 1)}
+    c = {a: field.contract_basis(a) for a in range(1, m + 1)}
     phis = list(iter_blades(m, n - 2))
-    deep: dict[int, list[MultivectorField]] = {
-        a: [contractions[a].contract_blade(phi) for phi in phis] for a in range(1, m + 1)
-    }
-    for a in range(1, m + 1):
-        fa = contractions[a]
-        for b in range(a, m + 1):
-            fb = contractions[b]
-            for i in range(len(phis)):
-                term = fa.wedge(deep[b][i]) + fb.wedge(deep[a][i])
-                if not term.is_zero():
-                    return False
-    return True
+    deep = {a: [c[a].contract_blade(phi) for phi in phis] for a in range(1, m + 1)}
+
+    def term(a: int, b: int) -> bool:
+        return any(c[a].wedge(deep[b][i]) + c[b].wedge(deep[a][i]) for i in range(len(phis)))
+
+    return first_failing_pair(m, term) is None
 
 
 def is_nambu_algebraic(field: MultivectorField) -> bool:
@@ -207,14 +195,17 @@ def classify(
 
     The verdict applies the parity rule exactly: even grade needs only the
     differential condition, odd grade needs both.  Ranks are reported at
-    the supplied or default sample points; decomposability and the Nambu
-    condition are polynomial identities, independent of the samples.
+    the supplied or default sample points; decomposability is a polynomial
+    identity, independent of the samples.  The algebraic Nambu condition is
+    equivalent to pointwise decomposability, so the one result fills both
+    fields; :func:`is_nambu_algebraic` keeps the three-route cross-check.
     """
     if field.grade < 3:
         raise ValueError("classification needs grade at least 3")
     even = field.grade % 2 == 0
     algebraic = algebraic_condition(field)
     differential = differential_condition(field)
+    decomposable = pointwise_decomposable(field)
     points = list(sample_points) if sample_points is not None else default_sample_points(field.dim, seed)
     ranks = tuple(
         (tuple(Fraction(c) for c in pt), sharp_profile(field.evaluate(pt)).rank)
@@ -227,8 +218,8 @@ def classify(
         differential_holds=differential,
         is_poisson=differential if even else (algebraic.holds and differential),
         rank_at_samples=ranks,
-        pointwise_decomposable=pointwise_decomposable(field),
-        nambu_algebraic=is_nambu_algebraic(field),
+        pointwise_decomposable=decomposable,
+        nambu_algebraic=decomposable,
     )
 
 

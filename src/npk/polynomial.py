@@ -172,10 +172,8 @@ class Polynomial:
             e = exps[i]
             if e == 0:
                 continue
-            dexps = exps[:i] + (e - 1,) + exps[i + 1:]
-            piece = coef * e
-            cur = out.get(dexps)
-            out[dexps] = piece if cur is None else cur + piece
+            # lowering one exponent is injective, so no two terms merge
+            out[exps[:i] + (e - 1,) + exps[i + 1:]] = coef * e
         return Polynomial._raw(self.num_vars, out)
 
     def evaluate(self, point: Sequence) -> Fraction:

@@ -50,8 +50,13 @@ class TensorSpec:
     terms: tuple[Term, ...]
 
 
+def _is_int(x) -> bool:
+    # JSON true/false decode to bool, a subclass of int; they are not numbers
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _fraction(text, where: str) -> Fraction:
-    if isinstance(text, int):
+    if _is_int(text):
         return Fraction(text)
     if not isinstance(text, str):
         raise SpecError(f"{where}: rational values must be strings or integers, got {type(text).__name__}")
@@ -76,9 +81,9 @@ def parse_spec_data(obj) -> TensorSpec:
         raise SpecError("top level must be a JSON object")
     _check_keys(obj, {"m", "n", "kind", "terms"}, "top level")
     m, n, kind, terms = obj["m"], obj["n"], obj["kind"], obj["terms"]
-    if not isinstance(m, int) or m < 1:
+    if not _is_int(m) or m < 1:
         raise SpecError("m must be a positive integer")
-    if not isinstance(n, int) or n < 1:
+    if not _is_int(n) or n < 1:
         raise SpecError("n must be a positive integer")
     if kind not in ("constant", "polynomial"):
         raise SpecError(f"kind must be 'constant' or 'polynomial', got {kind!r}")
@@ -96,7 +101,7 @@ def parse_spec_data(obj) -> TensorSpec:
         if (
             not isinstance(indices, list)
             or len(indices) != n
-            or any(not isinstance(i, int) for i in indices)
+            or any(not _is_int(i) for i in indices)
         ):
             raise SpecError(f"{where}: indices must be a list of {n} integers")
         if any(b <= a for a, b in zip(indices, indices[1:])) or indices[0] < 1 or indices[-1] > m:
@@ -123,7 +128,7 @@ def parse_spec_data(obj) -> TensorSpec:
                 if (
                     not isinstance(exps, list)
                     or len(exps) != m
-                    or any(not isinstance(e, int) or e < 0 for e in exps)
+                    or any(not _is_int(e) or e < 0 for e in exps)
                 ):
                     raise SpecError(f"{mwhere}: exps must be a list of {m} nonnegative integers")
                 coef = _fraction(mono["coef"], mwhere)
@@ -193,8 +198,8 @@ def from_field(field: MultivectorField, kind: str | None = None) -> TensorSpec:
     if kind not in ("constant", "polynomial"):
         raise ValueError(f"kind must be 'constant' or 'polynomial', got {kind!r}")
     terms: list[Term] = []
-    for blade in sorted(field.components):
-        poly = field.components[blade]
+    for blade in sorted(field.terms):
+        poly = field.terms[blade]
         if kind == "constant":
             if not poly.is_constant():
                 raise ValueError("field has non-constant components; use kind='polynomial'")

@@ -204,8 +204,8 @@ def suite_jacobi_vs_classifier(seed: int = 0) -> SuiteResult:
     poisson_count = 0
     for i, f in enumerate(fields[:50]):
         # declared population: grade 3, m=5, degree <= 1, at most 6 terms
-        if f.grade != 3 or f.dim != 5 or len(f.components) > 6 or any(
-            p.degree() > 1 for p in f.components.values()
+        if f.grade != 3 or f.dim != 5 or len(f.terms) > 6 or any(
+            p.degree() > 1 for p in f.terms.values()
         ):
             failures.append(f"instance {i}: outside the declared grade-3 population")
     for i, f in enumerate(fields):
@@ -220,28 +220,28 @@ def suite_jacobi_vs_classifier(seed: int = 0) -> SuiteResult:
         not failures,
         len(fields),
         failures,
-        {"grade3_instances": 50, "grade4_instances": 20, "poisson_instances": poisson_count},
+        {
+            "grade3_instances": sum(f.grade == 3 for f in fields),
+            "grade4_instances": sum(f.grade == 4 for f in fields),
+            "poisson_instances": poisson_count,
+        },
     )
 
 
 def suite_contraction_profile(seed: int = 0) -> SuiteResult:
     """Decomposability versus decomposability of all k-fold contractions."""
     rng = random.Random(f"{seed}:profile")
+    makers = {
+        "decomposable_half": random_decomposable_multivector,
+        "random_half": lambda r, m, n: random_constant_multivector(r, m, n, max_terms=4),
+    }
     population: list[Multivector] = []
-    for m in (4, 5, 6):
-        for _ in range(20):
-            population.append(random_decomposable_multivector(rng, m, 3))
-    for m in (4, 5, 6):
-        for _ in range(20):
-            population.append(random_constant_multivector(rng, m, 3, max_terms=4))
-    for _ in range(32):
-        population.append(random_decomposable_multivector(rng, 5, 4))
-    for _ in range(8):
-        population.append(random_decomposable_multivector(rng, 6, 4))
-    for _ in range(32):
-        population.append(random_constant_multivector(rng, 5, 4, max_terms=4))
-    for _ in range(8):
-        population.append(random_constant_multivector(rng, 6, 4, max_terms=4))
+    halves = dict.fromkeys(makers, 0)
+    for n, sizes in ((3, ((4, 20), (5, 20), (6, 20))), (4, ((5, 32), (6, 8)))):
+        for half, make in makers.items():
+            for m, count in sizes:
+                population.extend(make(rng, m, n) for _ in range(count))
+                halves[half] += count
     failures = []
     cases = 0
     for i, p in enumerate(population):
@@ -264,7 +264,7 @@ def suite_contraction_profile(seed: int = 0) -> SuiteResult:
         not failures,
         cases,
         failures,
-        {"population": len(population), "decomposable_half": 100, "random_half": 100},
+        {"population": len(population), **halves},
     )
 
 

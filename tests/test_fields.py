@@ -178,12 +178,12 @@ def test_defect_matches_alternation_on_random_fields():
         f = f + MultivectorField(M, 3, {(1, 2, 3): var(u), (1, 4, 5): 1})
         defect = differential_defect(f)
         alternation = alternation_defect_components(f)
-        keys = set(alternation) | set(defect.components)
+        keys = set(alternation) | set(defect.terms)
         for key in keys:
             left = alternation.get(key, Polynomial.zero(M))
-            right = defect.components.get(key, Polynomial.zero(M)) * factor
+            right = defect.terms.get(key, Polynomial.zero(M)) * factor
             assert left == right
-        if defect.components:
+        if defect.terms:
             nonzero_seen += 1
     assert nonzero_seen >= 1
 

@@ -5,31 +5,42 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from npk.linalg import Subspace, intersect, rank_kernel_image, subspace_sum
+from npk.linalg import Subspace, intersect, rank_kernel, subspace_sum
 
 
 def F(x):
     return Fraction(x)
 
 
+def column_image(mat, ncols):
+    """Column space of ``mat``, eliminated independently of ``rank_kernel``."""
+    return Subspace.from_vectors([[row[c] for row in mat] for c in range(ncols)], len(mat))
+
+
 def test_identity_matrix():
-    rank, kernel, image = rank_kernel_image([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
-    assert rank == 3
+    mat = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    rank, kernel = rank_kernel(mat)
+    image = column_image(mat, 3)
+    assert rank == 3 == image.dim
     assert kernel == Subspace.zero(3)
     assert image == Subspace.full(3)
 
 
 def test_zero_matrix():
-    rank, kernel, image = rank_kernel_image([[0, 0, 0, 0], [0, 0, 0, 0]])
-    assert rank == 0
+    mat = [[0, 0, 0, 0], [0, 0, 0, 0]]
+    rank, kernel = rank_kernel(mat)
+    image = column_image(mat, 4)
+    assert rank == 0 == image.dim
     assert kernel == Subspace.full(4)
     assert image == Subspace.zero(2)
 
 
 def test_rank_one_matrix():
     # hand elimination: row2 = 2*row1; kernel spanned by (2, -1), image by (1, 2)
-    rank, kernel, image = rank_kernel_image([[1, 2], [2, 4]])
-    assert rank == 1
+    mat = [[1, 2], [2, 4]]
+    rank, kernel = rank_kernel(mat)
+    image = column_image(mat, 2)
+    assert rank == 1 == image.dim
     assert kernel == Subspace.from_vectors([[2, -1]], 2)
     assert image == Subspace.from_vectors([[1, 2]], 2)
     assert rank + kernel.dim == 2
@@ -78,7 +89,10 @@ def test_image_reproduces_columns():
     for _ in range(40):
         rows, cols = rng.randint(1, 5), rng.randint(1, 5)
         mat = _random_matrix(rng, rows, cols)
-        _, _, image = rank_kernel_image(mat, cols)
+        rank, _ = rank_kernel(mat, cols)
+        image = column_image(mat, cols)
+        # row rank by elimination, column rank by a separate elimination
+        assert image.dim == rank
         for c in range(cols):
             assert image.contains([mat[r][c] for r in range(rows)])
 
@@ -88,7 +102,7 @@ def test_kernel_annihilates():
     for _ in range(40):
         rows, cols = rng.randint(1, 5), rng.randint(1, 5)
         mat = _random_matrix(rng, rows, cols)
-        rank, kernel, _ = rank_kernel_image(mat, cols)
+        rank, kernel = rank_kernel(mat, cols)
         assert rank + kernel.dim == cols
         for vec in kernel.basis:
             assert all(

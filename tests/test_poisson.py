@@ -150,6 +150,9 @@ def test_nambu_equals_pointwise_decomposability():
     for _ in range(15):
         f = random_linear_field(rng, M, 3, max_terms=4)
         assert is_nambu_algebraic(f) == pointwise_decomposable(f)
+        # classify reads the flag off pointwise decomposability; the three
+        # routes stay its oracle
+        assert classify(f).nambu_algebraic == is_nambu_algebraic(f)
     for _ in range(5):
         f = random_decomposable_field(rng, M, 3)
         assert is_nambu_algebraic(f)

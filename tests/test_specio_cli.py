@@ -11,6 +11,7 @@ from npk.specio import (
     SpecError,
     from_field,
     parse_spec,
+    parse_spec_data,
     parse_spec_text,
     serialize,
     to_field,
@@ -35,7 +36,7 @@ def test_parse_constant_blade():
 def test_parse_exact_rational():
     text = CONSTANT_SPEC.replace('"1"', '"3/2"')
     field = to_field(parse_spec_text(text))
-    assert field.components[(1, 2, 3)] == Fraction(3, 2)
+    assert field.terms[(1, 2, 3)] == Fraction(3, 2)
 
 
 def test_parse_rejects_unsorted_indices():
@@ -51,6 +52,31 @@ def test_parse_rejects_bad_rational():
     text = CONSTANT_SPEC.replace('"1"', "0.25")
     with pytest.raises(SpecError, match="rational values"):
         parse_spec_text(text)
+
+
+# each spec is valid if a JSON true is read as the integer 1
+BOOLEAN_PROBES = {
+    "m": {"m": True, "n": 1, "kind": "constant", "terms": [{"indices": [1], "value": "1"}]},
+    "n": {"m": 3, "n": True, "kind": "constant", "terms": [{"indices": [1], "value": "1"}]},
+    "indices": {"m": 3, "n": 3, "kind": "constant", "terms": [{"indices": [True, 2, 3], "value": "1"}]},
+    "exps": {
+        "m": 3,
+        "n": 3,
+        "kind": "polynomial",
+        "terms": [{"indices": [1, 2, 3], "value": [{"coef": "1", "exps": [True, 0, 0]}]}],
+    },
+    "value": {"m": 3, "n": 3, "kind": "constant", "terms": [{"indices": [1, 2, 3], "value": True}]},
+}
+
+
+@pytest.mark.parametrize("probe", sorted(BOOLEAN_PROBES))
+def test_json_booleans_are_not_integers(probe, tmp_path, capsys):
+    obj = BOOLEAN_PROBES[probe]
+    with pytest.raises(SpecError):
+        parse_spec_data(obj)
+    path = tmp_path / "bool.json"
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    assert main(["check", str(path)]) == 2
 
 
 def test_parse_rejects_unknown_fields():
