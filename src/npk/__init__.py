@@ -40,7 +40,7 @@ from .grassmann import (
     is_decomposable,
     sharp_profile,
 )
-from .linalg import Subspace, intersect, rank_kernel, subspace_sum
+from .linalg import Subspace, intersect, subspace_sum
 from .poisson import (
     PoissonVerdict,
     algebraic_condition,
@@ -107,7 +107,6 @@ __all__ = [
     "parse_spec",
     "parse_spec_text",
     "pointwise_decomposable",
-    "rank_kernel",
     "serialize",
     "sharp_profile",
     "subspace_sum",

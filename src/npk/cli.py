@@ -2,7 +2,8 @@
 
 Exit codes separate mathematical outcomes from operational problems:
 0 means the check passed or the property holds, 1 means it fails
-mathematically, 2 means the invocation or input was unusable.  JSON
+mathematically, 2 means the invocation or input was unusable, 3 means an
+internal consistency check of the program failed.  JSON
 output is canonical and, for a fixed seed, byte-identical across runs;
 wall-clock timing appears only in the human-readable form.
 """
@@ -10,6 +11,7 @@ wall-clock timing appears only in the human-readable form.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -168,6 +170,8 @@ _COMMANDS = {
 }
 
 
+# once per process: a parser is reference cycles that only the cyclic GC frees
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="npk",
@@ -205,12 +209,12 @@ def main(argv=None) -> int:
         else:
             field = _load_field(args.spec)
             report, code = _COMMANDS[args.command](field, args)
-    except (SpecError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except AssertionError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
     _emit(report, args.json, time.monotonic() - start)
     return code
 

@@ -12,7 +12,9 @@ coefficients.  The term kernels (:func:`wedge_terms`,
 :func:`contract_terms`, ...) only need coefficients supporting ``+``,
 unary ``-``, ``*`` and truthiness, so both subclasses share them.
 :func:`first_failing_pair` is the one quantifier over basis covector
-pairs that the bilinear and polarized quadratic conditions reduce to.
+pairs that the bilinear and polarized quadratic conditions reduce to;
+:func:`blade_contractions` is the one table of contractions with basis
+k-forms, built from the faces of the blades present.
 
 Sign conventions, fixed once for the whole package:
 
@@ -180,6 +182,26 @@ def contract_blade_terms(terms: Mapping[Blade, object], blade: Blade) -> dict:
             break
         cur = contract_basis_terms(cur, idx)
     return cur
+
+
+def blade_contractions(terms: Mapping[Blade, object], k: int) -> dict:
+    """The nonzero ``contract_blade_terms(terms, s)`` for every k-blade ``s``.
+
+    Built from the k-faces of the blades present, so the cost is
+    ``len(terms) * C(grade, k)`` rather than ``C(dim, k)`` contractions.
+    Contracting the face at positions ``j1 < ... < jk`` of a blade, first
+    index first, has sign ``(-1)^(sum(j) - k(k-1)/2)``.  A face and its
+    complement determine the blade, so no two terms meet and nothing
+    cancels.
+    """
+    out: dict = {}
+    shift = k * (k - 1) // 2
+    for blade, coef in terms.items():
+        for pos in combinations(range(len(blade)), k):
+            face = tuple(blade[j] for j in pos)
+            rest = tuple(idx for idx in blade if idx not in face)
+            out.setdefault(face, {})[rest] = -coef if (sum(pos) - shift) % 2 else coef
+    return out
 
 
 # ---------------------------------------------------------------------------

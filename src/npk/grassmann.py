@@ -1,8 +1,10 @@
 """Structure theory of a single grade-n multivector at a point.
 
 The sharp map sends (n-1)-forms to vectors by contraction; its image
-dimension is the rank of the multivector, its kernel on covectors is the
-annihilator, and the two dimensions always sum to the ambient dimension.
+dimension is the rank of the multivector.  The annihilator (the covectors
+contracting it to zero) is the kernel of the image rows, because
+``<i(alpha) P, dx^s> = ±<alpha, i(dx^s) P>``; it is read off the echelon
+basis of the image, and the two dimensions sum to the ambient dimension.
 Rank n characterises decomposable multivectors, equivalently the vanishing
 of every contraction-wedge defect ``(i(lam) P) ^ P`` over basis (n-1)-forms
 (the classical quadratic decomposability relations).  Rank also bounds
@@ -23,16 +25,8 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .exterior import (
-    Covector,
-    Multivector,
-    contract_basis_terms,
-    contract_blade_terms,
-    contract_terms,
-    iter_blades,
-    wedge_terms,
-)
-from .linalg import Subspace, intersect, rank_kernel
+from .exterior import Covector, Multivector, blade_contractions, contract_terms, wedge_terms
+from .linalg import Subspace, intersect
 from .polynomial import Polynomial
 
 
@@ -65,33 +59,27 @@ class Factorization:
 def sharp_profile(p: Multivector) -> SharpProfile:
     """Image, annihilator and rank of the contraction map of ``p``.
 
-    The image is spanned by the contractions of ``p`` with all basis
-    (n-1)-forms; the annihilator collects the covectors contracting to
-    zero.  Their dimensions sum to the ambient dimension, and ``p`` lies
-    in the top exterior power of its own image.
+    The image is spanned by the contractions of ``p`` with the basis
+    (n-1)-forms; the annihilator, the covectors contracting ``p`` to zero,
+    is the kernel of those rows.  ``p`` lies in the top exterior power of
+    its own image.
     """
     if p.grade < 1:
         raise ValueError("sharp profile needs grade at least 1")
-    m, n = p.dim, p.grade
-    if p.is_zero():
-        return SharpProfile(0, Subspace.zero(m), Subspace.full(m))
-    vectors = []
-    for blade in iter_blades(m, n - 1):
-        terms = contract_blade_terms(p.terms, blade)
-        if terms:
-            vectors.append([terms.get((u,), Fraction(0)) for u in range(1, m + 1)])
-    image = Subspace.from_vectors(vectors, m)
-    # annihilator: kernel of alpha -> i(alpha) p, rows indexed by (n-1)-blades
-    positions = {blade: i for i, blade in enumerate(iter_blades(m, n - 1))}
-    rows = [[Fraction(0)] * m for _ in positions]
-    for u in range(1, m + 1):
-        for blade, coef in contract_basis_terms(p.terms, u).items():
-            rows[positions[blade]][u - 1] = coef
-    _, annihilator = rank_kernel(rows, m)
-    profile = SharpProfile(image.dim, image, annihilator)
-    if profile.rank + annihilator.dim != m:
-        raise AssertionError("rank and annihilator dimensions are inconsistent")
-    return profile
+    m = p.dim
+    faces = blade_contractions(p.terms, p.grade - 1).values()
+    image = Subspace.from_vectors([[face.get((u,), 0) for u in range(1, m + 1)] for face in faces], m)
+    return SharpProfile(image.dim, image, image.annihilator())
+
+
+def plucker_holds(terms, grade: int) -> bool:
+    """Whether every quadratic defect ``(i(dx^s) P) ^ P`` vanishes.
+
+    ``P`` is the grade-``grade`` term map and ``s`` runs over the basis
+    (grade-1)-blades; the defects are the classical quadratic
+    decomposability relations, over any coefficient ring.
+    """
+    return not any(wedge_terms(face, terms) for face in blade_contractions(terms, grade - 1).values())
 
 
 def is_decomposable(p: Multivector) -> bool:
@@ -101,16 +89,7 @@ def is_decomposable(p: Multivector) -> bool:
     basis (n-1)-forms, which suffice by linearity; zero counts as
     decomposable by convention.  Equivalent to rank n for nonzero input.
     """
-    if p.is_zero() or p.grade <= 1:
-        return True
-    m, n = p.dim, p.grade
-    for blade in iter_blades(m, n - 1):
-        contracted = contract_blade_terms(p.terms, blade)
-        if not contracted:
-            continue
-        if wedge_terms(contracted, p.terms):
-            return False
-    return True
+    return p.grade <= 1 or plucker_holds(p.terms, p.grade)
 
 
 def factorize(p: Multivector) -> Factorization:
@@ -162,14 +141,7 @@ def contractions_decomposable(p: Multivector, k: int) -> bool:
     for i in range(k):
         alpha = {u: Polynomial.variable(i * m + u, nvars) for u in range(1, m + 1)}
         terms = contract_terms(alpha, terms)
-    # Plücker defects of the symbolic (n-k)-vector
-    for blade in iter_blades(m, n - k - 1):
-        contracted = contract_blade_terms(terms, blade)
-        if not contracted:
-            continue
-        if wedge_terms(contracted, terms):
-            return False
-    return True
+    return plucker_holds(terms, n - k)
 
 
 @dataclass(frozen=True)
@@ -199,7 +171,7 @@ def contraction_subspace_report(p: Multivector, alpha: Covector) -> ContractionS
     else:
         cp = sharp_profile(contracted)
         small, rank_c = cp.image, cp.rank
-    _, ker_alpha = rank_kernel([list(alpha.components)], m)
+    ker_alpha = Subspace.from_vectors([alpha.components], m).annihilator()
     bound = intersect(ker_alpha, profile.image)
     inclusion = all(bound.contains(row) for row in small.basis)
     return ContractionSubspaceReport(

@@ -3,7 +3,8 @@
 Matrices are plain lists of rows of Fractions.  Subspaces of the base
 space and of its dual share one representation (a canonical reduced
 row-echelon basis); the caller tracks variance.  Canonical form makes
-subspace equality plain structural equality.
+subspace equality plain structural equality.  The kernel of a matrix is
+the annihilator of its row space, read off that space's echelon basis.
 """
 
 from __future__ import annotations
@@ -91,31 +92,22 @@ class Subspace:
                 v = [a - f * b for a, b in zip(v, row)]
         return not any(v)
 
+    def annihilator(self) -> "Subspace":
+        """Covectors vanishing on the subspace: the kernel of its basis rows.
 
-def rank_kernel(rows: Iterable[Sequence], ncols: int | None = None) -> tuple[int, Subspace]:
-    """Rank and kernel of a rational matrix.
-
-    The kernel lives in the column-index space; ``rank + dim kernel ==
-    ncols`` exactly.
-    """
-    mat = _to_fraction_rows(rows)
-    if ncols is None:
-        if not mat:
-            raise ValueError("ncols required for an empty matrix")
-        ncols = len(mat[0])
-    reduced, pivots = rref(mat, ncols) if mat else ([], [])
-    rank = len(pivots)
-    pivot_set = set(pivots)
-    kernel_vecs = []
-    for free in range(ncols):
-        if free in pivot_set:
-            continue
-        v = [Fraction(0)] * ncols
-        v[free] = Fraction(1)
-        for i, p in enumerate(pivots):
-            v[p] = -reduced[i][free]
-        kernel_vecs.append(v)
-    return rank, Subspace.from_vectors(kernel_vecs, ncols)
+        Read off the reduced echelon basis: each free column ``f`` gives
+        ``e_f - sum_i basis[i][f] e_(pivot i)``.
+        """
+        width = self.ambient_dim
+        pivots = [next(i for i, x in enumerate(row) if x) for row in self.basis]
+        vectors = []
+        for free in sorted(set(range(width)) - set(pivots)):
+            v = [Fraction(0)] * width
+            v[free] = Fraction(1)
+            for p, row in zip(pivots, self.basis):
+                v[p] = -row[free]
+            vectors.append(v)
+        return Subspace.from_vectors(vectors, width)
 
 
 def intersect(u: Subspace, v: Subspace) -> Subspace:
@@ -128,7 +120,7 @@ def intersect(u: Subspace, v: Subspace) -> Subspace:
     # sum a_i u_i + sum b_j v_j = 0, so sum a_i u_i lies in both spaces
     cols = list(u.basis) + list(v.basis)
     rows = [[col[r] for col in cols] for r in range(u.ambient_dim)]
-    _, kernel = rank_kernel(rows, len(cols))
+    kernel = Subspace.from_vectors(rows, len(cols)).annihilator()
     vectors = []
     for kv in kernel.basis:
         combo = [Fraction(0)] * u.ambient_dim

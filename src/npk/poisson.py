@@ -27,14 +27,14 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
 
-from .exterior import first_failing_pair, iter_blades, shuffle_sign
+from .exterior import blade_contractions, first_failing_pair, iter_blades, shuffle_sign
 from .fields import (
     MultivectorField,
     coordinate_vector_field,
     differential_defect,
     lie_bracket,
 )
-from .grassmann import sharp_profile
+from .grassmann import plucker_holds, sharp_profile
 from .linalg import Subspace
 from .polynomial import Polynomial
 
@@ -89,14 +89,7 @@ def pointwise_decomposable(field: MultivectorField) -> bool:
     All contraction-wedge defects over basis (n-1)-forms are required to
     vanish as polynomial identities in the coordinates.
     """
-    m, n = field.dim, field.grade
-    for blade in iter_blades(m, n - 1):
-        contracted = field.contract_blade(blade)
-        if contracted.is_zero():
-            continue
-        if not contracted.wedge(field).is_zero():
-            return False
-    return True
+    return plucker_holds(field.terms, field.grade)
 
 
 def _nambu_component_route(field: MultivectorField) -> bool:
@@ -322,8 +315,8 @@ def involutivity_sample(
     """
     m, n = field.dim, field.grade
     pts = list(points) if points is not None else default_sample_points(m, seed)
-    generators = [field.contract_blade(blade) for blade in iter_blades(m, n - 1)]
-    generators = [g for g in generators if not g.is_zero()]
+    faces = blade_contractions(field.terms, n - 1)
+    generators = [MultivectorField(m, 1, face) for face in faces.values()]
     brackets = [
         lie_bracket(generators[i], generators[j])
         for i in range(len(generators))

@@ -85,6 +85,8 @@ def parse_spec_data(obj) -> TensorSpec:
         raise SpecError("m must be a positive integer")
     if not _is_int(n) or n < 1:
         raise SpecError("n must be a positive integer")
+    if n > m:
+        raise SpecError(f"n must not exceed m: no grade-{n} blades exist in dimension {m}")
     if kind not in ("constant", "polynomial"):
         raise SpecError(f"kind must be 'constant' or 'polynomial', got {kind!r}")
     if not isinstance(terms, list):
@@ -197,6 +199,8 @@ def from_field(field: MultivectorField, kind: str | None = None) -> TensorSpec:
         kind = "constant" if field.is_constant() else "polynomial"
     if kind not in ("constant", "polynomial"):
         raise ValueError(f"kind must be 'constant' or 'polynomial', got {kind!r}")
+    if field.grade > field.dim:
+        raise ValueError("a spec needs n <= m; the field's grade exceeds its dimension")
     terms: list[Term] = []
     for blade in sorted(field.terms):
         poly = field.terms[blade]
@@ -207,5 +211,4 @@ def from_field(field: MultivectorField, kind: str | None = None) -> TensorSpec:
         else:
             monos = tuple(Monomial(str(c), e) for e, c in sorted(poly.terms.items()))
             terms.append(Term(blade, monos))
-    grade = field.grade if field.grade <= field.dim else field.dim + 1
-    return TensorSpec(field.dim, grade, kind, tuple(terms))
+    return TensorSpec(field.dim, field.grade, kind, tuple(terms))

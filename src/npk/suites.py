@@ -401,24 +401,29 @@ def suite_nambu_chain(seed: int = 0) -> SuiteResult:
 def suite_block_sum_instance(seed: int = 0) -> SuiteResult:
     """The two-block grade-4 structure on 8 coordinates, checked in full."""
     failures = []
+    cases = 0
     f = block_sum(2, 2, 8)
     verdict = classify(f, seed=seed)
+    cases += 1
     if not verdict.is_poisson:
         failures.append("expected a Poisson structure")
+    cases += 1  # the algebraic flag and its witness
     if verdict.algebraic_holds:
         failures.append("expected the algebraic condition to fail")
     if verdict.algebraic_witness != (1, 5):
         failures.append(f"expected witness (1, 5), got {verdict.algebraic_witness}")
+    cases += 1
     bad = [pt for pt, r in verdict.rank_at_samples if r != 8]
     if bad:
         failures.append(f"rank != 8 at {len(bad)} sample points")
+    cases += 1
     check = irreducibility_check(f.evaluate([0] * 8), seed=seed)
     if check.kind is not IrreducibilityKind.REDUCIBILITY_WITNESS:
         failures.append(f"expected a reducibility witness, got {check.kind.value}")
     return SuiteResult(
         "two-block-instance",
         not failures,
-        4,
+        cases,
         failures,
         {"rank_everywhere": 8, "nambu_algebraic": verdict.nambu_algebraic},
     )
@@ -471,7 +476,7 @@ def suite_compat_operator(seed: int = 0) -> SuiteResult:
 
 
 def suite_kernel_selfconsistency(seed: int = 0) -> SuiteResult:
-    """Factorization round-trips, the rank identity, and subspace reports."""
+    """Factorization round-trips, the rank identity, the annihilator, and subspace reports."""
     rng = random.Random(f"{seed}:kernel")
     failures = []
     cases = 0
@@ -493,6 +498,8 @@ def suite_kernel_selfconsistency(seed: int = 0) -> SuiteResult:
         profile = sharp_profile(p)
         if profile.rank != m - profile.annihilator.dim:
             failures.append(f"random {i}: rank != m - annihilator dimension")
+        if any(not p.contract(Covector(m, alpha)).is_zero() for alpha in profile.annihilator.basis):
+            failures.append(f"random {i}: an annihilator covector does not annihilate")
         if profile.rank != profile.image.dim:
             failures.append(f"random {i}: rank != image dimension")
     for i in range(100):

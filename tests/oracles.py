@@ -5,10 +5,12 @@ permutation sums, one-covector-at-a-time contraction, Leibniz
 determinants) so the tests have a second route to every value.
 """
 
+from fractions import Fraction
 from itertools import combinations, permutations
 
-from npk.exterior import Multivector
+from npk.exterior import Multivector, contract_basis_terms, iter_blades
 from npk.fields import MultivectorField, nary_bracket
+from npk.linalg import Subspace, rref
 from npk.polynomial import Polynomial
 
 
@@ -28,6 +30,28 @@ def iterated_contraction(p: Multivector, covectors) -> Multivector:
     for alpha in covectors:
         acc = acc.contract(alpha)
     return acc
+
+
+def annihilator_by_contraction(p: Multivector) -> Subspace:
+    """Kernel of ``alpha -> i(alpha) p``, one matrix row per (n-1)-blade.
+
+    Column ``u`` holds the coefficients of ``i(dx^u) p`` over all C(m, n-1)
+    blades; the kernel is read off that matrix's own reduced echelon form.
+    """
+    m = p.dim
+    columns = [contract_basis_terms(p.terms, u) for u in range(1, m + 1)]
+    rows = [[col.get(b, Fraction(0)) for col in columns] for b in iter_blades(m, p.grade - 1)]
+    reduced, pivots = rref(rows, m)
+    kernel = []
+    for free in range(m):
+        if free in pivots:
+            continue
+        v = [Fraction(0)] * m
+        v[free] = Fraction(1)
+        for row, pivot in zip(reduced, pivots):
+            v[pivot] = -row[free]
+        kernel.append(v)
+    return Subspace.from_vectors(kernel, m)
 
 
 def naive_det(rows):

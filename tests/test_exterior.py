@@ -8,11 +8,14 @@ from hypothesis import strategies as st
 from npk.exterior import (
     Covector,
     Multivector,
+    blade_contractions,
+    contract_blade_terms,
     contract_covector,
     contract_form,
     iter_blades,
     wedge,
 )
+from npk.suites import random_constant_multivector, random_linear_field
 from oracles import iterated_contraction
 
 
@@ -220,3 +223,17 @@ def test_module_level_entry_points():
     a, b = blade(5, 1), blade(5, 2)
     assert wedge(a, b) == a.wedge(b)
     assert contract_covector(Covector.basis(5, 1), blade(5, 1, 2)) == blade(5, 2)
+
+
+def test_blade_contractions_match_dense_enumeration():
+    # face table versus contracting with every k-blade of the ambient space
+    rng = random.Random("face-table")
+    for _ in range(30):
+        grade = rng.randint(1, 4)
+        m = rng.randint(grade, 6)
+        fraction_terms = random_constant_multivector(rng, m, grade).terms
+        polynomial_terms = random_linear_field(rng, m, grade).terms
+        for terms in (fraction_terms, polynomial_terms):
+            for k in range(grade + 1):
+                dense = {s: contract_blade_terms(terms, s) for s in iter_blades(m, k)}
+                assert blade_contractions(terms, k) == {s: t for s, t in dense.items() if t}

@@ -21,6 +21,7 @@ from npk.suites import (
     random_constant_multivector,
     random_decomposable_multivector,
 )
+from oracles import annihilator_by_contraction
 
 
 def blade(dim, *indices, c=1):
@@ -65,6 +66,25 @@ def test_rank_dimension_identity_random():
         profile = sharp_profile(p)
         assert profile.rank == profile.image.dim == m - profile.annihilator.dim
         assert profile.rank >= n  # nonzero input
+
+
+def test_annihilator_matches_contraction_kernel():
+    # image rows versus the C(m, n-1)-row matrix of the maps u -> i(dx^u) p
+    rng = random.Random("annihilator-oracle")
+    cases = [Multivector.zero(5, 3)]
+    for _ in range(60):
+        n = rng.randint(1, 5)
+        cases.append(random_constant_multivector(rng, rng.randint(n, 7), n, max_terms=4))
+    for p in cases:
+        assert sharp_profile(p).annihilator == annihilator_by_contraction(p)
+
+
+def test_sharp_profile_of_a_wide_blade():
+    # C(30, 14) basis 14-forms, of which only the 15 faces of the blade contract it
+    profile = sharp_profile(blade(30, *range(1, 16)))
+    assert profile.rank == 15
+    tail = [[int(i == u) for i in range(30)] for u in range(15, 30)]
+    assert profile.annihilator == Subspace.from_vectors(tail, 30)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from npk.linalg import Subspace, intersect, rank_kernel, subspace_sum
+from npk.linalg import Subspace, intersect, subspace_sum
 
 
 def F(x):
@@ -13,13 +13,14 @@ def F(x):
 
 
 def column_image(mat, ncols):
-    """Column space of ``mat``, eliminated independently of ``rank_kernel``."""
+    """Column space of ``mat``, eliminated independently of its row space."""
     return Subspace.from_vectors([[row[c] for row in mat] for c in range(ncols)], len(mat))
 
 
 def test_identity_matrix():
     mat = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
-    rank, kernel = rank_kernel(mat)
+    space = Subspace.from_vectors(mat, 3)
+    rank, kernel = space.dim, space.annihilator()
     image = column_image(mat, 3)
     assert rank == 3 == image.dim
     assert kernel == Subspace.zero(3)
@@ -28,7 +29,8 @@ def test_identity_matrix():
 
 def test_zero_matrix():
     mat = [[0, 0, 0, 0], [0, 0, 0, 0]]
-    rank, kernel = rank_kernel(mat)
+    space = Subspace.from_vectors(mat, 4)
+    rank, kernel = space.dim, space.annihilator()
     image = column_image(mat, 4)
     assert rank == 0 == image.dim
     assert kernel == Subspace.full(4)
@@ -38,7 +40,8 @@ def test_zero_matrix():
 def test_rank_one_matrix():
     # hand elimination: row2 = 2*row1; kernel spanned by (2, -1), image by (1, 2)
     mat = [[1, 2], [2, 4]]
-    rank, kernel = rank_kernel(mat)
+    space = Subspace.from_vectors(mat, 2)
+    rank, kernel = space.dim, space.annihilator()
     image = column_image(mat, 2)
     assert rank == 1 == image.dim
     assert kernel == Subspace.from_vectors([[2, -1]], 2)
@@ -89,7 +92,7 @@ def test_image_reproduces_columns():
     for _ in range(40):
         rows, cols = rng.randint(1, 5), rng.randint(1, 5)
         mat = _random_matrix(rng, rows, cols)
-        rank, _ = rank_kernel(mat, cols)
+        rank = Subspace.from_vectors(mat, cols).dim
         image = column_image(mat, cols)
         # row rank by elimination, column rank by a separate elimination
         assert image.dim == rank
@@ -102,7 +105,8 @@ def test_kernel_annihilates():
     for _ in range(40):
         rows, cols = rng.randint(1, 5), rng.randint(1, 5)
         mat = _random_matrix(rng, rows, cols)
-        rank, kernel = rank_kernel(mat, cols)
+        space = Subspace.from_vectors(mat, cols)
+        rank, kernel = space.dim, space.annihilator()
         assert rank + kernel.dim == cols
         for vec in kernel.basis:
             assert all(

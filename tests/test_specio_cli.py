@@ -1,9 +1,12 @@
 import json
+import pathlib
 import random
 from fractions import Fraction
 
 import pytest
 
+import npk
+import npk.poisson
 from npk.cli import main
 from npk.fields import MultivectorField
 from npk.polynomial import Polynomial
@@ -17,6 +20,8 @@ from npk.specio import (
     to_field,
 )
 from npk.suites import random_constant_field, random_linear_field
+
+SPECS = pathlib.Path(__file__).resolve().parents[1] / "specs"
 
 CONSTANT_SPEC = """
 {"m": 5, "n": 3, "kind": "constant",
@@ -77,6 +82,24 @@ def test_json_booleans_are_not_integers(probe, tmp_path, capsys):
     path = tmp_path / "bool.json"
     path.write_text(json.dumps(obj), encoding="utf-8")
     assert main(["check", str(path)]) == 2
+
+
+GRADE_ABOVE_DIMENSION = {"m": 3, "n": 5, "kind": "constant", "terms": []}
+
+
+@pytest.mark.parametrize("command", ["check", "rank", "factorize", "nambu", "jacobi", "sigma-delta"])
+def test_grade_above_dimension_is_rejected(command, tmp_path, capsys):
+    with pytest.raises(SpecError, match="must not exceed m"):
+        parse_spec_data(GRADE_ABOVE_DIMENSION)
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(GRADE_ABOVE_DIMENSION), encoding="utf-8")
+    assert main([command, str(path)]) == 2
+
+
+def test_grade_above_dimension_is_not_serialized():
+    # such a spec would not parse back
+    with pytest.raises(ValueError):
+        from_field(MultivectorField(3, 5))
 
 
 def test_parse_rejects_unknown_fields():
@@ -286,6 +309,13 @@ def test_cli_malformed_spec_is_operational_error(tmp_path, capsys):
     assert main(["check", str(path)]) == 2
 
 
+def test_cli_internal_failure_exits_three(monkeypatch, capsys):
+    # a disagreement between the Nambu routes is a program fault, not a verdict
+    monkeypatch.setattr(npk.poisson, "_nambu_component_route", lambda field: False)
+    assert main(["nambu", str(SPECS / "decomposable_3vector.json")]) == 3
+    assert "internal error: independent routes disagree" in capsys.readouterr().err
+
+
 def test_cli_unknown_command_usage_error():
     with pytest.raises(SystemExit) as excinfo:
         main(["frobnicate"])
@@ -301,3 +331,8 @@ def test_cli_suite_deterministic(capsys):
     report = json.loads(first)
     assert report["passed"] is True
     assert len(report["suites"]) == 8
+
+
+def test_public_names_resolve():
+    for name in npk.__all__:
+        assert hasattr(npk, name), name
