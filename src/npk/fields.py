@@ -12,6 +12,11 @@ also provides the n-ary bracket a grade-n field induces on polynomial
 functions, the differential defect whose vanishing is the differential
 half of the Poisson conditions, and the generalized Jacobi identity
 decided exactly on a finite generating family of arguments.
+
+Every bracket runs through one kernel over sparse gradients ``{u: d_u f}``:
+the expansion ``sum prod_i d_{u_i} f_i * P^{u_1..u_n}`` over one nonzero
+entry per argument, skipping repeated indices.  The Jacobi oracle never
+consults the differential defect or the classifier; it is their check.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ from .exterior import (
     contract_basis_terms,
     contract_blade_terms,
     contract_terms,
+    sort_to_blade,
     wedge_terms,
 )
 from .polynomial import Polynomial
@@ -153,63 +159,64 @@ def lie_bracket(x: MultivectorField, y: MultivectorField) -> MultivectorField:
 # ---------------------------------------------------------------------------
 # the induced bracket and its obstructions
 
-def _det(mat: list[list[Polynomial]], rows: tuple[int, ...], cols: tuple[int, ...], nvars: int) -> Polynomial:
-    """Determinant by cofactor expansion along the sparsest remaining row."""
-    if len(rows) == 1:
-        return mat[rows[0]][cols[0]]
-    best_ri = -1
-    best_nz = None
-    for ri, r in enumerate(rows):
-        nz = sum(1 for c in cols if mat[r][c])
-        if nz == 0:
-            return Polynomial.zero(nvars)
-        if best_nz is None or nz < best_nz:
-            best_nz, best_ri = nz, ri
-            if nz == 1:
-                break
-    r = rows[best_ri]
-    rest = rows[:best_ri] + rows[best_ri + 1:]
-    acc = Polynomial.zero(nvars)
-    for ci, c in enumerate(cols):
-        entry = mat[r][c]
-        if not entry:
-            continue
-        minor = _det(mat, rest, cols[:ci] + cols[ci + 1:], nvars)
-        if not minor:
-            continue
-        piece = entry * minor
-        acc = acc + piece if (best_ri + ci) % 2 == 0 else acc - piece
+Gradient = dict[int, Polynomial]
+
+
+def _gradient(f: Polynomial) -> Gradient:
+    """The nonzero partial derivatives ``{u: d_u f}``, by increasing ``u``."""
+    occurring = {i for exps in f.terms for i, e in enumerate(exps) if e}
+    return {i + 1: f.derivative(i + 1) for i in sorted(occurring)}
+
+
+def _bracket(field: MultivectorField, grads: Sequence[Gradient]) -> Polynomial:
+    """Multilinear expansion ``sum prod_i d_{u_i} f_i * P^{u_1..u_n}``.
+
+    One nonzero gradient entry is chosen per row; a choice is dropped as
+    soon as an index repeats, and a complete one is sorted into a blade
+    whose coefficient is looked up in the field.
+    """
+    terms = field.terms
+    acc = Polynomial.zero(field.dim)
+
+    def expand(row: int, chosen: tuple[int, ...], factors: tuple[Polynomial, ...]) -> None:
+        nonlocal acc
+        if row == len(grads):
+            sign, blade = sort_to_blade(chosen)
+            coef = terms.get(blade)
+            if coef is None:
+                return
+            piece = coef
+            for d in factors:
+                piece = piece * d
+            acc = acc + piece if sign > 0 else acc - piece
+            return
+        for u, d in grads[row].items():
+            if u not in chosen:
+                expand(row + 1, chosen + (u,), factors + (d,))
+
+    expand(0, (), ())
     return acc
 
 
-def _bracket_from_gradients(field: MultivectorField, grads: list[list[Polynomial]]) -> Polynomial:
-    m, n = field.dim, field.grade
-    acc = Polynomial.zero(m)
-    mat = grads
-    for blade, coef in field.terms.items():
-        cols = tuple(a - 1 for a in blade)
-        d = _det(mat, tuple(range(n)), cols, m)
-        if d:
-            acc = acc + coef * d
-    return acc
+def _gradients(field: MultivectorField, functions: Sequence[Polynomial], count: int) -> list[Gradient]:
+    if len(functions) != count:
+        raise ValueError(f"expected {count} arguments, got {len(functions)}")
+    for f in functions:
+        if f.num_vars != field.dim:
+            raise ValueError("arguments must be polynomials in the coordinates")
+    return [_gradient(f) for f in functions]
 
 
 def nary_bracket(field: MultivectorField, functions: Sequence[Polynomial]) -> Polynomial:
     """The bracket of n polynomial functions induced by a grade-n field.
 
-    Equals the sum over increasing n-tuples of coordinate indices of the
-    corresponding component times the Jacobian minor of the arguments;
-    completely antisymmetric in the arguments and a derivation in each.
+    Expands ``sum_u prod_i d_{u_i} f_i * P^{u_1..u_n}`` over one nonzero
+    entry of each argument's sparse gradient, skipping repeated indices;
+    equivalently the sum over blades of the component times the Jacobian
+    minor.  Completely antisymmetric in the arguments and a derivation in
+    each.
     """
-    n = field.grade
-    if len(functions) != n:
-        raise ValueError(f"expected {n} arguments, got {len(functions)}")
-    m = field.dim
-    for f in functions:
-        if f.num_vars != m:
-            raise ValueError("arguments must be polynomials in the coordinates")
-    grads = [[f.derivative(u) for u in range(1, m + 1)] for f in functions]
-    return _bracket_from_gradients(field, grads)
+    return _bracket(field, _gradients(field, functions, field.grade))
 
 
 def differential_defect(field: MultivectorField) -> MultivectorField:
@@ -245,6 +252,26 @@ def _position_shuffles(total: int, first: int):
         yield (1 if inv % 2 == 0 else -1), left, right
 
 
+def _shuffle_sum(field: MultivectorField, keys, grads, shuffles, memo: dict) -> Polynomial:
+    """Signed sum of nested brackets of keyed arguments over ``shuffles``.
+
+    Argument i has key ``keys[i]`` and sparse gradient ``grads[i]``.  The
+    inner bracket of a shuffle depends only on the ordered keys of its
+    left arguments, so ``memo`` maps that key tuple to the inner bracket's
+    gradient.
+    """
+    acc = Polynomial.zero(field.dim)
+    for sign, left, right in shuffles:
+        key = tuple(map(keys.__getitem__, left))
+        inner = memo.get(key)
+        if inner is None:
+            inner = memo[key] = _gradient(_bracket(field, [grads[i] for i in left]))
+        if inner:
+            outer = _bracket(field, [inner] + [grads[j] for j in right])
+            acc = acc + outer if sign > 0 else acc - outer
+    return acc
+
+
 def jacobi_defect(field: MultivectorField, functions: Sequence[Polynomial]) -> Polynomial:
     """Signed sum of nested brackets over all permutations of 2n-1 arguments.
 
@@ -255,24 +282,8 @@ def jacobi_defect(field: MultivectorField, functions: Sequence[Polynomial]) -> P
     """
     n = field.grade
     total = 2 * n - 1
-    if len(functions) != total:
-        raise ValueError(f"expected {total} arguments, got {len(functions)}")
-    m = field.dim
-    for f in functions:
-        if f.num_vars != m:
-            raise ValueError("arguments must be polynomials in the coordinates")
-    grads = [[f.derivative(u) for u in range(1, m + 1)] for f in functions]
-    acc = Polynomial.zero(m)
-    for sign, left, right in _position_shuffles(total, n):
-        inner = _bracket_from_gradients(field, [grads[i] for i in left])
-        if not inner:
-            continue
-        outer_grads = [[inner.derivative(u) for u in range(1, m + 1)]]
-        outer_grads.extend(grads[j] for j in right)
-        outer = _bracket_from_gradients(field, outer_grads)
-        if not outer:
-            continue
-        acc = acc + outer if sign > 0 else acc - outer
+    grads = _gradients(field, functions, total)
+    acc = _shuffle_sum(field, tuple(range(total)), grads, list(_position_shuffles(total, n)), {})
     return acc * (factorial(n) * factorial(n - 1))
 
 
@@ -284,17 +295,24 @@ def jacobi_identity_holds(field: MultivectorField) -> bool:
     iff it vanishes on every increasing tuple of coordinates and on every
     family whose first argument is a product of two coordinates with the
     rest an increasing coordinate tuple.  Both families are checked as
-    exact polynomial identities.
+    exact polynomial identities, with the brackets expanded over sparse
+    gradients.  Each inner bracket is computed once per ordered tuple of
+    argument keys and reused across shuffles and families; that memo lives
+    for this one call.
     """
     m, n = field.dim, field.grade
     coords = [Polynomial.variable(u, m) for u in range(1, m + 1)]
+    unit = {u: _gradient(x) for u, x in enumerate(coords, 1)}
+    shuffles = list(_position_shuffles(2 * n - 1, n))
+    memo: dict = {}
     for tup in combinations(range(1, m + 1), 2 * n - 1):
-        if jacobi_defect(field, [coords[a - 1] for a in tup]):
+        if _shuffle_sum(field, tup, [unit[a] for a in tup], shuffles, memo):
             return False
     for u in range(1, m + 1):
         for v in range(u, m + 1):
-            quad = coords[u - 1] * coords[v - 1]
+            quad = _gradient(coords[u - 1] * coords[v - 1])
             for tup in combinations(range(1, m + 1), 2 * n - 2):
-                if jacobi_defect(field, [quad] + [coords[a - 1] for a in tup]):
+                grads = [quad] + [unit[a] for a in tup]
+                if _shuffle_sum(field, ((u, v),) + tup, grads, shuffles, memo):
                     return False
     return True

@@ -71,8 +71,8 @@ def algebraic_condition(field: MultivectorField) -> AlgebraicConditionReport:
     classifier ignores this condition; it is still evaluated and reported.
     """
     m = field.dim
-    if field.grade < 3:
-        raise ValueError("needs grade at least 3")
+    if field.grade < 2:
+        raise ValueError("needs grade at least 2")
     c = {a: field.contract_basis(a) for a in range(1, m + 1)}
     witness = first_failing_pair(m, lambda a, b: c[a].wedge(c[b]))
     return AlgebraicConditionReport(witness is None, witness)
@@ -184,17 +184,18 @@ def classify(
     sample_points: Sequence[Point] | None = None,
     seed: int = 0,
 ) -> PoissonVerdict:
-    """Classify a grade-n field (n >= 3) against the Poisson conditions.
+    """Classify a grade-n field (n >= 2) against the Poisson conditions.
 
     The verdict applies the parity rule exactly: even grade needs only the
-    differential condition, odd grade needs both.  Ranks are reported at
+    differential condition, odd grade needs both; n = 2 is the classical
+    Poisson case, decided by ``[P, P] = 0`` alone.  Ranks are reported at
     the supplied or default sample points; decomposability is a polynomial
     identity, independent of the samples.  The algebraic Nambu condition is
     equivalent to pointwise decomposability, so the one result fills both
     fields; :func:`is_nambu_algebraic` keeps the three-route cross-check.
     """
-    if field.grade < 3:
-        raise ValueError("classification needs grade at least 3")
+    if field.grade < 2:
+        raise ValueError("classification needs grade at least 2")
     even = field.grade % 2 == 0
     algebraic = algebraic_condition(field)
     differential = differential_condition(field)

@@ -67,6 +67,23 @@ def naive_det(rows):
     return acc
 
 
+def bracket_by_minors(field: MultivectorField, functions) -> Polynomial:
+    """Bracket as the sum over blades of component times Jacobian minor.
+
+    Gradients are dense rows over all m coordinates and every minor is a
+    Leibniz determinant.
+    """
+    m = field.dim
+    grads = [[f.derivative(u) for u in range(1, m + 1)] for f in functions]
+    acc = Polynomial.zero(m)
+    for blade in iter_blades(m, field.grade):
+        coef = field.component(blade)
+        if coef:
+            minor = naive_det([[row[a - 1] for a in blade] for row in grads])
+            acc = acc + coef * minor
+    return acc
+
+
 def alternation_defect_components(field: MultivectorField) -> dict:
     """Fully alternated first-derivative obstruction, by brute force.
 

@@ -1,10 +1,13 @@
 import random
 from fractions import Fraction
-from math import factorial
+from itertools import combinations
+from math import comb, factorial
 
 import pytest
 
-from npk.exterior import Multivector
+import npk.fields
+import npk.poisson
+from npk.exterior import Multivector, iter_blades
 from npk.fields import (
     MultivectorField,
     differential_defect,
@@ -15,11 +18,11 @@ from npk.fields import (
 )
 from npk.poisson import block_sum
 from npk.polynomial import Polynomial
-from npk.suites import random_linear_field, random_polynomial
+from npk.suites import random_decomposable_field, random_linear_field, random_polynomial
 from oracles import (
     alternation_defect_components,
+    bracket_by_minors,
     jacobi_defect_bruteforce,
-    naive_det,
 )
 
 M = 5
@@ -123,17 +126,19 @@ def test_bracket_antisymmetry_and_leibniz():
         assert left == right
 
 
-def test_determinant_helper_matches_leibniz():
-    from npk.fields import _det
-
-    rng = random.Random("det-check")
-    for _ in range(20):
-        size = rng.randint(2, 4)
-        mat = [
-            [Polynomial.constant(rng.randint(-3, 3), 2) for _ in range(size)]
-            for _ in range(size)
-        ]
-        assert _det(mat, tuple(range(size)), tuple(range(size)), 2) == naive_det(mat)
+def test_bracket_matches_minor_oracle():
+    rng = random.Random("bracket-vs-minors")
+    nonzero_seen = 0
+    for _ in range(30):
+        m = rng.randint(1, 5)
+        n = rng.randint(1, m)
+        blades = rng.sample(list(iter_blades(m, n)), min(3, comb(m, n)))
+        p = MultivectorField(m, n, {b: random_polynomial(rng, m, degree=2) for b in blades})
+        fs = [random_polynomial(rng, m, degree=2, max_monos=6) for _ in range(n)]
+        value = nary_bracket(p, fs)
+        assert value == bracket_by_minors(p, fs)
+        nonzero_seen += bool(value)
+    assert nonzero_seen >= 20
 
 
 # ---------------------------------------------------------------------------
@@ -246,6 +251,49 @@ def test_jacobi_oracle_examples():
 
 def test_jacobi_oracle_two_block_even_grade():
     assert jacobi_identity_holds(block_sum(2, 2, 8))
+
+
+def _jacobi_by_defect_loop(field):
+    # every generating family through the public jacobi_defect, no memo
+    m, n = field.dim, field.grade
+    xs = [var(u, m) for u in range(1, m + 1)]
+    families = [[xs[a - 1] for a in tup] for tup in combinations(range(1, m + 1), 2 * n - 1)]
+    families += [
+        [xs[u - 1] * xs[v - 1]] + [xs[a - 1] for a in tup]
+        for u in range(1, m + 1)
+        for v in range(u, m + 1)
+        for tup in combinations(range(1, m + 1), 2 * n - 2)
+    ]
+    return not any(jacobi_defect(field, family) for family in families)
+
+
+def test_memoised_oracle_matches_defect_loop():
+    rng = random.Random("memo-vs-loop")
+    verdicts = []
+    for i in range(16):
+        n = rng.randint(2, 3)
+        m = rng.randint(2 * n - 1, 6)
+        if i % 3 == 0:
+            f = random_decomposable_field(rng, m, n)
+        else:
+            f = random_linear_field(rng, m, n, max_terms=4)
+        verdict = jacobi_identity_holds(f)
+        assert verdict == _jacobi_by_defect_loop(f)
+        verdicts.append((n, verdict))
+    assert set(verdicts) == {(2, True), (2, False), (3, True), (3, False)}
+
+
+def test_jacobi_oracle_is_independent_of_classifier(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the Jacobi oracle consulted the classifier")
+
+    monkeypatch.setattr(npk.fields, "differential_defect", forbidden)
+    monkeypatch.setattr(npk.poisson, "classify", forbidden)
+    lie_poisson = MultivectorField(3, 2, {(1, 2): var(3, 3), (1, 3): -var(2, 3), (2, 3): var(1, 3)})
+    assert jacobi_identity_holds(lie_poisson)
+    assert jacobi_identity_holds(MultivectorField(M, 3, {(1, 2, 3): X[0]}))
+    assert not jacobi_identity_holds(MultivectorField(M, 3, {(1, 2, 3): 1, (1, 4, 5): 1}))
+    assert not jacobi_identity_holds(MultivectorField(3, 2, {(1, 2): 1, (2, 3): var(2, 3)}))
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from npk.exterior import iter_blades
 from npk.fields import MultivectorField, coordinate_vector_field, jacobi_identity_holds
 from npk.grassmann import sharp_profile
 from npk.poisson import (
@@ -22,6 +23,7 @@ from npk.suites import (
     random_constant_field,
     random_decomposable_field,
     random_linear_field,
+    random_polynomial,
 )
 
 M = 5
@@ -53,9 +55,9 @@ def test_algebraic_condition_block_sum_fails():
     assert report.witness == (1, 5)
 
 
-def test_algebraic_condition_needs_grade_three():
-    with pytest.raises(ValueError):
-        algebraic_condition(MultivectorField(4, 2, {(1, 2): 1}))
+def test_algebraic_condition_needs_grade_two():
+    with pytest.raises(ValueError, match="needs grade at least 2"):
+        algebraic_condition(MultivectorField(4, 1, {(1,): 1}))
 
 
 def test_even_grade_symmetrization_is_trivial():
@@ -107,8 +109,41 @@ def test_classify_semidecomposable():
 
 
 def test_classify_rejects_low_grade():
-    with pytest.raises(ValueError):
-        classify(block_sum(1, 1, 2))
+    with pytest.raises(ValueError, match="needs grade at least 2"):
+        classify(MultivectorField(4, 1, {(1,): 1}))
+
+
+LIE_POISSON = MultivectorField(3, 2, {
+    (1, 2): Polynomial.variable(3, 3),
+    (1, 3): -Polynomial.variable(2, 3),
+    (2, 3): Polynomial.variable(1, 3),
+})
+
+
+def test_classify_bivectors():
+    # n = 2 is even: [P, P] = 0 alone decides; the algebraic condition is
+    # only reported
+    verdict = classify(LIE_POISSON)
+    assert verdict.parity == "even"
+    assert verdict.is_poisson and verdict.differential_holds
+    assert not verdict.algebraic_holds
+    assert all(rank == (0 if not any(pt) else 2) for pt, rank in verdict.rank_at_samples)
+    assert classify(block_sum(1, 1, 2)).is_poisson
+    skew = MultivectorField(3, 2, {(1, 2): 1, (2, 3): Polynomial.variable(2, 3)})
+    assert not classify(skew).is_poisson
+
+
+def test_bivector_classifier_agrees_with_jacobi_oracle():
+    rng = random.Random("bivector-check-vs-jacobi")
+    verdicts = []
+    for _ in range(24):
+        m = rng.randint(3, 5)
+        blades = rng.sample(list(iter_blades(m, 2)), rng.randint(1, 3))
+        f = MultivectorField(m, 2, {b: random_polynomial(rng, m, degree=2, max_monos=2) for b in blades})
+        verdict = classify(f).is_poisson
+        assert verdict == jacobi_identity_holds(f)
+        verdicts.append(verdict)
+    assert set(verdicts) == {True, False}
 
 
 def test_verdict_implications_on_random_fields():

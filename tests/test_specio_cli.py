@@ -224,6 +224,41 @@ def test_cli_check_mixed_fails(spec_path, capsys):
     assert out["is_poisson"] is False
 
 
+def _bivector_spec(terms):
+    # terms: (i, j, [(coef, exps), ...]) on m = 3
+    return {
+        "m": 3,
+        "n": 2,
+        "kind": "polynomial",
+        "terms": [
+            {"indices": [i, j], "value": [{"coef": c, "exps": e} for c, e in monos]}
+            for i, j, monos in terms
+        ],
+    }
+
+
+def test_cli_check_classifies_bivectors(spec_path, capsys):
+    lie_poisson = _bivector_spec([
+        (1, 2, [("1", [0, 0, 1])]),
+        (1, 3, [("-1", [0, 1, 0])]),
+        (2, 3, [("1", [1, 0, 0])]),
+    ])
+    assert main(["check", spec_path("lie_poisson.json", lie_poisson), "--json"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["parity"] == "even" and out["is_poisson"] is True
+    assert out["differential_condition"] is True
+    skew = _bivector_spec([(1, 2, [("1", [0, 0, 0])]), (2, 3, [("1", [0, 1, 0])])])
+    assert main(["check", spec_path("skew.json", skew), "--json"]) == 1
+    out = json.loads(capsys.readouterr().out)
+    assert out["is_poisson"] is False and out["differential_condition"] is False
+
+
+def test_cli_check_refuses_grade_one(spec_path, capsys):
+    spec = {"m": 3, "n": 1, "kind": "constant", "terms": [{"indices": [1], "value": "1"}]}
+    assert main(["check", spec_path("vector.json", spec)]) == 2
+    assert "needs grade at least 2" in capsys.readouterr().err
+
+
 def test_cli_factorize_rejects_mixed(spec_path, capsys):
     path = spec_path("mixed.json", MIXED_SPEC)
     code = main(["factorize", path, "--json"])
