@@ -56,7 +56,8 @@ def _load_field(path: str) -> MultivectorField:
 
 
 def _cmd_check(field: MultivectorField, args) -> tuple[dict, int]:
-    verdict = classify(field, seed=args.seed)
+    points = default_sample_points(field.dim, args.seed, extra=args.samples)
+    verdict = classify(field, points, seed=args.seed)
     report = {
         "command": "check",
         "seed": args.seed,
@@ -77,19 +78,11 @@ def _cmd_check(field: MultivectorField, args) -> tuple[dict, int]:
 
 
 def _cmd_rank(field: MultivectorField, args) -> tuple[dict, int]:
-    points = default_sample_points(field.dim, args.seed, extra=args.samples)
     entries = []
-    for pt in points:
+    for pt in default_sample_points(field.dim, args.seed, extra=args.samples):
         profile = sharp_profile(field.evaluate(pt))
-        entries.append(
-            {
-                "point": _point_str(pt),
-                "rank": profile.rank,
-                "annihilator_dim": profile.annihilator.dim,
-            }
-        )
-    report = {"command": "rank", "seed": args.seed, "rank_at_samples": entries}
-    return report, 0
+        entries.append({"point": _point_str(pt), "rank": profile.rank, "annihilator_dim": profile.annihilator.dim})
+    return {"command": "rank", "seed": args.seed, "rank_at_samples": entries}, 0
 
 
 def _cmd_factorize(field: MultivectorField, args) -> tuple[dict, int]:
@@ -191,11 +184,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("spec", help="path to a tensor spec JSON file")
         p.add_argument("--seed", type=int, default=0, help="seed for sample points")
         p.add_argument("--json", action="store_true", help="canonical JSON output")
-        p.add_argument("--samples", type=int, default=8, help="extra random sample points")
+        if name in ("check", "rank"):
+            p.add_argument("--samples", type=int, default=8, help="extra random sample points, at least 0")
     p = sub.add_parser("suite", help="run all seeded property suites")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", action="store_true")
-    p.add_argument("--samples", type=int, default=8)
     return parser
 
 
@@ -208,6 +201,11 @@ def main(argv=None) -> int:
             report, code = _cmd_suite(args)
         else:
             field = _load_field(args.spec)
+            # these commands test the bracket of an n-ary structure, which needs n >= 2
+            if args.command in ("check", "jacobi", "sigma-delta") and field.grade < 2:
+                raise SpecError("classification needs grade at least 2")
+            if getattr(args, "samples", 0) < 0:
+                raise ValueError(f"--samples must be at least 0, got {args.samples}")
             report, code = _COMMANDS[args.command](field, args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

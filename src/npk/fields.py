@@ -164,8 +164,7 @@ Gradient = dict[int, Polynomial]
 
 def _gradient(f: Polynomial) -> Gradient:
     """The nonzero partial derivatives ``{u: d_u f}``, by increasing ``u``."""
-    occurring = {i for exps in f.terms for i, e in enumerate(exps) if e}
-    return {i + 1: f.derivative(i + 1) for i in sorted(occurring)}
+    return {u: f.derivative(u) for u in f.variables()}
 
 
 def _bracket(field: MultivectorField, grads: Sequence[Gradient]) -> Polynomial:

@@ -36,11 +36,14 @@ class NotDecomposableError(ValueError):
 
 @dataclass(frozen=True)
 class SharpProfile:
-    """Rank, image and annihilator of the sharp map of a multivector."""
+    """Rank and image of the sharp map; the annihilator is derived on demand."""
 
     rank: int
     image: Subspace
-    annihilator: Subspace
+
+    @property
+    def annihilator(self) -> Subspace:
+        return self.image.annihilator()
 
 
 @dataclass(frozen=True)
@@ -61,15 +64,15 @@ def sharp_profile(p: Multivector) -> SharpProfile:
 
     The image is spanned by the contractions of ``p`` with the basis
     (n-1)-forms; the annihilator, the covectors contracting ``p`` to zero,
-    is the kernel of those rows.  ``p`` lies in the top exterior power of
-    its own image.
+    is the kernel of those rows, read off the image's echelon basis only
+    when asked for.  ``p`` lies in the top exterior power of its own image.
     """
     if p.grade < 1:
         raise ValueError("sharp profile needs grade at least 1")
     m = p.dim
     faces = blade_contractions(p.terms, p.grade - 1).values()
     image = Subspace.from_vectors([[face.get((u,), 0) for u in range(1, m + 1)] for face in faces], m)
-    return SharpProfile(image.dim, image, image.annihilator())
+    return SharpProfile(image.dim, image)
 
 
 def plucker_holds(terms, grade: int) -> bool:
@@ -104,20 +107,13 @@ def factorize(p: Multivector) -> Factorization:
         raise ValueError("zero tensor")
     if not is_decomposable(p):
         raise NotDecomposableError("not decomposable")
-    profile = sharp_profile(p)
-    factors = [Multivector.from_vector(row) for row in profile.image.basis]
-    acc = factors[0]
-    for f in factors[1:]:
-        acc = acc.wedge(f)
+    factors = [Multivector.from_vector(row) for row in sharp_profile(p).image.basis]
     blade, coef = next(iter(p.terms.items()))
-    ratio = coef / acc.terms[blade]
-    factors[0] = factors[0] * ratio
-    check = factors[0]
-    for f in factors[1:]:
-        check = check.wedge(f)
-    if check != p:
+    factors[0] = factors[0] * (coef / Factorization(tuple(factors)).wedge().terms[blade])
+    result = Factorization(tuple(factors))
+    if result.wedge() != p:
         raise AssertionError("factorization round-trip failed")
-    return Factorization(tuple(factors))
+    return result
 
 
 def contractions_decomposable(p: Multivector, k: int) -> bool:

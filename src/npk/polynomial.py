@@ -1,56 +1,80 @@
-"""Sparse multivariate polynomials with exact rational coefficients."""
+"""Sparse multivariate polynomials with exact rational coefficients.
+
+Representation: a monomial is a *packed exponent*, one int in which the
+exponent of the 1-based variable ``u`` fills the bit field
+``[(u-1)*width, u*width)``; a monomial product is one int addition and a
+derivative one subtraction.  ``terms`` maps packed exponents to int
+numerators over one positive denominator ``den``.  Canonical form: no zero
+numerator, ``gcd(den, *numerators) == 1``, and ``den == 1`` for zero.
+Width rule: ``bound`` bounds every single exponent and ``width`` is the
+least multiple of 8 bits holding it; sums keep the larger bound, products
+add the bounds, and a narrower operand is repacked first, so a field never
+wraps.  Equality compares at a common width.  Exponent tuples and Fractions
+appear only at the edges: the constructor, ``monomials()`` and ``repr``.
+"""
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
+from math import gcd, lcm
+from operator import or_
 from typing import Iterator, Mapping, Sequence
 
 _SCALARS = (int, Fraction)
 
 
+def _width(bound: int) -> int:
+    return max(8, -(-bound.bit_length() // 8) * 8)
+
+
+def _unpack(key: int, num_vars: int, width: int) -> tuple[int, ...]:
+    mask = (1 << width) - 1
+    return tuple((key >> (i * width)) & mask for i in range(num_vars))
+
+
+def _pack(exps: Sequence[int], width: int) -> int:
+    return sum(e << (i * width) for i, e in enumerate(exps))
+
+
 class Polynomial:
     """Polynomial in ``num_vars`` variables over the rationals.
 
-    ``terms`` maps exponent tuples (length ``num_vars``, entries >= 0) to
-    nonzero Fractions; the zero polynomial stores no terms.  Instances are
-    immutable by convention: every operation returns a fresh object.
-    Variables are 1-based so that ``variable(u)`` matches the coordinate
-    ``x^u`` used throughout the package.
+    Immutable by convention, so operations may share storage.  Variables
+    are 1-based, matching the coordinates ``x^u`` of the package.
     """
 
-    __slots__ = ("num_vars", "terms")
+    __slots__ = ("num_vars", "terms", "den", "bound", "width")
     __hash__ = None
 
     def __init__(self, num_vars: int, terms: Mapping[tuple[int, ...], Fraction] | None = None):
         if num_vars < 0:
             raise ValueError("num_vars must be nonnegative")
         clean: dict[tuple[int, ...], Fraction] = {}
-        if terms:
-            for exps, coef in terms.items():
-                exps = tuple(exps)
-                if len(exps) != num_vars or any(not isinstance(e, int) or e < 0 for e in exps):
-                    raise ValueError(f"bad exponent tuple {exps!r} for {num_vars} variables")
-                coef = coef if isinstance(coef, Fraction) else Fraction(coef)
-                if not coef:
-                    continue
-                cur = clean.get(exps)
-                if cur is None:
-                    clean[exps] = coef
-                else:
-                    s = cur + coef
-                    if s:
-                        clean[exps] = s
-                    else:
-                        del clean[exps]
-        self.num_vars = num_vars
-        self.terms = clean
+        for exps, coef in (terms or {}).items():
+            exps = tuple(exps)
+            if len(exps) != num_vars or any(not isinstance(e, int) or e < 0 for e in exps):
+                raise ValueError(f"bad exponent tuple {exps!r} for {num_vars} variables")
+            clean[exps] = clean.get(exps, 0) + Fraction(coef)
+        clean = {e: c for e, c in clean.items() if c}
+        bound = max((max(e, default=0) for e in clean), default=0)
+        width = _width(bound)
+        # over the lcm of the denominators the numerators are already coprime to it
+        den = lcm(*(c.denominator for c in clean.values()))
+        packed = {_pack(e, width): c.numerator * (den // c.denominator) for e, c in clean.items()}
+        self.num_vars, self.terms, self.den, self.bound, self.width = num_vars, packed, den, bound, width
 
     @classmethod
-    def _raw(cls, num_vars: int, terms: dict[tuple[int, ...], Fraction]) -> "Polynomial":
-        # internal fast path: caller guarantees canonical terms
+    def _raw(cls, num_vars: int, terms: dict[int, int], den: int = 1, bound: int = 0, width: int = 8) -> "Polynomial":
+        # internal fast path: the caller guarantees nonzero numerators and a
+        # bound that fits the width; only the content is divided out here
+        if den != 1:
+            g = gcd(den, *terms.values())
+            if g != 1:
+                den //= g
+                terms = {k: c // g for k, c in terms.items()}
         p = object.__new__(cls)
-        p.num_vars = num_vars
-        p.terms = terms
+        p.num_vars, p.terms, p.den, p.bound, p.width = num_vars, terms, den, bound, width
         return p
 
     @classmethod
@@ -59,23 +83,14 @@ class Polynomial:
 
     @classmethod
     def constant(cls, value, num_vars: int) -> "Polynomial":
-        c = value if isinstance(value, Fraction) else Fraction(value)
-        if not c:
-            return cls._raw(num_vars, {})
-        return cls._raw(num_vars, {(0,) * num_vars: c})
+        c = Fraction(value)
+        return cls._raw(num_vars, {0: c.numerator} if c else {}, c.denominator)
 
     @classmethod
     def variable(cls, u: int, num_vars: int) -> "Polynomial":
         if not 1 <= u <= num_vars:
             raise ValueError(f"variable index {u} out of range 1..{num_vars}")
-        exps = tuple(1 if i == u - 1 else 0 for i in range(num_vars))
-        return cls._raw(num_vars, {exps: Fraction(1)})
-
-    @classmethod
-    def monomial(cls, coef, exps: Sequence[int], num_vars: int | None = None) -> "Polynomial":
-        exps = tuple(exps)
-        nv = len(exps) if num_vars is None else num_vars
-        return cls(nv, {exps: coef})
+        return cls._raw(num_vars, {1 << ((u - 1) * 8): 1}, 1, 1)
 
     # -- ring operations -------------------------------------------------
 
@@ -88,67 +103,76 @@ class Polynomial:
             return Polynomial.constant(other, self.num_vars)
         return None
 
+    def _terms_at(self, width: int) -> dict[int, int]:
+        if width == self.width:
+            return self.terms
+        return {_pack(_unpack(k, self.num_vars, self.width), width): c for k, c in self.terms.items()}
+
+    def _add(self, other: "Polynomial", sign: int) -> "Polynomial":
+        if not self.terms:
+            return other if sign > 0 else -other
+        width = max(self.width, other.width)
+        g = gcd(self.den, other.den)
+        fa, fb = other.den // g, sign * (self.den // g)
+        ta = self._terms_at(width)
+        out = dict(ta) if fa == 1 else {k: c * fa for k, c in ta.items()}
+        for k, c in other._terms_at(width).items():
+            s = out.get(k, 0) + c * fb
+            if s:
+                out[k] = s
+            else:
+                del out[k]  # c is nonzero, so k was present
+        return Polynomial._raw(self.num_vars, out, self.den * fa, max(self.bound, other.bound), width)
+
     def __add__(self, other):
         other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        out = dict(self.terms)
-        for exps, coef in other.terms.items():
-            cur = out.get(exps)
-            if cur is None:
-                out[exps] = coef
-            else:
-                s = cur + coef
-                if s:
-                    out[exps] = s
-                else:
-                    del out[exps]
-        return Polynomial._raw(self.num_vars, out)
+        return NotImplemented if other is None else self._add(other, 1)
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return Polynomial._raw(self.num_vars, {e: -c for e, c in self.terms.items()})
-
     def __sub__(self, other):
         other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
+        return NotImplemented if other is None else self._add(other, -1)
 
     def __rsub__(self, other):
         other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
+        return NotImplemented if other is None else other._add(self, -1)
+
+    def __neg__(self):
+        return Polynomial._raw(self.num_vars, {k: -c for k, c in self.terms.items()}, self.den, self.bound, self.width)
 
     def __mul__(self, other):
         if isinstance(other, _SCALARS):
-            c = other if isinstance(other, Fraction) else Fraction(other)
-            if not c:
+            if not other:
                 return Polynomial._raw(self.num_vars, {})
-            return Polynomial._raw(self.num_vars, {e: v * c for e, v in self.terms.items()})
+            p = other.numerator
+            terms = {k: c * p for k, c in self.terms.items()}
+            return Polynomial._raw(self.num_vars, terms, self.den * other.denominator, self.bound, self.width)
         if not isinstance(other, Polynomial):
             return NotImplemented
         if other.num_vars != self.num_vars:
             raise ValueError("operands have different variable counts")
-        if not self.terms or not other.terms:
-            return Polynomial._raw(self.num_vars, {})
-        out: dict[tuple[int, ...], Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                exps = tuple(a + b for a, b in zip(e1, e2))
-                piece = c1 * c2
-                cur = out.get(exps)
-                if cur is None:
-                    out[exps] = piece
-                else:
-                    s = cur + piece
-                    if s:
-                        out[exps] = s
-                    else:
-                        del out[exps]
-        return Polynomial._raw(self.num_vars, out)
+        ta, tb = self.terms, other.terms
+        bound, width = self.bound + other.bound, self.width
+        if other.width != width or bound >> width:
+            width = _width(bound)
+            ta, tb = self._terms_at(width), other._terms_at(width)
+        if len(tb) > len(ta):
+            ta, tb = tb, ta
+        if len(tb) == 1:
+            # adding one fixed monomial is injective: nothing merges
+            ((kb, cb),) = tb.items()
+            out = {ka + kb: ca * cb for ka, ca in ta.items()}
+        else:
+            out = {}
+            get = out.get
+            for kb, cb in tb.items():
+                for ka, ca in ta.items():
+                    k = ka + kb
+                    out[k] = get(k, 0) + ca * cb
+            if not all(out.values()):
+                out = {k: c for k, c in out.items() if c}
+        return Polynomial._raw(self.num_vars, out, self.den * other.den, bound, width)
 
     __rmul__ = __mul__
 
@@ -166,44 +190,54 @@ class Polynomial:
         """Partial derivative with respect to the 1-based variable ``u``."""
         if not 1 <= u <= self.num_vars:
             raise ValueError(f"variable index {u} out of range 1..{self.num_vars}")
-        i = u - 1
-        out: dict[tuple[int, ...], Fraction] = {}
-        for exps, coef in self.terms.items():
-            e = exps[i]
-            if e == 0:
-                continue
-            # lowering one exponent is injective, so no two terms merge
-            out[exps[:i] + (e - 1,) + exps[i + 1:]] = coef * e
-        return Polynomial._raw(self.num_vars, out)
+        shift, mask = (u - 1) * self.width, (1 << self.width) - 1
+        one = 1 << shift
+        # lowering one exponent is injective, so no two terms merge
+        out = {k - one: c * e for k, c in self.terms.items() if (e := (k >> shift) & mask)}
+        return Polynomial._raw(self.num_vars, out, self.den, self.bound, self.width)
 
     def evaluate(self, point: Sequence) -> Fraction:
         if len(point) != self.num_vars:
             raise ValueError(f"point must have {self.num_vars} coordinates")
         pt = [p if isinstance(p, Fraction) else Fraction(p) for p in point]
-        total = Fraction(0)
-        for exps, coef in self.terms.items():
-            val = coef
-            for p, e in zip(pt, exps):
-                if e:
-                    val *= p ** e
-            total += val
-        return total
+        nums, dens = [p.numerator for p in pt], [p.denominator for p in pt]
+        width, mask = self.width, (1 << self.width) - 1
+        whole, total = 0, Fraction(0)  # terms with an integer value, and the rest
+        for key, num in self.terms.items():
+            den, i = 1, 0
+            while key:
+                if e := key & mask:
+                    num *= nums[i] ** e
+                    den *= dens[i] ** e
+                key >>= width
+                i += 1
+            if den == 1:
+                whole += num
+            else:
+                total += Fraction(num, den)
+        return (total + whole) / self.den
 
     # -- queries -----------------------------------------------------------
 
+    def variables(self) -> list[int]:
+        """The 1-based variables occurring in some term, increasing."""
+        used = _unpack(reduce(or_, self.terms, 0), self.num_vars, self.width)
+        return [u for u, e in enumerate(used, 1) if e]
+
     def degree(self) -> int:
         """Total degree; 0 for the zero polynomial."""
-        return max((sum(e) for e in self.terms), default=0)
+        return max((sum(_unpack(k, self.num_vars, self.width)) for k in self.terms), default=0)
 
     def is_constant(self) -> bool:
-        return all(sum(e) == 0 for e in self.terms)
+        return not any(self.terms)  # the constant monomial is the only key 0
 
     def constant_value(self) -> Fraction:
-        zero_exps = (0,) * self.num_vars
-        return self.terms.get(zero_exps, Fraction(0))
+        return Fraction(self.terms.get(0, 0), self.den)
 
     def monomials(self) -> Iterator[tuple[tuple[int, ...], Fraction]]:
-        return iter(sorted(self.terms.items()))
+        """``(exponent tuple, Fraction coefficient)`` pairs by increasing tuple."""
+        n, w, den = self.num_vars, self.width, self.den
+        return iter(sorted((_unpack(k, n, w), Fraction(c, den)) for k, c in self.terms.items()))
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -213,21 +247,19 @@ class Polynomial:
             other = Polynomial.constant(other, self.num_vars)
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self.num_vars == other.num_vars and self.terms == other.terms
+        if (self.num_vars, self.den, len(self.terms)) != (other.num_vars, other.den, len(other.terms)):
+            return False
+        width = max(self.width, other.width)
+        return self._terms_at(width) == other._terms_at(width)
 
     def __repr__(self) -> str:
         if not self.terms:
             return "0"
         parts = []
-        for exps, coef in sorted(self.terms.items(), key=lambda t: (sum(t[0]), t[0]), reverse=True):
-            factors = [f"x{i + 1}" if e == 1 else f"x{i + 1}^{e}" for i, e in enumerate(exps) if e]
-            if not factors:
-                parts.append(str(coef))
-            elif coef == 1:
-                parts.append("*".join(factors))
-            elif coef == -1:
-                parts.append("-" + "*".join(factors))
+        for exps, coef in sorted(self.monomials(), key=lambda t: (sum(t[0]), t[0]), reverse=True):
+            name = "*".join(f"x{i + 1}" if e == 1 else f"x{i + 1}^{e}" for i, e in enumerate(exps) if e)
+            if name and coef in (1, -1):
+                parts.append(("-" if coef < 0 else "") + name)
             else:
-                parts.append(f"{coef}*" + "*".join(factors))
-        text = " + ".join(parts)
-        return text.replace("+ -", "- ")
+                parts.append(f"{coef}*{name}" if name else str(coef))
+        return " + ".join(parts).replace("+ -", "- ")

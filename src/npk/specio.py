@@ -209,6 +209,6 @@ def from_field(field: MultivectorField, kind: str | None = None) -> TensorSpec:
                 raise ValueError("field has non-constant components; use kind='polynomial'")
             terms.append(Term(blade, str(poly.constant_value())))
         else:
-            monos = tuple(Monomial(str(c), e) for e, c in sorted(poly.terms.items()))
+            monos = tuple(Monomial(str(c), e) for e, c in poly.monomials())
             terms.append(Term(blade, monos))
     return TensorSpec(field.dim, field.grade, kind, tuple(terms))

@@ -1,0 +1,184 @@
+"""The packed-exponent polynomial against the tuple/Fraction reference class.
+
+Every operation is compared with :class:`oracles.TuplePolynomial` through
+the public views (``monomials()``, ``repr``, ``evaluate``), and every result
+is checked for the canonical form.  Exponents include values around the
+8-bit field boundary and far beyond it, so repacking to a wider field is
+exercised alongside the common narrow case.
+"""
+
+from fractions import Fraction
+from functools import reduce
+from math import gcd
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from npk.polynomial import Polynomial
+from npk.specio import from_field, parse_spec_text, serialize, to_field
+from oracles import TuplePolynomial
+
+NV = 3
+
+_exponent = st.one_of(st.integers(0, 3), st.sampled_from([254, 255, 256, 70000]))
+_narrow_exponent = st.integers(0, 3)
+_coef = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6))
+_point = st.tuples(*[st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))] * NV)
+
+
+def _terms(exponent=_exponent):
+    return st.dictionaries(st.tuples(*[exponent] * NV), _coef, max_size=5)
+
+
+def _pair(terms: dict):
+    return Polynomial(NV, terms), TuplePolynomial(NV, terms)
+
+
+def _assert_canonical(p: Polynomial) -> None:
+    assert p.den >= 1
+    assert all(p.terms.values())
+    assert gcd(p.den, *p.terms.values()) == 1
+    if not p.terms:
+        assert p.den == 1
+    assert p.bound < 1 << p.width
+    assert all(max(e, default=0) <= p.bound for e, _ in p.monomials())
+
+
+def _assert_same(p: Polynomial, ref: TuplePolynomial) -> None:
+    _assert_canonical(p)
+    assert list(p.monomials()) == list(ref.monomials())
+    assert repr(p) == repr(ref)
+    assert bool(p) == bool(ref)
+    assert p.degree() == ref.degree()
+    assert p.is_constant() == ref.is_constant()
+    assert p.constant_value() == ref.constant_value()
+
+
+@settings(max_examples=150, deadline=None)
+@given(_terms(), _terms())
+def test_ring_operations_match_reference(a, b):
+    p, pr = _pair(a)
+    q, qr = _pair(b)
+    _assert_same(p, pr)
+    _assert_same(p + q, pr + qr)
+    _assert_same(p - q, pr - qr)
+    _assert_same(-p, -pr)
+    _assert_same(p * q, pr * qr)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_terms(_narrow_exponent), _terms(_narrow_exponent), _terms(_narrow_exponent))
+def test_ring_laws_on_narrow_fields(a, b, c):
+    (p, pr), (q, qr), (r, rr) = _pair(a), _pair(b), _pair(c)
+    _assert_same(p * (q + r), pr * (qr + rr))
+    assert p * (q + r) == p * q + p * r
+    assert (p * q) * r == p * (q * r)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_terms(), st.one_of(st.integers(-5, 5), _coef))
+def test_scalar_operations_match_reference(a, c):
+    p, pr = _pair(a)
+    _assert_same(p * c, pr * c)
+    _assert_same(c * p, c * pr)
+    _assert_same(p + c, pr + c)
+    _assert_same(c - p, c - pr)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_terms(), st.integers(1, NV))
+def test_derivative_matches_reference(a, u):
+    p, pr = _pair(a)
+    _assert_same(p.derivative(u), pr.derivative(u))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_terms(_narrow_exponent), _point)
+def test_evaluate_matches_reference(a, point):
+    p, pr = _pair(a)
+    value = p.evaluate(point)
+    assert isinstance(value, Fraction)
+    assert value == pr.evaluate(point)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_terms(), _terms())
+def test_equality_matches_reference(a, b):
+    (p, pr), (q, qr) = _pair(a), _pair(b)
+    assert (p == q) == (pr == qr)
+    assert p == Polynomial(NV, a)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_terms(_narrow_exponent), st.sampled_from([256, 70000]))
+def test_equality_does_not_depend_on_width(a, high):
+    p = Polynomial(NV, a)
+    wide = Polynomial(NV, {(high, 0, 0): 1})
+    q = p + wide - wide
+    assert q.width > p.width
+    assert q == p and p == q
+    assert list(q.monomials()) == list(p.monomials())
+    assert (q + Polynomial.variable(2, NV)) != p
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_coef, min_size=1, max_size=6), st.tuples(*[_exponent] * NV))
+def test_mixed_denominators_cancel_to_canonical_zero(coefs, exps):
+    # the pieces have different denominators and sum to zero exactly
+    coefs = coefs + [-sum(coefs)]
+    pieces = [Polynomial(NV, {exps: c}) for c in coefs]
+    total = reduce(lambda x, y: x + y, pieces)
+    assert not total and total.terms == {} and total.den == 1
+    assert total == 0 and repr(total) == "0"
+    product = Polynomial(NV, {exps: coefs[0]}) * Fraction(1, 6) - Polynomial(NV, {exps: coefs[0] / 6})
+    assert product.terms == {} and product.den == 1
+
+
+def test_shared_denominator_content_is_divided_out():
+    half = Polynomial(2, {(1, 0): Fraction(1, 2), (0, 1): Fraction(3, 2)})
+    assert (half.terms, half.den) == ({1: 1, 256: 3}, 2)
+    doubled = half * 2
+    assert (doubled.terms, doubled.den) == ({1: 1, 256: 3}, 1)
+    third = Polynomial(2, {(2, 0): Fraction(1, 2)}).derivative(1)
+    assert list(third.monomials()) == [((1, 0), Fraction(1))] and third.den == 1
+
+
+# ---------------------------------------------------------------------------
+# field widths
+
+def test_product_past_the_field_boundary_does_not_wrap():
+    x1, x2 = Polynomial.variable(1, 2), Polynomial.variable(2, 2)
+    top = Polynomial(2, {(255, 0): 1})
+    assert top.width == 8
+    product = top * x1
+    assert list(product.monomials()) == [((256, 0), Fraction(1))]
+    assert product.width > 8
+    assert product != x2 and product.derivative(2) == 0
+    assert product.derivative(1) == 256 * top
+    mixed = Polynomial(2, {(255, 7): 3}) * (x1 * x2)
+    assert list(mixed.monomials()) == [((256, 8), Fraction(3))]
+
+
+def test_huge_exponent_through_spec_parser():
+    text = (
+        '{"m": 2, "n": 1, "kind": "polynomial", "terms": [{"indices": [1], "value": '
+        '[{"coef": "1/3", "exps": [1000000, 0]}, {"coef": "-2", "exps": [0, 5]}]}]}'
+    )
+    field = to_field(parse_spec_text(text))
+    p = field.component((1,))
+    assert list(p.monomials()) == [((0, 5), Fraction(-2)), ((1000000, 0), Fraction(1, 3))]
+    x1, x2 = Polynomial.variable(1, 2), Polynomial.variable(2, 2)
+    assert list((p * x1).monomials()) == [((1, 5), Fraction(-2)), ((1000001, 0), Fraction(1, 3))]
+    assert list((p * x2).monomials()) == [((0, 6), Fraction(-2)), ((1000000, 1), Fraction(1, 3))]
+    assert list(p.derivative(1).monomials()) == [((999999, 0), Fraction(1000000, 3))]
+    assert list(p.derivative(2).monomials()) == [((0, 4), Fraction(-10))]
+    assert p.variables() == [1, 2] and p.degree() == 1000000
+    assert serialize(from_field(field)) == serialize(parse_spec_text(text))
+
+
+@pytest.mark.parametrize("exps", [(0, 0, 0), (0, 2, 0), (0, 0, 300), (1, 0, 1)])
+def test_variables_reads_the_occurring_fields(exps):
+    p = Polynomial(NV, {exps: 1, (0, 0, 0): 1})
+    assert p.variables() == [u for u, e in enumerate(exps, 1) if e]
+    assert p.variables() == [u for u in range(1, NV + 1) if p.derivative(u)]

@@ -259,6 +259,26 @@ def test_cli_check_refuses_grade_one(spec_path, capsys):
     assert "needs grade at least 2" in capsys.readouterr().err
 
 
+GRADE_ONE_SPEC = {"m": 3, "n": 1, "kind": "constant", "terms": [{"indices": [1], "value": "1"}]}
+
+
+@pytest.mark.parametrize("command", ["check", "jacobi", "sigma-delta"])
+def test_cli_bracket_commands_refuse_grade_one(command, spec_path, capsys):
+    # a grade-1 field has no n-ary bracket to test: unusable input, not a verdict
+    assert main([command, spec_path("vector.json", GRADE_ONE_SPEC)]) == 2
+    assert "error: classification needs grade at least 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["rank", "factorize"])
+def test_cli_grade_one_stays_valid_for_point_commands(command, spec_path, capsys):
+    assert main([command, spec_path("vector.json", GRADE_ONE_SPEC), "--json"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    if command == "rank":
+        assert all(entry["rank"] == 1 for entry in out["rank_at_samples"])
+    else:
+        assert out["factors"] == [["1", "0", "0"]]
+
+
 def test_cli_factorize_rejects_mixed(spec_path, capsys):
     path = spec_path("mixed.json", MIXED_SPEC)
     code = main(["factorize", path, "--json"])
@@ -323,6 +343,28 @@ def test_cli_rank_reports_samples(spec_path, capsys):
     assert len(out["rank_at_samples"]) == 1 + 8 + 3
     assert all(entry["rank"] == 8 for entry in out["rank_at_samples"])
     assert all(entry["annihilator_dim"] == 0 for entry in out["rank_at_samples"])
+
+
+@pytest.mark.parametrize("samples, extra", [(["--samples", "0"], 0), ([], 8), (["--samples", "3"], 3)])
+def test_cli_check_samples(samples, extra, capsys):
+    # two_block_4vector has m = 8: the origin, 8 unit points, then the extras
+    assert main(["check", str(SPECS / "two_block_4vector.json"), "--json", *samples]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert len(out["rank_at_samples"]) == 1 + 8 + extra
+
+
+@pytest.mark.parametrize("command", ["check", "rank"])
+def test_cli_negative_samples_is_usage_error(command, capsys):
+    assert main([command, str(SPECS / "two_block_4vector.json"), "--samples", "-2"]) == 2
+    assert "error: --samples must be at least 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["factorize", "nambu", "jacobi", "sigma-delta", "suite"])
+def test_cli_samples_only_where_read(command, capsys):
+    argv = [command] + ([] if command == "suite" else [str(SPECS / "two_block_4vector.json")])
+    with pytest.raises(SystemExit) as excinfo:
+        main([*argv, "--samples", "3"])
+    assert excinfo.value.code == 2
 
 
 def test_cli_human_output(spec_path, capsys):
