@@ -9,14 +9,7 @@ construction and all operations are pure functions.
 """
 
 from .compat import Compatibility, IncompatibleFieldError, delta, gradient_contraction, is_compatible
-from .exterior import (
-    Covector,
-    MultiCovector,
-    Multivector,
-    contract_covector,
-    contract_form,
-    wedge,
-)
+from .exterior import Covector, Multivector
 from .fields import (
     MultivectorField,
     coordinate_vector_field,
@@ -40,7 +33,7 @@ from .grassmann import (
     is_decomposable,
     sharp_profile,
 )
-from .linalg import Subspace, intersect, subspace_sum
+from .linalg import Subspace, intersect
 from .poisson import (
     PoissonVerdict,
     algebraic_condition,
@@ -51,7 +44,6 @@ from .poisson import (
     default_sample_points,
     differential_condition,
     involutivity_sample,
-    is_nambu_algebraic,
     pointwise_decomposable,
 )
 from .polynomial import Polynomial
@@ -67,7 +59,6 @@ __all__ = [
     "IncompatibleFieldError",
     "IrreducibilityKind",
     "IrreducibilityVerdict",
-    "MultiCovector",
     "Multivector",
     "MultivectorField",
     "NotDecomposableError",
@@ -81,8 +72,6 @@ __all__ = [
     "block_sum",
     "build_semidecomposable",
     "classify",
-    "contract_covector",
-    "contract_form",
     "contraction_subspace_report",
     "contractions_decomposable",
     "coordinate_semidecomposable",
@@ -99,7 +88,6 @@ __all__ = [
     "irreducibility_check",
     "is_compatible",
     "is_decomposable",
-    "is_nambu_algebraic",
     "jacobi_defect",
     "jacobi_identity_holds",
     "lie_bracket",
@@ -109,7 +97,5 @@ __all__ = [
     "pointwise_decomposable",
     "serialize",
     "sharp_profile",
-    "subspace_sum",
     "to_field",
-    "wedge",
 ]

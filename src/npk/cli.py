@@ -20,7 +20,7 @@ from fractions import Fraction
 from .compat import delta, gradient_contraction, is_compatible
 from .fields import MultivectorField, jacobi_identity_holds
 from .grassmann import NotDecomposableError, factorize, sharp_profile
-from .poisson import classify, default_sample_points, is_nambu_algebraic
+from .poisson import classify, default_sample_points, pointwise_decomposable
 from .polynomial import Polynomial
 from .specio import SpecError, parse_spec, to_field
 from .suites import run_all
@@ -102,7 +102,7 @@ def _cmd_factorize(field: MultivectorField, args) -> tuple[dict, int]:
 
 
 def _cmd_nambu(field: MultivectorField, args) -> tuple[dict, int]:
-    verdict = is_nambu_algebraic(field)
+    verdict = pointwise_decomposable(field)
     return {"command": "nambu", "nambu_algebraic": verdict}, 0 if verdict else 1
 
 
@@ -202,7 +202,7 @@ def main(argv=None) -> int:
         else:
             field = _load_field(args.spec)
             # these commands test the bracket of an n-ary structure, which needs n >= 2
-            if args.command in ("check", "jacobi", "sigma-delta") and field.grade < 2:
+            if args.command in ("check", "nambu", "jacobi", "sigma-delta") and field.grade < 2:
                 raise SpecError("classification needs grade at least 2")
             if getattr(args, "samples", 0) < 0:
                 raise ValueError(f"--samples must be at least 0, got {args.samples}")

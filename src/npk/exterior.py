@@ -327,8 +327,7 @@ class Multivector(GradedTerms):
     """Sparse homogeneous grade-k element with exact rational coefficients.
 
     The same container represents elements of the exterior powers of the
-    base space and of its dual (the caller tracks variance); see the
-    :data:`MultiCovector` alias.
+    base space and of its dual (the caller tracks variance).
     """
 
     __slots__ = ()
@@ -369,11 +368,6 @@ class Multivector(GradedTerms):
         return " + ".join(parts).replace("+ -", "- ")
 
 
-#: multi-covectors live in the exterior powers of the dual space and use
-#: the same sparse container; contraction operations take them on the left.
-MultiCovector = Multivector
-
-
 @dataclass(frozen=True)
 class Covector:
     """Element of the dual space, stored densely in the dual basis."""
@@ -398,42 +392,3 @@ class Covector:
 
     def is_zero(self) -> bool:
         return not any(self.components)
-
-    def pair(self, vector: Multivector) -> Fraction:
-        """Evaluate on a grade-1 multivector."""
-        comps = vector.vector_components()
-        return sum((a * v for a, v in zip(self.components, comps)), Fraction(0))
-
-
-# ---------------------------------------------------------------------------
-# documented operation entry points
-
-def wedge(a: Multivector, b: Multivector) -> Multivector:
-    """Exterior product; the zero of grade ``min(p+q, dim+1)`` above top grade."""
-    return a.wedge(b)
-
-
-def contract_covector(alpha: Covector, p: Multivector) -> Multivector:
-    """First-slot interior product ``i(alpha) p``."""
-    return p.contract(alpha)
-
-
-def contract_form(lam: Multivector, p: Multivector) -> Multivector:
-    """Interior product by a grade-k form, innermost-first on each blade.
-
-    For a decomposable ``lam = a1 ^ ... ^ ak`` this equals
-    ``i(ak)(...(i(a1) p))`` and is extended linearly in ``lam``.
-    """
-    if lam.dim != p.dim:
-        raise ValueError("incompatible spaces")
-    k, n = lam.grade, p.grade
-    if k == 0:
-        raise ValueError("cannot contract with a grade-0 form")
-    if k > n:
-        raise ValueError("contraction exceeds grade")
-    out: dict[Blade, Fraction] = {}
-    for cblade, c in lam.terms.items():
-        cur = contract_blade_terms(p.terms, cblade)
-        for key, val in cur.items():
-            _add_term(out, key, c * val)
-    return Multivector(p.dim, n - k, out)

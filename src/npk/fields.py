@@ -34,6 +34,7 @@ from .exterior import (
     contract_basis_terms,
     contract_blade_terms,
     contract_terms,
+    shuffle_sign,
     sort_to_blade,
     wedge_terms,
 )
@@ -247,8 +248,7 @@ def _position_shuffles(total: int, first: int):
     indices = tuple(range(total))
     for left in combinations(indices, first):
         right = tuple(i for i in indices if i not in left)
-        inv = sum(1 for a in left for b in right if a > b)
-        yield (1 if inv % 2 == 0 else -1), left, right
+        yield shuffle_sign(left, right), left, right
 
 
 def _shuffle_sum(field: MultivectorField, keys, grads, shuffles, memo: dict) -> Polynomial:

@@ -129,9 +129,3 @@ def intersect(u: Subspace, v: Subspace) -> Subspace:
                 combo = [x + a * y for x, y in zip(combo, base)]
         vectors.append(combo)
     return Subspace.from_vectors(vectors, u.ambient_dim)
-
-
-def subspace_sum(u: Subspace, v: Subspace) -> Subspace:
-    if u.ambient_dim != v.ambient_dim:
-        raise ValueError("subspaces live in different ambient spaces")
-    return Subspace.from_vectors(list(u.basis) + list(v.basis), u.ambient_dim)

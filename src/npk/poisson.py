@@ -11,11 +11,12 @@ satisfies the generalized Jacobi identity iff
 
 Both conditions are decided exactly: the algebraic one reduces to basis
 covector pairs by bilinearity, the differential one is a polynomial
-identity.  The module also decides the algebraic Nambu condition (three
-independent routes that must agree: the component-form quadratic
-identities, their basis-pair polarization, and pointwise decomposability),
-builds the semi-decomposable structures of constant rank 2n, and samples
-involutivity of the image distribution.
+identity.  The algebraic Nambu condition is equivalent to pointwise
+decomposability of the field value (Takhtajan; Gautheron), which the one
+Plucker loop :func:`~npk.grassmann.plucker_holds` decides; the component
+and polarized routes that cross-check it live in :mod:`npk.oracles`.  The
+module also builds the semi-decomposable structures of constant rank 2n
+and samples involutivity of the image distribution.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
 
-from .exterior import blade_contractions, first_failing_pair, iter_blades, shuffle_sign
+from .exterior import blade_contractions, first_failing_pair, shuffle_sign
 from .fields import (
     MultivectorField,
     coordinate_vector_field,
@@ -36,7 +37,6 @@ from .fields import (
 )
 from .grassmann import plucker_holds, sharp_profile
 from .linalg import Subspace
-from .polynomial import Polynomial
 
 Point = tuple[Fraction, ...]
 
@@ -92,82 +92,6 @@ def pointwise_decomposable(field: MultivectorField) -> bool:
     return plucker_holds(field.terms, field.grade)
 
 
-def _nambu_component_route(field: MultivectorField) -> bool:
-    # quadratic component identities; antisymmetry in the two index blocks
-    # restricts the scan to increasing tuples, symmetry to ordered (u, v)
-    m, n = field.dim, field.grade
-    comp = field.component
-    b_tuples = list(combinations(range(1, m + 1), n))
-    firsts: dict[tuple[int, tuple[int, ...]], list[tuple[int, Polynomial]]] = {}
-    for u in range(1, m + 1):
-        for b in b_tuples:
-            entries = []
-            for k in range(n):
-                c = comp(b[:k] + (u,) + b[k + 1:])
-                if c:
-                    entries.append((k, c))
-            if entries:
-                firsts[(u, b)] = entries
-    a_tuples = list(combinations(range(1, m + 1), n - 2))
-    zero = Polynomial.zero(m)
-    for u in range(1, m + 1):
-        for v in range(u, m + 1):
-            for b in b_tuples:
-                fu = firsts.get((u, b))
-                fv = firsts.get((v, b))
-                if not fu and not fv:
-                    continue
-                for a in a_tuples:
-                    total = zero
-                    if fu:
-                        for k, c in fu:
-                            other = comp((v,) + a + (b[k],))
-                            if other:
-                                total = total + c * other
-                    if fv:
-                        for k, c in fv:
-                            other = comp((u,) + a + (b[k],))
-                            if other:
-                                total = total + c * other
-                    if total:
-                        return False
-    return True
-
-
-def _nambu_polarized_route(field: MultivectorField) -> bool:
-    # polarized wedge identities over basis covector pairs and basis
-    # (n-2)-forms; polarization is lossless in characteristic zero
-    m, n = field.dim, field.grade
-    c = {a: field.contract_basis(a) for a in range(1, m + 1)}
-    phis = list(iter_blades(m, n - 2))
-    deep = {a: [c[a].contract_blade(phi) for phi in phis] for a in range(1, m + 1)}
-
-    def term(a: int, b: int) -> bool:
-        return any(c[a].wedge(deep[b][i]) + c[b].wedge(deep[a][i]) for i in range(len(phis)))
-
-    return first_failing_pair(m, term) is None
-
-
-def is_nambu_algebraic(field: MultivectorField) -> bool:
-    """Decide the algebraic Nambu condition, three independent ways.
-
-    The component-form quadratic identities, their basis-pair polarization,
-    and pointwise decomposability are equivalent; all three are computed
-    and must agree.  True exactly when the field value is decomposable at
-    every point.
-    """
-    if field.grade < 3:
-        raise ValueError("needs grade at least 3")
-    routes = (
-        pointwise_decomposable(field),
-        _nambu_polarized_route(field),
-        _nambu_component_route(field),
-    )
-    if len(set(routes)) != 1:
-        raise AssertionError(f"independent routes disagree: {routes}")
-    return routes[0]
-
-
 def default_sample_points(dim: int, seed: int = 0, extra: int = 8) -> list[Point]:
     """Origin, the coordinate unit points, and seeded random rational points."""
     points: list[Point] = [tuple(Fraction(0) for _ in range(dim))]
@@ -192,7 +116,7 @@ def classify(
     the supplied or default sample points; decomposability is a polynomial
     identity, independent of the samples.  The algebraic Nambu condition is
     equivalent to pointwise decomposability, so the one result fills both
-    fields; :func:`is_nambu_algebraic` keeps the three-route cross-check.
+    fields.
     """
     if field.grade < 2:
         raise ValueError("classification needs grade at least 2")
@@ -250,7 +174,7 @@ def build_semidecomposable(
     total = MultivectorField.zero(m, n)
     for subset in combinations(range(n), h):
         rest = tuple(i for i in range(n) if i not in subset)
-        sign = shuffle_sign(subset, rest) if subset else 1
+        sign = shuffle_sign(subset, rest)
         factors = [v_fields[i] for i in subset] + [w_fields[j] for j in rest]
         term = factors[0]
         for f in factors[1:]:

@@ -176,14 +176,6 @@ class Polynomial:
 
     __rmul__ = __mul__
 
-    def __pow__(self, exponent: int):
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("only nonnegative integer powers are supported")
-        acc = Polynomial.constant(1, self.num_vars)
-        for _ in range(exponent):
-            acc = acc * self
-        return acc
-
     # -- calculus and evaluation ------------------------------------------
 
     def derivative(self, u: int) -> "Polynomial":

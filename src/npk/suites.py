@@ -32,9 +32,9 @@ from .poisson import (
     classify,
     coordinate_semidecomposable,
     default_sample_points,
-    is_nambu_algebraic,
     pointwise_decomposable,
 )
+from .oracles import is_nambu_algebraic
 from .polynomial import Polynomial
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from npk.linalg import Subspace, intersect, subspace_sum
+from npk.linalg import Subspace, intersect
 
 
 def F(x):
@@ -139,7 +139,7 @@ def test_intersect_associates(u, v, w):
 @given(subspaces(), subspaces())
 def test_dimension_formula(u, v):
     meet = intersect(u, v)
-    join = subspace_sum(u, v)
+    join = Subspace.from_vectors(u.basis + v.basis, u.ambient_dim)
     assert meet.dim == u.dim + v.dim - join.dim
 
 

@@ -15,9 +15,9 @@ from npk.poisson import (
     coordinate_semidecomposable,
     default_sample_points,
     involutivity_sample,
-    is_nambu_algebraic,
     pointwise_decomposable,
 )
+from npk.oracles import is_nambu_algebraic
 from npk.polynomial import Polynomial
 from npk.suites import (
     random_constant_field,
@@ -191,6 +191,21 @@ def test_nambu_equals_pointwise_decomposability():
     for _ in range(5):
         f = random_decomposable_field(rng, M, 3)
         assert is_nambu_algebraic(f)
+
+
+def test_bivector_nambu_is_self_wedge_vanishing():
+    # at n = 2 decomposability is P ^ P = 0; the oracle's routes need n >= 3
+    rng = random.Random("nambu-bivector")
+    seen = set()
+    for _ in range(30):
+        m = rng.randint(3, 5)
+        f = random_linear_field(rng, m, 2, max_terms=3)
+        verdict = pointwise_decomposable(f)
+        assert verdict == f.wedge(f).is_zero()
+        seen.add(verdict)
+    assert seen == {True, False}
+    with pytest.raises(ValueError, match="needs grade at least 3"):
+        is_nambu_algebraic(MultivectorField(4, 2, {(1, 2): 1, (3, 4): 1}))
 
 
 # ---------------------------------------------------------------------------

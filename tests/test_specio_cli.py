@@ -6,9 +6,11 @@ from fractions import Fraction
 import pytest
 
 import npk
-import npk.poisson
+import npk.grassmann
+import npk.oracles
 from npk.cli import main
 from npk.fields import MultivectorField
+from npk.poisson import classify
 from npk.polynomial import Polynomial
 from npk.specio import (
     SpecError,
@@ -262,7 +264,7 @@ def test_cli_check_refuses_grade_one(spec_path, capsys):
 GRADE_ONE_SPEC = {"m": 3, "n": 1, "kind": "constant", "terms": [{"indices": [1], "value": "1"}]}
 
 
-@pytest.mark.parametrize("command", ["check", "jacobi", "sigma-delta"])
+@pytest.mark.parametrize("command", ["check", "nambu", "jacobi", "sigma-delta"])
 def test_cli_bracket_commands_refuse_grade_one(command, spec_path, capsys):
     # a grade-1 field has no n-ary bracket to test: unusable input, not a verdict
     assert main([command, spec_path("vector.json", GRADE_ONE_SPEC)]) == 2
@@ -311,6 +313,17 @@ def test_cli_jacobi_and_nambu(spec_path, capsys):
     assert main(["jacobi", blade, "--json"]) == 0
     capsys.readouterr()
     assert main(["nambu", blade, "--json"]) == 0
+
+
+def test_cli_nambu_decides_bivectors(spec_path, capsys):
+    # at n = 2 the Nambu condition is decomposability of the bivector
+    single = {"m": 4, "n": 2, "kind": "constant", "terms": [{"indices": [1, 2], "value": "1"}]}
+    assert main(["nambu", spec_path("e12.json", single), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["nambu_algebraic"] is True
+    symplectic = {"m": 4, "n": 2, "kind": "constant", "terms": [
+        {"indices": [1, 2], "value": "1"}, {"indices": [3, 4], "value": "1"}]}
+    assert main(["nambu", spec_path("e12_e34.json", symplectic), "--json"]) == 1
+    assert json.loads(capsys.readouterr().out)["nambu_algebraic"] is False
 
 
 def test_cli_sigma_delta(spec_path, capsys):
@@ -387,10 +400,41 @@ def test_cli_malformed_spec_is_operational_error(tmp_path, capsys):
 
 
 def test_cli_internal_failure_exits_three(monkeypatch, capsys):
-    # a disagreement between the Nambu routes is a program fault, not a verdict
-    monkeypatch.setattr(npk.poisson, "_nambu_component_route", lambda field: False)
-    assert main(["nambu", str(SPECS / "decomposable_3vector.json")]) == 3
-    assert "internal error: independent routes disagree" in capsys.readouterr().err
+    # a factorization that does not wedge back is a program fault, not a verdict
+    original = npk.grassmann.Factorization.wedge
+    calls = []
+
+    def doubled_on_second_call(self):
+        calls.append(self)
+        value = original(self)
+        return value * 2 if len(calls) == 2 else value
+
+    monkeypatch.setattr(npk.grassmann.Factorization, "wedge", doubled_on_second_call)
+    assert main(["factorize", str(SPECS / "decomposable_3vector.json")]) == 3
+    assert "internal error: factorization round-trip failed" in capsys.readouterr().err
+
+
+SPEC_VERDICTS = {  # name: (is_poisson, nambu_algebraic)
+    "decomposable_3vector": (True, True),
+    "nonpoisson_3vector": (False, False),
+    "scaled_decomposable_field": (True, True),
+    "two_block_4vector": (True, False),
+}
+
+
+def test_nambu_and_classify_are_independent_of_the_oracles(monkeypatch, capsys):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a command consulted the Nambu oracle")
+
+    # swapping the code object catches callers that imported the name directly
+    for name in ("nambu_component_route", "nambu_polarized_route", "is_nambu_algebraic"):
+        monkeypatch.setattr(getattr(npk.oracles, name), "__code__", forbidden.__code__)
+    for name, (poisson, nambu) in SPEC_VERDICTS.items():
+        path = str(SPECS / f"{name}.json")
+        assert main(["nambu", path, "--json"]) == (0 if nambu else 1)
+        assert json.loads(capsys.readouterr().out)["nambu_algebraic"] is nambu
+        verdict = classify(to_field(parse_spec(path)))
+        assert (verdict.is_poisson, verdict.nambu_algebraic) == (poisson, nambu)
 
 
 def test_cli_unknown_command_usage_error():
