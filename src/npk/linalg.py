@@ -1,6 +1,9 @@
 """Exact rational linear algebra: reduced echelon forms and subspaces.
 
-Matrices are plain lists of rows of Fractions.  Subspaces of the base
+Matrices are iterables of equal-length rows of ints or Fractions.  The one
+elimination, :func:`rref`, runs fraction-free on sparse integer rows,
+stops as soon as the rank reaches the width, and turns only the pivot
+rows back into Fractions.  Subspaces of the base
 space and of its dual share one representation (a canonical reduced
 row-echelon basis); the caller tracks variance.  Canonical form makes
 subspace equality plain structural equality.  The kernel of a matrix is
@@ -9,45 +12,97 @@ the annihilator of its row space, read off that space's echelon basis.
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 Vector = tuple[Fraction, ...]
 
 
-def _to_fraction_rows(rows: Iterable[Sequence]) -> list[list[Fraction]]:
-    return [[x if isinstance(x, Fraction) else Fraction(x) for x in row] for row in rows]
+def _primitive(vec: dict[int, int]) -> dict[int, int]:
+    """``vec`` divided by the gcd of its entries; the empty row stays empty."""
+    g = gcd(*vec.values())
+    return vec if g == 1 else {j: x // g for j, x in vec.items()}
+
+
+def _integer_row(row: Sequence) -> dict[int, int]:
+    """The nonzero entries of ``row`` over the lcm of their denominators, primitive."""
+    entries = []
+    for j, x in enumerate(row):
+        if x:
+            if not isinstance(x, (int, Fraction)):
+                x = Fraction(x)
+                if not x:
+                    continue
+            entries.append((j, x))
+    den = lcm(*(x.denominator for _, x in entries))
+    return _primitive({j: x.numerator * (den // x.denominator) for j, x in entries})
+
+
+def _eliminate(vec: dict[int, int], pivot_row: dict[int, int], c: int) -> dict[int, int]:
+    """Primitive integer combination of ``vec`` and ``pivot_row`` with no column ``c``."""
+    a, b = pivot_row[c], vec[c]
+    g = gcd(a, b)
+    a, b = a // g, b // g
+    out = {j: a * x for j, x in vec.items()}
+    for j, y in pivot_row.items():
+        x = out.get(j, 0) - b * y
+        if x:
+            out[j] = x
+        else:
+            del out[j]
+    return _primitive(out)
 
 
 def rref(rows: Iterable[Sequence], width: int | None = None) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row-echelon form; returns the nonzero rows and pivot columns."""
-    mat = _to_fraction_rows(rows)
-    if width is None:
-        if not mat:
-            raise ValueError("width required for an empty matrix")
-        width = len(mat[0])
-    for row in mat:
-        if len(row) != width:
+    """Reduced row-echelon form; returns the nonzero rows and pivot columns.
+
+    Fraction-free: each row is read once, its zero entries dropped, and
+    scaled by the lcm of its denominators to a primitive integer row
+    ``{col: int}``.  It is reduced, in integers, against the pivot rows
+    found so far (each starts at its own pivot column and is kept
+    primitive, so entries stay small) and, if anything is left, joins them.
+    Elimination stops once the rank equals ``width``; later rows are only
+    checked for length.  Only the pivot rows are back-substituted and
+    turned into dense Fraction rows with leading entry 1.
+    """
+    echelon: dict[int, dict[int, int]] = {}
+    order: list[int] = []  # pivot columns, ascending
+    for row in rows:
+        if width is None:
+            width = len(row)
+        elif len(row) != width:
             raise ValueError("matrix rows must have equal length")
-    pivots: list[int] = []
-    r = 0
-    for c in range(width):
-        pr = next((i for i in range(r, len(mat)) if mat[i][c]), None)
-        if pr is None:
+        if len(order) == width:
             continue
-        mat[r], mat[pr] = mat[pr], mat[r]
-        inv = Fraction(1) / mat[r][c]
-        mat[r] = [x * inv for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c]:
-                f = mat[i][c]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(mat):
-            break
-    return mat[:r], pivots
+        vec = _integer_row(row)
+        for c in order:
+            if c in vec:
+                vec = _eliminate(vec, echelon[c], c)
+        if vec:
+            lead = min(vec)
+            echelon[lead] = vec
+            insort(order, lead)
+    if width is None:
+        raise ValueError("width required for an empty matrix")
+    zero = Fraction(0)
+    reduced = []
+    for i in reversed(range(len(order))):
+        c = order[i]
+        vec = echelon[c]
+        for later in order[i + 1:]:
+            if later in vec:
+                vec = _eliminate(vec, echelon[later], later)
+        echelon[c] = vec
+        lead = vec[c]
+        dense = [zero] * width
+        for j, x in vec.items():
+            dense[j] = Fraction(x, lead)
+        reduced.append(dense)
+    reduced.reverse()
+    return reduced, order
 
 
 @dataclass(frozen=True)
@@ -59,7 +114,7 @@ class Subspace:
 
     @classmethod
     def from_vectors(cls, vectors: Iterable[Sequence], ambient_dim: int) -> "Subspace":
-        vecs = _to_fraction_rows(vectors)
+        vecs = list(vectors)
         if not vecs:
             return cls(ambient_dim, ())
         reduced, _ = rref(vecs, ambient_dim)

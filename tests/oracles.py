@@ -2,7 +2,8 @@
 
 Everything here recomputes quantities from first principles (full
 permutation sums, one-covector-at-a-time contraction, Leibniz
-determinants) so the tests have a second route to every value.
+determinants, dense Fraction Gauss-Jordan elimination) so the tests have
+a second route to every value.
 :class:`TuplePolynomial` is the plain exponent-tuple/Fraction polynomial,
 the reference for the packed-exponent :class:`npk.polynomial.Polynomial`.
 """
@@ -13,7 +14,7 @@ from typing import Iterator, Mapping, Sequence
 
 from npk.exterior import Multivector, contract_basis_terms, iter_blades
 from npk.fields import MultivectorField, nary_bracket
-from npk.linalg import Subspace, rref
+from npk.linalg import Subspace
 from npk.polynomial import Polynomial
 
 
@@ -35,16 +36,51 @@ def iterated_contraction(p: Multivector, covectors) -> Multivector:
     return acc
 
 
+def fraction_rref(rows, width=None):
+    """Dense Gauss-Jordan elimination over Fraction rows.
+
+    The reference for the fraction-free sparse :func:`npk.linalg.rref`:
+    same contract, the nonzero reduced rows and the pivot columns.
+    """
+    mat = [[x if isinstance(x, Fraction) else Fraction(x) for x in row] for row in rows]
+    if width is None:
+        if not mat:
+            raise ValueError("width required for an empty matrix")
+        width = len(mat[0])
+    for row in mat:
+        if len(row) != width:
+            raise ValueError("matrix rows must have equal length")
+    pivots: list[int] = []
+    r = 0
+    for c in range(width):
+        pr = next((i for i in range(r, len(mat)) if mat[i][c]), None)
+        if pr is None:
+            continue
+        mat[r], mat[pr] = mat[pr], mat[r]
+        inv = Fraction(1) / mat[r][c]
+        mat[r] = [x * inv for x in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][c]:
+                f = mat[i][c]
+                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(mat):
+            break
+    return mat[:r], pivots
+
+
 def annihilator_by_contraction(p: Multivector) -> Subspace:
     """Kernel of ``alpha -> i(alpha) p``, one matrix row per (n-1)-blade.
 
     Column ``u`` holds the coefficients of ``i(dx^u) p`` over all C(m, n-1)
-    blades; the kernel is read off that matrix's own reduced echelon form.
+    blades; the kernel is read off that matrix's own reduced echelon form,
+    and put in canonical form, by :func:`fraction_rref`.
     """
     m = p.dim
     columns = [contract_basis_terms(p.terms, u) for u in range(1, m + 1)]
     rows = [[col.get(b, Fraction(0)) for col in columns] for b in iter_blades(m, p.grade - 1)]
-    reduced, pivots = rref(rows, m)
+    reduced, pivots = fraction_rref(rows, m)
     kernel = []
     for free in range(m):
         if free in pivots:
@@ -54,7 +90,8 @@ def annihilator_by_contraction(p: Multivector) -> Subspace:
         for row, pivot in zip(reduced, pivots):
             v[pivot] = -row[free]
         kernel.append(v)
-    return Subspace.from_vectors(kernel, m)
+    basis, _ = fraction_rref(kernel, m)
+    return Subspace(m, tuple(tuple(row) for row in basis))
 
 
 def naive_det(rows):

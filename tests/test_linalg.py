@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from npk.linalg import Subspace, intersect
+from npk.linalg import Subspace, intersect, rref
+from oracles import fraction_rref
 
 
 def F(x):
@@ -161,3 +162,115 @@ def test_canonical_form_is_basis_independent():
                 scale = F(rng.choice([1, 2, 3, -1, -2]))
                 recombined[i] = [scale * a for a in recombined[i]]
         assert Subspace.from_vectors(recombined, ambient) == space
+
+
+# ---------------------------------------------------------------------------
+# the fraction-free kernel against the dense Fraction Gauss-Jordan oracle
+
+def assert_matches_oracle(rows, width=None):
+    got = rref(rows, width)
+    want = fraction_rref(rows, width)
+    assert got == want
+    for row in got[0]:
+        assert all(isinstance(x, Fraction) for x in row)
+
+
+def test_rref_special_rows():
+    assert_matches_oracle([[0, 0, 0], [1, 2, 3], [0, 0, 0]])
+    assert_matches_oracle([[1, 2, 3], [1, 2, 3], [1, 2, 3]])
+    assert_matches_oracle([[2, -4, 6], [Fraction(-1, 3), Fraction(2, 3), -1], [0, 1, 5], [0, -7, -35]])
+    assert_matches_oracle([[0, 0], [0, 0]])
+
+
+def test_rref_shapes():
+    assert_matches_oracle([[1, 2], [3, 4], [5, 6], [7, 9]])
+    assert_matches_oracle([[0, 0, 1, 2, 3, 4], [0, 1, 0, 0, 2, 0]])
+    assert_matches_oracle([[], [], []])
+    assert_matches_oracle([], 0)
+    assert_matches_oracle([], 4)
+
+
+def test_rref_hilbert_8():
+    hilbert = [[Fraction(1, i + j + 1) for j in range(8)] for i in range(8)]
+    reduced, pivots = rref(hilbert)
+    assert pivots == list(range(8))
+    assert (reduced, pivots) == fraction_rref(hilbert)
+
+
+def _entry(rng):
+    kind = rng.random()
+    if kind < 0.4:
+        return 0
+    if kind < 0.7:
+        return rng.randint(-9, 9)
+    return Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**6))
+
+
+def test_rref_seeded_against_oracle():
+    rng = random.Random("rref-oracle")
+    for _ in range(150):
+        rows, width = rng.randint(0, 7), rng.randint(0, 7)
+        mat = [[_entry(rng) for _ in range(width)] for _ in range(rows)]
+        if mat and rng.random() < 0.5:
+            # force dependence: duplicates, multiples and sums of earlier rows
+            for i in range(rng.randint(1, 3)):
+                a, b = rng.randrange(len(mat)), rng.randrange(len(mat))
+                c = Fraction(rng.randint(-5, 5), rng.randint(1, 7))
+                mat.append([x + c * y for x, y in zip(mat[a], mat[b])])
+            rng.shuffle(mat)
+        assert_matches_oracle(mat, width)
+
+
+entries = st.one_of(
+    st.integers(-10**6, 10**6),
+    st.fractions(max_denominator=10**6),
+    st.just(0),
+)
+
+
+@st.composite
+def matrices(draw):
+    width = draw(st.integers(0, 6))
+    base = draw(st.lists(st.lists(entries, min_size=width, max_size=width), max_size=6))
+    scales = draw(st.lists(st.fractions(max_denominator=50), max_size=3))
+    extra = [[s * x for x in row] for row, s in zip(base, scales)]
+    return base + extra, width
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices())
+def test_rref_matches_oracle(case):
+    mat, width = case
+    assert_matches_oracle(mat, width)
+
+
+@settings(max_examples=80, deadline=None)
+@given(matrices(), st.randoms(use_true_random=False))
+def test_subspace_invariant_under_permutation_and_scaling(case, rnd):
+    mat, width = case
+    space = Subspace.from_vectors(mat, width)
+    shuffled = [list(row) for row in mat]
+    rnd.shuffle(shuffled)
+    scaled = []
+    for row in shuffled:
+        factor = Fraction(rnd.choice([-1, 1]) * rnd.randint(1, 10**6), rnd.randint(1, 10**6))
+        scaled.append([factor * x for x in row])
+    assert Subspace.from_vectors(shuffled, width) == space
+    assert Subspace.from_vectors(scaled, width) == space
+
+
+def test_rref_validates_after_full_rank():
+    # the first two rows already have full rank; the ragged third must still raise
+    with pytest.raises(ValueError, match="matrix rows must have equal length"):
+        rref([[1, 0], [0, 1], [1, 2, 3]])
+    with pytest.raises(ValueError, match="matrix rows must have equal length"):
+        rref([[1, 0], [0, 1], [1]], 2)
+    with pytest.raises(ValueError, match="matrix rows must have equal length"):
+        rref(iter([[1, 0], [0, 1], [5, 5], []]))
+
+
+def test_rref_empty_needs_width():
+    with pytest.raises(ValueError, match="width required for an empty matrix"):
+        rref([])
+    with pytest.raises(ValueError, match="width required for an empty matrix"):
+        rref(iter(()))
