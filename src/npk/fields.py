@@ -15,8 +15,11 @@ decided exactly on a finite generating family of arguments.
 
 Every bracket runs through one kernel over sparse gradients ``{u: d_u f}``:
 the expansion ``sum prod_i d_{u_i} f_i * P^{u_1..u_n}`` over one nonzero
-entry per argument, skipping repeated indices.  The Jacobi oracle never
-consults the differential defect or the classifier; it is their check.
+entry per argument, skipping repeated indices.  The Jacobi oracle visits
+only the shuffles whose inner bracket can be nonconstant, read off the
+field's support (its nonconstant blades and the (n-1)-faces of its
+blades), and memoises inner brackets within one call.  It never consults
+the differential defect or the classifier; it is their check.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from .exterior import (
     GradedTerms,
     Multivector,
     _add_term,
+    blade_contractions,
     contract_basis_terms,
     contract_blade_terms,
     contract_terms,
@@ -244,11 +248,21 @@ def differential_defect(field: MultivectorField) -> MultivectorField:
     return MultivectorField(m, target, out)
 
 
-def _position_shuffles(total: int, first: int):
-    indices = tuple(range(total))
-    for left in combinations(indices, first):
+def _jacobi_shuffles(n: int) -> dict:
+    """The (n, n-1)-shuffles of 2n-1 argument positions, keyed by left positions.
+
+    Each value is ``(sign, left, right)``.  The Jacobi identity is stated
+    for grade n >= 1; a lower grade is refused here, before any argument
+    is read.
+    """
+    if n < 1:
+        raise ValueError(f"the generalized Jacobi identity needs grade >= 1, got {n}")
+    indices = tuple(range(2 * n - 1))
+    out = {}
+    for left in combinations(indices, n):
         right = tuple(i for i in indices if i not in left)
-        yield shuffle_sign(left, right), left, right
+        out[left] = (shuffle_sign(left, right), left, right)
+    return out
 
 
 def _shuffle_sum(field: MultivectorField, keys, grads, shuffles, memo: dict) -> Polynomial:
@@ -280,10 +294,29 @@ def jacobi_defect(field: MultivectorField, functions: Sequence[Polynomial]) -> P
     factor.
     """
     n = field.grade
+    shuffles = _jacobi_shuffles(n)
     total = 2 * n - 1
     grads = _gradients(field, functions, total)
-    acc = _shuffle_sum(field, tuple(range(total)), grads, list(_position_shuffles(total, n)), {})
+    acc = _shuffle_sum(field, tuple(range(total)), grads, shuffles.values(), {})
     return acc * (factorial(n) * factorial(n - 1))
+
+
+def _tuples_containing(sets, size: int, dim: int, offset: int) -> dict:
+    """Group the increasing ``size``-tuples of ``1..dim`` by the given sets they contain.
+
+    Maps each tuple containing at least one of ``sets`` to the pairs
+    ``(set, positions)``, the positions of the set within the tuple
+    shifted by ``offset``.  Tuples that contain none are absent.
+    """
+    out: dict = {}
+    for s in sets:
+        if len(s) > size:
+            continue
+        rest = [a for a in range(1, dim + 1) if a not in s]
+        for r in combinations(rest, size - len(s)):
+            tup = tuple(sorted(s + r))
+            out.setdefault(tup, []).append((s, tuple(tup.index(a) + offset for a in s)))
+    return out
 
 
 def jacobi_identity_holds(field: MultivectorField) -> bool:
@@ -295,23 +328,57 @@ def jacobi_identity_holds(field: MultivectorField) -> bool:
     family whose first argument is a product of two coordinates with the
     rest an increasing coordinate tuple.  Both families are checked as
     exact polynomial identities, with the brackets expanded over sparse
-    gradients.  Each inner bracket is computed once per ordered tuple of
+    gradients.
+
+    Only the shuffles whose inner bracket can be nonconstant are visited.
+    The bracket is a derivation in each argument, so an outer bracket with
+    a constant argument vanishes and such a shuffle adds nothing.  Which
+    inner brackets can be nonconstant is read off the field's support:
+
+    - for an increasing coordinate tuple ``S``, ``{x_S} = P^S``, so a
+      coordinate inner key, in either family, matters only when ``P^S``
+      is nonconstant (a live blade);
+    - by Leibniz, ``{x_u x_v, x_A} = x_v {x_u, x_A} + x_u {x_v, x_A}``
+      and ``{x_w, x_A} = +-P^{w A}``, so the quadratic inner key
+      ``((u, v), A)`` is zero unless ``A`` is an (n-1)-face of a blade
+      containing ``u`` or ``v``; the faces come from
+      :func:`~npk.exterior.blade_contractions`.
+
+    A family none of whose shuffles survives has zero defect and is never
+    built.  Each inner bracket is computed once per ordered tuple of
     argument keys and reused across shuffles and families; that memo lives
     for this one call.
     """
     m, n = field.dim, field.grade
+    shuffles = _jacobi_shuffles(n)
     coords = [Polynomial.variable(u, m) for u in range(1, m + 1)]
     unit = {u: _gradient(x) for u, x in enumerate(coords, 1)}
-    shuffles = list(_position_shuffles(2 * n - 1, n))
+    live = [blade for blade, p in field.terms.items() if not p.is_constant()]
     memo: dict = {}
-    for tup in combinations(range(1, m + 1), 2 * n - 1):
-        if _shuffle_sum(field, tup, [unit[a] for a in tup], shuffles, memo):
+    for tup, found in _tuples_containing(live, 2 * n - 1, m, 0).items():
+        picked = [shuffles[pos] for _, pos in found]
+        if _shuffle_sum(field, tup, [unit[a] for a in tup], picked, memo):
             return False
+    # quadratic families, the quad as argument 0: its shuffles into the
+    # inner bracket need a face A that u or v completes to a blade, the
+    # others a live S
+    ends = {face: {w for (w,) in rest} for face, rest in blade_contractions(field.terms, n - 1).items()}
+    quad_left = _tuples_containing(ends, 2 * n - 2, m, 1)
+    quad_right = {
+        tup: [shuffles[pos] for _, pos in found]
+        for tup, found in _tuples_containing(live, 2 * n - 2, m, 1).items()
+    }
+    tuples = list(quad_right) + [tup for tup in quad_left if tup not in quad_right]
     for u in range(1, m + 1):
         for v in range(u, m + 1):
             quad = _gradient(coords[u - 1] * coords[v - 1])
-            for tup in combinations(range(1, m + 1), 2 * n - 2):
-                grads = [quad] + [unit[a] for a in tup]
-                if _shuffle_sum(field, ((u, v),) + tup, grads, shuffles, memo):
+            for tup in tuples:
+                picked = [
+                    shuffles[(0,) + pos]
+                    for face, pos in quad_left.get(tup, ())
+                    if u in ends[face] or v in ends[face]
+                ]
+                picked += quad_right.get(tup, ())
+                if picked and _shuffle_sum(field, ((u, v),) + tup, [quad] + [unit[a] for a in tup], picked, memo):
                     return False
     return True

@@ -13,7 +13,7 @@ from itertools import combinations, permutations
 from typing import Iterator, Mapping, Sequence
 
 from npk.exterior import Multivector, contract_basis_terms, iter_blades
-from npk.fields import MultivectorField, nary_bracket
+from npk.fields import MultivectorField, jacobi_defect, nary_bracket
 from npk.linalg import Subspace
 from npk.polynomial import Polynomial
 
@@ -169,6 +169,26 @@ def jacobi_defect_bruteforce(field: MultivectorField, functions) -> Polynomial:
         if outer:
             acc = acc + outer if perm_sign(perm) > 0 else acc - outer
     return acc
+
+
+def jacobi_identity_by_defect_loop(field: MultivectorField) -> bool:
+    """Generalized Jacobi identity through the public :func:`jacobi_defect`.
+
+    Checks every generating family (each increasing (2n-1)-tuple of
+    coordinates, and each product of two coordinates followed by an
+    increasing (2n-2)-tuple) with its own full shuffle sum: no memo shared
+    between families and no filter on the field's support.
+    """
+    m, n = field.dim, field.grade
+    xs = [Polynomial.variable(u, m) for u in range(1, m + 1)]
+    families = [[xs[a - 1] for a in tup] for tup in combinations(range(1, m + 1), 2 * n - 1)]
+    families += [
+        [xs[u - 1] * xs[v - 1]] + [xs[a - 1] for a in tup]
+        for u in range(1, m + 1)
+        for v in range(u, m + 1)
+        for tup in combinations(range(1, m + 1), 2 * n - 2)
+    ]
+    return not any(jacobi_defect(field, family) for family in families)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,5 @@
 import random
 from fractions import Fraction
-from itertools import combinations
 from math import comb, factorial
 
 import pytest
@@ -23,6 +22,7 @@ from oracles import (
     alternation_defect_components,
     bracket_by_minors,
     jacobi_defect_bruteforce,
+    jacobi_identity_by_defect_loop,
 )
 
 M = 5
@@ -253,34 +253,59 @@ def test_jacobi_oracle_two_block_even_grade():
     assert jacobi_identity_holds(block_sum(2, 2, 8))
 
 
-def _jacobi_by_defect_loop(field):
-    # every generating family through the public jacobi_defect, no memo
-    m, n = field.dim, field.grade
-    xs = [var(u, m) for u in range(1, m + 1)]
-    families = [[xs[a - 1] for a in tup] for tup in combinations(range(1, m + 1), 2 * n - 1)]
-    families += [
-        [xs[u - 1] * xs[v - 1]] + [xs[a - 1] for a in tup]
-        for u in range(1, m + 1)
-        for v in range(u, m + 1)
-        for tup in combinations(range(1, m + 1), 2 * n - 2)
-    ]
-    return not any(jacobi_defect(field, family) for family in families)
+def _memo_cases():
+    """Fields of grade 2, 3 and 4 on which the oracle meets the defect loop."""
+    rng = random.Random("memo-vs-loop")
+    cases = []
+    for n, m in ((2, 5), (3, 6), (4, 7)):
+        for _ in range(4 if n < 4 else 2):
+            k = rng.randint(2 * n - 1, m)
+            cases.append(random_linear_field(rng, k, n, max_terms=4))
+            cases.append(random_decomposable_field(rng, k, n))
+        # components of degree 2
+        for blades in (1, 2):
+            chosen = rng.sample(list(iter_blades(m, n)), blades)
+            cases.append(MultivectorField(m, n, {b: random_polynomial(rng, m, degree=2) for b in chosen}))
+        x = [var(u, m) for u in range(1, m + 1)]
+        first = tuple(range(1, n + 1))
+        shared = (1,) + tuple(range(n + 1, 2 * n))
+        # constant and not decomposable (e12 + e34, or two blades sharing one
+        # index): holds at even grade; at odd grade it fails, and only
+        # through the quadratic families
+        apart = tuple(range(n + 1, 2 * n + 1)) if n == 2 else shared
+        cases.append(MultivectorField(m, n, {first: 1, apart: 1}))
+        # the workload shapes: a linear function times a decomposable field,
+        # and two blades sharing one index with the first coefficient on it
+        line = Multivector(m, 1, {(1,): 2, (n + 1,): -1})
+        for u in range(2, n + 1):
+            line = line.wedge(Multivector.blade(m, (u,)))
+        cases.append(MultivectorField.from_multivector(line) * (x[0] + 3 * x[n] - 1))
+        cases.append(MultivectorField(m, n, {first: x[0] + 1, shared: Fraction(-2, 3)}))
+    return cases
 
 
 def test_memoised_oracle_matches_defect_loop():
-    rng = random.Random("memo-vs-loop")
-    verdicts = []
-    for i in range(16):
-        n = rng.randint(2, 3)
-        m = rng.randint(2 * n - 1, 6)
-        if i % 3 == 0:
-            f = random_decomposable_field(rng, m, n)
-        else:
-            f = random_linear_field(rng, m, n, max_terms=4)
+    verdicts = set()
+    for f in _memo_cases():
         verdict = jacobi_identity_holds(f)
-        assert verdict == _jacobi_by_defect_loop(f)
-        verdicts.append((n, verdict))
-    assert set(verdicts) == {(2, True), (2, False), (3, True), (3, False)}
+        assert verdict == jacobi_identity_by_defect_loop(f), f
+        verdicts.add((f.grade, verdict))
+    assert verdicts == {(n, v) for n in (2, 3, 4) for v in (True, False)}
+
+
+def test_jacobi_needs_grade_at_least_one():
+    scalar = MultivectorField(3, 0, {(): 1})
+    with pytest.raises(ValueError, match="grade >= 1"):
+        jacobi_identity_holds(scalar)
+    with pytest.raises(ValueError, match="grade >= 1"):
+        jacobi_defect(scalar, [])
+    # grade 1 keeps its answer: the defect of a vector field X is X(X f)
+    d1 = MultivectorField(3, 1, {(1,): 1})
+    x1 = var(1, 3)
+    assert jacobi_defect(d1, [x1 * x1]) == 2
+    assert jacobi_defect(d1, [x1 * x1]) == jacobi_defect_bruteforce(d1, [x1 * x1])
+    assert not jacobi_identity_holds(d1)
+    assert jacobi_identity_holds(MultivectorField(3, 1))
 
 
 def test_jacobi_oracle_is_independent_of_classifier(monkeypatch):
@@ -288,7 +313,8 @@ def test_jacobi_oracle_is_independent_of_classifier(monkeypatch):
         raise AssertionError("the Jacobi oracle consulted the classifier")
 
     monkeypatch.setattr(npk.fields, "differential_defect", forbidden)
-    monkeypatch.setattr(npk.poisson, "classify", forbidden)
+    for name in ("classify", "algebraic_condition", "differential_condition", "pointwise_decomposable"):
+        monkeypatch.setattr(npk.poisson, name, forbidden)
     lie_poisson = MultivectorField(3, 2, {(1, 2): var(3, 3), (1, 3): -var(2, 3), (2, 3): var(1, 3)})
     assert jacobi_identity_holds(lie_poisson)
     assert jacobi_identity_holds(MultivectorField(M, 3, {(1, 2, 3): X[0]}))
