@@ -182,7 +182,8 @@ def build_parser() -> argparse.ArgumentParser:
     for name, help_text in helps.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("spec", help="path to a tensor spec JSON file")
-        p.add_argument("--seed", type=int, default=0, help="seed for sample points")
+        if name in ("check", "rank", "sigma-delta"):
+            p.add_argument("--seed", type=int, default=0, help="seed for sample points")
         p.add_argument("--json", action="store_true", help="canonical JSON output")
         if name in ("check", "rank"):
             p.add_argument("--samples", type=int, default=8, help="extra random sample points, at least 0")

@@ -13,13 +13,20 @@ functions, the differential defect whose vanishing is the differential
 half of the Poisson conditions, and the generalized Jacobi identity
 decided exactly on a finite generating family of arguments.
 
-Every bracket runs through one kernel over sparse gradients ``{u: d_u f}``:
-the expansion ``sum prod_i d_{u_i} f_i * P^{u_1..u_n}`` over one nonzero
-entry per argument, skipping repeated indices.  The Jacobi oracle visits
-only the shuffles whose inner bracket can be nonconstant, read off the
-field's support (its nonconstant blades and the (n-1)-faces of its
-blades), and memoises inner brackets within one call.  It never consults
-the differential defect or the classifier; it is their check.
+The n-ary bracket runs through one general kernel over sparse gradients
+``{u: d_u f}``: the expansion ``sum prod_i d_{u_i} f_i * P^{u_1..u_n}``
+over one nonzero entry per argument, skipping repeated indices;
+:func:`nary_bracket` and :func:`jacobi_defect` use it.  The Jacobi oracle
+needs only brackets ``{g, x_R}`` whose arguments after the first are
+coordinates (the one with a quadratic argument there splits into two by
+Leibniz), and ``{g, x_R} = sum_w d_w g * P^{w R}`` is one row of the
+(n-1)-face table :func:`~npk.exterior.blade_contractions`, up to one sign
+per grade; so the oracle reads its brackets off that table and never
+calls the kernel.  It visits only the shuffles whose inner bracket can be
+nonconstant, read off the field's support (its nonconstant blades and the
+(n-1)-faces of its blades), and memoises brackets within one call.  It
+never consults the differential defect or the classifier; it is their
+check.
 """
 
 from __future__ import annotations
@@ -265,40 +272,58 @@ def _jacobi_shuffles(n: int) -> dict:
     return out
 
 
-def _shuffle_sum(field: MultivectorField, keys, grads, shuffles, memo: dict) -> Polynomial:
-    """Signed sum of nested brackets of keyed arguments over ``shuffles``.
-
-    Argument i has key ``keys[i]`` and sparse gradient ``grads[i]``.  The
-    inner bracket of a shuffle depends only on the ordered keys of its
-    left arguments, so ``memo`` maps that key tuple to the inner bracket's
-    gradient.
-    """
-    acc = Polynomial.zero(field.dim)
-    for sign, left, right in shuffles:
-        key = tuple(map(keys.__getitem__, left))
-        inner = memo.get(key)
-        if inner is None:
-            inner = memo[key] = _gradient(_bracket(field, [grads[i] for i in left]))
-        if inner:
-            outer = _bracket(field, [inner] + [grads[j] for j in right])
-            acc = acc + outer if sign > 0 else acc - outer
-    return acc
-
-
 def jacobi_defect(field: MultivectorField, functions: Sequence[Polynomial]) -> Polynomial:
     """Signed sum of nested brackets over all permutations of 2n-1 arguments.
 
     Both bracket slots are antisymmetric, so the full permutation sum
     factors exactly through (n, n-1)-shuffles with multiplicity n!(n-1)!;
     the returned polynomial is the complete permutation sum including that
-    factor.
+    factor.  Every bracket runs through the general kernel.
     """
     n = field.grade
     shuffles = _jacobi_shuffles(n)
-    total = 2 * n - 1
-    grads = _gradients(field, functions, total)
-    acc = _shuffle_sum(field, tuple(range(total)), grads, shuffles.values(), {})
+    grads = _gradients(field, functions, 2 * n - 1)
+    acc = Polynomial.zero(field.dim)
+    for sign, left, right in shuffles.values():
+        inner = _gradient(_bracket(field, [grads[i] for i in left]))
+        if inner:
+            outer = _bracket(field, [inner] + [grads[j] for j in right])
+            acc = acc + outer if sign > 0 else acc - outer
     return acc * (factorial(n) * factorial(n - 1))
+
+
+def _face_rows(field: MultivectorField) -> dict:
+    """Map each (n-1)-face ``R`` of a blade to the row ``{w: P^{w R}}``.
+
+    ``blade_contractions(terms, n-1)[R][(w,)]`` carries the sign
+    ``(-1)^(sum(pos) - (n-1)(n-2)/2)``, where ``pos`` are the positions of
+    ``R`` in the blade ``B = sort(w, R)``.  If ``w`` sits at position
+    ``p`` of ``B``, then ``sum(pos) = n(n-1)/2 - p``, so that sign is
+    ``(-1)^(n-1-p)``; moving ``w`` from the front to position ``p`` gives
+    ``P^{w R} = (-1)^p P^B``.  Hence ``P^{w R} = (-1)^(n-1) C[R][(w,)]``:
+    one sign per grade.
+    """
+    odd = (field.grade - 1) % 2
+    return {
+        face: {w: -coef if odd else coef for (w,), coef in rest.items()}
+        for face, rest in blade_contractions(field.terms, field.grade - 1).items()
+    }
+
+
+def _face_bracket(grad: Gradient, row: dict | None, dim: int) -> Polynomial:
+    """``{g, x_R} = sum_w d_w g * P^{w R}`` for an increasing tuple ``R``.
+
+    ``grad`` is the sparse gradient of ``g`` and ``row`` is the face row
+    of ``R`` from :func:`_face_rows` (``None`` when ``R`` is no face of a
+    blade, and then the bracket is zero).
+    """
+    acc = Polynomial.zero(dim)
+    if row:
+        for w, d in grad.items():
+            coef = row.get(w)
+            if coef is not None:
+                acc = acc + d * coef
+    return acc
 
 
 def _tuples_containing(sets, size: int, dim: int, offset: int) -> dict:
@@ -327,8 +352,26 @@ def jacobi_identity_holds(field: MultivectorField) -> bool:
     iff it vanishes on every increasing tuple of coordinates and on every
     family whose first argument is a product of two coordinates with the
     rest an increasing coordinate tuple.  Both families are checked as
-    exact polynomial identities, with the brackets expanded over sparse
-    gradients.
+    exact polynomial identities.
+
+    No bracket here goes through the general kernel.  In
+    ``{g, x_{r_1}, .., x_{r_{n-1}}} = sum prod_i d_{u_i} f_i P^{u_1..u_n}``
+    the factor ``d_{u_{i+1}} x_{r_i}`` is 1 at ``u_{i+1} = r_i`` and 0
+    elsewhere, so the sum collapses to ``{g, x_R} = sum_w d_w g P^{w R}``,
+    one row of the (n-1)-face table read with the sign ``(-1)^(n-1)``
+    against :func:`~npk.exterior.blade_contractions` (proved in
+    :func:`_face_rows`).  Every bracket of the generating families is such
+    a read, for increasing ``S``, ``A``, ``R`` and ``R'``:
+
+    - the coordinate inner bracket ``{x_S} = P^S``;
+    - the quadratic inner bracket ``{x_u x_v, x_A} = x_v P^{u A} + x_u P^{v A}``;
+    - the outer bracket ``{h, x_R}`` of a shuffle whose right arguments
+      are coordinates, ``h`` a coordinate or quadratic inner bracket;
+    - with the quad in the outer bracket, by Leibniz,
+      ``{P^S, x_u x_v, x_R'} = x_v {P^S, x_u, x_R'} + x_u {P^S, x_v, x_R'}``,
+      and ``{P^S, x_w, x_R'} = +-{P^S, x_R}`` for ``R = sort(w, R')``, the
+      sign that of moving ``x_w`` past the smaller entries of ``R'``
+      (zero if ``w`` is in ``R'``).
 
     Only the shuffles whose inner bracket can be nonconstant are visited.
     The bracket is a derivation in each argument, so an outer bracket with
@@ -339,46 +382,86 @@ def jacobi_identity_holds(field: MultivectorField) -> bool:
       coordinate inner key, in either family, matters only when ``P^S``
       is nonconstant (a live blade);
     - by Leibniz, ``{x_u x_v, x_A} = x_v {x_u, x_A} + x_u {x_v, x_A}``
-      and ``{x_w, x_A} = +-P^{w A}``, so the quadratic inner key
+      and ``{x_w, x_A} = P^{w A}``, so the quadratic inner key
       ``((u, v), A)`` is zero unless ``A`` is an (n-1)-face of a blade
       containing ``u`` or ``v``; the faces come from
       :func:`~npk.exterior.blade_contractions`.
 
     A family none of whose shuffles survives has zero defect and is never
-    built.  Each inner bracket is computed once per ordered tuple of
-    argument keys and reused across shuffles and families; that memo lives
-    for this one call.
+    built.  The quadratic inner brackets and the outer brackets
+    ``{P^S, x_R}`` (shared by the coordinate families and the
+    quad-in-outer shuffles) are memoised for this one call.
     """
     m, n = field.dim, field.grade
     shuffles = _jacobi_shuffles(n)
-    coords = [Polynomial.variable(u, m) for u in range(1, m + 1)]
-    unit = {u: _gradient(x) for u, x in enumerate(coords, 1)}
+    rows = _face_rows(field)
+    zero = Polynomial.zero(m)
     live = [blade for blade, p in field.terms.items() if not p.is_constant()]
-    memo: dict = {}
+    hamiltonian = {s: _gradient(field.terms[s]) for s in live}
+    outer: dict = {}
+
+    def coordinate_outer(s, r):
+        # {P^S, x_R}: the outer bracket of the shuffle S | R, shared by the
+        # coordinate families and the quad-in-outer shuffles
+        val = outer.get((s, r))
+        if val is None:
+            val = outer[s, r] = _face_bracket(hamiltonian[s], rows.get(r), m)
+        return val
+
     for tup, found in _tuples_containing(live, 2 * n - 1, m, 0).items():
-        picked = [shuffles[pos] for _, pos in found]
-        if _shuffle_sum(field, tup, [unit[a] for a in tup], picked, memo):
+        acc = zero
+        for s, pos in found:
+            sign, _, right = shuffles[pos]
+            val = coordinate_outer(s, tuple(tup[j] for j in right))
+            acc = acc + val if sign > 0 else acc - val
+        if acc:
             return False
     # quadratic families, the quad as argument 0: its shuffles into the
     # inner bracket need a face A that u or v completes to a blade, the
     # others a live S
-    ends = {face: {w for (w,) in rest} for face, rest in blade_contractions(field.terms, n - 1).items()}
-    quad_left = _tuples_containing(ends, 2 * n - 2, m, 1)
-    quad_right = {
-        tup: [shuffles[pos] for _, pos in found]
-        for tup, found in _tuples_containing(live, 2 * n - 2, m, 1).items()
-    }
-    tuples = list(quad_right) + [tup for tup in quad_left if tup not in quad_right]
-    for u in range(1, m + 1):
-        for v in range(u, m + 1):
-            quad = _gradient(coords[u - 1] * coords[v - 1])
-            for tup in tuples:
-                picked = [
-                    shuffles[(0,) + pos]
-                    for face, pos in quad_left.get(tup, ())
-                    if u in ends[face] or v in ends[face]
-                ]
-                picked += quad_right.get(tup, ())
-                if picked and _shuffle_sum(field, ((u, v),) + tup, [quad] + [unit[a] for a in tup], picked, memo):
+    coords = [Polynomial.variable(u, m) for u in range(1, m + 1)]
+    quad_left = _tuples_containing(rows, 2 * n - 2, m, 1)
+    quad_right = _tuples_containing(live, 2 * n - 2, m, 1)
+    inner: dict = {}
+    for tup in list(quad_right) + [tup for tup in quad_left if tup not in quad_right]:
+        # {{x_u x_v, x_A}, x_R}: the face A, the shuffle sign and the face
+        # row of R; a shuffle whose R is no face adds nothing
+        lefts = []
+        for face, pos in quad_left.get(tup, ()):
+            sign, _, right = shuffles[(0,) + pos]
+            row = rows.get(tuple(tup[j - 1] for j in right))
+            if row:
+                lefts.append((face, sign, row))
+        # {P^S, x_u x_v, x_R'} = x_v {P^S, x_u, x_R'} + x_u {P^S, x_v, x_R'},
+        # so these shuffles add x_v lead[u] + x_u lead[v], where lead[w] is
+        # their signed sum of {P^S, x_w, x_R'}
+        lead = [zero] * (m + 1)
+        for s, pos in quad_right.get(tup, ()):
+            sign, _, right = shuffles[pos]
+            rest = tuple(tup[j - 1] for j in right[1:])
+            for w in range(1, m + 1):
+                if w not in rest:
+                    val = coordinate_outer(s, tuple(sorted(rest + (w,))))
+                    # moving x_w past each smaller entry of R' flips the sign
+                    flip = sign if sum(a < w for a in rest) % 2 == 0 else -sign
+                    lead[w] = lead[w] + val if flip > 0 else lead[w] - val
+        for u in range(1, m + 1):
+            for v in range(u, m + 1):
+                acc = zero
+                for face, sign, row in lefts:
+                    ends = rows[face]
+                    if u not in ends and v not in ends:
+                        continue
+                    quad = inner.get((u, v, face))
+                    if quad is None:
+                        both = {u: 2 * coords[u - 1]} if u == v else {u: coords[v - 1], v: coords[u - 1]}
+                        quad = inner[u, v, face] = _gradient(_face_bracket(both, ends, m))
+                    val = _face_bracket(quad, row, m)
+                    acc = acc + val if sign > 0 else acc - val
+                if lead[u]:
+                    acc = acc + coords[v - 1] * lead[u]
+                if lead[v]:
+                    acc = acc + coords[u - 1] * lead[v]
+                if acc:
                     return False
     return True

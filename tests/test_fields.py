@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 from math import comb, factorial
 
 import pytest
@@ -9,6 +10,9 @@ import npk.poisson
 from npk.exterior import Multivector, iter_blades
 from npk.fields import (
     MultivectorField,
+    _face_bracket,
+    _face_rows,
+    _gradient,
     differential_defect,
     jacobi_defect,
     jacobi_identity_holds,
@@ -253,6 +257,30 @@ def test_jacobi_oracle_two_block_even_grade():
     assert jacobi_identity_holds(block_sum(2, 2, 8))
 
 
+def test_face_read_matches_kernel_and_minors():
+    # {g, x_R} read off the (n-1)-face row of R, against the general kernel
+    # and the minor expansion; an R that is no face of a blade reads zero
+    rng = random.Random("face-read")
+    faceless = nonzero = 0
+    for _ in range(40):
+        m = rng.randint(1, 6)
+        n = rng.randint(1, min(4, m))
+        blades = rng.sample(list(iter_blades(m, n)), min(rng.randint(1, 3), comb(m, n)))
+        p = MultivectorField(m, n, {b: random_polynomial(rng, m, degree=2) for b in blades})
+        rows = _face_rows(p)
+        g = random_polynomial(rng, m, degree=2, max_monos=4)
+        for r in combinations(range(1, m + 1), n - 1):
+            args = [g] + [var(a, m) for a in r]
+            value = _face_bracket(_gradient(g), rows.get(r), m)
+            assert value == nary_bracket(p, args)
+            assert value == bracket_by_minors(p, args)
+            if r not in rows:
+                assert value == 0
+                faceless += 1
+            nonzero += bool(value)
+    assert faceless >= 20 and nonzero >= 20
+
+
 def _memo_cases():
     """Fields of grade 2, 3 and 4 on which the oracle meets the defect loop."""
     rng = random.Random("memo-vs-loop")
@@ -281,6 +309,14 @@ def _memo_cases():
             line = line.wedge(Multivector.blade(m, (u,)))
         cases.append(MultivectorField.from_multivector(line) * (x[0] + 3 * x[n] - 1))
         cases.append(MultivectorField(m, n, {first: x[0] + 1, shared: Fraction(-2, 3)}))
+        # a square coefficient, so the x_u^2 families cancel only with
+        # d(x_u^2) = 2 x_u; a face (first[1:]) completed by both u and v;
+        # degree-2 components in a face coordinate
+        other = first[1:] + (n + 1,)
+        cases.append(MultivectorField(m, n, {first: x[2 * n - 2], shared: 2 * x[2 * n - 3] * x[2 * n - 3]}))
+        cases.append(MultivectorField(m, n, {first: 2 * x[n - 1], other: x[n] * x[n]}))
+        cases.append(MultivectorField(m, n, {first: 2 * x[1] * x[1], shared: -x[1] * x[n - 1]}))
+        cases.append(MultivectorField(m, n, {first: x[0] * x[1], other: -x[0]}))
     return cases
 
 
@@ -320,6 +356,26 @@ def test_jacobi_oracle_is_independent_of_classifier(monkeypatch):
     assert jacobi_identity_holds(MultivectorField(M, 3, {(1, 2, 3): X[0]}))
     assert not jacobi_identity_holds(MultivectorField(M, 3, {(1, 2, 3): 1, (1, 4, 5): 1}))
     assert not jacobi_identity_holds(MultivectorField(3, 2, {(1, 2): 1, (2, 3): var(2, 3)}))
+
+
+def test_oracle_reads_every_bracket_off_the_face_table(monkeypatch):
+    calls = []
+    kernel = npk.fields._bracket
+
+    def counted(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(npk.fields, "_bracket", counted)
+    lie_poisson = MultivectorField(3, 2, {(1, 2): var(3, 3), (1, 3): -var(2, 3), (2, 3): var(1, 3)})
+    assert jacobi_identity_holds(lie_poisson)
+    assert jacobi_identity_holds(MultivectorField(M, 3, {(1, 2, 3): X[0] + 2 * X[3] - 1}))
+    assert calls == []
+    # the general kernel still serves the public bracket and the defect
+    assert nary_bracket(lie_poisson, [var(1, 3), var(2, 3)]) == var(3, 3)
+    assert len(calls) == 1
+    assert jacobi_defect(lie_poisson, [var(1, 3) * var(2, 3), var(2, 3), var(3, 3)]) == 0
+    assert len(calls) > 1
 
 
 # ---------------------------------------------------------------------------

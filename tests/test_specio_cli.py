@@ -380,6 +380,22 @@ def test_cli_samples_only_where_read(command, capsys):
     assert excinfo.value.code == 2
 
 
+@pytest.mark.parametrize("command", ["factorize", "nambu", "jacobi"])
+def test_cli_seed_only_where_read(command, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main([command, str(SPECS / "two_block_4vector.json"), "--seed", "1"])
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments: --seed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["check", "rank", "sigma-delta"])
+def test_cli_seed_accepted_where_read(command, capsys):
+    code = main([command, str(SPECS / "two_block_4vector.json"), "--seed", "1", "--json"])
+    out = json.loads(capsys.readouterr().out)
+    assert code in (0, 1)
+    assert out["seed"] == 1
+
+
 def test_cli_human_output(spec_path, capsys):
     path = spec_path("block.json", BLOCK_SUM_SPEC)
     code = main(["check", path])
