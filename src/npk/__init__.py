@@ -14,7 +14,6 @@ from .fields import (
     MultivectorField,
     coordinate_vector_field,
     differential_defect,
-    jacobi_defect,
     jacobi_identity_holds,
     lie_bracket,
     nary_bracket,
@@ -88,7 +87,6 @@ __all__ = [
     "irreducibility_check",
     "is_compatible",
     "is_decomposable",
-    "jacobi_defect",
     "jacobi_identity_holds",
     "lie_bracket",
     "nary_bracket",

@@ -7,7 +7,9 @@ to its polarization on basis covector pairs, which is what gets checked.
 On compatible fields a first-order operator of degree n-1 is defined; it
 annihilates P itself and acts on functions as ``f -> i(df) P``.  The
 operator does not square to zero in general, so no such identity is
-asserted anywhere.
+asserted anywhere.  It shares the kernel
+:func:`~npk.fields.contracted_derivative` with the differential defect:
+``delta(P, U) = K(P, U) + K(U, P)`` and the defect is ``K(P, P)``.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .exterior import first_failing_pair
-from .fields import MultivectorField
+from .fields import MultivectorField, contracted_derivative
 from .polynomial import Polynomial
 
 
@@ -52,7 +54,7 @@ def delta(structure: MultivectorField, candidate: MultivectorField) -> Multivect
 
     For a grade-q candidate U returns
     ``sum_u (i(dx^u) P) ^ (d_u U) + (i(dx^u) U) ^ (d_u P)``;
-    the second term drops for q = 0, where the result is exactly
+    the second term vanishes for q = 0, where the result is exactly
     ``i(df) P``.  Raises when the candidate is not compatible.
     """
     membership = is_compatible(structure, candidate)
@@ -60,23 +62,7 @@ def delta(structure: MultivectorField, candidate: MultivectorField) -> Multivect
         raise IncompatibleFieldError(
             f"candidate field is not compatible with the structure (witness pair {membership.witness})"
         )
-    m, n, q = structure.dim, structure.grade, candidate.grade
-    target = q + n - 1
-    total = MultivectorField.zero(m, target)
-    if target > m:
-        return total
-    for u in range(1, m + 1):
-        s_contracted = structure.contract_basis(u)
-        c_partial = candidate.partial(u)
-        if not (s_contracted.is_zero() or c_partial.is_zero()):
-            total = total + s_contracted.wedge(c_partial)
-        if q == 0:
-            continue
-        c_contracted = candidate.contract_basis(u)
-        s_partial = structure.partial(u)
-        if not (c_contracted.is_zero() or s_partial.is_zero()):
-            total = total + c_contracted.wedge(s_partial)
-    return total
+    return contracted_derivative(structure, candidate) + contracted_derivative(candidate, structure)
 
 
 def gradient_contraction(structure: MultivectorField, function: Polynomial) -> MultivectorField:

@@ -10,30 +10,32 @@ factor) and adds evaluation at a rational point (an exact
 with covector fields.  The module
 also provides the n-ary bracket a grade-n field induces on polynomial
 functions, the differential defect whose vanishing is the differential
-half of the Poisson conditions, and the generalized Jacobi identity
-decided exactly on a finite generating family of arguments.
+half of the Poisson conditions (one case of :func:`contracted_derivative`,
+the kernel it shares with the Lie bracket and :func:`~npk.compat.delta`),
+and the generalized Jacobi identity decided exactly on a finite
+generating family of arguments.
 
 The n-ary bracket runs through one general kernel over sparse gradients
 ``{u: d_u f}``: the expansion ``sum prod_i d_{u_i} f_i * P^{u_1..u_n}``
 over one nonzero entry per argument, skipping repeated indices;
-:func:`nary_bracket` and :func:`jacobi_defect` use it.  The Jacobi oracle
-needs only brackets ``{g, x_R}`` whose arguments after the first are
-coordinates (the one with a quadratic argument there splits into two by
-Leibniz), and ``{g, x_R} = sum_w d_w g * P^{w R}`` is one row of the
-(n-1)-face table :func:`~npk.exterior.blade_contractions`, up to one sign
-per grade; so the oracle reads its brackets off that table and never
-calls the kernel.  It visits only the shuffles whose inner bracket can be
-nonconstant, read off the field's support (its nonconstant blades and the
-(n-1)-faces of its blades), and memoises brackets within one call.  It
-never consults the differential defect or the classifier; it is their
-check.
+:func:`nary_bracket` and :func:`npk.oracles.jacobi_defect` use it.  The
+Jacobi oracle needs only brackets ``{g, x_R}`` whose arguments after the
+first are coordinates (the one with a quadratic argument there splits
+into two by Leibniz), and ``{g, x_R} = sum_w d_w g * P^{w R}`` is one
+row of the (n-1)-face table :func:`~npk.exterior.blade_contractions`, up
+to one sign per grade; so the oracle reads its brackets off that table
+and never calls the kernel.  It visits only the shuffles whose inner
+bracket can be nonconstant, read off the field's support (its
+nonconstant blades and the (n-1)-faces of its blades), and memoises
+brackets within one call.  It never consults the differential defect or
+the classifier; it is their check.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
-from math import factorial
 from typing import Sequence
 
 from .exterior import (
@@ -147,25 +149,26 @@ def coordinate_vector_field(dim: int, u: int) -> MultivectorField:
     return MultivectorField(dim, 1, {(u,): 1})
 
 
+def contracted_derivative(a: MultivectorField, b: MultivectorField) -> MultivectorField:
+    """``sum_u (i(dx^u) A) ^ (d_u B)``, of grade ``a.grade + b.grade - 1``."""
+    out: dict[Blade, Polynomial] = {}
+    for u in sorted(set().union(*(p.variables() for p in b.terms.values()))):
+        contracted = contract_basis_terms(a.terms, u)
+        if not contracted:
+            continue
+        partial = {blade: d for blade, p in b.terms.items() if (d := p.derivative(u))}
+        for key, val in wedge_terms(contracted, partial).items():
+            _add_term(out, key, val)
+    return MultivectorField(a.dim, a.grade + b.grade - 1, out)
+
+
 def lie_bracket(x: MultivectorField, y: MultivectorField) -> MultivectorField:
     """Lie bracket of two polynomial vector fields."""
     if x.grade != 1 or y.grade != 1:
         raise ValueError("lie_bracket needs grade-1 fields")
     if x.dim != y.dim:
         raise ValueError("incompatible spaces")
-    m = x.dim
-    out: dict[Blade, Polynomial] = {}
-    for (u,), xu in x.terms.items():
-        for (j,), yj in y.terms.items():
-            d = yj.derivative(u)
-            if d:
-                _add_term(out, (j,), xu * d)
-    for (u,), yu in y.terms.items():
-        for (j,), xj in x.terms.items():
-            d = xj.derivative(u)
-            if d:
-                _add_term(out, (j,), -(yu * d))
-    return MultivectorField(m, 1, out)
+    return contracted_derivative(x, y) - contracted_derivative(y, x)
 
 
 # ---------------------------------------------------------------------------
@@ -238,29 +241,17 @@ def differential_defect(field: MultivectorField) -> MultivectorField:
     the self-bracket of the field.  Above the top grade the defect is the
     canonical zero.
     """
-    m, n = field.dim, field.grade
-    target = 2 * n - 1
-    if target > m:
-        return MultivectorField(m, target)
-    out: dict[Blade, Polynomial] = {}
-    for u in range(1, m + 1):
-        du = field.partial(u)
-        if du.is_zero():
-            continue
-        cu = contract_basis_terms(field.terms, u)
-        if not cu:
-            continue
-        for key, val in wedge_terms(cu, du.terms).items():
-            _add_term(out, key, val)
-    return MultivectorField(m, target, out)
+    return contracted_derivative(field, field)
 
 
+@cache
 def _jacobi_shuffles(n: int) -> dict:
     """The (n, n-1)-shuffles of 2n-1 argument positions, keyed by left positions.
 
-    Each value is ``(sign, left, right)``.  The Jacobi identity is stated
-    for grade n >= 1; a lower grade is refused here, before any argument
-    is read.
+    Each value is ``(sign, left, right)``; the table is built once per n
+    and only read.  The Jacobi identity is stated for grade n >= 1; a
+    lower grade is refused here on every call, before any argument is
+    read.
     """
     if n < 1:
         raise ValueError(f"the generalized Jacobi identity needs grade >= 1, got {n}")
@@ -270,26 +261,6 @@ def _jacobi_shuffles(n: int) -> dict:
         right = tuple(i for i in indices if i not in left)
         out[left] = (shuffle_sign(left, right), left, right)
     return out
-
-
-def jacobi_defect(field: MultivectorField, functions: Sequence[Polynomial]) -> Polynomial:
-    """Signed sum of nested brackets over all permutations of 2n-1 arguments.
-
-    Both bracket slots are antisymmetric, so the full permutation sum
-    factors exactly through (n, n-1)-shuffles with multiplicity n!(n-1)!;
-    the returned polynomial is the complete permutation sum including that
-    factor.  Every bracket runs through the general kernel.
-    """
-    n = field.grade
-    shuffles = _jacobi_shuffles(n)
-    grads = _gradients(field, functions, 2 * n - 1)
-    acc = Polynomial.zero(field.dim)
-    for sign, left, right in shuffles.values():
-        inner = _gradient(_bracket(field, [grads[i] for i in left]))
-        if inner:
-            outer = _bracket(field, [inner] + [grads[j] for j in right])
-            acc = acc + outer if sign > 0 else acc - outer
-    return acc * (factorial(n) * factorial(n - 1))
 
 
 def _face_rows(field: MultivectorField) -> dict:

@@ -13,8 +13,9 @@ from itertools import combinations, permutations
 from typing import Iterator, Mapping, Sequence
 
 from npk.exterior import Multivector, contract_basis_terms, iter_blades
-from npk.fields import MultivectorField, jacobi_defect, nary_bracket
+from npk.fields import MultivectorField, nary_bracket
 from npk.linalg import Subspace
+from npk.oracles import jacobi_defect
 from npk.polynomial import Polynomial
 
 
@@ -124,26 +125,29 @@ def bracket_by_minors(field: MultivectorField, functions) -> Polynomial:
     return acc
 
 
-def alternation_defect_components(field: MultivectorField) -> dict:
-    """Fully alternated first-derivative obstruction, by brute force.
+def alternation_defect_components(a: MultivectorField, b: MultivectorField) -> dict:
+    """Fully alternated first-derivative pairing of two fields, by brute force.
 
-    For each increasing (2n-1)-tuple of coordinate indices, sums over all
-    permutations of the tuple with sign:
-    ``sum_u P^{u a_1..a_{n-1}} * d_u P^{a_n..a_{2n-1}}``.
+    For grades p >= 1 and q and each increasing (p+q-1)-tuple of coordinate
+    indices, sums over all permutations of the tuple with sign:
+    ``sum_u A^{u I_1} * d_u B^{I_2}``, with ``I_1`` the first p-1 entries
+    and ``I_2`` the last q.  That is ``(p-1)! q!`` times
+    ``sum_u (i(dx^u) A) ^ (d_u B)``; ``(f, f)`` gives the differential
+    defect.
     """
-    m, n = field.dim, field.grade
-    total = 2 * n - 1
-    partials = [field.partial(u) for u in range(1, m + 1)]
+    m, p, q = a.dim, a.grade, b.grade
+    total = p + q - 1
+    partials = [b.partial(u) for u in range(1, m + 1)]
     out = {}
     for tup in combinations(range(1, m + 1), total):
         acc = Polynomial.zero(m)
         for perm in permutations(range(total)):
             arranged = [tup[i] for i in perm]
-            first_block = tuple(arranged[: n - 1])
-            second_block = tuple(arranged[n - 1:])
+            first_block = tuple(arranged[: p - 1])
+            second_block = tuple(arranged[p - 1:])
             inner = Polynomial.zero(m)
             for u in range(1, m + 1):
-                c1 = field.component((u,) + first_block)
+                c1 = a.component((u,) + first_block)
                 if not c1:
                     continue
                 c2 = partials[u - 1].component(second_block)
@@ -172,7 +176,7 @@ def jacobi_defect_bruteforce(field: MultivectorField, functions) -> Polynomial:
 
 
 def jacobi_identity_by_defect_loop(field: MultivectorField) -> bool:
-    """Generalized Jacobi identity through the public :func:`jacobi_defect`.
+    """Generalized Jacobi identity through :func:`npk.oracles.jacobi_defect`.
 
     Checks every generating family (each increasing (2n-1)-tuple of
     coordinates, and each product of two coordinates followed by an

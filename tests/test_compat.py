@@ -8,10 +8,10 @@ from npk.compat import (
     gradient_contraction,
     is_compatible,
 )
-from npk.fields import MultivectorField
-from npk.poisson import coordinate_semidecomposable
+from npk.fields import MultivectorField, differential_defect
+from npk.poisson import algebraic_condition, coordinate_semidecomposable
 from npk.polynomial import Polynomial
-from npk.suites import random_decomposable_field, random_polynomial
+from npk.suites import random_decomposable_field, random_linear_field, random_polynomial
 
 M = 5
 X = [Polynomial.variable(u, M) for u in range(1, M + 1)]
@@ -113,3 +113,41 @@ def test_wedge_closure_recorded_not_asserted():
     sample = first.wedge(second)
     report = is_compatible(BLADE, sample)
     print(f"wedge closure sample compatible: {report.holds}")
+
+
+# ---------------------------------------------------------------------------
+# self-compatibility
+
+def test_self_compatibility_cross_checks():
+    # the pair sum (i(dx^a) P) ^ (i(dx^b) P) + (i(dx^b) P) ^ (i(dx^a) P) is
+    # twice one wedge at odd n, where the contractions have even grade and
+    # commute, so is_compatible(P, P) is the algebraic condition, witness
+    # included; at even n they anticommute and every field is
+    # self-compatible.  On self-compatible fields delta(P, P) is twice the
+    # differential defect
+    rng = random.Random("self-compatibility")
+    odd_verdicts = set()
+    defects = 0
+    for _ in range(300):
+        n = rng.randint(2, 5)
+        m = rng.randint(n, 7)
+        if rng.random() < 0.3:
+            field = random_decomposable_field(rng, m, n)
+        else:
+            field = random_linear_field(rng, m, n, max_terms=4)
+        report = is_compatible(field, field)
+        if n % 2:
+            algebraic = algebraic_condition(field)
+            assert (report.holds, report.witness) == (algebraic.holds, algebraic.witness)
+            odd_verdicts.add(report.holds)
+        else:
+            assert report.holds
+        if report.holds:
+            defect = differential_defect(field)
+            assert delta(field, field) == defect * 2
+            defects += bool(defect)
+        else:
+            with pytest.raises(IncompatibleFieldError):
+                delta(field, field)
+    assert odd_verdicts == {True, False}
+    assert defects >= 15

@@ -7,18 +7,21 @@ import pytest
 
 import npk.fields
 import npk.poisson
+from npk.compat import delta, is_compatible
 from npk.exterior import Multivector, iter_blades
 from npk.fields import (
     MultivectorField,
     _face_bracket,
     _face_rows,
     _gradient,
+    _jacobi_shuffles,
+    contracted_derivative,
     differential_defect,
-    jacobi_defect,
     jacobi_identity_holds,
     lie_bracket,
     nary_bracket,
 )
+from npk.oracles import jacobi_defect
 from npk.poisson import block_sum
 from npk.polynomial import Polynomial
 from npk.suites import random_decomposable_field, random_linear_field, random_polynomial
@@ -164,14 +167,14 @@ def test_defect_two_terms_cancel():
     f = MultivectorField(M, 3, {(1, 2, 3): X[1], (3, 4, 5): X[0]})
     defect = differential_defect(f)
     assert defect.is_zero()
-    assert alternation_defect_components(f) == {}
+    assert alternation_defect_components(f, f) == {}
 
 
 def test_defect_nonzero_instance_matches_alternation():
     f = MultivectorField(M, 3, {(1, 2, 3): X[0], (1, 4, 5): 1})
     defect = differential_defect(f)
     assert defect == MultivectorField(M, 5, {(1, 2, 3, 4, 5): 1})
-    alternation = alternation_defect_components(f)
+    alternation = alternation_defect_components(f, f)
     factor = factorial(3) * factorial(2)
     assert alternation == {(1, 2, 3, 4, 5): Polynomial.constant(factor, M)}
 
@@ -186,7 +189,7 @@ def test_defect_matches_alternation_on_random_fields():
         u = rng.randint(1, M)
         f = f + MultivectorField(M, 3, {(1, 2, 3): var(u), (1, 4, 5): 1})
         defect = differential_defect(f)
-        alternation = alternation_defect_components(f)
+        alternation = alternation_defect_components(f, f)
         keys = set(alternation) | set(defect.terms)
         for key in keys:
             left = alternation.get(key, Polynomial.zero(M))
@@ -202,6 +205,47 @@ def test_defect_vacuous_above_top_grade():
     defect = differential_defect(f)
     assert defect.is_zero()
     assert defect.grade == 5
+
+
+def _random_sparse_field(rng, m, grade):
+    blades = rng.sample(list(iter_blades(m, grade)), min(rng.randint(1, 3), comb(m, grade)))
+    return MultivectorField(m, grade, {b: random_polynomial(rng, m, degree=2, max_monos=2) for b in blades})
+
+
+def test_contracted_derivative_matches_two_field_alternation():
+    # K(A, B) = sum_u (i(dx^u) A) ^ (d_u B) against the brute-force
+    # alternation, which is (p-1)! q! K(A, B); the Lie bracket
+    # K(X, Y) - K(Y, X) and delta K(P, U) + K(U, P) are read off the
+    # alternation alone.  U = g P is compatible with P at even grade, and
+    # at odd grade when P is a single blade
+    rng = random.Random("kernel-alternation")
+    nonzero = brackets = deltas = 0
+    for _ in range(100):
+        m = rng.randint(2, 5)
+        p = rng.randint(1, min(3, m))
+        a = _random_sparse_field(rng, m, p)
+        other = _random_sparse_field(rng, m, rng.randint(0, min(3, m)))
+        for b in (other, a * random_polynomial(rng, m, degree=1, max_monos=2)):
+            q = b.grade
+            kernel = contracted_derivative(a, b)
+            assert kernel.grade == min(p + q - 1, m + 1)
+            ab = alternation_defect_components(a, b)
+            assert ab == {blade: coef * (factorial(p - 1) * factorial(q)) for blade, coef in kernel.terms.items()}
+            nonzero += bool(kernel)
+            if q == 0:
+                continue
+            ab = MultivectorField(m, p + q - 1, ab)
+            ba = MultivectorField(m, p + q - 1, alternation_defect_components(b, a))
+            if p == q == 1:
+                assert lie_bracket(a, b) == ab - ba
+                brackets += bool(ab - ba)
+            if is_compatible(a, b).holds:
+                # (p-1)! q! (q-1)! p! delta(A, B) = (q-1)! p! AB + (p-1)! q! BA
+                scale_ab, scale_ba = factorial(p - 1) * factorial(q), factorial(q - 1) * factorial(p)
+                image = delta(a, b)
+                assert image * (scale_ab * scale_ba) == ab * scale_ba + ba * scale_ab
+                deltas += bool(image)
+    assert nonzero >= 80 and brackets >= 10 and deltas >= 8
 
 
 # ---------------------------------------------------------------------------
@@ -342,6 +386,14 @@ def test_jacobi_needs_grade_at_least_one():
     assert jacobi_defect(d1, [x1 * x1]) == jacobi_defect_bruteforce(d1, [x1 * x1])
     assert not jacobi_identity_holds(d1)
     assert jacobi_identity_holds(MultivectorField(3, 1))
+
+
+def test_shuffle_table_built_once_per_grade():
+    assert _jacobi_shuffles(3) is _jacobi_shuffles(3)
+    assert len(_jacobi_shuffles(3)) == comb(5, 3)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="grade >= 1"):
+            _jacobi_shuffles(0)
 
 
 def test_jacobi_oracle_is_independent_of_classifier(monkeypatch):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import pathlib
 import random
@@ -459,15 +460,74 @@ def test_cli_unknown_command_usage_error():
     assert excinfo.value.code == 2
 
 
+# sha256 of `npk suite --seed S --json` stdout, and exit code plus sha256 of
+# `npk COMMAND SPEC --json` stdout for each spec file; any change to the
+# canonical output of a command is a change of these values
+SUITE_DIGESTS = {
+    0: "cfb18f40e78dca932a5ada7b2e5eb460d4e705711409062c2b32c916fa04da67",
+    42: "5c2b5c5dd01a58d2538a3ede58808ff18f6289814c6b369575b33f39a012b9af",
+}
+SPEC_DIGESTS = {
+    "decomposable_3vector": {
+        "check": (0, "04c2e3138131f3e5edffc5caed23e6445b1521532cf4e9522fb186a3954e8c57"),
+        "rank": (0, "eac7dcba99ebfba79ae29550f75aef2a4dabb92dd93c8418d803859f6d05bc11"),
+        "factorize": (0, "2c4dadf9fddd9db5f5eb30cf0530689deeb84b770525a5f7ea192892f40395b4"),
+        "nambu": (0, "483aafd701dbf29fbc53c6ac67b1a8ef8bfff540dd4fffbca69be6fa5f936ddd"),
+        "jacobi": (0, "babc70892eeb34c924574be86b257c757f719093d9efd7ce6964409c4e2b043c"),
+        "sigma-delta": (0, "929f8bfbc4b5782cf399d9085a080f575e52ad452bb7f40f8f526a95db149fa6"),
+    },
+    "nonpoisson_3vector": {
+        "check": (1, "447e9bd13af3054a78c6b25c369bdd75a22802dc7606fc95465f288311d26db5"),
+        "rank": (0, "d4a1cc4c197244cbc41dd04a9f2233f50d092f900901a5b0ae0480a4f66372b6"),
+        "factorize": (1, "3da9206bcbbf530660022d269545e3b47db1b7325f3698f72054f7cc2afad507"),
+        "nambu": (1, "d33a81112b54e0eeeb7dd5fa2e326513943b92dcaef089c99ba2ae020fa53e71"),
+        "jacobi": (1, "544383b0d5980b0cbaf3fb631291fdc33e496e9e92222eb320aa760b7b3f3dab"),
+        "sigma-delta": (1, "7d29b278da5ea4e10c9d5bf03207389911e3eb8b2a8b7d24f9bd6d518f0cc73c"),
+    },
+    "scaled_decomposable_field": {
+        "check": (0, "04c2e3138131f3e5edffc5caed23e6445b1521532cf4e9522fb186a3954e8c57"),
+        "rank": (0, "eac7dcba99ebfba79ae29550f75aef2a4dabb92dd93c8418d803859f6d05bc11"),
+        "factorize": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+        "nambu": (0, "483aafd701dbf29fbc53c6ac67b1a8ef8bfff540dd4fffbca69be6fa5f936ddd"),
+        "jacobi": (0, "babc70892eeb34c924574be86b257c757f719093d9efd7ce6964409c4e2b043c"),
+        "sigma-delta": (0, "929f8bfbc4b5782cf399d9085a080f575e52ad452bb7f40f8f526a95db149fa6"),
+    },
+    "two_block_4vector": {
+        "check": (0, "03ac08e5e0712d4bbd165f3c7de201d6e64a069dda2b8af9c5d15a41be710a67"),
+        "rank": (0, "4ec6a6cfaa73a96f2b08a391736c9a049220ed03395e3a846fdf0d06d016b7e8"),
+        "factorize": (1, "3da9206bcbbf530660022d269545e3b47db1b7325f3698f72054f7cc2afad507"),
+        "nambu": (1, "d33a81112b54e0eeeb7dd5fa2e326513943b92dcaef089c99ba2ae020fa53e71"),
+        "jacobi": (0, "babc70892eeb34c924574be86b257c757f719093d9efd7ce6964409c4e2b043c"),
+        "sigma-delta": (0, "2e1f766f3721c56168746e467d43d8bf176705e88d45a4e3529738d3a21aff60"),
+    },
+}
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 def test_cli_suite_deterministic(capsys):
     assert main(["suite", "--seed", "42", "--json"]) == 0
     first = capsys.readouterr().out
     assert main(["suite", "--seed", "42", "--json"]) == 0
     second = capsys.readouterr().out
     assert first == second
+    assert _sha256(first) == SUITE_DIGESTS[42]
     report = json.loads(first)
     assert report["passed"] is True
     assert len(report["suites"]) == 8
+
+
+def test_cli_outputs_match_recorded_digests(capsys):
+    # seed 42 is pinned by test_cli_suite_deterministic
+    assert main(["suite", "--seed", "0", "--json"]) == 0
+    assert _sha256(capsys.readouterr().out) == SUITE_DIGESTS[0]
+    assert sorted(p.stem for p in SPECS.glob("*.json")) == sorted(SPEC_DIGESTS)
+    for name, expected in SPEC_DIGESTS.items():
+        for command, (code, digest) in expected.items():
+            assert main([command, str(SPECS / f"{name}.json"), "--json"]) == code, (command, name)
+            assert _sha256(capsys.readouterr().out) == digest, (command, name)
 
 
 def test_public_names_resolve():
