@@ -15,7 +15,6 @@ import functools
 import json
 import sys
 import time
-from fractions import Fraction
 
 from .compat import delta, gradient_contraction, is_compatible
 from .fields import MultivectorField, jacobi_identity_holds
@@ -27,7 +26,7 @@ from .suites import run_all
 
 
 def _point_str(point) -> list[str]:
-    return [str(Fraction(c)) for c in point]
+    return [str(c) for c in point]  # the sample points are Fractions already
 
 
 def _emit(report: dict, as_json: bool, elapsed: float) -> None:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exterior import first_failing_pair
+from .exterior import _add_term, blade_contractions, first_failing_pair, wedge_terms
 from .fields import MultivectorField, contracted_derivative
 from .polynomial import Polynomial
 
@@ -42,10 +42,19 @@ def is_compatible(structure: MultivectorField, candidate: MultivectorField) -> C
         raise ValueError("incompatible spaces")
     if candidate.grade == 0:
         return Compatibility(True, None)
-    m = structure.dim
-    sc = {a: structure.contract_basis(a) for a in range(1, m + 1)}
-    cc = {a: candidate.contract_basis(a) for a in range(1, m + 1)}
-    witness = first_failing_pair(m, lambda a, b: sc[a].wedge(cc[b]) + sc[b].wedge(cc[a]))
+    if structure.grade == 0:
+        raise ValueError("cannot contract a scalar")
+    # {(a,): i(dx^a) X} for both fields, read in one pass; absent when zero
+    sc = blade_contractions(structure.terms, 1)
+    cc = blade_contractions(candidate.terms, 1)
+
+    def polarized(a: int, b: int) -> dict:
+        out = wedge_terms(sc.get((a,), {}), cc.get((b,), {}))
+        for blade, coef in wedge_terms(sc.get((b,), {}), cc.get((a,), {})).items():
+            _add_term(out, blade, coef)
+        return out
+
+    witness = first_failing_pair(structure.dim, polarized)
     return Compatibility(witness is None, witness)
 
 

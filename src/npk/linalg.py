@@ -1,9 +1,10 @@
 """Exact rational linear algebra: reduced echelon forms and subspaces.
 
 Matrices are iterables of equal-length rows of ints or Fractions.  The one
-elimination, :func:`rref`, runs fraction-free on sparse integer rows,
-stops as soon as the rank reaches the width, and turns only the pivot
-rows back into Fractions.  Subspaces of the base
+forward elimination runs fraction-free on sparse integer rows and stops
+as soon as the rank reaches the width; :func:`rref` turns only its pivot
+rows back into Fractions, and :func:`sparse_rank` takes sparse integer
+rows and returns the rank alone.  Subspaces of the base
 space and of its dual share one representation (a canonical reduced
 row-echelon basis); the caller tracks variance.  Canonical form makes
 subspace equality plain structural equality.  The kernel of a matrix is
@@ -28,7 +29,7 @@ def _primitive(vec: dict[int, int]) -> dict[int, int]:
 
 
 def _integer_row(row: Sequence) -> dict[int, int]:
-    """The nonzero entries of ``row`` over the lcm of their denominators, primitive."""
+    """The nonzero entries of ``row`` over the lcm of their denominators."""
     entries = []
     for j, x in enumerate(row):
         if x:
@@ -38,7 +39,7 @@ def _integer_row(row: Sequence) -> dict[int, int]:
                     continue
             entries.append((j, x))
     den = lcm(*(x.denominator for _, x in entries))
-    return _primitive({j: x.numerator * (den // x.denominator) for j, x in entries})
+    return {j: x.numerator * (den // x.denominator) for j, x in entries}
 
 
 def _eliminate(vec: dict[int, int], pivot_row: dict[int, int], c: int) -> dict[int, int]:
@@ -56,28 +57,19 @@ def _eliminate(vec: dict[int, int], pivot_row: dict[int, int], c: int) -> dict[i
     return _primitive(out)
 
 
-def rref(rows: Iterable[Sequence], width: int | None = None) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row-echelon form; returns the nonzero rows and pivot columns.
+def _forward(vecs: Iterable[dict[int, int]], width: int) -> tuple[dict[int, dict[int, int]], list[int]]:
+    """Fraction-free forward elimination of sparse integer rows.
 
-    Fraction-free: each row is read once, its zero entries dropped, and
-    scaled by the lcm of its denominators to a primitive integer row
-    ``{col: int}``.  It is reduced, in integers, against the pivot rows
-    found so far (each starts at its own pivot column and is kept
-    primitive, so entries stay small) and, if anything is left, joins them.
-    Elimination stops once the rank equals ``width``; later rows are only
-    checked for length.  Only the pivot rows are back-substituted and
-    turned into dense Fraction rows with leading entry 1.
+    Each row is made primitive and reduced, in integers, against the pivot
+    rows found so far (each starts at its own pivot column and is kept
+    primitive, so entries stay small); if anything is left it joins them.
+    Stops, reading no further row, once the rank equals ``width``.
+    Returns the pivot rows by pivot column and the pivot columns, ascending.
     """
     echelon: dict[int, dict[int, int]] = {}
-    order: list[int] = []  # pivot columns, ascending
-    for row in rows:
-        if width is None:
-            width = len(row)
-        elif len(row) != width:
-            raise ValueError("matrix rows must have equal length")
-        if len(order) == width:
-            continue
-        vec = _integer_row(row)
+    order: list[int] = []
+    for vec in vecs:
+        vec = _primitive(vec)
         for c in order:
             if c in vec:
                 vec = _eliminate(vec, echelon[c], c)
@@ -85,8 +77,38 @@ def rref(rows: Iterable[Sequence], width: int | None = None) -> tuple[list[list[
             lead = min(vec)
             echelon[lead] = vec
             insort(order, lead)
+            if len(order) == width:
+                break
+    return echelon, order
+
+
+def sparse_rank(vecs: Iterable[dict[int, int]], width: int) -> int:
+    """Rank of sparse integer rows ``{col: int}`` with columns below ``width``.
+
+    The forward pass of :func:`rref` alone: no back-substitution and no
+    Fractions.
+    """
+    return len(_forward(vecs, width)[1])
+
+
+def rref(rows: Iterable[Sequence], width: int | None = None) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row-echelon form; returns the nonzero rows and pivot columns.
+
+    Fraction-free: every row is checked for length, and each one the
+    forward pass (:func:`_forward`) reads has its zero entries dropped and
+    is scaled by the lcm of its denominators to an integer row
+    ``{col: int}``.  Elimination stops once the rank equals ``width``.
+    Only the pivot rows are back-substituted and turned into dense
+    Fraction rows with leading entry 1.
+    """
+    rows = list(rows)
     if width is None:
-        raise ValueError("width required for an empty matrix")
+        if not rows:
+            raise ValueError("width required for an empty matrix")
+        width = len(rows[0])
+    if any(len(row) != width for row in rows):
+        raise ValueError("matrix rows must have equal length")
+    echelon, order = _forward(map(_integer_row, rows), width)
     zero = Fraction(0)
     reduced = []
     for i in reversed(range(len(order))):

@@ -26,17 +26,18 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 from typing import Sequence
 
-from .exterior import blade_contractions, first_failing_pair, shuffle_sign
+from .exterior import blade_contractions, first_failing_pair, shuffle_sign, wedge_terms
 from .fields import (
     MultivectorField,
     coordinate_vector_field,
     differential_defect,
     lie_bracket,
 )
-from .grassmann import plucker_holds, sharp_profile
-from .linalg import Subspace
+from .grassmann import plucker_holds
+from .linalg import Subspace, sparse_rank
 
 Point = tuple[Fraction, ...]
 
@@ -73,8 +74,8 @@ def algebraic_condition(field: MultivectorField) -> AlgebraicConditionReport:
     m = field.dim
     if field.grade < 2:
         raise ValueError("needs grade at least 2")
-    c = {a: field.contract_basis(a) for a in range(1, m + 1)}
-    witness = first_failing_pair(m, lambda a, b: c[a].wedge(c[b]))
+    c = blade_contractions(field.terms, 1)  # {(a,): i(dx^a) P}, absent when zero
+    witness = first_failing_pair(m, lambda a, b: wedge_terms(c.get((a,), {}), c.get((b,), {})))
     return AlgebraicConditionReport(witness is None, witness)
 
 
@@ -94,13 +95,45 @@ def pointwise_decomposable(field: MultivectorField) -> bool:
 
 def default_sample_points(dim: int, seed: int = 0, extra: int = 8) -> list[Point]:
     """Origin, the coordinate unit points, and seeded random rational points."""
-    points: list[Point] = [tuple(Fraction(0) for _ in range(dim))]
+    zero, one = Fraction(0), Fraction(1)
+    points: list[Point] = [(zero,) * dim]
     for u in range(dim):
-        points.append(tuple(Fraction(1 if i == u else 0) for i in range(dim)))
+        points.append(tuple(one if i == u else zero for i in range(dim)))
     rng = random.Random(seed)
     for _ in range(extra):
         points.append(tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(dim)))
     return points
+
+
+def _sample_ranks(field: MultivectorField, points: Sequence[Point]) -> list[int]:
+    """Rank of the field's value at each point, one forward elimination each.
+
+    The (n-1)-face table is built once, symbolically: contracting the
+    term map ``{blade: k}`` (``k`` the blade's 1-based position) gives
+    for every face the entries ``{(u,): +-k}``, so row ``face`` of the
+    sharp matrix at a point reads component ``|k|`` with the sign of
+    ``k``.  At a point each component is evaluated once, the values are
+    brought to one integer denominator (which scales every row alike and
+    leaves the rank unchanged), and the nonzero entries fill sparse
+    integer rows for :func:`~npk.linalg.sparse_rank`.
+    """
+    m = field.dim
+    polys = list(field.terms.values())
+    faces = blade_contractions({blade: k for k, blade in enumerate(field.terms, 1)}, field.grade - 1)
+    table = [[(u - 1, k) for (u,), k in face.items()] for face in faces.values()]
+
+    def rank(values: list[Fraction]) -> int:
+        den = lcm(*(v.denominator for v in values))
+        ints = [0] + [v.numerator * (den // v.denominator) for v in values]
+        rows = (
+            {col: ints[k] if k > 0 else -ints[-k] for col, k in entries if ints[abs(k)]}
+            for entries in table
+        )
+        return sparse_rank(rows, m)
+
+    if field.is_constant():
+        return [rank([p.constant_value() for p in polys])] * len(points)
+    return [rank([p.evaluate(pt) for p in polys]) for pt in points]
 
 
 def classify(
@@ -113,7 +146,11 @@ def classify(
     The verdict applies the parity rule exactly: even grade needs only the
     differential condition, odd grade needs both; n = 2 is the classical
     Poisson case, decided by ``[P, P] = 0`` alone.  Ranks are reported at
-    the supplied or default sample points; decomposability is a polynomial
+    the supplied or default sample points, each a rank-only elimination
+    over the one face table of :func:`_sample_ranks`.  A constant field
+    is ranked once: its value, and so the sharp matrix, is the same at
+    every point, so that one rank is the exact rank at each of them (every
+    point is still checked for length).  Decomposability is a polynomial
     identity, independent of the samples.  The algebraic Nambu condition is
     equivalent to pointwise decomposability, so the one result fills both
     fields.
@@ -124,11 +161,14 @@ def classify(
     algebraic = algebraic_condition(field)
     differential = differential_condition(field)
     decomposable = pointwise_decomposable(field)
-    points = list(sample_points) if sample_points is not None else default_sample_points(field.dim, seed)
-    ranks = tuple(
-        (tuple(Fraction(c) for c in pt), sharp_profile(field.evaluate(pt)).rank)
-        for pt in points
-    )
+    if sample_points is None:
+        sample_points = default_sample_points(field.dim, seed)
+    points = []
+    for pt in sample_points:
+        if len(pt) != field.dim:
+            raise ValueError(f"point must have {field.dim} coordinates")
+        points.append(tuple(c if isinstance(c, Fraction) else Fraction(c) for c in pt))
+    ranks = tuple(zip(points, _sample_ranks(field, points)))
     return PoissonVerdict(
         parity="even" if even else "odd",
         algebraic_holds=algebraic.holds,

@@ -118,6 +118,35 @@ def test_wedge_closure_recorded_not_asserted():
 # ---------------------------------------------------------------------------
 # self-compatibility
 
+def test_witnesses_match_the_per_index_contractions():
+    # is_compatible and algebraic_condition read every i(dx^a) X off one
+    # blade_contractions pass; their first failing pair must be the one
+    # that m separate contract_basis calls give
+    def first_pair(m, term):
+        pairs = ((a, b) for a in range(1, m + 1) for b in range(a, m + 1))
+        return next((pair for pair in pairs if term(*pair)), None)
+
+    rng = random.Random("one-pass-contractions")
+    witnesses = set()
+    for _ in range(200):
+        n, q = rng.randint(2, 4), rng.randint(1, 3)
+        m = rng.randint(max(n, q), 6)
+        p = random_linear_field(rng, m, n, max_terms=4)
+        u = p if rng.random() < 0.3 else random_linear_field(rng, m, q, max_terms=3)
+        sc = {a: p.contract_basis(a) for a in range(1, m + 1)}
+        cc = {a: u.contract_basis(a) for a in range(1, m + 1)}
+        want = first_pair(m, lambda a, b: sc[a].wedge(cc[b]) + sc[b].wedge(cc[a]))
+        report = is_compatible(p, u)
+        assert (report.holds, report.witness) == (want is None, want)
+        want = first_pair(m, lambda a, b: sc[a].wedge(sc[b]))
+        algebraic = algebraic_condition(p)
+        assert (algebraic.holds, algebraic.witness) == (want is None, want)
+        witnesses.update((report.witness, algebraic.witness))
+    assert None in witnesses and len(witnesses) > 4
+    with pytest.raises(ValueError, match="cannot contract a scalar"):
+        is_compatible(grade0(X[0]), BLADE)
+
+
 def test_self_compatibility_cross_checks():
     # the pair sum (i(dx^a) P) ^ (i(dx^b) P) + (i(dx^b) P) ^ (i(dx^a) P) is
     # twice one wedge at odd n, where the contractions have even grade and

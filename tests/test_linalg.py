@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from npk.linalg import Subspace, intersect, rref
+from math import lcm
+
+from npk.linalg import Subspace, intersect, rref, sparse_rank
 from oracles import fraction_rref
 
 
@@ -167,12 +169,31 @@ def test_canonical_form_is_basis_independent():
 # ---------------------------------------------------------------------------
 # the fraction-free kernel against the dense Fraction Gauss-Jordan oracle
 
+def integer_rows(rows):
+    """Each row as sparse integers ``{col: int}``, scaled by its own denominator lcm."""
+    out = []
+    for row in rows:
+        row = [Fraction(x) for x in row]
+        den = lcm(*(x.denominator for x in row))
+        out.append({j: int(x * den) for j, x in enumerate(row) if x})
+    return out
+
+
 def assert_matches_oracle(rows, width=None):
     got = rref(rows, width)
     want = fraction_rref(rows, width)
     assert got == want
     for row in got[0]:
         assert all(isinstance(x, Fraction) for x in row)
+    assert_rank_matches_oracle(rows, width)
+
+
+def assert_rank_matches_oracle(rows, width=None):
+    want = len(fraction_rref(rows, width)[0])
+    if width is None:
+        width = len(rows[0])
+    assert sparse_rank(integer_rows(rows), width) == want
+    assert sparse_rank(iter(integer_rows(rows)), width) == want
 
 
 def test_rref_special_rows():
@@ -195,6 +216,7 @@ def test_rref_hilbert_8():
     reduced, pivots = rref(hilbert)
     assert pivots == list(range(8))
     assert (reduced, pivots) == fraction_rref(hilbert)
+    assert_rank_matches_oracle(hilbert)
 
 
 def _entry(rng):
@@ -274,3 +296,16 @@ def test_rref_empty_needs_width():
         rref([])
     with pytest.raises(ValueError, match="width required for an empty matrix"):
         rref(iter(()))
+
+
+def test_sparse_rank_stops_at_full_rank():
+    # rows after the rank reaches the width are never read
+    def rows():
+        yield {0: 2, 1: 4}
+        yield {0: 6, 1: 12}
+        yield {1: -3}
+        raise AssertionError("read a row after full rank")
+
+    assert sparse_rank(rows(), 2) == 2
+    assert sparse_rank([{}, {2: 5}, {}], 3) == 1
+    assert sparse_rank([], 3) == 0

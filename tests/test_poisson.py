@@ -1,9 +1,13 @@
 import random
 import warnings
 from fractions import Fraction
+from math import comb
 
 import pytest
 
+import npk.grassmann
+import npk.linalg
+import npk.poisson
 from npk.exterior import iter_blades
 from npk.fields import MultivectorField, coordinate_vector_field, jacobi_identity_holds
 from npk.grassmann import sharp_profile
@@ -306,6 +310,115 @@ def test_rank_is_generically_maximal_along_lines():
             for t in (Fraction(1, 3), Fraction(1, 2), 1, 2, 5)
         )
         assert generic >= special
+
+
+def _rank_sampling_fields():
+    """Seeded fields for the rank-sampling tests: n = 2..5, three kinds."""
+    rng = random.Random("rank-sampling")
+    fields = []
+    for i in range(240):
+        n = 2 + i % 4
+        m = rng.randint(n, n + 3)
+        kind = (i // 4) % 3
+        if kind == 0:
+            f = random_linear_field(rng, m, n, max_terms=6)
+        elif kind == 1:
+            blades = rng.sample(list(iter_blades(m, n)), min(rng.randint(1, 4), comb(m, n)))
+            f = MultivectorField(m, n, {b: random_polynomial(rng, m, degree=2, max_monos=3) for b in blades})
+        else:
+            f = random_constant_field(rng, m, n, max_terms=5)
+        fields.append(f)
+    return fields
+
+
+def assert_ranks_match_sharp_profile(f, points=None):
+    verdict = classify(f, points)
+    if points is None:
+        points = default_sample_points(f.dim)
+    want = tuple(
+        (tuple(Fraction(c) for c in pt), sharp_profile(f.evaluate(pt)).rank) for pt in points
+    )
+    assert verdict.rank_at_samples == want
+    assert all(isinstance(c, Fraction) for pt, _ in verdict.rank_at_samples for c in pt)
+    return [rank for _, rank in want]
+
+
+def test_rank_sampling_matches_sharp_profile_at_every_point():
+    # classify ranks each point from one symbolic face table and a
+    # rank-only elimination; sharp_profile ranks the evaluated value
+    rng = random.Random("rank-sampling-points")
+    kinds = set()
+    for f in _rank_sampling_fields():
+        points = default_sample_points(f.dim, seed=rng.randint(0, 99))
+        # plain ints and Fractions with large denominators, mixed in one point
+        points.append(tuple(
+            rng.randint(-5, 5) if rng.random() < 0.5 else Fraction(rng.randint(-50, 50), rng.randint(2, 97))
+            for _ in range(f.dim)
+        ))
+        ranks = assert_ranks_match_sharp_profile(f, points)
+        kinds.add((f.grade, f.is_constant(), len(set(ranks)) > 1))
+    assert {n for n, _, _ in kinds} == {2, 3, 4, 5}
+    assert {(True, False), (False, False), (False, True)} <= {(c, v) for _, c, v in kinds}
+
+
+def test_rank_sampling_special_cases():
+    # the zero field has rank 0 everywhere
+    zero = MultivectorField(4, 3)
+    assert [r for _, r in classify(zero).rank_at_samples] == [0] * (1 + 4 + 8)
+    # x1 d1^d2^d3 + x2 d1^d4^d5 has rank 0 at the origin and at e3..e5, rank 3
+    # at e1 and e2, and rank 5 wherever x1 x2 != 0
+    drop = MultivectorField(M, 3, {(1, 2, 3): X[0], (1, 4, 5): X[1]})
+    ranks = assert_ranks_match_sharp_profile(drop)
+    assert ranks[:3] == [0, 3, 3] and ranks[3:6] == [0, 0, 0] and 5 in ranks
+    # coefficients and coordinates with denominators > 1 and distinct lcms
+    half = Polynomial.constant(Fraction(1, 2), M)
+    thirds = Fraction(2, 3) * X[2] - Fraction(5, 7)
+    field = MultivectorField(M, 2, {(1, 2): half * X[0], (2, 3): thirds, (4, 5): Fraction(7, 11) * X[3]})
+    points = [
+        (Fraction(1, 2), Fraction(-3, 7), Fraction(1, 3), Fraction(1, 5), Fraction(9, 13)),
+        (Fraction(0), Fraction(1, 3), Fraction(15, 14), Fraction(4, 5), Fraction(-1, 10**9)),
+        (2, Fraction(1, 6), Fraction(15, 14), 0, 1),
+    ]
+    # rank 2 from e2 ^ (x1/2 e1 - (2/3 x3 - 5/7) e3) unless x1 = 2/3 x3 - 5/7 = 0,
+    # and 2 more from 7/11 x4 e4 ^ e5 unless x4 = 0
+    assert assert_ranks_match_sharp_profile(field, points) == [4, 2, 2]
+    # Pfaffian x1 x2 - 1: the rank drops to 2 exactly where x1 x2 = 1, which
+    # only the values over one common denominator can see at (1/2, 2)
+    y = [Polynomial.variable(u, 4) for u in range(1, 5)]
+    pfaffian = MultivectorField(4, 2, {(1, 2): y[0], (3, 4): y[1], (1, 3): 1, (2, 4): 1})
+    points = [(Fraction(1, 2), 2, 0, 0), (Fraction(2, 3), Fraction(3, 2), 5, 0), (Fraction(1, 3), 2, 0, 0)]
+    assert assert_ranks_match_sharp_profile(pfaffian, points) == [2, 2, 4]
+
+
+def test_classify_runs_one_rank_only_elimination_per_point(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("classify reached sharp_profile or rref")
+
+    # swapping the code object catches callers that imported the name directly
+    for fn in (npk.grassmann.sharp_profile, npk.linalg.rref):
+        monkeypatch.setattr(fn, "__code__", forbidden.__code__)
+    calls = []
+    kernel = npk.poisson.sparse_rank
+
+    def counted(rows, width):
+        calls.append(width)
+        return kernel(rows, width)
+
+    monkeypatch.setattr(npk.poisson, "sparse_rank", counted)
+    polynomial = MultivectorField(M, 3, {(1, 2, 3): X[0], (1, 4, 5): X[1] + 1})
+    verdict = classify(polynomial)
+    assert 0 < len(calls) <= len(verdict.rank_at_samples) == 1 + M + 8
+    for constant in (MIXED, MultivectorField(M, 3)):
+        calls.clear()
+        verdict = classify(constant)
+        assert len(calls) == 1
+        assert len({rank for _, rank in verdict.rank_at_samples}) == 1
+    # every point is checked for length, whether or not it is ranked
+    for f in (polynomial, MIXED, MultivectorField(M, 3)):
+        with pytest.raises(ValueError, match=f"point must have {M} coordinates"):
+            classify(f, [(0,) * M, (1,) * (M - 1)])
+        with pytest.raises(ValueError, match=f"point must have {M} coordinates"):
+            f.evaluate((1,) * (M - 1))
 
 
 def test_jacobi_oracle_agrees_with_classifier_spot_checks():
