@@ -18,8 +18,8 @@ import time
 
 from .compat import delta, gradient_contraction, is_compatible
 from .fields import MultivectorField, jacobi_identity_holds
-from .grassmann import NotDecomposableError, factorize, sharp_profile
-from .poisson import classify, default_sample_points, pointwise_decomposable
+from .grassmann import NotDecomposableError, factorize
+from .poisson import classify, default_sample_points, pointwise_decomposable, sample_ranks
 from .polynomial import Polynomial
 from .specio import SpecError, parse_spec, to_field
 from .suites import run_all
@@ -56,7 +56,7 @@ def _load_field(path: str) -> MultivectorField:
 
 def _cmd_check(field: MultivectorField, args) -> tuple[dict, int]:
     points = default_sample_points(field.dim, args.seed, extra=args.samples)
-    verdict = classify(field, points, seed=args.seed)
+    verdict = classify(field, points)
     report = {
         "command": "check",
         "seed": args.seed,
@@ -77,10 +77,12 @@ def _cmd_check(field: MultivectorField, args) -> tuple[dict, int]:
 
 
 def _cmd_rank(field: MultivectorField, args) -> tuple[dict, int]:
-    entries = []
-    for pt in default_sample_points(field.dim, args.seed, extra=args.samples):
-        profile = sharp_profile(field.evaluate(pt))
-        entries.append({"point": _point_str(pt), "rank": profile.rank, "annihilator_dim": profile.annihilator.dim})
+    # the annihilator has one basis covector per free column: m - rank of them
+    points = default_sample_points(field.dim, args.seed, extra=args.samples)
+    entries = [
+        {"point": _point_str(pt), "rank": rank, "annihilator_dim": field.dim - rank}
+        for pt, rank in sample_ranks(field, points)
+    ]
     return {"command": "rank", "seed": args.seed, "rank_at_samples": entries}, 0
 
 

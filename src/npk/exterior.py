@@ -12,9 +12,11 @@ coefficients.  The term kernels (:func:`wedge_terms`,
 :func:`contract_terms`, ...) only need coefficients supporting ``+``,
 unary ``-``, ``*`` and truthiness, so both subclasses share them.
 :func:`first_failing_pair` is the one quantifier over basis covector
-pairs that the bilinear and polarized quadratic conditions reduce to;
-:func:`blade_contractions` is the one table of contractions with basis
-k-forms, built from the faces of the blades present.
+pairs that the bilinear and polarized quadratic conditions reduce to.
+:func:`blade_contractions` is the one kernel for contraction with basis
+forms: it tabulates the contractions with every basis k-form at once,
+built from the faces of the blades present, and a basis covector is the
+case k = 1.  :func:`contract_terms` contracts with one general covector.
 
 Sign conventions, fixed once for the whole package:
 
@@ -162,44 +164,26 @@ def contract_terms(alpha: Mapping[int, object], terms: Mapping[Blade, object]) -
     return out
 
 
-def contract_basis_terms(terms: Mapping[Blade, object], u: int) -> dict:
-    """Interior product with the basis covector dual to index ``u``."""
-    out: dict = {}
-    for blade, coef in terms.items():
-        try:
-            j = blade.index(u)
-        except ValueError:
-            continue
-        _add_term(out, blade[:j] + blade[j + 1:], coef if j % 2 == 0 else -coef)
-    return out
-
-
-def contract_blade_terms(terms: Mapping[Blade, object], blade: Blade) -> dict:
-    """Iterated basis contraction; the first index of ``blade`` acts first."""
-    cur = dict(terms)
-    for idx in blade:
-        if not cur:
-            break
-        cur = contract_basis_terms(cur, idx)
-    return cur
-
-
 def blade_contractions(terms: Mapping[Blade, object], k: int) -> dict:
-    """The nonzero ``contract_blade_terms(terms, s)`` for every k-blade ``s``.
+    """Map each k-blade ``s`` to ``i(dx^s) terms``, first index acting first.
 
+    Zero contractions are absent, so a blade shorter than k adds nothing.
     Built from the k-faces of the blades present, so the cost is
     ``len(terms) * C(grade, k)`` rather than ``C(dim, k)`` contractions.
     Contracting the face at positions ``j1 < ... < jk`` of a blade, first
     index first, has sign ``(-1)^(sum(j) - k(k-1)/2)``.  A face and its
     complement determine the blade, so no two terms meet and nothing
-    cancels.
+    cancels.  Complementing reverses lexicographic order, so the faces in
+    order pair with the complements in reverse order.
     """
     out: dict = {}
     shift = k * (k - 1) // 2
     for blade, coef in terms.items():
-        for pos in combinations(range(len(blade)), k):
-            face = tuple(blade[j] for j in pos)
-            rest = tuple(idx for idx in blade if idx not in face)
+        if len(blade) < k:
+            continue
+        rests = list(combinations(blade, len(blade) - k))
+        faces = zip(combinations(range(len(blade)), k), combinations(blade, k), reversed(rests))
+        for pos, face, rest in faces:
             out.setdefault(face, {})[rest] = -coef if (sum(pos) - shift) % 2 else coef
     return out
 

@@ -6,9 +6,10 @@ container with coefficients in the polynomials in ``x1..xm``: its
 ``component``, ``wedge`` and ``+ - * ==`` are the shared ones.  This
 subclass fixes the coefficient ring (so ``*`` also takes a polynomial
 factor) and adds evaluation at a rational point (an exact
-:class:`~npk.exterior.Multivector`), partial derivatives and contractions
-with covector fields.  The module
-also provides the n-ary bracket a grade-n field induces on polynomial
+:class:`~npk.exterior.Multivector`), partial derivatives and the
+contraction with a covector field; contraction with basis forms reads the
+face table :func:`~npk.exterior.blade_contractions`.  The module also
+provides the n-ary bracket a grade-n field induces on polynomial
 functions, the differential defect whose vanishing is the differential
 half of the Poisson conditions (one case of :func:`contracted_derivative`,
 the kernel it shares with the Lie bracket and :func:`~npk.compat.delta`),
@@ -44,8 +45,6 @@ from .exterior import (
     Multivector,
     _add_term,
     blade_contractions,
-    contract_basis_terms,
-    contract_blade_terms,
     contract_terms,
     shuffle_sign,
     sort_to_blade,
@@ -100,21 +99,6 @@ class MultivectorField(GradedTerms):
 
     # -- interior products ---------------------------------------------------
 
-    def contract_basis(self, u: int) -> "MultivectorField":
-        """Interior product with the coordinate covector field dx^u."""
-        if self.grade == 0:
-            raise ValueError("cannot contract a scalar")
-        if not 1 <= u <= self.dim:
-            raise ValueError(f"coordinate index {u} out of range 1..{self.dim}")
-        return MultivectorField(self.dim, self.grade - 1, contract_basis_terms(self.terms, u))
-
-    def contract_blade(self, blade: Blade) -> "MultivectorField":
-        """Iterated basis contraction; the first index acts first."""
-        blade = tuple(blade)
-        if len(blade) > self.grade:
-            raise ValueError("contraction exceeds grade")
-        return MultivectorField(self.dim, self.grade - len(blade), contract_blade_terms(self.terms, blade))
-
     def contract_covector(self, comps: Sequence[Polynomial]) -> "MultivectorField":
         """Interior product with a covector field given by m components."""
         if self.grade == 0:
@@ -152,8 +136,11 @@ def coordinate_vector_field(dim: int, u: int) -> MultivectorField:
 def contracted_derivative(a: MultivectorField, b: MultivectorField) -> MultivectorField:
     """``sum_u (i(dx^u) A) ^ (d_u B)``, of grade ``a.grade + b.grade - 1``."""
     out: dict[Blade, Polynomial] = {}
-    for u in sorted(set().union(*(p.variables() for p in b.terms.values()))):
-        contracted = contract_basis_terms(a.terms, u)
+    variables = set().union(*(p.variables() for p in b.terms.values()))
+    # a constant B contracts nothing, so its table is never built
+    faces = blade_contractions(a.terms, 1) if variables else {}
+    for u in sorted(variables):
+        contracted = faces.get((u,))
         if not contracted:
             continue
         partial = {blade: d for blade, p in b.terms.items() if (d := p.derivative(u))}

@@ -183,19 +183,22 @@ class IrreducibilityKind(Enum):
     REDUCIBILITY_WITNESS = "reducibility_witness"
 
 
+_IRREDUCIBILITY_SAMPLES = 20
+
+
 @dataclass(frozen=True)
 class IrreducibilityVerdict:
     kind: IrreducibilityKind
     witness: Covector | None = None
 
 
-def irreducibility_check(p: Multivector, samples: int = 20, seed: int = 0) -> IrreducibilityVerdict:
+def irreducibility_check(p: Multivector, seed: int = 0) -> IrreducibilityVerdict:
     """Search for a split of ``p`` into independent grade-n summands.
 
     Rank below 2n certifies irreducibility outright (each summand of a
-    split carries rank at least n).  Otherwise basis covectors and seeded
-    random covectors are sampled; a contraction that stays nonzero while
-    dropping the rank by at least n witnesses reducibility.  Sampling can
+    split carries rank at least n).  Otherwise the basis covectors and 20
+    seeded random covectors are sampled; a contraction that stays nonzero
+    while dropping the rank by at least n witnesses reducibility.  Sampling can
     never certify irreducibility, so the remaining outcome is an honest
     "no witness found".
     """
@@ -207,7 +210,7 @@ def irreducibility_check(p: Multivector, samples: int = 20, seed: int = 0) -> Ir
         return IrreducibilityVerdict(IrreducibilityKind.CERTIFIED_BY_RANK)
     rng = random.Random(seed)
     candidates = [Covector.basis(m, u) for u in range(1, m + 1)]
-    for _ in range(samples):
+    for _ in range(_IRREDUCIBILITY_SAMPLES):
         comps = [Fraction(rng.randint(-9, 9)) for _ in range(m)]
         if any(comps):
             candidates.append(Covector(m, tuple(comps)))

@@ -12,6 +12,7 @@ besides the face-table oracle :func:`npk.fields.jacobi_identity_holds`.
 
 from __future__ import annotations
 
+from functools import reduce
 from itertools import combinations
 from math import factorial
 from typing import Sequence
@@ -67,11 +68,17 @@ def nambu_component_route(field: MultivectorField) -> bool:
 
 def nambu_polarized_route(field: MultivectorField) -> bool:
     # polarized wedge identities over basis covector pairs and basis
-    # (n-2)-forms; polarization is lossless in characteristic zero
+    # (n-2)-forms; polarization is lossless in characteristic zero.  One
+    # basis covector at a time, apart from the face table that pointwise
+    # decomposability reads; the first index of phi acts first
     m, n = field.dim, field.grade
-    c = {a: field.contract_basis(a) for a in range(1, m + 1)}
+
+    def contract(f: MultivectorField, u: int) -> MultivectorField:
+        return f.contract_covector([int(v == u) for v in range(1, m + 1)])
+
+    c = {a: contract(field, a) for a in range(1, m + 1)}
     phis = list(iter_blades(m, n - 2))
-    deep = {a: [c[a].contract_blade(phi) for phi in phis] for a in range(1, m + 1)}
+    deep = {a: [reduce(contract, phi, c[a]) for phi in phis] for a in range(1, m + 1)}
 
     def term(a: int, b: int) -> bool:
         return any(c[a].wedge(deep[b][i]) + c[b].wedge(deep[a][i]) for i in range(len(phis)))

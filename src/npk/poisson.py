@@ -105,19 +105,27 @@ def default_sample_points(dim: int, seed: int = 0, extra: int = 8) -> list[Point
     return points
 
 
-def _sample_ranks(field: MultivectorField, points: Sequence[Point]) -> list[int]:
-    """Rank of the field's value at each point, one forward elimination each.
+def sample_ranks(field: MultivectorField, points: Sequence[Point]) -> tuple[tuple[Point, int], ...]:
+    """``(point, rank)`` at each point, the point checked and made Fractions.
 
-    The (n-1)-face table is built once, symbolically: contracting the
-    term map ``{blade: k}`` (``k`` the blade's 1-based position) gives
-    for every face the entries ``{(u,): +-k}``, so row ``face`` of the
-    sharp matrix at a point reads component ``|k|`` with the sign of
-    ``k``.  At a point each component is evaluated once, the values are
-    brought to one integer denominator (which scales every row alike and
-    leaves the rank unchanged), and the nonzero entries fill sparse
-    integer rows for :func:`~npk.linalg.sparse_rank`.
+    Each rank is one forward elimination.  The (n-1)-face table is built
+    once, symbolically: contracting the term map ``{blade: k}``
+    (``k`` the blade's 1-based position) gives for every face the entries
+    ``{(u,): +-k}``, so row ``face`` of the sharp matrix at a point reads
+    component ``|k|`` with the sign of ``k``.  At a point each component
+    is evaluated once, the values are brought to one integer denominator
+    (which scales every row alike and leaves the rank unchanged), and the
+    nonzero entries fill sparse integer rows for
+    :func:`~npk.linalg.sparse_rank`.  A constant field is ranked once: its
+    value, and so the sharp matrix, is the same at every point, so that
+    one rank is the exact rank at each of them.
     """
     m = field.dim
+    converted = []
+    for pt in points:
+        if len(pt) != m:
+            raise ValueError(f"point must have {m} coordinates")
+        converted.append(tuple(c if isinstance(c, Fraction) else Fraction(c) for c in pt))
     polys = list(field.terms.values())
     faces = blade_contractions({blade: k for k, blade in enumerate(field.terms, 1)}, field.grade - 1)
     table = [[(u - 1, k) for (u,), k in face.items()] for face in faces.values()]
@@ -132,8 +140,9 @@ def _sample_ranks(field: MultivectorField, points: Sequence[Point]) -> list[int]
         return sparse_rank(rows, m)
 
     if field.is_constant():
-        return [rank([p.constant_value() for p in polys])] * len(points)
-    return [rank([p.evaluate(pt) for p in polys]) for pt in points]
+        only = rank([p.constant_value() for p in polys])
+        return tuple((pt, only) for pt in converted)
+    return tuple((pt, rank([p.evaluate(pt) for p in polys])) for pt in converted)
 
 
 def classify(
@@ -146,11 +155,8 @@ def classify(
     The verdict applies the parity rule exactly: even grade needs only the
     differential condition, odd grade needs both; n = 2 is the classical
     Poisson case, decided by ``[P, P] = 0`` alone.  Ranks are reported at
-    the supplied or default sample points, each a rank-only elimination
-    over the one face table of :func:`_sample_ranks`.  A constant field
-    is ranked once: its value, and so the sharp matrix, is the same at
-    every point, so that one rank is the exact rank at each of them (every
-    point is still checked for length).  Decomposability is a polynomial
+    the supplied or default sample points by :func:`sample_ranks`; the
+    seed only picks the default points.  Decomposability is a polynomial
     identity, independent of the samples.  The algebraic Nambu condition is
     equivalent to pointwise decomposability, so the one result fills both
     fields.
@@ -163,12 +169,7 @@ def classify(
     decomposable = pointwise_decomposable(field)
     if sample_points is None:
         sample_points = default_sample_points(field.dim, seed)
-    points = []
-    for pt in sample_points:
-        if len(pt) != field.dim:
-            raise ValueError(f"point must have {field.dim} coordinates")
-        points.append(tuple(c if isinstance(c, Fraction) else Fraction(c) for c in pt))
-    ranks = tuple(zip(points, _sample_ranks(field, points)))
+    ranks = sample_ranks(field, sample_points)
     return PoissonVerdict(
         parity="even" if even else "odd",
         algebraic_holds=algebraic.holds,

@@ -10,9 +10,9 @@ The on-disk format is a small JSON schema with exact rationals as strings
 
 Polynomial tensors use ``"kind": "polynomial"`` with each value a list of
 monomials ``{"coef": "1", "exps": [0, 1, 0, 0, 0]}``.  Parsing is strict:
-unknown fields are rejected, indices must be strictly increasing, and all
-numbers arrive as rational strings or integers.  Serialization is
-canonical, so equal specs serialize byte-identically.
+unknown and repeated fields are rejected, indices must be strictly
+increasing, and all numbers arrive as rational strings or integers.
+Serialization is canonical, so equal specs serialize byte-identically.
 """
 
 from __future__ import annotations
@@ -156,9 +156,19 @@ def parse_spec_data(obj) -> TensorSpec:
     return TensorSpec(m, n, kind, tuple(canonical))
 
 
+def _unique_fields(pairs: list) -> dict:
+    # json.loads would keep the last of two equal keys without a word
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise SpecError(f"duplicate field {key!r}")
+        obj[key] = value
+    return obj
+
+
 def parse_spec_text(text: str) -> TensorSpec:
     try:
-        obj = json.loads(text)
+        obj = json.loads(text, object_pairs_hook=_unique_fields)
     except json.JSONDecodeError as exc:
         raise SpecError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
     return parse_spec_data(obj)

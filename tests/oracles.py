@@ -12,7 +12,7 @@ from fractions import Fraction
 from itertools import combinations, permutations
 from typing import Iterator, Mapping, Sequence
 
-from npk.exterior import Multivector, contract_basis_terms, iter_blades
+from npk.exterior import Multivector, contract_terms, iter_blades
 from npk.fields import MultivectorField, nary_bracket
 from npk.linalg import Subspace
 from npk.oracles import jacobi_defect
@@ -79,7 +79,7 @@ def annihilator_by_contraction(p: Multivector) -> Subspace:
     and put in canonical form, by :func:`fraction_rref`.
     """
     m = p.dim
-    columns = [contract_basis_terms(p.terms, u) for u in range(1, m + 1)]
+    columns = [contract_terms({u: 1}, p.terms) for u in range(1, m + 1)]
     rows = [[col.get(b, Fraction(0)) for col in columns] for b in iter_blades(m, p.grade - 1)]
     reduced, pivots = fraction_rref(rows, m)
     kernel = []

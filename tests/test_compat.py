@@ -121,7 +121,7 @@ def test_wedge_closure_recorded_not_asserted():
 def test_witnesses_match_the_per_index_contractions():
     # is_compatible and algebraic_condition read every i(dx^a) X off one
     # blade_contractions pass; their first failing pair must be the one
-    # that m separate contract_basis calls give
+    # that m separate contractions with dx^a give
     def first_pair(m, term):
         pairs = ((a, b) for a in range(1, m + 1) for b in range(a, m + 1))
         return next((pair for pair in pairs if term(*pair)), None)
@@ -133,8 +133,9 @@ def test_witnesses_match_the_per_index_contractions():
         m = rng.randint(max(n, q), 6)
         p = random_linear_field(rng, m, n, max_terms=4)
         u = p if rng.random() < 0.3 else random_linear_field(rng, m, q, max_terms=3)
-        sc = {a: p.contract_basis(a) for a in range(1, m + 1)}
-        cc = {a: u.contract_basis(a) for a in range(1, m + 1)}
+        dx = {a: [int(v == a) for v in range(1, m + 1)] for a in range(1, m + 1)}
+        sc = {a: p.contract_covector(dx[a]) for a in range(1, m + 1)}
+        cc = {a: u.contract_covector(dx[a]) for a in range(1, m + 1)}
         want = first_pair(m, lambda a, b: sc[a].wedge(cc[b]) + sc[b].wedge(cc[a]))
         report = is_compatible(p, u)
         assert (report.holds, report.witness) == (want is None, want)

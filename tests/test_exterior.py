@@ -9,9 +9,10 @@ from npk.exterior import (
     Covector,
     Multivector,
     blade_contractions,
-    contract_blade_terms,
+    contract_terms,
     iter_blades,
 )
+from npk.polynomial import Polynomial
 from npk.suites import random_constant_multivector, random_linear_field
 from oracles import iterated_contraction
 
@@ -21,11 +22,19 @@ def blade(dim, *indices, c=1):
 
 
 def contract_with(lam, p):
-    # contract_blade_terms on each blade of the form, extended linearly
+    # the face table's row for each blade of the form, extended linearly
+    faces = blade_contractions(p.terms, lam.grade)
     out = Multivector.zero(p.dim, p.grade - lam.grade)
     for s, c in lam.terms.items():
-        out = out + c * Multivector(p.dim, out.grade, contract_blade_terms(p.terms, s))
+        out = out + c * Multivector(p.dim, out.grade, faces.get(s, {}))
     return out
+
+
+def contract_one_at_a_time(terms, s):
+    # one basis covector at a time through contract_terms, the first index first
+    for u in s:
+        terms = contract_terms({u: 1}, terms)
+    return dict(terms)
 
 
 # ---------------------------------------------------------------------------
@@ -223,6 +232,13 @@ def test_blade_contractions_match_dense_enumeration():
         fraction_terms = random_constant_multivector(rng, m, grade).terms
         polynomial_terms = random_linear_field(rng, m, grade).terms
         for terms in (fraction_terms, polynomial_terms):
-            for k in range(grade + 1):
-                dense = {s: contract_blade_terms(terms, s) for s in iter_blades(m, k)}
-                assert blade_contractions(terms, k) == {s: t for s, t in dense.items() if t}
+            # k = grade + 1 exceeds every blade, so the table is empty
+            for k in range(grade + 2):
+                dense = {s: contract_one_at_a_time(terms, s) for s in iter_blades(m, k)}
+                table = blade_contractions(terms, k)
+                assert table == {s: t for s, t in dense.items() if t}
+                assert k <= grade or table == {}
+    # a grade-0 term map has no 1-faces
+    for scalar in ({(): Fraction(3, 2)}, {(): Polynomial.variable(1, 3)}, {}):
+        assert blade_contractions(scalar, 1) == {}
+        assert blade_contractions(scalar, 0) == ({(): scalar} if scalar else {})

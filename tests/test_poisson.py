@@ -1,3 +1,4 @@
+import json
 import random
 import warnings
 from fractions import Fraction
@@ -8,6 +9,7 @@ import pytest
 import npk.grassmann
 import npk.linalg
 import npk.poisson
+from npk.cli import main
 from npk.exterior import iter_blades
 from npk.fields import MultivectorField, coordinate_vector_field, jacobi_identity_holds
 from npk.grassmann import sharp_profile
@@ -20,9 +22,11 @@ from npk.poisson import (
     default_sample_points,
     involutivity_sample,
     pointwise_decomposable,
+    sample_ranks,
 )
 from npk.oracles import is_nambu_algebraic
 from npk.polynomial import Polynomial
+from npk.specio import from_field, serialize
 from npk.suites import (
     random_constant_field,
     random_decomposable_field,
@@ -37,6 +41,11 @@ BLADE = MultivectorField(M, 3, {(1, 2, 3): 1})
 MIXED = MultivectorField(M, 3, {(1, 2, 3): 1, (1, 4, 5): 1})
 
 
+def dx(u, m):
+    # components of the basis covector dx^u, for contract_covector
+    return [int(v == u) for v in range(1, m + 1)]
+
+
 # ---------------------------------------------------------------------------
 # the algebraic condition
 
@@ -49,7 +58,7 @@ def test_algebraic_condition_mixed_fails_on_the_diagonal():
     report = algebraic_condition(MIXED)
     assert not report.holds
     assert report.witness == (1, 1)
-    contracted = MIXED.contract_basis(1)
+    contracted = MIXED.contract_covector(dx(1, M))
     assert contracted.wedge(contracted) == MultivectorField(M, 4, {(2, 3, 4, 5): 2})
 
 
@@ -71,9 +80,9 @@ def test_even_grade_symmetrization_is_trivial():
     for _ in range(10):
         f = random_constant_field(rng, 6, 4, max_terms=3)
         for a in range(1, 7):
-            fa = f.contract_basis(a)
+            fa = f.contract_covector(dx(a, 6))
             for b in range(a, 7):
-                fb = f.contract_basis(b)
+                fb = f.contract_covector(dx(b, 6))
                 assert (fa.wedge(fb) + fb.wedge(fa)).is_zero()
 
 
@@ -332,14 +341,18 @@ def _rank_sampling_fields():
 
 
 def assert_ranks_match_sharp_profile(f, points=None):
-    verdict = classify(f, points)
+    # sample_ranks serves every grade that `npk rank` accepts; classify,
+    # from grade 2 on, must report the same pairs
     if points is None:
         points = default_sample_points(f.dim)
     want = tuple(
         (tuple(Fraction(c) for c in pt), sharp_profile(f.evaluate(pt)).rank) for pt in points
     )
-    assert verdict.rank_at_samples == want
-    assert all(isinstance(c, Fraction) for pt, _ in verdict.rank_at_samples for c in pt)
+    got = sample_ranks(f, points)
+    assert got == want
+    assert all(isinstance(c, Fraction) for pt, _ in got for c in pt)
+    if f.grade >= 2:
+        assert classify(f, points).rank_at_samples == want
     return [rank for _, rank in want]
 
 
@@ -359,6 +372,24 @@ def test_rank_sampling_matches_sharp_profile_at_every_point():
         kinds.add((f.grade, f.is_constant(), len(set(ranks)) > 1))
     assert {n for n, _, _ in kinds} == {2, 3, 4, 5}
     assert {(True, False), (False, False), (False, True)} <= {(c, v) for _, c, v in kinds}
+    # the wider domain of `npk rank`: grade-1 fields, zero fields, full
+    # grade, and ranks that drop at the origin
+    wider = []
+    for _ in range(20):
+        m = rng.randint(1, 5)
+        wider.append(random_linear_field(rng, m, 1, max_terms=3))
+        wider.append(random_constant_field(rng, m, 1, max_terms=3))
+        wider.append(random_linear_field(rng, m, m, max_terms=1))
+    wider += [MultivectorField(m, n) for m, n in ((1, 1), (3, 1), (3, 3), (5, 1), (5, 5))]
+    wider.append(MultivectorField(3, 1, {(1,): Polynomial.variable(1, 3)}))
+    wider.append(MultivectorField(4, 2, {(1, 2): Polynomial.variable(1, 4), (3, 4): Polynomial.variable(2, 4)}))
+    drops = 0
+    for f in wider:
+        ranks = assert_ranks_match_sharp_profile(f)
+        drops += ranks[0] < max(ranks)
+        if f.is_zero():
+            assert set(ranks) == {0}
+    assert drops >= 2
 
 
 def test_rank_sampling_special_cases():
@@ -390,9 +421,9 @@ def test_rank_sampling_special_cases():
     assert assert_ranks_match_sharp_profile(pfaffian, points) == [2, 2, 4]
 
 
-def test_classify_runs_one_rank_only_elimination_per_point(monkeypatch):
+def test_classify_runs_one_rank_only_elimination_per_point(monkeypatch, tmp_path, capsys):
     def forbidden(*args, **kwargs):
-        raise AssertionError("classify reached sharp_profile or rref")
+        raise AssertionError("rank sampling reached sharp_profile or rref")
 
     # swapping the code object catches callers that imported the name directly
     for fn in (npk.grassmann.sharp_profile, npk.linalg.rref):
@@ -413,6 +444,16 @@ def test_classify_runs_one_rank_only_elimination_per_point(monkeypatch):
         verdict = classify(constant)
         assert len(calls) == 1
         assert len({rank for _, rank in verdict.rank_at_samples}) == 1
+    # `npk rank` takes the same route, from grade 1 on
+    grade_one = MultivectorField(M, 1, {(2,): 3})
+    for f, most in ((polynomial, 1 + M + 8), (MIXED, 1), (MultivectorField(M, 3), 1), (grade_one, 1)):
+        path = tmp_path / "field.json"
+        path.write_text(serialize(from_field(f)))
+        calls.clear()
+        assert main(["rank", str(path), "--json"]) == 0
+        entries = json.loads(capsys.readouterr().out)["rank_at_samples"]
+        assert len(entries) == 1 + M + 8
+        assert 0 < len(calls) <= most
     # every point is checked for length, whether or not it is ranked
     for f in (polynomial, MIXED, MultivectorField(M, 3)):
         with pytest.raises(ValueError, match=f"point must have {M} coordinates"):

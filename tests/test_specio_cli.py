@@ -11,7 +11,7 @@ import npk.grassmann
 import npk.oracles
 from npk.cli import main
 from npk.fields import MultivectorField
-from npk.poisson import classify
+from npk.poisson import classify, default_sample_points
 from npk.polynomial import Polynomial
 from npk.specio import (
     SpecError,
@@ -109,6 +109,21 @@ def test_parse_rejects_unknown_fields():
     text = '{"m": 3, "n": 2, "kind": "constant", "terms": [], "extra": 1}'
     with pytest.raises(SpecError, match="unknown fields"):
         parse_spec_text(text)
+
+
+@pytest.mark.parametrize("text, key", [
+    ('{"m": 5, "m": 3, "n": 3, "kind": "constant", "terms": []}', "m"),
+    ('{"m": 3, "n": 2, "kind": "constant", "terms": [{"indices": [1, 2], "value": "1", "value": "2"}]}', "value"),
+    ('{"m": 2, "n": 1, "kind": "polynomial", "terms": [{"indices": [1], "value": '
+     '[{"coef": "1", "exps": [1, 0], "exps": [0, 1]}]}]}', "exps"),
+])
+def test_parse_rejects_duplicate_fields(text, key, tmp_path, capsys):
+    with pytest.raises(SpecError, match=f"duplicate field '{key}'"):
+        parse_spec_text(text)
+    path = tmp_path / "dup.json"
+    path.write_text(text, encoding="utf-8")
+    assert main(["rank", str(path)]) == 2
+    assert f"duplicate field '{key}'" in capsys.readouterr().err
 
 
 def test_parse_reports_json_position():
@@ -357,6 +372,30 @@ def test_cli_rank_reports_samples(spec_path, capsys):
     assert len(out["rank_at_samples"]) == 1 + 8 + 3
     assert all(entry["rank"] == 8 for entry in out["rank_at_samples"])
     assert all(entry["annihilator_dim"] == 0 for entry in out["rank_at_samples"])
+
+
+def test_cli_rank_annihilator_matches_sharp_profile(spec_path, capsys):
+    # `npk rank` reports annihilator_dim as m - rank; sharp_profile derives
+    # the annihilator itself, from its own elimination.  Every shipped spec
+    # must still parse under the duplicate-field check
+    rng = random.Random("rank-annihilator")
+    fields = [to_field(parse_spec(path)) for path in sorted(SPECS.glob("*.json"))]
+    for _ in range(16):
+        m = rng.randint(1, 6)
+        n = rng.randint(1, m)
+        make = random_linear_field if rng.random() < 0.5 else random_constant_field
+        fields.append(make(rng, m, n, max_terms=4))
+    fields.append(MultivectorField(4, 2))
+    for i, f in enumerate(fields):
+        path = spec_path(f"field{i}.json", json.loads(serialize(from_field(f))))
+        seed = rng.randint(0, 99)
+        assert main(["rank", path, "--json", "--seed", str(seed)]) == 0
+        entries = json.loads(capsys.readouterr().out)["rank_at_samples"]
+        points = default_sample_points(f.dim, seed)
+        assert [entry["point"] for entry in entries] == [[str(c) for c in pt] for pt in points]
+        for entry, pt in zip(entries, points):
+            profile = npk.grassmann.sharp_profile(f.evaluate(pt))
+            assert (entry["rank"], entry["annihilator_dim"]) == (profile.rank, profile.annihilator.dim)
 
 
 @pytest.mark.parametrize("samples, extra", [(["--samples", "0"], 0), ([], 8), (["--samples", "3"], 3)])
