@@ -24,8 +24,9 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import partial
 
-from .exterior import Covector, Multivector, blade_contractions, contract_terms, wedge_terms
+from .exterior import Covector, Multivector, blade_contractions, contract_terms, merge_blades
 from .linalg import Subspace, intersect
 from .polynomial import Polynomial
 
@@ -80,9 +81,33 @@ def plucker_holds(terms, grade: int) -> bool:
 
     ``P`` is the grade-``grade`` term map and ``s`` runs over the basis
     (grade-1)-blades; the defects are the classical quadratic
-    decomposability relations, over any coefficient ring.
+    decomposability relations, over any coefficient ring.  Each defect
+    coefficient is a sum of signed products ``+-F[r] * P[b]`` over the
+    face's terms ``r`` and the blades ``b`` disjoint from it; the products
+    are grouped by the merged blade and each group is summed in one
+    accumulation (:meth:`Polynomial.sum_of_products` for polynomial
+    coefficients), then tested once.
     """
-    return not any(wedge_terms(face, terms) for face in blade_contractions(terms, grade - 1).values())
+    sample = next(iter(terms.values()), None)
+    if isinstance(sample, Polynomial):
+        total = partial(Polynomial.sum_of_products, sample.num_vars)
+    else:
+        def total(products):
+            return sum(s * a * b for s, a, b in products)
+    # each face is grade 1, so its terms are (u,); (u,) ^ blade is tabulated
+    # once per u, when a face first needs it (a failing check stops early)
+    inserts: dict = {}
+    for face in blade_contractions(terms, grade - 1).values():
+        groups: dict = {}
+        for (u,), a in face.items():
+            row = inserts.get(u)
+            if row is None:
+                row = inserts[u] = [(merged, b) for blade, b in terms.items() if (merged := merge_blades((u,), blade))]
+            for (sign, key), b in row:
+                groups.setdefault(key, []).append((sign, a, b))
+        if any(total(products) for products in groups.values()):
+            return False
+    return True
 
 
 def is_decomposable(p: Multivector) -> bool:
@@ -119,11 +144,30 @@ def factorize(p: Multivector) -> Factorization:
 def contractions_decomposable(p: Multivector, k: int) -> bool:
     """Whether every k-fold covector contraction of ``p`` is decomposable.
 
-    The covector tuple is universally quantified, so the k*m tuple
-    components become polynomial indeterminates and every contraction-wedge
-    defect of the symbolic contraction must vanish identically.  Requires
+    The covector tuple is universally quantified, so its components become
+    polynomial indeterminates and every contraction-wedge defect of the
+    symbolic contraction must vanish identically.  Requires
     ``1 <= k <= n-2``; outside that range the equivalence with
     decomposability breaks down.
+
+    Only ``k*(s-k)`` indeterminates are needed, ``s`` the size of the
+    support (the union of the blades of ``p``), not ``k*m``:
+
+    * a covector component outside the support contracts ``p`` to zero, so
+      the contraction ``Q(alpha)`` depends only on the ``k x s`` matrix
+      ``M`` of support components;
+    * ``Q`` is multilinear and alternating in the rows of ``M``, so
+      ``Q(gM) = det(g) Q(M)`` for ``g`` in GL(k), and each defect, being
+      quadratic in ``Q``, satisfies ``D(gM) = det(g)^2 D(M)``;
+    * fix k pivot columns of the support (the first k here).  Where the
+      pivot block ``B`` of ``M`` is invertible, ``M = B [I | A]`` up to the
+      column order, so ``D(M) = det(B)^2 D([I | A])``;
+    * those ``M`` are Zariski-dense, since ``det(B)`` is a nonzero
+      polynomial.  So ``D`` vanishes identically in all ``k*m`` components
+      exactly when it vanishes identically in the ``k*(s-k)`` entries of
+      ``A``; the converse direction is the special case ``M = [I | A]``.
+
+    The decision stays an exact polynomial identity.
     """
     m, n = p.dim, p.grade
     if n < 3:
@@ -132,10 +176,14 @@ def contractions_decomposable(p: Multivector, k: int) -> bool:
         raise ValueError(f"k must satisfy 1 <= k <= n-2, got k={k} for grade {n}")
     if p.is_zero():
         return True
-    nvars = k * m
+    support = sorted(set().union(*p.terms))
+    pivots, free = support[:k], support[k:]
+    nvars = k * len(free)
+    one = Polynomial.constant(1, nvars)
     terms: dict = {blade: Polynomial.constant(c, nvars) for blade, c in p.terms.items()}
-    for i in range(k):
-        alpha = {u: Polynomial.variable(i * m + u, nvars) for u in range(1, m + 1)}
+    for i, pivot in enumerate(pivots):
+        alpha = {u: Polynomial.variable(i * len(free) + j, nvars) for j, u in enumerate(free, 1)}
+        alpha[pivot] = one
         terms = contract_terms(alpha, terms)
     return plucker_holds(terms, n - k)
 

@@ -93,15 +93,24 @@ def pointwise_decomposable(field: MultivectorField) -> bool:
     return plucker_holds(field.terms, field.grade)
 
 
+# _SAMPLE_COORDS[a + 6][b - 1] is Fraction(a, b): the random coordinates, built once
+_SAMPLE_COORDS = tuple(tuple(Fraction(a, b) for b in (1, 2, 3)) for a in range(-6, 7))
+
+
 def default_sample_points(dim: int, seed: int = 0, extra: int = 8) -> list[Point]:
-    """Origin, the coordinate unit points, and seeded random rational points."""
+    """Origin, the coordinate unit points, and seeded random rational points.
+
+    Each random coordinate is ``a/b`` with ``a = randint(-6, 6)`` drawn
+    before ``b = randint(1, 3)``.
+    """
     zero, one = Fraction(0), Fraction(1)
     points: list[Point] = [(zero,) * dim]
     for u in range(dim):
         points.append(tuple(one if i == u else zero for i in range(dim)))
     rng = random.Random(seed)
+    randint = rng.randint
     for _ in range(extra):
-        points.append(tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(dim)))
+        points.append(tuple(_SAMPLE_COORDS[randint(-6, 6) + 6][randint(1, 3) - 1] for _ in range(dim)))
     return points
 
 

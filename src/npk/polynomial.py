@@ -176,6 +176,40 @@ class Polynomial:
 
     __rmul__ = __mul__
 
+    @classmethod
+    def sum_of_products(cls, num_vars: int, products: Sequence[tuple[int, "Polynomial", "Polynomial"]]) -> "Polynomial":
+        """``sum(sign * a * b)`` over ``(sign, a, b)`` triples, in one accumulation.
+
+        Every monomial product lands in one packed-exponent dict over the
+        lcm of the products' denominators, so no polynomial is built for a
+        single product or a partial sum.  The signs are integers, usually
+        ``+-1``; ``products`` is a sequence, read twice.  The width holds the
+        largest ``a.bound + b.bound``.
+        """
+        bound, den = 0, 1
+        for _, a, b in products:
+            if a.num_vars != num_vars or b.num_vars != num_vars:
+                raise ValueError("operands have different variable counts")
+            if a.bound + b.bound > bound:
+                bound = a.bound + b.bound
+            if den % (d := a.den * b.den):
+                den = lcm(den, d)
+        width = _width(bound)
+        out: dict[int, int] = {}
+        get = out.get
+        for s, a, b in products:
+            f = s * (den // (a.den * b.den))
+            ta = a.terms if a.width == width else a._terms_at(width)
+            tb = b.terms if b.width == width else b._terms_at(width)
+            if len(tb) > len(ta):
+                ta, tb = tb, ta
+            for kb, cb in tb.items():
+                cb *= f
+                for ka, ca in ta.items():
+                    k = ka + kb
+                    out[k] = get(k, 0) + ca * cb
+        return cls._raw(num_vars, {k: c for k, c in out.items() if c}, den, bound, width)
+
     # -- calculus and evaluation ------------------------------------------
 
     def derivative(self, u: int) -> "Polynomial":

@@ -12,7 +12,7 @@ from fractions import Fraction
 from itertools import combinations, permutations
 from typing import Iterator, Mapping, Sequence
 
-from npk.exterior import Multivector, contract_terms, iter_blades
+from npk.exterior import Multivector, blade_contractions, contract_terms, iter_blades, wedge_terms
 from npk.fields import MultivectorField, nary_bracket
 from npk.linalg import Subspace
 from npk.oracles import jacobi_defect
@@ -93,6 +93,26 @@ def annihilator_by_contraction(p: Multivector) -> Subspace:
         kernel.append(v)
     basis, _ = fraction_rref(kernel, m)
     return Subspace(m, tuple(tuple(row) for row in basis))
+
+
+def contractions_decomposable_full(p: Multivector, k: int) -> bool:
+    """Every k-fold contraction decomposable, in all ``k*m`` covector components.
+
+    The reference for the gauge-fixed :func:`npk.grassmann.contractions_decomposable`:
+    each of the k covectors gets m polynomial indeterminates, one per basis
+    index whether or not the support uses it, and every contraction-wedge
+    defect of the symbolic contraction is built with ``wedge_terms`` and
+    tested for identical vanishing.
+    """
+    m, n = p.dim, p.grade
+    if p.is_zero():
+        return True
+    nvars = k * m
+    terms: dict = {blade: Polynomial.constant(c, nvars) for blade, c in p.terms.items()}
+    for i in range(k):
+        alpha = {u: Polynomial.variable(i * m + u, nvars) for u in range(1, m + 1)}
+        terms = contract_terms(alpha, terms)
+    return not any(wedge_terms(face, terms) for face in blade_contractions(terms, n - k - 1).values())
 
 
 def naive_det(rows):

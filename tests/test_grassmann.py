@@ -1,8 +1,10 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
+import npk.grassmann
 from npk.exterior import Covector, Multivector
 from npk.fields import MultivectorField
 from npk.grassmann import (
@@ -21,7 +23,7 @@ from npk.suites import (
     random_constant_multivector,
     random_decomposable_multivector,
 )
-from oracles import annihilator_by_contraction
+from oracles import annihilator_by_contraction, contractions_decomposable_full
 
 
 def blade(dim, *indices, c=1):
@@ -185,6 +187,80 @@ def test_profile_true_implies_decomposable_random():
         for k in range(1, n - 1):
             if contractions_decomposable(p, k):
                 assert is_decomposable(p)
+
+
+def _on_support(rng, m, n, support, decomposable):
+    """A nonzero multivector with blades in ``support``: a wedge of n vectors, or 2-4
+    random blades drawn until the sum is not decomposable (needs n+2 axes)."""
+    while True:
+        if decomposable:
+            acc = Multivector(m, 0, {(): 1})
+            for _ in range(n):
+                axes = rng.sample(support, rng.randint(1, min(3, len(support))))
+                acc = acc.wedge(Multivector(m, 1, {(u,): rng.choice((-2, -1, 1, Fraction(1, 2), 3)) for u in axes}))
+            if not acc.is_zero():
+                return acc
+        else:
+            blades = list(combinations(support, n))
+            chosen = rng.sample(blades, min(rng.randint(2, 4), len(blades)))
+            acc = Multivector(m, n, {b: rng.choice((-3, -1, 1, Fraction(2, 3), 2)) for b in chosen})
+            if not is_decomposable(acc):
+                return acc
+
+
+def test_gauge_fixed_profile_matches_full_variable_route():
+    rng = random.Random("profile-gauge")
+    cases = [TWO_BLOCK, blade(6, 2, 4, 5, 6), blade(7, 3, 5, 6, 7, c=Fraction(-2, 3)),
+             Multivector(8, 4, {(3, 5, 6, 8): 2}), Multivector(8, 3, {(3, 5, 6): 1, (3, 6, 8): Fraction(1, 2)}),
+             Multivector(7, 3, {(2, 3, 4): 1, (5, 6, 7): 1}), MIXED]
+    for i in range(204):
+        decomposable = i % 2 == 0
+        n = rng.choice((3, 3, 4, 4, 5))  # grade 5 at k = 3 is the oracle's slowest case
+        # a grade-n multivector on at most n+1 axes is always decomposable
+        m = rng.randint(n if decomposable else n + 2, 7)
+        support = sorted(rng.sample(range(1, m + 1), rng.randint(n if decomposable else n + 2, m)))
+        cases.append(_on_support(rng, m, n, support, decomposable))
+    verdicts = {True: 0, False: 0}
+    by_grade = set()
+    small_supports = late_starts = 0
+    for p in cases:
+        support = set().union(*p.terms)
+        small_supports += len(support) < p.dim
+        late_starts += min(support) > 1
+        dec = is_decomposable(p)
+        verdicts[dec] += 1
+        by_grade.add((p.grade, dec))
+        for k in range(1, p.grade - 1):
+            assert contractions_decomposable(p, k) == contractions_decomposable_full(p, k) == dec, (p, k)
+    assert min(verdicts.values()) >= 100
+    assert by_grade == {(n, v) for n in (3, 4, 5) for v in (True, False)}
+    assert small_supports >= 60 and late_starts >= 20
+
+
+def test_profile_builds_only_the_gauge_fixed_variables(monkeypatch):
+    Polynomial = npk.grassmann.Polynomial
+    built = []
+    variable, constant = Polynomial.variable.__func__, Polynomial.constant.__func__
+
+    def spy_variable(cls, u, num_vars):
+        built.append(num_vars)
+        return variable(cls, u, num_vars)
+
+    def spy_constant(cls, value, num_vars):
+        built.append(num_vars)
+        return constant(cls, value, num_vars)
+
+    monkeypatch.setattr(Polynomial, "variable", classmethod(spy_variable))
+    monkeypatch.setattr(Polynomial, "constant", classmethod(spy_constant))
+    rng = random.Random("profile-frame")
+    cases = [TWO_BLOCK, Multivector(8, 4, {(3, 5, 6, 8): 2}), blade(8, 1, 2, 3, 4, 5)]
+    cases += [_on_support(rng, 8, 5, sorted(rng.sample(range(1, 9), 7)), rng.random() < 0.5) for _ in range(6)]
+    for p in cases:
+        s = len(set().union(*p.terms))
+        for k in range(1, p.grade - 1):
+            built.clear()
+            contractions_decomposable(p, k)
+            assert built and max(built) <= k * (s - k), (p, k, max(built))
 
 
 # ---------------------------------------------------------------------------

@@ -145,6 +145,50 @@ def test_shared_denominator_content_is_divided_out():
 
 
 # ---------------------------------------------------------------------------
+# sums of products in one accumulation
+
+_products = st.lists(st.tuples(st.sampled_from([1, -1, 2, -3]), _terms(), _terms()), min_size=1, max_size=4)
+
+
+def _naive_sum_of_products(products):
+    return reduce(lambda x, y: x + y, (a * b * s for s, a, b in products))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_products)
+def test_sum_of_products_matches_naive_sum_and_reference(triples):
+    products = [(s, Polynomial(NV, a), Polynomial(NV, b)) for s, a, b in triples]
+    got = Polynomial.sum_of_products(NV, products)
+    assert got == _naive_sum_of_products(products)
+    _assert_same(got, _naive_sum_of_products([(s, TuplePolynomial(NV, a), TuplePolynomial(NV, b)) for s, a, b in triples]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_products)
+def test_sum_of_products_cancels_to_canonical_zero(triples):
+    # each product appears again with the opposite sign and its halves moved between the factors
+    products = [(s, Polynomial(NV, a), Polynomial(NV, b)) for s, a, b in triples]
+    products += [(-s, a * Fraction(1, 2), b * 2) for s, a, b in products]
+    zero = Polynomial.sum_of_products(NV, products)
+    assert not zero and zero.terms == {} and zero.den == 1 and zero == 0
+
+
+def test_sum_of_products_one_pair_and_widths():
+    x1, x2 = Polynomial.variable(1, 2), Polynomial.variable(2, 2)
+    top = Polynomial(2, {(255, 0): Fraction(1, 3), (0, 1): Fraction(-1, 2)})
+    for a, b in ((top, x1), (x1, top), (top, top), (top, Polynomial(2, {(70000, 2): Fraction(5, 7)}))):
+        got = Polynomial.sum_of_products(2, [(1, a, b)])
+        _assert_canonical(got)
+        assert got == a * b and list(got.monomials()) == list((a * b).monomials())
+        assert Polynomial.sum_of_products(2, [(-1, a, b)]) == -(a * b)
+    assert list(Polynomial.sum_of_products(2, [(1, top, x1)]).monomials())[-1] == ((256, 0), Fraction(1, 3))
+    assert Polynomial.sum_of_products(2, [(1, x1, x2), (1, top * 3, Polynomial.zero(2))]) == x1 * x2
+    assert Polynomial.sum_of_products(2, []) == 0
+    with pytest.raises(ValueError, match="variable counts"):
+        Polynomial.sum_of_products(2, [(1, x1, Polynomial.variable(1, 3))])
+
+
+# ---------------------------------------------------------------------------
 # field widths
 
 def test_product_past_the_field_boundary_does_not_wrap():
