@@ -26,7 +26,7 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
+from math import gcd
 from typing import Sequence
 
 from .exterior import blade_contractions, first_failing_pair, shuffle_sign, wedge_terms
@@ -38,6 +38,7 @@ from .fields import (
 )
 from .grassmann import plucker_holds
 from .linalg import Subspace, sparse_rank
+from .polynomial import integer_evaluator
 
 Point = tuple[Fraction, ...]
 
@@ -117,41 +118,35 @@ def default_sample_points(dim: int, seed: int = 0, extra: int = 8) -> list[Point
 def sample_ranks(field: MultivectorField, points: Sequence[Point]) -> tuple[tuple[Point, int], ...]:
     """``(point, rank)`` at each point, the point checked and made Fractions.
 
-    Each rank is one forward elimination.  The (n-1)-face table is built
-    once, symbolically: contracting the term map ``{blade: k}``
-    (``k`` the blade's 1-based position) gives for every face the entries
-    ``{(u,): +-k}``, so row ``face`` of the sharp matrix at a point reads
-    component ``|k|`` with the sign of ``k``.  At a point each component
-    is evaluated once, the values are brought to one integer denominator
-    (which scales every row alike and leaves the rank unchanged), and the
-    nonzero entries fill sparse integer rows for
-    :func:`~npk.linalg.sparse_rank`.  A constant field is ranked once: its
-    value, and so the sharp matrix, is the same at every point, so that
-    one rank is the exact rank at each of them.
+    The (n-1)-face table is built once, symbolically: contracting
+    ``{blade: k}`` (``k`` the blade's 1-based position) gives each face the
+    entries ``{(u,): +-k}``, so row ``face`` of the sharp matrix reads
+    component ``|k|`` with the sign of ``k``.  At a point,
+    :func:`~npk.polynomial.integer_evaluator` gives the integers
+    ``S_k = p_k(x) * L * D**deg`` (a bool or float coordinate is a
+    ``TypeError``); the scale is positive and shared, so these rows have the
+    sharp matrix's rank, and no Fraction is built.  Points whose vectors
+    agree after dividing by their gcd have matrices ``g * M`` and ``g' * M``
+    with ``g, g' > 0``, so one rank: :func:`~npk.linalg.sparse_rank` runs
+    once per such key.  A constant field has one key, and the origin shares
+    its key with every unit point whose coordinate no component reads.
     """
     m = field.dim
-    converted = []
-    for pt in points:
-        if len(pt) != m:
-            raise ValueError(f"point must have {m} coordinates")
-        converted.append(tuple(c if isinstance(c, Fraction) else Fraction(c) for c in pt))
-    polys = list(field.terms.values())
+    values = integer_evaluator(list(field.terms.values()), m)
     faces = blade_contractions({blade: k for k, blade in enumerate(field.terms, 1)}, field.grade - 1)
     table = [[(u - 1, k) for (u,), k in face.items()] for face in faces.values()]
-
-    def rank(values: list[Fraction]) -> int:
-        den = lcm(*(v.denominator for v in values))
-        ints = [0] + [v.numerator * (den // v.denominator) for v in values]
-        rows = (
-            {col: ints[k] if k > 0 else -ints[-k] for col, k in entries if ints[abs(k)]}
-            for entries in table
-        )
-        return sparse_rank(rows, m)
-
-    if field.is_constant():
-        only = rank([p.constant_value() for p in polys])
-        return tuple((pt, only) for pt in converted)
-    return tuple((pt, rank([p.evaluate(pt) for p in polys])) for pt in converted)
+    ranks: dict[tuple[int, ...], int] = {}
+    out = []
+    for pt in points:
+        ints, _ = values(pt)
+        g = gcd(*ints)
+        key = tuple(v // g for v in ints) if g > 1 else tuple(ints)
+        if (rank := ranks.get(key)) is None:
+            vals = (0, *key)
+            rows = ({col: vals[k] if k > 0 else -vals[-k] for col, k in entries if vals[abs(k)]} for entries in table)
+            rank = ranks[key] = sparse_rank(rows, m)
+        out.append((tuple(c if isinstance(c, Fraction) else Fraction(c) for c in pt), rank))
+    return tuple(out)
 
 
 def classify(

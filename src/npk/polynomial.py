@@ -10,7 +10,8 @@ Width rule: ``bound`` bounds every single exponent and ``width`` is the
 least multiple of 8 bits holding it; sums keep the larger bound, products
 add the bounds, and a narrower operand is repacked first, so a field never
 wraps.  Equality compares at a common width.  Exponent tuples and Fractions
-appear only at the edges: the constructor, ``monomials()`` and ``repr``.
+appear only at the edges: the constructor, ``monomials()``, ``repr`` and
+the value of ``evaluate``, which sums in :func:`integer_evaluator`.
 """
 
 from __future__ import annotations
@@ -19,9 +20,10 @@ from fractions import Fraction
 from functools import reduce
 from math import gcd, lcm
 from operator import or_
-from typing import Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 _SCALARS = (int, Fraction)
+_COORDINATES = {int, Fraction}  # exact types: a bool is not a coordinate
 
 
 def _width(bound: int) -> int:
@@ -223,25 +225,9 @@ class Polynomial:
         return Polynomial._raw(self.num_vars, out, self.den, self.bound, self.width)
 
     def evaluate(self, point: Sequence) -> Fraction:
-        if len(point) != self.num_vars:
-            raise ValueError(f"point must have {self.num_vars} coordinates")
-        pt = [p if isinstance(p, Fraction) else Fraction(p) for p in point]
-        nums, dens = [p.numerator for p in pt], [p.denominator for p in pt]
-        width, mask = self.width, (1 << self.width) - 1
-        whole, total = 0, Fraction(0)  # terms with an integer value, and the rest
-        for key, num in self.terms.items():
-            den, i = 1, 0
-            while key:
-                if e := key & mask:
-                    num *= nums[i] ** e
-                    den *= dens[i] ** e
-                key >>= width
-                i += 1
-            if den == 1:
-                whole += num
-            else:
-                total += Fraction(num, den)
-        return (total + whole) / self.den
+        """The value at a point of ints and Fractions, through :func:`integer_evaluator`."""
+        (value,), scale = integer_evaluator([self], self.num_vars)(point)
+        return Fraction(value, scale)
 
     # -- queries -----------------------------------------------------------
 
@@ -289,3 +275,52 @@ class Polynomial:
             else:
                 parts.append(f"{coef}*{name}" if name else str(coef))
         return " + ".join(parts).replace("+ -", "- ")
+
+
+def integer_evaluator(polys: Sequence[Polynomial], num_vars: int) -> Callable[[Sequence], tuple[list[int], int]]:
+    """Evaluate ``polys`` at a point in integers, sharing one positive scale.
+
+    Each monomial ``c_e x^e`` of ``p_k`` (numerator ``c_e`` over ``den_k``)
+    is decoded once, here, into ``c_e * L/den_k``, its ``(variable index,
+    exponent)`` pairs and its degree ``|e|``; ``L`` is the lcm of the
+    ``den_k`` and ``deg`` the largest degree.  The returned function writes
+    a point as ``A/D`` (``D`` the lcm of its denominators; a coordinate must
+    be exactly an int or a Fraction, so a bool or a float is a
+    ``TypeError``) and returns ``([S_1, ...], L * D**deg)`` with
+    ``S_k = sum_e c_e (L/den_k) A^e D^(deg-|e|)``.  As ``x^e = A^e/D^|e|``,
+    ``S_k = p_k(x) * L * D**deg``: every value carries the one positive
+    scale, so a matrix of signed values ``S_k`` has the rank of the same
+    matrix of the ``p_k(x)``.
+    """
+    scale, decoded = lcm(*(p.den for p in polys)), []
+    for p in polys:
+        monos = []
+        for key, c in p.terms.items():
+            pairs = [(i, e) for i, e in enumerate(_unpack(key, num_vars, p.width)) if e]
+            monos.append((c * (scale // p.den), pairs, sum(e for _, e in pairs)))
+        decoded.append(monos)
+    deg = max((k for monos in decoded for _, _, k in monos), default=0)
+
+    def values(point: Sequence) -> tuple[list[int], int]:
+        if len(point) != num_vars:
+            raise ValueError(f"point must have {num_vars} coordinates")
+        if not {*map(type, point)} <= _COORDINATES:
+            raise TypeError(f"coordinates must be ints or Fractions, not {point!r}")
+        nums, powers = (), (1,)  # a constant monomial reads neither
+        if deg:
+            ratios = [c.as_integer_ratio() for c in point]
+            d = lcm(*(q for _, q in ratios))
+            nums = [a * (d // q) for a, q in ratios]
+            powers = [d ** (deg - k) for k in range(deg + 1)]
+        out = []
+        for monos in decoded:
+            s = 0
+            for c, pairs, k in monos:
+                t = c * powers[k]
+                for i, e in pairs:
+                    t *= nums[i] ** e
+                s += t
+            out.append(s)
+        return out, scale * powers[0]
+
+    return values

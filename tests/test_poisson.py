@@ -1,4 +1,5 @@
 import json
+import pathlib
 import random
 import warnings
 from fractions import Fraction
@@ -26,7 +27,7 @@ from npk.poisson import (
 )
 from npk.oracles import is_nambu_algebraic
 from npk.polynomial import Polynomial
-from npk.specio import from_field, serialize
+from npk.specio import from_field, parse_spec_text, serialize, to_field
 from npk.suites import (
     random_constant_field,
     random_decomposable_field,
@@ -34,6 +35,7 @@ from npk.suites import (
     random_polynomial,
 )
 
+SPECS = pathlib.Path(__file__).resolve().parents[1] / "specs"
 M = 5
 X = [Polynomial.variable(u, M) for u in range(1, M + 1)]
 
@@ -421,13 +423,7 @@ def test_rank_sampling_special_cases():
     assert assert_ranks_match_sharp_profile(pfaffian, points) == [2, 2, 4]
 
 
-def test_classify_runs_one_rank_only_elimination_per_point(monkeypatch, tmp_path, capsys):
-    def forbidden(*args, **kwargs):
-        raise AssertionError("rank sampling reached sharp_profile or rref")
-
-    # swapping the code object catches callers that imported the name directly
-    for fn in (npk.grassmann.sharp_profile, npk.linalg.rref):
-        monkeypatch.setattr(fn, "__code__", forbidden.__code__)
+def _count_eliminations(monkeypatch) -> list:
     calls = []
     kernel = npk.poisson.sparse_rank
 
@@ -436,6 +432,17 @@ def test_classify_runs_one_rank_only_elimination_per_point(monkeypatch, tmp_path
         return kernel(rows, width)
 
     monkeypatch.setattr(npk.poisson, "sparse_rank", counted)
+    return calls
+
+
+def test_classify_runs_one_rank_only_elimination_per_point(monkeypatch, tmp_path, capsys):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("rank sampling reached sharp_profile or rref")
+
+    # swapping the code object catches callers that imported the name directly
+    for fn in (npk.grassmann.sharp_profile, npk.linalg.rref):
+        monkeypatch.setattr(fn, "__code__", forbidden.__code__)
+    calls = _count_eliminations(monkeypatch)
     polynomial = MultivectorField(M, 3, {(1, 2, 3): X[0], (1, 4, 5): X[1] + 1})
     verdict = classify(polynomial)
     assert 0 < len(calls) <= len(verdict.rank_at_samples) == 1 + M + 8
@@ -460,6 +467,53 @@ def test_classify_runs_one_rank_only_elimination_per_point(monkeypatch, tmp_path
             classify(f, [(0,) * M, (1,) * (M - 1)])
         with pytest.raises(ValueError, match=f"point must have {M} coordinates"):
             f.evaluate((1,) * (M - 1))
+
+
+def test_rank_sampling_runs_one_elimination_per_distinct_value_vector(monkeypatch):
+    calls = _count_eliminations(monkeypatch)
+    origin, e = (0,) * M, [tuple(int(i == u) for i in range(M)) for u in range(M)]
+
+    def eliminations(f, points):
+        calls.clear()
+        sample_ranks(f, points)
+        n = len(calls)
+        assert_ranks_match_sharp_profile(f, points)
+        return n
+
+    # a constant field has one value vector
+    assert eliminations(MIXED, default_sample_points(M)) == 1
+    # components in x1 and x2 only: e3, e4, e5 read the origin's values
+    half = Fraction(1, 2)
+    f = MultivectorField(M, 3, {(1, 2, 3): half * X[0] - 1, (1, 4, 5): X[1] * X[0] + Fraction(2, 3)})
+    assert eliminations(f, [origin, e[2], e[3], e[4]]) == 1
+    assert eliminations(f, [origin, e[0], e[2]]) == 2
+    # homogeneous of degree 2: p(tx) = t^2 p(x), so the integer vectors at
+    # tx are positive multiples of the one at x (4 times it at t = +-2)
+    quad = MultivectorField(M, 3, {
+        (1, 2, 3): half * X[0] * X[0] - X[1] * X[2],
+        (1, 4, 5): Fraction(3, 7) * X[3] * X[4],
+        (2, 4, 5): Fraction(5, 6) * X[0] * X[2],
+    })
+    x = (1, 2, -3, 0, 5)
+    scaled = [tuple(t * c for c in x) for t in (1, 2, Fraction(1, 3), -2, Fraction(-5, 4))]
+    assert eliminations(quad, scaled) == 1
+    assert eliminations(quad, [x, (1,) * M]) == 2
+    # the committed spec: rank 3 at the origin, e3, e4, e5 (one elimination), 5 elsewhere
+    field = to_field(parse_spec_text((SPECS / "quadratic_rank_drop_3vector.json").read_text()))
+    calls.clear()
+    ranks = [rank for _, rank in classify(field).rank_at_samples]
+    assert ranks[:6] == [3, 5, 5, 3, 3, 3] and set(ranks[6:]) == {5}
+    assert len(calls) == len(ranks) - 3
+
+
+def test_rank_sampling_refuses_non_exact_coordinates():
+    polynomial = MultivectorField(M, 3, {(1, 2, 3): X[0], (1, 4, 5): X[1] + 1})
+    for f in (polynomial, MIXED, MultivectorField(M, 3)):
+        for bad in (0.5, True, 1.0):
+            with pytest.raises(TypeError, match="coordinates must be ints or Fractions"):
+                sample_ranks(f, [(0,) * M, (Fraction(1, 2), bad, 0, 0, 0)])
+            with pytest.raises(TypeError, match="coordinates must be ints or Fractions"):
+                classify(f, [(bad,) + (0,) * (M - 1)])
 
 
 def test_jacobi_oracle_agrees_with_classifier_spot_checks():

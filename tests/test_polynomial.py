@@ -7,15 +7,16 @@ is checked for the canonical form.  Exponents include values around the
 exercised alongside the common narrow case.
 """
 
+import random
 from fractions import Fraction
 from functools import reduce
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from npk.polynomial import Polynomial
+from npk.polynomial import Polynomial, integer_evaluator
 from npk.specio import from_field, parse_spec_text, serialize, to_field
 from oracles import TuplePolynomial
 
@@ -100,6 +101,68 @@ def test_evaluate_matches_reference(a, point):
     value = p.evaluate(point)
     assert isinstance(value, Fraction)
     assert value == pr.evaluate(point)
+
+
+def _seeded_family(rng: random.Random, num_vars: int) -> list[dict]:
+    """Term maps of degree 0..4 with mixed denominators, and the zero map."""
+    family = [{}]
+    for degree in range(5):
+        terms = {}
+        for j in range(rng.randint(1, 4)):
+            exps = [0] * num_vars
+            for _ in range(degree if j == 0 else rng.randint(0, degree)):
+                exps[rng.randrange(num_vars)] += 1
+            terms[tuple(exps)] = Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.choice([1, 2, 3, 4, 7, 12]))
+        family.append(terms)
+    return family
+
+
+def _seeded_point(rng: random.Random, num_vars: int) -> list:
+    """Plain ints, zeros, negatives and Fractions with mixed denominators."""
+    return [
+        rng.choice([0, rng.randint(-4, 4), Fraction(rng.randint(-9, 9), rng.randint(1, 11))])
+        for _ in range(num_vars)
+    ]
+
+
+def test_integer_evaluator_matches_reference():
+    rng = random.Random("integer-evaluator")
+    for _ in range(60):
+        num_vars = rng.randint(1, 5)
+        family = _seeded_family(rng, num_vars)
+        polys = [Polynomial(num_vars, t) for t in family]
+        refs = [TuplePolynomial(num_vars, t) for t in family]
+        assert polys[0].terms == {}  # the zero polynomial, always 0
+        assert [p.degree() for p in polys] == [0, 0, 1, 2, 3, 4]
+        scale_l, deg = lcm(*(p.den for p in polys)), 4
+        values = integer_evaluator(polys, num_vars)
+        for _ in range(6):
+            point = _seeded_point(rng, num_vars)
+            ints, scale = values(point)
+            d = lcm(*(Fraction(c).denominator for c in point))
+            assert scale == scale_l * d**deg
+            assert all(type(s) is int for s in ints)
+            assert [Fraction(s, scale) for s in ints] == [r.evaluate(point) for r in refs]
+            assert ints[0] == 0
+            for p, r in zip(polys, refs):
+                assert p.evaluate(point) == r.evaluate(point)
+    # no components: nothing to evaluate, but the point is still checked
+    assert integer_evaluator([], 3)([1, Fraction(1, 2), 0]) == ([], 1)
+    with pytest.raises(ValueError, match="point must have 3 coordinates"):
+        integer_evaluator([], 3)([1, 2])
+
+
+@pytest.mark.parametrize("bad", [0.1, True, False, 1.0, "1", None])
+def test_evaluate_refuses_non_exact_coordinates(bad):
+    x = Polynomial(2, {(1, 0): 1, (0, 1): Fraction(1, 3)})
+    for p in (x, Polynomial.constant(5, 2), Polynomial.zero(2)):
+        with pytest.raises(TypeError, match="coordinates must be ints or Fractions"):
+            p.evaluate([Fraction(1, 2), bad])
+        with pytest.raises(TypeError, match="coordinates must be ints or Fractions"):
+            p.evaluate([bad, 1])
+    with pytest.raises(TypeError):
+        x.evaluate([0.1, True])
+    assert x.evaluate([Fraction(1, 2), 3]) == Fraction(3, 2)
 
 
 @settings(max_examples=100, deadline=None)

@@ -523,6 +523,14 @@ SPEC_DIGESTS = {
         "jacobi": (1, "544383b0d5980b0cbaf3fb631291fdc33e496e9e92222eb320aa760b7b3f3dab"),
         "sigma-delta": (1, "7d29b278da5ea4e10c9d5bf03207389911e3eb8b2a8b7d24f9bd6d518f0cc73c"),
     },
+    "quadratic_rank_drop_3vector": {
+        "check": (1, "a67e1cd5c4a514c76aab33b1b0552b0988f49b3e91c0e46551cc587ac4e98945"),
+        "rank": (0, "e5715c211b96918d77c5ae90360a4304cacf91e35f4f194b08ed264311385a29"),
+        "factorize": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+        "nambu": (1, "d33a81112b54e0eeeb7dd5fa2e326513943b92dcaef089c99ba2ae020fa53e71"),
+        "jacobi": (1, "544383b0d5980b0cbaf3fb631291fdc33e496e9e92222eb320aa760b7b3f3dab"),
+        "sigma-delta": (1, "7d29b278da5ea4e10c9d5bf03207389911e3eb8b2a8b7d24f9bd6d518f0cc73c"),
+    },
     "scaled_decomposable_field": {
         "check": (0, "04c2e3138131f3e5edffc5caed23e6445b1521532cf4e9522fb186a3954e8c57"),
         "rank": (0, "eac7dcba99ebfba79ae29550f75aef2a4dabb92dd93c8418d803859f6d05bc11"),
