@@ -194,12 +194,12 @@ def blade_contractions(terms: Mapping[Blade, object], k: int) -> dict:
 def _check_blade(blade: Blade, dim: int, grade: int) -> None:
     if len(blade) != grade:
         raise ValueError(f"blade {blade!r} does not have grade {grade}")
-    prev = 0
-    for idx in blade:
-        if not isinstance(idx, int) or idx <= prev:
-            raise ValueError(f"blade {blade!r} must be strictly increasing")
-        prev = idx
-    if prev > dim:
+    if not blade:
+        return
+    # exact ints only (a bool is not an index), checked at C speed
+    if {*map(type, blade)} != {int} or blade[0] < 1 or list(blade) != sorted(set(blade)):
+        raise ValueError(f"blade {blade!r} must be strictly increasing")
+    if blade[-1] > dim:
         raise ValueError(f"blade {blade!r} exceeds dimension {dim}")
 
 

@@ -50,7 +50,7 @@ from .exterior import (
     sort_to_blade,
     wedge_terms,
 )
-from .polynomial import Polynomial
+from .polynomial import Polynomial, integer_evaluator
 
 _SCALARS = (int, Fraction)
 
@@ -85,11 +85,10 @@ class MultivectorField(GradedTerms):
     # -- pointwise and componentwise operations -----------------------------
 
     def evaluate(self, point: Sequence) -> Multivector:
-        """Exact substitution of a rational point."""
-        if len(point) != self.dim:
-            raise ValueError(f"point must have {self.dim} coordinates")
-        terms = {blade: poly.evaluate(point) for blade, poly in self.terms.items()}
-        return Multivector(self.dim, self.grade, terms)
+        """Exact substitution of a point of ints and Fractions, every component
+        through one :func:`~npk.polynomial.integer_evaluator` call."""
+        values, scale = integer_evaluator(list(self.terms.values()), self.dim)(point)
+        return Multivector(self.dim, self.grade, {b: Fraction(v, scale) for b, v in zip(self.terms, values)})
 
     def partial(self, u: int) -> "MultivectorField":
         """Componentwise partial derivative along coordinate ``u``."""

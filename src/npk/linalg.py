@@ -83,7 +83,7 @@ def _forward(vecs: Iterable[dict[int, int]], width: int) -> tuple[dict[int, dict
 
 
 def sparse_rank(vecs: Iterable[dict[int, int]], width: int) -> int:
-    """Rank of sparse integer rows ``{col: int}`` with columns below ``width``.
+    """Rank of sparse integer rows ``{col: int}`` over at most ``width`` distinct columns.
 
     The forward pass of :func:`rref` alone: no back-substitution and no
     Fractions.

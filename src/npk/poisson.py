@@ -25,6 +25,7 @@ import random
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from math import gcd
 from typing import Sequence
@@ -102,8 +103,14 @@ def default_sample_points(dim: int, seed: int = 0, extra: int = 8) -> list[Point
     """Origin, the coordinate unit points, and seeded random rational points.
 
     Each random coordinate is ``a/b`` with ``a = randint(-6, 6)`` drawn
-    before ``b = randint(1, 3)``.
+    before ``b = randint(1, 3)``.  The points are built once per
+    ``(dim, seed, extra)`` in a process; every call returns a new list.
     """
+    return list(_sample_points(dim, seed, extra))
+
+
+@lru_cache(maxsize=16)
+def _sample_points(dim: int, seed: int, extra: int) -> tuple[Point, ...]:
     zero, one = Fraction(0), Fraction(1)
     points: list[Point] = [(zero,) * dim]
     for u in range(dim):
@@ -112,7 +119,7 @@ def default_sample_points(dim: int, seed: int = 0, extra: int = 8) -> list[Point
     randint = rng.randint
     for _ in range(extra):
         points.append(tuple(_SAMPLE_COORDS[randint(-6, 6) + 6][randint(1, 3) - 1] for _ in range(dim)))
-    return points
+    return tuple(points)
 
 
 def sample_ranks(field: MultivectorField, points: Sequence[Point]) -> tuple[tuple[Point, int], ...]:
@@ -130,11 +137,25 @@ def sample_ranks(field: MultivectorField, points: Sequence[Point]) -> tuple[tupl
     with ``g, g' > 0``, so one rank: :func:`~npk.linalg.sparse_rank` runs
     once per such key.  A constant field has one key, and the origin shares
     its key with every unit point whose coordinate no component reads.
+
+    A face of exactly one blade is a *single* row, ``+-S_k e_u``.  Let
+    ``U`` be the columns ``u`` of the single rows whose ``S_k`` is nonzero
+    at a key.  The row space ``R`` contains ``span{e_u : u in U}``, and the
+    projection deleting the columns ``U`` has exactly that span as kernel,
+    so ``dim R = |U| + dim`` of the projected ``R``.  The projected single
+    rows vanish, so the rank is ``|U|`` plus the rank of the other rows
+    with the columns ``U`` deleted, and only those rows are eliminated.
     """
     m = field.dim
     values = integer_evaluator(list(field.terms.values()), m)
     faces = blade_contractions({blade: k for k, blade in enumerate(field.terms, 1)}, field.grade - 1)
-    table = [[(u - 1, k) for (u,), k in face.items()] for face in faces.values()]
+    single, table = [], []
+    for face in faces.values():
+        if len(face) == 1:
+            ((u,), k), = face.items()
+            single.append((u - 1, abs(k)))
+        else:
+            table.append([(u - 1, k) for (u,), k in face.items()])
     ranks: dict[tuple[int, ...], int] = {}
     out = []
     for pt in points:
@@ -143,8 +164,12 @@ def sample_ranks(field: MultivectorField, points: Sequence[Point]) -> tuple[tupl
         key = tuple(v // g for v in ints) if g > 1 else tuple(ints)
         if (rank := ranks.get(key)) is None:
             vals = (0, *key)
-            rows = ({col: vals[k] if k > 0 else -vals[-k] for col, k in entries if vals[abs(k)]} for entries in table)
-            rank = ranks[key] = sparse_rank(rows, m)
+            done = {col for col, k in single if vals[k]}
+            rows = (
+                {col: vals[k] if k > 0 else -vals[-k] for col, k in entries if vals[abs(k)] and col not in done}
+                for entries in table
+            )
+            rank = ranks[key] = len(done) + sparse_rank(rows, m - len(done))
         out.append((tuple(c if isinstance(c, Fraction) else Fraction(c) for c in pt), rank))
     return tuple(out)
 

@@ -23,7 +23,7 @@ from operator import or_
 from typing import Callable, Iterator, Mapping, Sequence
 
 _SCALARS = (int, Fraction)
-_COORDINATES = {int, Fraction}  # exact types: a bool is not a coordinate
+_EXACT = {int, Fraction}  # matched by exact type, so a bool is not one
 
 
 def _width(bound: int) -> int:
@@ -52,12 +52,15 @@ class Polynomial:
     def __init__(self, num_vars: int, terms: Mapping[tuple[int, ...], Fraction] | None = None):
         if num_vars < 0:
             raise ValueError("num_vars must be nonnegative")
-        clean: dict[tuple[int, ...], Fraction] = {}
+        clean: dict[tuple[int, ...], int | Fraction] = {}
         for exps, coef in (terms or {}).items():
             exps = tuple(exps)
-            if len(exps) != num_vars or any(not isinstance(e, int) or e < 0 for e in exps):
+            # exact ints only (a bool is not an exponent), checked at C speed
+            if len(exps) != num_vars or exps and ({*map(type, exps)} != {int} or min(exps) < 0):
                 raise ValueError(f"bad exponent tuple {exps!r} for {num_vars} variables")
-            clean[exps] = clean.get(exps, 0) + Fraction(coef)
+            if type(coef) not in _EXACT:
+                coef = Fraction(coef)
+            clean[exps] = clean[exps] + coef if exps in clean else coef
         clean = {e: c for e, c in clean.items() if c}
         bound = max((max(e, default=0) for e in clean), default=0)
         width = _width(bound)
@@ -85,8 +88,9 @@ class Polynomial:
 
     @classmethod
     def constant(cls, value, num_vars: int) -> "Polynomial":
-        c = Fraction(value)
-        return cls._raw(num_vars, {0: c.numerator} if c else {}, c.denominator)
+        if type(value) not in _EXACT:
+            value = Fraction(value)
+        return cls._raw(num_vars, {0: value.numerator} if value else {}, value.denominator)
 
     @classmethod
     def variable(cls, u: int, num_vars: int) -> "Polynomial":
@@ -304,7 +308,7 @@ def integer_evaluator(polys: Sequence[Polynomial], num_vars: int) -> Callable[[S
     def values(point: Sequence) -> tuple[list[int], int]:
         if len(point) != num_vars:
             raise ValueError(f"point must have {num_vars} coordinates")
-        if not {*map(type, point)} <= _COORDINATES:
+        if not {*map(type, point)} <= _EXACT:
             raise TypeError(f"coordinates must be ints or Fractions, not {point!r}")
         nums, powers = (), (1,)  # a constant monomial reads neither
         if deg:

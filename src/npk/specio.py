@@ -11,8 +11,14 @@ The on-disk format is a small JSON schema with exact rationals as strings
 Polynomial tensors use ``"kind": "polynomial"`` with each value a list of
 monomials ``{"coef": "1", "exps": [0, 1, 0, 0, 0]}``.  Parsing is strict:
 unknown and repeated fields are rejected, indices must be strictly
-increasing, and all numbers arrive as rational strings or integers.
-Serialization is canonical, so equal specs serialize byte-identically.
+increasing, and all numbers arrive as rational strings or integers.  It
+validates the spec and builds its :class:`~npk.fields.MultivectorField`
+in one pass, reading each coefficient once; repeated blades and monomials
+merge by addition and a blade that cancels disappears.  A
+:class:`TensorSpec` is ``m``, ``n``, ``kind`` and that field.
+Serialization renders the field canonically (blades sorted, monomials as
+:meth:`~npk.polynomial.Polynomial.monomials` orders them), so equal specs
+serialize byte-identically.
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
+from .exterior import _add_term
 from .fields import MultivectorField
 from .polynomial import Polynomial
 
@@ -31,23 +38,11 @@ class SpecError(ValueError):
 
 
 @dataclass(frozen=True)
-class Monomial:
-    coef: str
-    exps: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class Term:
-    indices: tuple[int, ...]
-    value: str | tuple[Monomial, ...]
-
-
-@dataclass(frozen=True)
 class TensorSpec:
     m: int
     n: int
     kind: str
-    terms: tuple[Term, ...]
+    field: MultivectorField
 
 
 def _is_int(x) -> bool:
@@ -55,11 +50,20 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _fraction(text, where: str) -> Fraction:
+def _ints(xs: list) -> bool:
+    # a nonempty list of exact ints, at C speed: a bool is not an int here
+    return {*map(type, xs)} == {int}
+
+
+def _rational(text, where: str) -> int | Fraction:
     if _is_int(text):
-        return Fraction(text)
+        return text
     if not isinstance(text, str):
         raise SpecError(f"{where}: rational values must be strings or integers, got {type(text).__name__}")
+    try:
+        return int(text)  # the common case, and no Fraction to build
+    except ValueError:
+        pass
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
@@ -76,7 +80,7 @@ def _check_keys(obj: dict, allowed: set[str], where: str) -> None:
 
 
 def parse_spec_data(obj) -> TensorSpec:
-    """Validate and canonicalize an already-decoded JSON object."""
+    """Validate an already-decoded JSON object and build its field."""
     if not isinstance(obj, dict):
         raise SpecError("top level must be a JSON object")
     _check_keys(obj, {"m", "n", "kind", "terms"}, "top level")
@@ -92,68 +96,43 @@ def parse_spec_data(obj) -> TensorSpec:
     if not isinstance(terms, list):
         raise SpecError("terms must be a list")
 
-    constant_acc: dict[tuple[int, ...], Fraction] = {}
-    poly_acc: dict[tuple[int, ...], dict[tuple[int, ...], Fraction]] = {}
+    # blade -> rational (constant) or blade -> {exponent tuple: rational}
+    acc: dict = {}
     for pos, term in enumerate(terms):
         where = f"terms[{pos}]"
         if not isinstance(term, dict):
             raise SpecError(f"{where}: must be an object")
         _check_keys(term, {"indices", "value"}, where)
         indices = term["indices"]
-        if (
-            not isinstance(indices, list)
-            or len(indices) != n
-            or any(not _is_int(i) for i in indices)
-        ):
+        if not isinstance(indices, list) or len(indices) != n or not _ints(indices):
             raise SpecError(f"{where}: indices must be a list of {n} integers")
-        if any(b <= a for a, b in zip(indices, indices[1:])) or indices[0] < 1 or indices[-1] > m:
+        if indices != sorted(set(indices)) or indices[0] < 1 or indices[-1] > m:
             raise SpecError(f"{where}: indices must be strictly increasing within 1..{m}")
         blade = tuple(indices)
         value = term["value"]
         if kind == "constant":
-            coef = _fraction(value, where)
-            total = constant_acc.get(blade, Fraction(0)) + coef
-            if total:
-                constant_acc[blade] = total
-            else:
-                constant_acc.pop(blade, None)
-        else:
-            if not isinstance(value, list):
-                raise SpecError(f"{where}: polynomial values must be monomial lists")
-            acc = poly_acc.setdefault(blade, {})
-            for mpos, mono in enumerate(value):
-                mwhere = f"{where}.value[{mpos}]"
-                if not isinstance(mono, dict):
-                    raise SpecError(f"{mwhere}: must be an object")
-                _check_keys(mono, {"coef", "exps"}, mwhere)
-                exps = mono["exps"]
-                if (
-                    not isinstance(exps, list)
-                    or len(exps) != m
-                    or any(not _is_int(e) or e < 0 for e in exps)
-                ):
-                    raise SpecError(f"{mwhere}: exps must be a list of {m} nonnegative integers")
-                coef = _fraction(mono["coef"], mwhere)
-                key = tuple(exps)
-                total = acc.get(key, Fraction(0)) + coef
-                if total:
-                    acc[key] = total
-                else:
-                    acc.pop(key, None)
-            if not acc:
-                poly_acc.pop(blade, None)
+            _add_term(acc, blade, _rational(value, where))
+            continue
+        if not isinstance(value, list):
+            raise SpecError(f"{where}: polynomial values must be monomial lists")
+        monos = acc.setdefault(blade, {})
+        for mpos, mono in enumerate(value):
+            mwhere = f"{where}.value[{mpos}]"
+            if not isinstance(mono, dict):
+                raise SpecError(f"{mwhere}: must be an object")
+            _check_keys(mono, {"coef", "exps"}, mwhere)
+            exps = mono["exps"]
+            if not isinstance(exps, list) or len(exps) != m or not _ints(exps) or min(exps) < 0:
+                raise SpecError(f"{mwhere}: exps must be a list of {m} nonnegative integers")
+            _add_term(monos, tuple(exps), _rational(mono["coef"], mwhere))
+        if not monos:
+            del acc[blade]
 
-    canonical: list[Term] = []
     if kind == "constant":
-        for blade in sorted(constant_acc):
-            canonical.append(Term(blade, str(constant_acc[blade])))
+        comps = {blade: Polynomial.constant(c, m) for blade, c in acc.items()}
     else:
-        for blade in sorted(poly_acc):
-            monos = tuple(
-                Monomial(str(coef), exps) for exps, coef in sorted(poly_acc[blade].items())
-            )
-            canonical.append(Term(blade, monos))
-    return TensorSpec(m, n, kind, tuple(canonical))
+        comps = {blade: Polynomial(m, monos) for blade, monos in acc.items()}
+    return TensorSpec(m, n, kind, MultivectorField(m, n, comps))
 
 
 def _unique_fields(pairs: list) -> dict:
@@ -181,44 +160,29 @@ def parse_spec(path) -> TensorSpec:
 def serialize(spec: TensorSpec) -> str:
     """Canonical JSON text; parsing it reproduces the spec exactly."""
     terms = []
-    for term in spec.terms:
-        if isinstance(term.value, str):
-            value = term.value
+    for blade in sorted(spec.field.terms):
+        poly = spec.field.terms[blade]
+        if spec.kind == "constant":
+            value = str(poly.constant_value())
         else:
-            value = [{"coef": mono.coef, "exps": list(mono.exps)} for mono in term.value]
-        terms.append({"indices": list(term.indices), "value": value})
+            value = [{"coef": str(c), "exps": list(e)} for e, c in poly.monomials()]
+        terms.append({"indices": list(blade), "value": value})
     obj = {"m": spec.m, "n": spec.n, "kind": spec.kind, "terms": terms}
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
 def to_field(spec: TensorSpec) -> MultivectorField:
-    comps = {}
-    for term in spec.terms:
-        if isinstance(term.value, str):
-            comps[term.indices] = Polynomial.constant(Fraction(term.value), spec.m)
-        else:
-            comps[term.indices] = Polynomial(
-                spec.m, {mono.exps: Fraction(mono.coef) for mono in term.value}
-            )
-    return MultivectorField(spec.m, spec.n, comps)
+    return spec.field
 
 
 def from_field(field: MultivectorField, kind: str | None = None) -> TensorSpec:
-    """Canonical spec for a field; kind defaults to the tightest choice."""
+    """The spec of a field; kind defaults to the tightest choice."""
     if kind is None:
         kind = "constant" if field.is_constant() else "polynomial"
     if kind not in ("constant", "polynomial"):
         raise ValueError(f"kind must be 'constant' or 'polynomial', got {kind!r}")
     if field.grade > field.dim:
         raise ValueError("a spec needs n <= m; the field's grade exceeds its dimension")
-    terms: list[Term] = []
-    for blade in sorted(field.terms):
-        poly = field.terms[blade]
-        if kind == "constant":
-            if not poly.is_constant():
-                raise ValueError("field has non-constant components; use kind='polynomial'")
-            terms.append(Term(blade, str(poly.constant_value())))
-        else:
-            monos = tuple(Monomial(str(c), e) for e, c in poly.monomials())
-            terms.append(Term(blade, monos))
-    return TensorSpec(field.dim, field.grade, kind, tuple(terms))
+    if kind == "constant" and not field.is_constant():
+        raise ValueError("field has non-constant components; use kind='polynomial'")
+    return TensorSpec(field.dim, field.grade, kind, field)

@@ -92,6 +92,27 @@ def test_evaluate_at_origin_and_elsewhere():
     assert f.evaluate([2, 0, 0, 0, 0]) == Multivector(M, 3, {(1, 2, 3): 2})
 
 
+def test_evaluate_matches_per_component_polynomial_evaluate():
+    # one integer evaluation over all components against one per component
+    rng = random.Random("field-evaluate")
+    fields = [MultivectorField(6, 2), MultivectorField(3, 4), MultivectorField(4, 2, {(1, 2): Fraction(5, 3)})]
+    for _ in range(30):
+        m = rng.randint(2, 6)
+        n = rng.randint(1, m)
+        blades = rng.sample(list(iter_blades(m, n)), min(rng.randint(1, 4), comb(m, n)))
+        fields.append(MultivectorField(m, n, {b: random_polynomial(rng, m, degree=3) for b in blades}))
+    for f in fields:
+        for _ in range(4):
+            point = [rng.choice((0, rng.randint(-4, 4), Fraction(rng.randint(-9, 9), rng.randint(1, 7))))
+                     for _ in range(f.dim)]
+            want = Multivector(f.dim, f.grade, {b: p.evaluate(point) for b, p in f.terms.items()})
+            assert f.evaluate(point) == want
+            assert f.evaluate(tuple(point)).terms == want.terms
+    assert all(f.evaluate([0] * f.dim).is_zero() for f in fields[:2])
+    with pytest.raises(ValueError, match="point must have 6 coordinates"):
+        fields[0].evaluate([0] * 5)
+
+
 # ---------------------------------------------------------------------------
 # the induced bracket
 

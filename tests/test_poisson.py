@@ -1,8 +1,11 @@
+import inspect
 import json
 import pathlib
 import random
+import types
 import warnings
 from fractions import Fraction
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -11,7 +14,7 @@ import npk.grassmann
 import npk.linalg
 import npk.poisson
 from npk.cli import main
-from npk.exterior import iter_blades
+from npk.exterior import blade_contractions, iter_blades
 from npk.fields import MultivectorField, coordinate_vector_field, jacobi_identity_holds
 from npk.grassmann import sharp_profile
 from npk.poisson import (
@@ -305,6 +308,34 @@ def test_default_sample_points_layout():
     assert default_sample_points(3, seed=1) == points  # deterministic
 
 
+def test_default_sample_points_are_built_once_per_arguments(monkeypatch):
+    # a plain function, so that tracing tools that wrap functions still see it
+    assert inspect.isfunction(default_sample_points)
+    builds = []
+
+    def counted(seed):
+        builds.append(seed)
+        return random.Random(seed)
+
+    npk.poisson._sample_points.cache_clear()
+    monkeypatch.setattr(npk.poisson, "random", types.SimpleNamespace(Random=counted))
+    first = default_sample_points(4, 3, 5)
+    assert len(first) == 1 + 4 + 5 and first[0] == (0,) * 4
+    # the caller owns its list: changing it changes no later call
+    kept = list(first)
+    first.append((1, 1, 1, 1))
+    first[0] = None
+    again = default_sample_points(4, seed=3, extra=5)
+    assert again == kept and again is not first
+    assert default_sample_points(4, 3, extra=5) == again
+    assert builds == [3]
+    # one build for each new (dim, seed, extra)
+    for dim, seed, extra in ((4, 4, 5), (5, 3, 5), (4, 3, 6), (4, 4, 5), (5, 3, 5)):
+        default_sample_points(dim, seed, extra)
+    assert builds == [3, 4, 3, 3]
+    npk.poisson._sample_points.cache_clear()
+
+
 def test_rank_is_generically_maximal_along_lines():
     # the executable shadow of lower semicontinuity: the rank at sampled
     # generic parameters dominates the rank at the special point
@@ -339,6 +370,33 @@ def _rank_sampling_fields():
         else:
             f = random_constant_field(rng, m, n, max_terms=5)
         fields.append(f)
+    # the single face rows of sample_ranks: blades that share no (n-1)-face
+    # (every row single), fans through one (n-1)-face (one row not single,
+    # the fan's own faces single), and components that vanish at some of
+    # the default points (x_u vanishes at the origin and at e_v, v != u)
+    for i in range(72):
+        n = 2 + i % 4
+        m = rng.randint(n + 1, n + 4)
+        if (i // 4) % 2:
+            face = sorted(rng.sample(range(1, m + 1), n - 1))
+            ends = rng.sample([w for w in range(1, m + 1) if w not in face], rng.randint(2, m - n + 1))
+            blades = [tuple(sorted(face + [w])) for w in ends]
+        else:
+            blades, faces = [], set()
+            for b in rng.sample(list(iter_blades(m, n)), comb(m, n)):
+                if len(blades) < 4 and not faces & set(combinations(b, n - 1)):
+                    blades.append(b)
+                    faces |= set(combinations(b, n - 1))
+        comps = {}
+        for b in blades:
+            x = Polynomial.variable(rng.randint(1, m), m)
+            comps[b] = rng.choice((
+                x,
+                x * random_polynomial(rng, m, degree=1),
+                Polynomial.constant(Fraction(rng.randint(-5, 5), rng.randint(1, 4)), m),
+                random_polynomial(rng, m, degree=2),
+            ))
+        fields.append(MultivectorField(m, n, comps))
     return fields
 
 
@@ -356,6 +414,16 @@ def assert_ranks_match_sharp_profile(f, points=None):
     if f.grade >= 2:
         assert classify(f, points).rank_at_samples == want
     return [rank for _, rank in want]
+
+
+def test_rank_sampling_fields_reach_the_single_row_split():
+    # every shape the split in sample_ranks distinguishes is among the cases
+    shapes = set()
+    for f in _rank_sampling_fields():
+        rows = blade_contractions(f.terms, f.grade - 1).values()
+        vanish = any(not p.evaluate(pt) for pt in default_sample_points(f.dim) for p in f.terms.values())
+        shapes.add((all(len(row) == 1 for row in rows), any(len(row) > 1 for row in rows), vanish))
+    assert {(True, False, True), (False, True, True), (True, False, False), (False, True, False)} <= shapes
 
 
 def test_rank_sampling_matches_sharp_profile_at_every_point():

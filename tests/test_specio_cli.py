@@ -47,6 +47,13 @@ def test_parse_exact_rational():
     assert field.terms[(1, 2, 3)] == Fraction(3, 2)
 
 
+def test_parse_integer_strings_as_fraction_reads_them():
+    # integer strings skip Fraction, so each must still read as Fraction reads it
+    for value in ("7", " -3 ", "+4", "1_000", "-12/8", "1e2", "0.5", "007"):
+        field = to_field(parse_spec_text(CONSTANT_SPEC.replace('"1"', json.dumps(value))))
+        assert field.terms[(1, 2, 3)] == Fraction(value), value
+
+
 def test_parse_rejects_unsorted_indices():
     text = CONSTANT_SPEC.replace("[1, 2, 3]", "[2, 1, 3]")
     with pytest.raises(SpecError, match="strictly increasing"):
@@ -165,7 +172,43 @@ def test_duplicate_blades_merge():
             ],
         }
     )
-    assert parse_spec_text(text).terms == ()
+    spec = parse_spec_text(text)
+    assert to_field(spec).is_zero()
+    assert '"terms": []' in serialize(spec)
+
+
+def _polynomial_spec(*terms) -> str:
+    entries = [
+        {"indices": list(indices), "value": [{"coef": c, "exps": list(e)} for c, e in monos]}
+        for indices, monos in terms
+    ]
+    return json.dumps({"m": 3, "n": 2, "kind": "polynomial", "terms": entries})
+
+
+def test_polynomial_blades_merge_across_entries():
+    # one blade in two entries: the monomials add, and x1 cancels
+    text = _polynomial_spec(
+        ((1, 2), [("1/2", (1, 0, 0)), ("3", (0, 0, 0))]),
+        ((2, 3), [("1", (0, 1, 0))]),
+        ((1, 2), [("-1/2", (1, 0, 0)), ("2/3", (0, 0, 2))]),
+    )
+    field = to_field(parse_spec_text(text))
+    want = Polynomial(3, {(0, 0, 0): 3, (0, 0, 2): Fraction(2, 3)})
+    assert field == MultivectorField(3, 2, {(1, 2): want, (2, 3): Polynomial.variable(2, 3)})
+    assert serialize(parse_spec_text(text)) == serialize(from_field(field))
+
+
+def test_polynomial_monomials_cancel_to_an_empty_blade():
+    # within one entry and across two, and a blade given with no monomials
+    text = _polynomial_spec(
+        ((1, 3), [("2", (0, 1, 1)), ("-2", (0, 1, 1))]),
+        ((1, 2), [("1/3", (2, 0, 0))]),
+        ((2, 3), []),
+        ((1, 2), [("-1/3", (2, 0, 0))]),
+    )
+    spec = parse_spec_text(text)
+    assert to_field(spec).is_zero() and to_field(spec).grade == 2
+    assert '"terms": []' in serialize(spec)
 
 
 # ---------------------------------------------------------------------------
@@ -187,6 +230,40 @@ def test_round_trip_random_specs():
 def test_serialize_is_canonical():
     spec = parse_spec_text(CONSTANT_SPEC)
     assert serialize(spec) == serialize(parse_spec_text(serialize(spec)))
+
+
+# sha256 of `serialize(parse_spec(path))` for each shipped spec, recorded
+# before specs were parsed straight into fields
+SERIALIZE_DIGESTS = {
+    "decomposable_3vector": "0354cdda72920d598487bc43d1e52da39a879c96ca9e3257764924b715ae43ee",
+    "nonpoisson_3vector": "4d033cf7f47827b9c17b95ea83b073fa26682a74c57b399d8d203cca80c98d1c",
+    "quadratic_rank_drop_3vector": "d0c1b7d607368b1c79d20bf026b7bd5cbded6ec3a9c54142f90bd7d272589443",
+    "scaled_decomposable_field": "96ca75bced7e985bcba0e589f8e6131c695fcb2292382bf9e195c22a07e95d68",
+    "two_block_4vector": "583a061d78294d0e5938dcf860ef682f1d2ae573034ebf45d55dd54188567769",
+}
+
+
+def test_serialize_matches_recorded_digests():
+    assert sorted(p.stem for p in SPECS.glob("*.json")) == sorted(SERIALIZE_DIGESTS)
+    for name, digest in SERIALIZE_DIGESTS.items():
+        spec = parse_spec(SPECS / f"{name}.json")
+        assert hashlib.sha256(serialize(spec).encode()).hexdigest() == digest, name
+        assert serialize(from_field(to_field(spec), spec.kind)) == serialize(spec)
+
+
+def test_booleans_are_not_indices_or_exponents():
+    # a bool index would serialize as `true`, which the parser refuses
+    with pytest.raises(ValueError, match=r"blade \(True,\) must be strictly increasing"):
+        MultivectorField(3, 1, {(True,): 1})
+    with pytest.raises(ValueError, match=r"blade \(1, True\) must be strictly increasing"):
+        MultivectorField(3, 2, {(1, True): 1})
+    with pytest.raises(ValueError, match=r"bad exponent tuple \(True, 0\) for 2 variables"):
+        Polynomial(2, {(True, 0): 1})
+    with pytest.raises(ValueError, match="bad exponent tuple"):
+        Polynomial(2, {(0, False): 1})
+    # exact ints still pass, and the round trip holds
+    field = MultivectorField(3, 1, {(1,): Polynomial(3, {(0, 2, 0): 1})})
+    assert to_field(parse_spec_text(serialize(from_field(field)))) == field
 
 
 # ---------------------------------------------------------------------------
