@@ -49,11 +49,6 @@ def _emit(report: dict, as_json: bool, elapsed: float) -> None:
     print(f"completed in {elapsed:.2f}s")
 
 
-def _load_field(path: str) -> MultivectorField:
-    spec = parse_spec(path)
-    return to_field(spec)
-
-
 def _cmd_check(field: MultivectorField, args) -> tuple[dict, int]:
     points = default_sample_points(field.dim, args.seed, extra=args.samples)
     verdict = classify(field, points)
@@ -202,7 +197,7 @@ def main(argv=None) -> int:
         if args.command == "suite":
             report, code = _cmd_suite(args)
         else:
-            field = _load_field(args.spec)
+            field = to_field(parse_spec(args.spec))
             # these commands test the bracket of an n-ary structure, which needs n >= 2
             if args.command in ("check", "nambu", "jacobi", "sigma-delta") and field.grade < 2:
                 raise SpecError("classification needs grade at least 2")

@@ -3,7 +3,7 @@
 A grade-q field U is compatible with the structure field P when
 ``(i(alpha) P) ^ (i(alpha) U) = 0`` for every covector alpha.  The
 quantifier is quadratic in alpha, so over the rationals it is equivalent
-to its polarization on basis covector pairs, which is what gets checked.
+to its polarization on basis covector pairs, checked on both ``faces(1)``.
 On compatible fields a first-order operator of degree n-1 is defined; it
 annihilates P itself and acts on functions as ``f -> i(df) P``.  The
 operator does not square to zero in general, so no such identity is
@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exterior import _add_term, blade_contractions, first_failing_pair, wedge_terms
+from .exterior import _add_term, first_failing_pair, wedge_terms
 from .fields import MultivectorField, contracted_derivative
 from .polynomial import Polynomial
 
@@ -45,8 +45,8 @@ def is_compatible(structure: MultivectorField, candidate: MultivectorField) -> C
     if structure.grade == 0:
         raise ValueError("cannot contract a scalar")
     # {(a,): i(dx^a) X} for both fields, read in one pass; absent when zero
-    sc = blade_contractions(structure.terms, 1)
-    cc = blade_contractions(candidate.terms, 1)
+    sc = structure.faces(1)
+    cc = candidate.faces(1)
 
     def polarized(a: int, b: int) -> dict:
         out = wedge_terms(sc.get((a,), {}), cc.get((b,), {}))

@@ -4,7 +4,8 @@ Basis blades are strictly increasing tuples of 1-based indices.  A
 homogeneous element of grade k stores a sparse map ``terms`` from k-blades
 to nonzero coefficients.  One container, :class:`GradedTerms`, holds that
 map for any coefficient ring: it canonicalises input, keeps the zero above
-the top grade, and provides ``component``, ``wedge`` and ``+ - * ==``.
+the top grade, and provides ``component``, ``wedge``, ``+ - * ==`` and
+``faces(k)``, its face table.
 Point values (:class:`Multivector`) are the subclass with
 ``fractions.Fraction`` coefficients; multivector fields
 (:class:`npk.fields.MultivectorField`) are the subclass with polynomial
@@ -16,7 +17,9 @@ pairs that the bilinear and polarized quadratic conditions reduce to.
 :func:`blade_contractions` is the one kernel for contraction with basis
 forms: it tabulates the contractions with every basis k-form at once,
 built from the faces of the blades present, and a basis covector is the
-case k = 1.  :func:`contract_terms` contracts with one general covector.
+case k = 1.  An element reads that table through
+:meth:`GradedTerms.faces`, which builds it once per ``k`` and keeps it.
+:func:`contract_terms` contracts with one general covector.
 
 Sign conventions, fixed once for the whole package:
 
@@ -39,9 +42,9 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Iterator, Mapping
 
-Blade = tuple[int, ...]
+from .polynomial import _exact
 
-_SCALARS = (int, Fraction)
+Blade = tuple[int, ...]
 
 
 def iter_blades(dim: int, grade: int) -> Iterator[Blade]:
@@ -215,7 +218,7 @@ class GradedTerms:
     like its coefficients.
     """
 
-    __slots__ = ("dim", "grade", "terms")
+    __slots__ = ("dim", "grade", "terms", "_faces")
     __hash__ = None
 
     def __init__(self, dim: int, grade: int, terms: Mapping[Blade, object] | None = None):
@@ -225,6 +228,7 @@ class GradedTerms:
             raise ValueError("grade must be nonnegative")
         self.dim = dim
         self.terms = {}
+        self._faces = {}
         if grade > dim:
             if terms and any(terms.values()):
                 raise ValueError("no blades exist above the top grade")
@@ -244,6 +248,13 @@ class GradedTerms:
     def blade(cls, dim: int, indices: Iterable[int], coeff=1):
         indices = tuple(indices)
         return cls(dim, len(indices), {indices: coeff})
+
+    def faces(self, k: int) -> dict:
+        """``blade_contractions(self.terms, k)``, built on first use and kept: nothing
+        writes to ``terms`` or to a table, so a later call returns the same object."""
+        if k not in self._faces:
+            self._faces[k] = blade_contractions(self.terms, k)
+        return self._faces[k]
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -315,11 +326,11 @@ class Multivector(GradedTerms):
     """
 
     __slots__ = ()
-    _factors = _SCALARS
+    _factors = (int, Fraction)
 
     @staticmethod
     def _coerce(coef, dim: int) -> Fraction:
-        return coef if isinstance(coef, Fraction) else Fraction(coef)
+        return coef if type(coef) is Fraction else Fraction(_exact(coef))
 
     @staticmethod
     def _zero(dim: int) -> Fraction:
@@ -360,7 +371,7 @@ class Covector:
     components: tuple[Fraction, ...]
 
     def __post_init__(self):
-        comps = tuple(c if isinstance(c, Fraction) else Fraction(c) for c in self.components)
+        comps = tuple(c if type(c) is Fraction else Fraction(_exact(c)) for c in self.components)
         if len(comps) != self.dim:
             raise ValueError("component vector length must equal the dimension")
         object.__setattr__(self, "components", comps)

@@ -8,7 +8,7 @@ subclass fixes the coefficient ring (so ``*`` also takes a polynomial
 factor) and adds evaluation at a rational point (an exact
 :class:`~npk.exterior.Multivector`), partial derivatives and the
 contraction with a covector field; contraction with basis forms reads the
-face table :func:`~npk.exterior.blade_contractions`.  The module also
+field's face table ``faces(k)``, built once per field.  The module also
 provides the n-ary bracket a grade-n field induces on polynomial
 functions, the differential defect whose vanishing is the differential
 half of the Poisson conditions (one case of :func:`contracted_derivative`,
@@ -23,13 +23,13 @@ over one nonzero entry per argument, skipping repeated indices;
 Jacobi oracle needs only brackets ``{g, x_R}`` whose arguments after the
 first are coordinates (the one with a quadratic argument there splits
 into two by Leibniz), and ``{g, x_R} = sum_w d_w g * P^{w R}`` is one
-row of the (n-1)-face table :func:`~npk.exterior.blade_contractions`, up
-to one sign per grade; so the oracle reads its brackets off that table
-and never calls the kernel.  It visits only the shuffles whose inner
-bracket can be nonconstant, read off the field's support (its
-nonconstant blades and the (n-1)-faces of its blades), and memoises
-brackets within one call.  It never consults the differential defect or
-the classifier; it is their check.
+row of the field's (n-1)-face table ``faces(n-1)``, up to one sign per
+grade; so the oracle reads its brackets off that table and never calls
+the kernel.  It visits only the shuffles whose inner bracket can be
+nonconstant, read off the field's support (its nonconstant blades and
+the (n-1)-faces of its blades), and memoises brackets within one call.
+It never consults the differential defect or the classifier; it is
+their check.
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ from .exterior import (
     GradedTerms,
     Multivector,
     _add_term,
-    blade_contractions,
     contract_terms,
     shuffle_sign,
     sort_to_blade,
@@ -52,14 +51,12 @@ from .exterior import (
 )
 from .polynomial import Polynomial, integer_evaluator
 
-_SCALARS = (int, Fraction)
-
 
 class MultivectorField(GradedTerms):
     """Sparse grade-n multivector field with polynomial components."""
 
     __slots__ = ()
-    _factors = _SCALARS + (Polynomial,)
+    _factors = (int, Fraction, Polynomial)
     # defined in this class's own namespace so that it can be patched here
     component = GradedTerms.component
 
@@ -136,8 +133,7 @@ def contracted_derivative(a: MultivectorField, b: MultivectorField) -> Multivect
     """``sum_u (i(dx^u) A) ^ (d_u B)``, of grade ``a.grade + b.grade - 1``."""
     out: dict[Blade, Polynomial] = {}
     variables = set().union(*(p.variables() for p in b.terms.values()))
-    # a constant B contracts nothing, so its table is never built
-    faces = blade_contractions(a.terms, 1) if variables else {}
+    faces = a.faces(1)
     for u in sorted(variables):
         contracted = faces.get((u,))
         if not contracted:
@@ -249,35 +245,18 @@ def _jacobi_shuffles(n: int) -> dict:
     return out
 
 
-def _face_rows(field: MultivectorField) -> dict:
-    """Map each (n-1)-face ``R`` of a blade to the row ``{w: P^{w R}}``.
-
-    ``blade_contractions(terms, n-1)[R][(w,)]`` carries the sign
-    ``(-1)^(sum(pos) - (n-1)(n-2)/2)``, where ``pos`` are the positions of
-    ``R`` in the blade ``B = sort(w, R)``.  If ``w`` sits at position
-    ``p`` of ``B``, then ``sum(pos) = n(n-1)/2 - p``, so that sign is
-    ``(-1)^(n-1-p)``; moving ``w`` from the front to position ``p`` gives
-    ``P^{w R} = (-1)^p P^B``.  Hence ``P^{w R} = (-1)^(n-1) C[R][(w,)]``:
-    one sign per grade.
-    """
-    odd = (field.grade - 1) % 2
-    return {
-        face: {w: -coef if odd else coef for (w,), coef in rest.items()}
-        for face, rest in blade_contractions(field.terms, field.grade - 1).items()
-    }
-
-
 def _face_bracket(grad: Gradient, row: dict | None, dim: int) -> Polynomial:
-    """``{g, x_R} = sum_w d_w g * P^{w R}`` for an increasing tuple ``R``.
+    """``sum_w d_w g * C[R][(w,)]``, which is ``(-1)^(n-1) {g, x_R}``.
 
-    ``grad`` is the sparse gradient of ``g`` and ``row`` is the face row
-    of ``R`` from :func:`_face_rows` (``None`` when ``R`` is no face of a
-    blade, and then the bracket is zero).
+    ``grad`` is the sparse gradient of ``g`` and ``row`` is the row of an
+    increasing tuple ``R`` in the (n-1)-face table ``C = field.faces(n-1)``
+    (``None`` when ``R`` is no face of a blade, and then the bracket is
+    zero).  The sign is proved in :func:`jacobi_identity_holds`.
     """
     acc = Polynomial.zero(dim)
     if row:
         for w, d in grad.items():
-            coef = row.get(w)
+            coef = row.get((w,))
             if coef is not None:
                 acc = acc + d * coef
     return acc
@@ -315,10 +294,14 @@ def jacobi_identity_holds(field: MultivectorField) -> bool:
     ``{g, x_{r_1}, .., x_{r_{n-1}}} = sum prod_i d_{u_i} f_i P^{u_1..u_n}``
     the factor ``d_{u_{i+1}} x_{r_i}`` is 1 at ``u_{i+1} = r_i`` and 0
     elsewhere, so the sum collapses to ``{g, x_R} = sum_w d_w g P^{w R}``,
-    one row of the (n-1)-face table read with the sign ``(-1)^(n-1)``
-    against :func:`~npk.exterior.blade_contractions` (proved in
-    :func:`_face_rows`).  Every bracket of the generating families is such
-    a read, for increasing ``S``, ``A``, ``R`` and ``R'``:
+    one row of the (n-1)-face table ``C = field.faces(n-1)`` up to one sign
+    per grade, ``P^{w R} = (-1)^(n-1) C[R][(w,)]``.  Proof: ``C[R][(w,)]``
+    carries the sign ``(-1)^(sum(pos) - (n-1)(n-2)/2)``, where ``pos`` are
+    the positions of ``R`` in the blade ``B = sort(w, R)``.  If ``w`` sits
+    at position ``p`` of ``B``, then ``sum(pos) = n(n-1)/2 - p``, so that
+    sign is ``(-1)^(n-1-p)``; moving ``w`` from the front to position ``p``
+    gives ``P^{w R} = (-1)^p P^B``.  Every bracket of the generating
+    families is such a read, for increasing ``S``, ``A``, ``R`` and ``R'``:
 
     - the coordinate inner bracket ``{x_S} = P^S``;
     - the quadratic inner bracket ``{x_u x_v, x_A} = x_v P^{u A} + x_u P^{v A}``;
@@ -341,8 +324,12 @@ def jacobi_identity_holds(field: MultivectorField) -> bool:
     - by Leibniz, ``{x_u x_v, x_A} = x_v {x_u, x_A} + x_u {x_v, x_A}``
       and ``{x_w, x_A} = P^{w A}``, so the quadratic inner key
       ``((u, v), A)`` is zero unless ``A`` is an (n-1)-face of a blade
-      containing ``u`` or ``v``; the faces come from
-      :func:`~npk.exterior.blade_contractions`.
+      containing ``u`` or ``v``; the faces are the keys of ``C``.
+
+    ``C`` is read as it is.  A coordinate family's terms each carry one
+    face read, so their sum only changes sign; a quadratic inner term
+    ``{{x_u x_v, x_A}, x_R}`` carries two (``A``, then ``R``), which cancel;
+    only the quad-in-outer terms need the parity ``n - 1`` in their sign.
 
     A family none of whose shuffles survives has zero defect and is never
     built.  The quadratic inner brackets and the outer brackets
@@ -351,7 +338,7 @@ def jacobi_identity_holds(field: MultivectorField) -> bool:
     """
     m, n = field.dim, field.grade
     shuffles = _jacobi_shuffles(n)
-    rows = _face_rows(field)
+    rows = field.faces(n - 1)
     zero = Polynomial.zero(m)
     live = [blade for blade, p in field.terms.items() if not p.is_constant()]
     hamiltonian = {s: _gradient(field.terms[s]) for s in live}
@@ -399,15 +386,16 @@ def jacobi_identity_holds(field: MultivectorField) -> bool:
             for w in range(1, m + 1):
                 if w not in rest:
                     val = coordinate_outer(s, tuple(sorted(rest + (w,))))
-                    # moving x_w past each smaller entry of R' flips the sign
-                    flip = sign if sum(a < w for a in rest) % 2 == 0 else -sign
+                    # moving x_w past each smaller entry of R' flips the sign,
+                    # and so does the face read's (-1)^(n-1)
+                    flip = sign if (sum(a < w for a in rest) + n - 1) % 2 == 0 else -sign
                     lead[w] = lead[w] + val if flip > 0 else lead[w] - val
         for u in range(1, m + 1):
             for v in range(u, m + 1):
                 acc = zero
                 for face, sign, row in lefts:
                     ends = rows[face]
-                    if u not in ends and v not in ends:
+                    if (u,) not in ends and (v,) not in ends:
                         continue
                     quad = inner.get((u, v, face))
                     if quad is None:

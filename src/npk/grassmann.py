@@ -1,8 +1,9 @@
 """Structure theory of a single grade-n multivector at a point.
 
-The sharp map sends (n-1)-forms to vectors by contraction; its image
-dimension is the rank of the multivector.  The annihilator (the covectors
-contracting it to zero) is the kernel of the image rows, because
+The sharp map sends (n-1)-forms to vectors by contraction, the rows of
+the face table ``faces(n-1)``; its image dimension is the rank of the
+multivector.  The annihilator (the covectors contracting it to zero) is
+the kernel of the image rows, because
 ``<i(alpha) P, dx^s> = ±<alpha, i(dx^s) P>``; it is read off the echelon
 basis of the image, and the two dimensions sum to the ambient dimension.
 Rank n characterises decomposable multivectors, equivalently the vanishing
@@ -71,16 +72,17 @@ def sharp_profile(p: Multivector) -> SharpProfile:
     if p.grade < 1:
         raise ValueError("sharp profile needs grade at least 1")
     m = p.dim
-    faces = blade_contractions(p.terms, p.grade - 1).values()
+    faces = p.faces(p.grade - 1).values()
     image = Subspace.from_vectors([[face.get((u,), 0) for u in range(1, m + 1)] for face in faces], m)
     return SharpProfile(image.dim, image)
 
 
-def plucker_holds(terms, grade: int) -> bool:
+def plucker_holds(terms, faces) -> bool:
     """Whether every quadratic defect ``(i(dx^s) P) ^ P`` vanishes.
 
-    ``P`` is the grade-``grade`` term map and ``s`` runs over the basis
-    (grade-1)-blades; the defects are the classical quadratic
+    ``P`` is the grade-n term map ``terms`` and ``faces`` its (n-1)-face
+    table (``faces(n-1)`` of an element), so ``s`` runs over the basis
+    (n-1)-blades; the defects are the classical quadratic
     decomposability relations, over any coefficient ring.  Each defect
     coefficient is a sum of signed products ``+-F[r] * P[b]`` over the
     face's terms ``r`` and the blades ``b`` disjoint from it; the products
@@ -97,7 +99,7 @@ def plucker_holds(terms, grade: int) -> bool:
     # each face is grade 1, so its terms are (u,); (u,) ^ blade is tabulated
     # once per u, when a face first needs it (a failing check stops early)
     inserts: dict = {}
-    for face in blade_contractions(terms, grade - 1).values():
+    for face in faces.values():
         groups: dict = {}
         for (u,), a in face.items():
             row = inserts.get(u)
@@ -117,7 +119,7 @@ def is_decomposable(p: Multivector) -> bool:
     basis (n-1)-forms, which suffice by linearity; zero counts as
     decomposable by convention.  Equivalent to rank n for nonzero input.
     """
-    return p.grade <= 1 or plucker_holds(p.terms, p.grade)
+    return p.grade <= 1 or plucker_holds(p.terms, p.faces(p.grade - 1))
 
 
 def factorize(p: Multivector) -> Factorization:
@@ -185,7 +187,8 @@ def contractions_decomposable(p: Multivector, k: int) -> bool:
         alpha = {u: Polynomial.variable(i * len(free) + j, nvars) for j, u in enumerate(free, 1)}
         alpha[pivot] = one
         terms = contract_terms(alpha, terms)
-    return plucker_holds(terms, n - k)
+    # a term map in covector indeterminates, not an element: its table is built here
+    return plucker_holds(terms, blade_contractions(terms, n - k - 1))
 
 
 @dataclass(frozen=True)

@@ -7,8 +7,9 @@ rows back into Fractions, and :func:`sparse_rank` takes sparse integer
 rows and returns the rank alone.  Subspaces of the base
 space and of its dual share one representation (a canonical reduced
 row-echelon basis); the caller tracks variance.  Canonical form makes
-subspace equality plain structural equality.  The kernel of a matrix is
-the annihilator of its row space, read off that space's echelon basis.
+subspace equality plain structural equality, and membership is one
+:func:`sparse_rank`.  The kernel of a matrix is the annihilator of its row
+space, read off that space's echelon basis.
 """
 
 from __future__ import annotations
@@ -18,6 +19,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
+
+from .polynomial import _EXACT
 
 Vector = tuple[Fraction, ...]
 
@@ -29,15 +32,10 @@ def _primitive(vec: dict[int, int]) -> dict[int, int]:
 
 
 def _integer_row(row: Sequence) -> dict[int, int]:
-    """The nonzero entries of ``row`` over the lcm of their denominators."""
-    entries = []
-    for j, x in enumerate(row):
-        if x:
-            if not isinstance(x, (int, Fraction)):
-                x = Fraction(x)
-                if not x:
-                    continue
-            entries.append((j, x))
+    """The nonzero entries of ``row``, exact ints or Fractions, over the lcm of their denominators."""
+    if not {*map(type, row)} <= _EXACT:
+        raise TypeError(f"entries must be ints or Fractions, not {row!r}")
+    entries = [(j, x) for j, x in enumerate(row) if x]
     den = lcm(*(x.denominator for _, x in entries))
     return {j: x.numerator * (den // x.denominator) for j, x in entries}
 
@@ -159,15 +157,11 @@ class Subspace:
         return len(self.basis)
 
     def contains(self, vector: Sequence) -> bool:
-        v = [x if isinstance(x, Fraction) else Fraction(x) for x in vector]
-        if len(v) != self.ambient_dim:
+        """Whether ``vector`` lies in the span: adding it leaves the rank at ``dim``."""
+        if len(vector) != self.ambient_dim:
             raise ValueError("vector length must equal the ambient dimension")
-        for row in self.basis:
-            p = next(i for i, x in enumerate(row) if x)
-            if v[p]:
-                f = v[p]
-                v = [a - f * b for a, b in zip(v, row)]
-        return not any(v)
+        rows = [*map(_integer_row, self.basis), _integer_row(vector)]
+        return sparse_rank(rows, self.ambient_dim) == self.dim
 
     def annihilator(self) -> "Subspace":
         """Covectors vanishing on the subspace: the kernel of its basis rows.

@@ -11,9 +11,10 @@ satisfies the generalized Jacobi identity iff
 
 Both conditions are decided exactly: the algebraic one reduces to basis
 covector pairs by bilinearity, the differential one is a polynomial
-identity.  The algebraic Nambu condition is equivalent to pointwise
-decomposability of the field value (Takhtajan; Gautheron), which the one
-Plucker loop :func:`~npk.grassmann.plucker_holds` decides; the component
+identity; both read the field's 1-face table ``faces(1)``.  The algebraic
+Nambu condition is equivalent to pointwise decomposability of the field
+value (Takhtajan; Gautheron), which the one Plucker loop
+:func:`~npk.grassmann.plucker_holds` decides on ``faces(n-1)``; the component
 and polarized routes that cross-check it live in :mod:`npk.oracles`.  The
 module also builds the semi-decomposable structures of constant rank 2n
 and samples involutivity of the image distribution.
@@ -76,7 +77,7 @@ def algebraic_condition(field: MultivectorField) -> AlgebraicConditionReport:
     m = field.dim
     if field.grade < 2:
         raise ValueError("needs grade at least 2")
-    c = blade_contractions(field.terms, 1)  # {(a,): i(dx^a) P}, absent when zero
+    c = field.faces(1)  # {(a,): i(dx^a) P}, absent when zero
     witness = first_failing_pair(m, lambda a, b: wedge_terms(c.get((a,), {}), c.get((b,), {})))
     return AlgebraicConditionReport(witness is None, witness)
 
@@ -92,7 +93,7 @@ def pointwise_decomposable(field: MultivectorField) -> bool:
     All contraction-wedge defects over basis (n-1)-forms are required to
     vanish as polynomial identities in the coordinates.
     """
-    return plucker_holds(field.terms, field.grade)
+    return plucker_holds(field.terms, field.faces(field.grade - 1))
 
 
 # _SAMPLE_COORDS[a + 6][b - 1] is Fraction(a, b): the random coordinates, built once
@@ -310,8 +311,7 @@ def involutivity_sample(
     """
     m, n = field.dim, field.grade
     pts = list(points) if points is not None else default_sample_points(m, seed)
-    faces = blade_contractions(field.terms, n - 1)
-    generators = [MultivectorField(m, 1, face) for face in faces.values()]
+    generators = [MultivectorField(m, 1, face) for face in field.faces(n - 1).values()]
     brackets = [
         lie_bracket(generators[i], generators[j])
         for i in range(len(generators))

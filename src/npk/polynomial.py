@@ -22,8 +22,14 @@ from math import gcd, lcm
 from operator import or_
 from typing import Callable, Iterator, Mapping, Sequence
 
-_SCALARS = (int, Fraction)
-_EXACT = {int, Fraction}  # matched by exact type, so a bool is not one
+_EXACT = {int, Fraction}  # matched by exact type, so a bool or a float is not one
+
+
+def _exact(coef):
+    """``coef`` itself if it is exactly an int or a Fraction; else ``TypeError``."""
+    if type(coef) not in _EXACT:
+        raise TypeError(f"coefficients must be ints or Fractions, not {coef!r}")
+    return coef
 
 
 def _width(bound: int) -> int:
@@ -58,8 +64,7 @@ class Polynomial:
             # exact ints only (a bool is not an exponent), checked at C speed
             if len(exps) != num_vars or exps and ({*map(type, exps)} != {int} or min(exps) < 0):
                 raise ValueError(f"bad exponent tuple {exps!r} for {num_vars} variables")
-            if type(coef) not in _EXACT:
-                coef = Fraction(coef)
+            _exact(coef)
             clean[exps] = clean[exps] + coef if exps in clean else coef
         clean = {e: c for e, c in clean.items() if c}
         bound = max((max(e, default=0) for e in clean), default=0)
@@ -88,8 +93,7 @@ class Polynomial:
 
     @classmethod
     def constant(cls, value, num_vars: int) -> "Polynomial":
-        if type(value) not in _EXACT:
-            value = Fraction(value)
+        _exact(value)
         return cls._raw(num_vars, {0: value.numerator} if value else {}, value.denominator)
 
     @classmethod
@@ -105,7 +109,7 @@ class Polynomial:
             if other.num_vars != self.num_vars:
                 raise ValueError("operands have different variable counts")
             return other
-        if isinstance(other, _SCALARS):
+        if type(other) in _EXACT:
             return Polynomial.constant(other, self.num_vars)
         return None
 
@@ -148,7 +152,7 @@ class Polynomial:
         return Polynomial._raw(self.num_vars, {k: -c for k, c in self.terms.items()}, self.den, self.bound, self.width)
 
     def __mul__(self, other):
-        if isinstance(other, _SCALARS):
+        if type(other) in _EXACT:
             if not other:
                 return Polynomial._raw(self.num_vars, {})
             p = other.numerator
@@ -259,7 +263,7 @@ class Polynomial:
         return bool(self.terms)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, _SCALARS):
+        if type(other) in _EXACT:
             other = Polynomial.constant(other, self.num_vars)
         if not isinstance(other, Polynomial):
             return NotImplemented

@@ -12,6 +12,8 @@ from npk.exterior import (
     contract_terms,
     iter_blades,
 )
+from npk.fields import MultivectorField
+from npk.linalg import Subspace, rref
 from npk.polynomial import Polynomial
 from npk.suites import random_constant_multivector, random_linear_field
 from oracles import iterated_contraction
@@ -242,3 +244,29 @@ def test_blade_contractions_match_dense_enumeration():
     for scalar in ({(): Fraction(3, 2)}, {(): Polynomial.variable(1, 3)}, {}):
         assert blade_contractions(scalar, 1) == {}
         assert blade_contractions(scalar, 0) == ({(): scalar} if scalar else {})
+
+
+_INEXACT = {
+    "multivector-float": lambda: Multivector(3, 1, {(1,): 0.1}),
+    "multivector-bool": lambda: Multivector(3, 1, {(1,): True}),
+    "multivector-str": lambda: Multivector(3, 1, {(1,): "1/2"}),
+    "multivector-times-bool": lambda: Multivector.blade(3, (1, 2)) * True,
+    "covector-float": lambda: Covector(2, (0.5, 1)),
+    "covector-bool": lambda: Covector(2, (1, True)),
+    "polynomial-float": lambda: Polynomial(2, {(1, 0): 0.5}),
+    "polynomial-bool": lambda: Polynomial(2, {(1, 0): False}),
+    "constant-bool": lambda: Polynomial.constant(True, 2),
+    "constant-float": lambda: Polynomial.constant(1.0, 2),
+    "field-float": lambda: MultivectorField(2, 1, {(1,): 0.25}),
+    "rref-float": lambda: rref([[Fraction(1), 0.5]]),
+    "rref-bool": lambda: rref([[True, 0]]),
+    "contains-float": lambda: Subspace.from_vectors([[1, 0]], 2).contains([0.0, 1]),
+}
+
+
+@pytest.mark.parametrize("build", _INEXACT.values(), ids=_INEXACT)
+def test_float_and_bool_coefficients_are_refused(build):
+    # exact ints and Fractions only, as for sample coordinates: a float would
+    # be stored as its binary expansion and a bool would pass for 0 or 1
+    with pytest.raises(TypeError, match="must be ints or Fractions"):
+        build()
