@@ -25,11 +25,12 @@ first are coordinates (the one with a quadratic argument there splits
 into two by Leibniz), and ``{g, x_R} = sum_w d_w g * P^{w R}`` is one
 row of the field's (n-1)-face table ``faces(n-1)``, up to one sign per
 grade; so the oracle reads its brackets off that table and never calls
-the kernel.  It visits only the shuffles whose inner bracket can be
-nonconstant, read off the field's support (its nonconstant blades and
-the (n-1)-faces of its blades), and memoises brackets within one call.
-It never consults the differential defect or the classifier; it is
-their check.
+the kernel.  It enumerates no argument tuples: each nonzero bracket of a
+nonconstant blade with a face, and each pair of disjoint faces, is pushed
+to the generating families it belongs to, so its cost follows the
+field's support (its nonconstant blades and the (n-1)-faces of its
+blades), not the number of families.  It never consults the differential
+defect or the classifier; it is their check.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ from .exterior import (
     Multivector,
     _add_term,
     contract_terms,
+    merge_blades,
     shuffle_sign,
     sort_to_blade,
     wedge_terms,
@@ -231,9 +233,10 @@ def _jacobi_shuffles(n: int) -> dict:
     """The (n, n-1)-shuffles of 2n-1 argument positions, keyed by left positions.
 
     Each value is ``(sign, left, right)``; the table is built once per n
-    and only read.  The Jacobi identity is stated for grade n >= 1; a
-    lower grade is refused here on every call, before any argument is
-    read.
+    and only read, by :func:`npk.oracles.jacobi_defect`.
+    :func:`jacobi_identity_holds` calls it only as its grade guard: the
+    Jacobi identity is stated for grade n >= 1, and a lower grade is
+    refused here on every call, before any argument is read.
     """
     if n < 1:
         raise ValueError(f"the generalized Jacobi identity needs grade >= 1, got {n}")
@@ -262,24 +265,6 @@ def _face_bracket(grad: Gradient, row: dict | None, dim: int) -> Polynomial:
     return acc
 
 
-def _tuples_containing(sets, size: int, dim: int, offset: int) -> dict:
-    """Group the increasing ``size``-tuples of ``1..dim`` by the given sets they contain.
-
-    Maps each tuple containing at least one of ``sets`` to the pairs
-    ``(set, positions)``, the positions of the set within the tuple
-    shifted by ``offset``.  Tuples that contain none are absent.
-    """
-    out: dict = {}
-    for s in sets:
-        if len(s) > size:
-            continue
-        rest = [a for a in range(1, dim + 1) if a not in s]
-        for r in combinations(rest, size - len(s)):
-            tup = tuple(sorted(s + r))
-            out.setdefault(tup, []).append((s, tuple(tup.index(a) + offset for a in s)))
-    return out
-
-
 def jacobi_identity_holds(field: MultivectorField) -> bool:
     """Decide the generalized Jacobi identity for all smooth arguments.
 
@@ -300,113 +285,99 @@ def jacobi_identity_holds(field: MultivectorField) -> bool:
     the positions of ``R`` in the blade ``B = sort(w, R)``.  If ``w`` sits
     at position ``p`` of ``B``, then ``sum(pos) = n(n-1)/2 - p``, so that
     sign is ``(-1)^(n-1-p)``; moving ``w`` from the front to position ``p``
-    gives ``P^{w R} = (-1)^p P^B``.  Every bracket of the generating
-    families is such a read, for increasing ``S``, ``A``, ``R`` and ``R'``:
+    gives ``P^{w R} = (-1)^p P^B``.  Write ``FB(S, R)`` for the read
+    ``(-1)^(n-1) {P^S, x_R}`` (:func:`_face_bracket`), and ``sign(S, R)``
+    for the sign of merging two disjoint increasing tuples
+    (:func:`~npk.exterior.merge_blades`).
 
-    - the coordinate inner bracket ``{x_S} = P^S``;
-    - the quadratic inner bracket ``{x_u x_v, x_A} = x_v P^{u A} + x_u P^{v A}``;
-    - the outer bracket ``{h, x_R}`` of a shuffle whose right arguments
-      are coordinates, ``h`` a coordinate or quadratic inner bracket;
-    - with the quad in the outer bracket, by Leibniz,
-      ``{P^S, x_u x_v, x_R'} = x_v {P^S, x_u, x_R'} + x_u {P^S, x_v, x_R'}``,
-      and ``{P^S, x_w, x_R'} = +-{P^S, x_R}`` for ``R = sort(w, R')``, the
-      sign that of moving ``x_w`` past the smaller entries of ``R'``
-      (zero if ``w`` is in ``R'``).
+    Nothing is enumerated per family: each nonzero bracket is pushed to the
+    families it belongs to, and a family that receives nothing has zero
+    defect.  The bracket is a derivation in each argument, so a shuffle
+    whose inner bracket is constant adds nothing, and a term is nonzero
+    only where both of its brackets read a face:
 
-    Only the shuffles whose inner bracket can be nonconstant are visited.
-    The bracket is a derivation in each argument, so an outer bracket with
-    a constant argument vanishes and such a shuffle adds nothing.  Which
-    inner brackets can be nonconstant is read off the field's support:
+    - the coordinate family ``x_T``: the shuffle ``S | R`` (``T`` the union
+      of ``S`` and ``R``) adds ``sign(S, R) {P^S, x_R}``.  ``{x_S} = P^S``
+      is nonconstant only for a live blade ``S``, and ``{P^S, x_R}`` is
+      zero unless ``R`` is a face, so the family's defect is
+      ``(-1)^(n-1)`` times the sum of ``sign(S, R) FB(S, R)`` over the
+      disjoint live ``S`` and faces ``R`` merging to ``T``;
+    - the quadratic family ``x_u x_v, x_T'`` with the quad in the inner
+      bracket: the shuffle ``(x_u x_v, x_A) | R`` adds
+      ``sign(A, R) {{x_u x_v, x_A}, x_R}`` (the quad, first, adds no
+      inversion).  By Leibniz ``{x_u x_v, x_A} = x_v P^{u A} + x_u P^{v A}``,
+      zero unless ``A`` is a face that ``u`` or ``v`` completes to a blade,
+      and the outer bracket is zero unless ``R`` is a face; so only
+      disjoint ordered pairs of faces ``(A, R)`` appear.  The term carries
+      two face reads, whose signs cancel;
+    - the quadratic family with the quad in the outer bracket: the shuffle
+      ``S | (x_u x_v, x_R')`` adds ``(-1)^n sign(S, R') {P^S, x_u x_v, x_R'}``,
+      the quad preceding the n left arguments.  By Leibniz that bracket is
+      ``x_v {P^S, x_u, x_R'} + x_u {P^S, x_v, x_R'}``, and for
+      ``R = sort(w, R')`` with ``w`` at position ``j``, moving ``x_w`` past
+      the ``j`` smaller entries gives ``{P^S, x_w, x_R'} = (-1)^j {P^S, x_R}``.
+      So every face ``R`` with ``FB(S, R)`` nonzero and every position
+      ``j`` whose rest ``R'`` misses ``S`` add ``-sign(S, R') (-1)^j FB(S, R)``
+      to ``lead[w]`` of the family ``merge(S, R')``, whose defect is then
+      ``x_v lead[u] + x_u lead[v]`` plus its inner terms.  Here ``R`` may
+      meet ``S``, in ``w`` only.
 
-    - for an increasing coordinate tuple ``S``, ``{x_S} = P^S``, so a
-      coordinate inner key, in either family, matters only when ``P^S``
-      is nonconstant (a live blade);
-    - by Leibniz, ``{x_u x_v, x_A} = x_v {x_u, x_A} + x_u {x_v, x_A}``
-      and ``{x_w, x_A} = P^{w A}``, so the quadratic inner key
-      ``((u, v), A)`` is zero unless ``A`` is an (n-1)-face of a blade
-      containing ``u`` or ``v``; the faces are the keys of ``C``.
-
-    ``C`` is read as it is.  A coordinate family's terms each carry one
-    face read, so their sum only changes sign; a quadratic inner term
-    ``{{x_u x_v, x_A}, x_R}`` carries two (``A``, then ``R``), which cancel;
-    only the quad-in-outer terms need the parity ``n - 1`` in their sign.
-
-    A family none of whose shuffles survives has zero defect and is never
-    built.  The quadratic inner brackets and the outer brackets
-    ``{P^S, x_R}`` (shared by the coordinate families and the
-    quad-in-outer shuffles) are memoised for this one call.
+    The quadratic inner brackets are memoised for this one call.
     """
     m, n = field.dim, field.grade
-    shuffles = _jacobi_shuffles(n)
+    _jacobi_shuffles(n)  # the grade guard
     rows = field.faces(n - 1)
     zero = Polynomial.zero(m)
-    live = [blade for blade, p in field.terms.items() if not p.is_constant()]
-    hamiltonian = {s: _gradient(field.terms[s]) for s in live}
     outer: dict = {}
-
-    def coordinate_outer(s, r):
-        # {P^S, x_R}: the outer bracket of the shuffle S | R, shared by the
-        # coordinate families and the quad-in-outer shuffles
-        val = outer.get((s, r))
-        if val is None:
-            val = outer[s, r] = _face_bracket(hamiltonian[s], rows.get(r), m)
-        return val
-
-    for tup, found in _tuples_containing(live, 2 * n - 1, m, 0).items():
-        acc = zero
-        for s, pos in found:
-            sign, _, right = shuffles[pos]
-            val = coordinate_outer(s, tuple(tup[j] for j in right))
-            acc = acc + val if sign > 0 else acc - val
-        if acc:
-            return False
-    # quadratic families, the quad as argument 0: its shuffles into the
-    # inner bracket need a face A that u or v completes to a blade, the
-    # others a live S
+    for s, p in field.terms.items():
+        if not p.is_constant():
+            grad = _gradient(p)
+            for r, row in rows.items():
+                val = _face_bracket(grad, row, m)
+                if val:
+                    outer[s, r] = val
+    coordinate: dict = {}
+    lead: dict = {}
+    # FB(S, R) goes to the coordinate family merge(S, R) and, as lead[w],
+    # to the quadratic family merge(S, R - w) of each w in R
+    for (s, r), val in outer.items():
+        merged = merge_blades(s, r)
+        if merged:
+            _add_term(coordinate, merged[1], val if merged[0] > 0 else -val)
+        for j, w in enumerate(r):
+            merged = merge_blades(s, r[:j] + r[j + 1:])
+            if merged:
+                sign, rest = merged
+                _add_term(lead.setdefault(rest, {}), w, -val if sign * (-1) ** j > 0 else val)
+    if coordinate:
+        return False
+    # {{x_u x_v, x_A}, x_R}: the face A, the shuffle sign and the face row of R
+    lefts: dict = {}
+    for a, ends in rows.items():
+        for r, row in rows.items():
+            merged = merge_blades(a, r)
+            if merged:
+                lefts.setdefault(merged[1], []).append((merged[0], a, ends, row))
     coords = [Polynomial.variable(u, m) for u in range(1, m + 1)]
-    quad_left = _tuples_containing(rows, 2 * n - 2, m, 1)
-    quad_right = _tuples_containing(live, 2 * n - 2, m, 1)
     inner: dict = {}
-    for tup in list(quad_right) + [tup for tup in quad_left if tup not in quad_right]:
-        # {{x_u x_v, x_A}, x_R}: the face A, the shuffle sign and the face
-        # row of R; a shuffle whose R is no face adds nothing
-        lefts = []
-        for face, pos in quad_left.get(tup, ()):
-            sign, _, right = shuffles[(0,) + pos]
-            row = rows.get(tuple(tup[j - 1] for j in right))
-            if row:
-                lefts.append((face, sign, row))
-        # {P^S, x_u x_v, x_R'} = x_v {P^S, x_u, x_R'} + x_u {P^S, x_v, x_R'},
-        # so these shuffles add x_v lead[u] + x_u lead[v], where lead[w] is
-        # their signed sum of {P^S, x_w, x_R'}
-        lead = [zero] * (m + 1)
-        for s, pos in quad_right.get(tup, ()):
-            sign, _, right = shuffles[pos]
-            rest = tuple(tup[j - 1] for j in right[1:])
-            for w in range(1, m + 1):
-                if w not in rest:
-                    val = coordinate_outer(s, tuple(sorted(rest + (w,))))
-                    # moving x_w past each smaller entry of R' flips the sign,
-                    # and so does the face read's (-1)^(n-1)
-                    flip = sign if (sum(a < w for a in rest) + n - 1) % 2 == 0 else -sign
-                    lead[w] = lead[w] + val if flip > 0 else lead[w] - val
+    for tup in {**lead, **lefts}:
+        pushed = lead.get(tup, {})
         for u in range(1, m + 1):
             for v in range(u, m + 1):
                 acc = zero
-                for face, sign, row in lefts:
-                    ends = rows[face]
+                for sign, a, ends, row in lefts.get(tup, ()):
                     if (u,) not in ends and (v,) not in ends:
                         continue
-                    quad = inner.get((u, v, face))
+                    quad = inner.get((u, v, a))
                     if quad is None:
                         both = {u: 2 * coords[u - 1]} if u == v else {u: coords[v - 1], v: coords[u - 1]}
-                        quad = inner[u, v, face] = _gradient(_face_bracket(both, ends, m))
+                        quad = inner[u, v, a] = _gradient(_face_bracket(both, ends, m))
                     val = _face_bracket(quad, row, m)
                     acc = acc + val if sign > 0 else acc - val
-                if lead[u]:
-                    acc = acc + coords[v - 1] * lead[u]
-                if lead[v]:
-                    acc = acc + coords[u - 1] * lead[v]
+                if u in pushed:
+                    acc = acc + coords[v - 1] * pushed[u]
+                if v in pushed:
+                    acc = acc + coords[u - 1] * pushed[v]
                 if acc:
                     return False
     return True

@@ -182,21 +182,8 @@ class Subspace:
 
 
 def intersect(u: Subspace, v: Subspace) -> Subspace:
-    """Canonical basis of the intersection of two subspaces."""
+    """Canonical basis of the intersection of two subspaces: ``(u° + v°)°``."""
     if u.ambient_dim != v.ambient_dim:
         raise ValueError("subspaces live in different ambient spaces")
-    if u.dim == 0 or v.dim == 0:
-        return Subspace.zero(u.ambient_dim)
-    # columns are the two bases; kernel elements (a, b) satisfy
-    # sum a_i u_i + sum b_j v_j = 0, so sum a_i u_i lies in both spaces
-    cols = list(u.basis) + list(v.basis)
-    rows = [[col[r] for col in cols] for r in range(u.ambient_dim)]
-    kernel = Subspace.from_vectors(rows, len(cols)).annihilator()
-    vectors = []
-    for kv in kernel.basis:
-        combo = [Fraction(0)] * u.ambient_dim
-        for a, base in zip(kv[: u.dim], u.basis):
-            if a:
-                combo = [x + a * y for x, y in zip(combo, base)]
-        vectors.append(combo)
-    return Subspace.from_vectors(vectors, u.ambient_dim)
+    covectors = u.annihilator().basis + v.annihilator().basis
+    return Subspace.from_vectors(covectors, u.ambient_dim).annihilator()

@@ -150,6 +150,8 @@ def parse_spec_text(text: str) -> TensorSpec:
         obj = json.loads(text, object_pairs_hook=_unique_fields)
     except json.JSONDecodeError as exc:
         raise SpecError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
+    except RecursionError:
+        raise SpecError("JSON nested deeper than the decoder's recursion limit") from None
     return parse_spec_data(obj)
 
 

@@ -21,7 +21,7 @@ from npk.fields import (
     nary_bracket,
 )
 from npk.oracles import jacobi_defect
-from npk.poisson import block_sum
+from npk.poisson import block_sum, classify, coordinate_semidecomposable
 from npk.polynomial import Polynomial
 from npk.suites import random_decomposable_field, random_linear_field, random_polynomial
 from oracles import (
@@ -391,6 +391,48 @@ def test_memoised_oracle_matches_defect_loop():
         assert verdict == jacobi_identity_by_defect_loop(f), f
         verdicts.add((f.grade, verdict))
     assert verdicts == {(n, v) for n in (2, 3, 4) for v in (True, False)}
+
+
+def test_oracle_cost_follows_the_support(monkeypatch):
+    # two blades on 20 coordinates: C(20, 9) coordinate families, yet only
+    # the brackets that read a face reach a truth test
+    calls = []
+    truth = Polynomial.__bool__
+
+    def counted(self):
+        calls.append(None)
+        return truth(self)
+
+    f = random_decomposable_field(random.Random(5), 20, 5)
+    monkeypatch.setattr(Polynomial, "__bool__", counted)
+    assert jacobi_identity_holds(f)
+    assert len(calls) <= 1000
+
+
+def _wide_fields():
+    """Fields on 10 to 12 coordinates, each with its verdict at a glance."""
+    def shared(m, n):
+        # two blades sharing one index, the first coefficient on that index
+        first, other = tuple(range(1, n + 1)), (1,) + tuple(range(n + 1, 2 * n))
+        return MultivectorField(m, n, {first: var(1, m) + 1, other: Fraction(-2, 3)})
+
+    line = Multivector(10, 1, {(1,): 2, (5,): -1})
+    for u in (2, 3, 4):
+        line = line.wedge(Multivector.blade(10, (u,)))
+    return [
+        coordinate_semidecomposable(10, 1, 5),
+        block_sum(2, 3, 12),
+        MultivectorField(11, 4, {(2, 5, 7, 11): var(3, 11) - 2 * var(11, 11) + 1}),
+        shared(10, 3),
+        shared(10, 4),
+        MultivectorField.from_multivector(line) * (var(1, 10) + 3 * var(5, 10) - 1),
+    ]
+
+
+def test_oracle_matches_classifier_on_wide_fields():
+    verdicts = [jacobi_identity_holds(f) for f in _wide_fields()]
+    assert verdicts == [classify(f).is_poisson for f in _wide_fields()]
+    assert set(verdicts) == {True, False}
 
 
 def test_jacobi_needs_grade_at_least_one():

@@ -53,3 +53,46 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
 def test_no_unused_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def unread_private_names(sources: list[str]) -> list[str]:
+    """Module-level private names (one leading underscore) that no module reads.
+
+    A definition is a top-level ``def``, ``class`` or assignment; a read is
+    a loaded name or an attribute of that name anywhere in ``sources``,
+    except inside the top-level statement that defines it.
+    """
+    defined, reads = set(), set()
+    for source in sources:
+        for stmt in ast.parse(source).body:
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                own = {stmt.name}
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                own = {t.id for t in targets if isinstance(t, ast.Name)}
+            else:
+                own = set()
+            defined |= {name for name in own if name.startswith("_") and not name.startswith("__")}
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    name = node.id
+                elif isinstance(node, ast.Attribute):
+                    name = node.attr
+                else:
+                    continue
+                if name not in own:
+                    reads.add(name)
+    return sorted(defined - reads)
+
+
+def test_unread_private_names_are_found():
+    sources = [
+        "from b import _used\n_SIZE = 3\ndef _loop(n):\n    return _loop(n - 1)\nclass _Kept:\n    pass\nx = _used()\n",
+        "import a\ndef _used():\n    return a._Kept\n__all__ = []\n",
+    ]
+    assert unread_private_names(sources) == ["_SIZE", "_loop"]
+    assert unread_private_names(["def _f():\n    pass\nx = _f()\n"]) == []
+
+
+def test_no_unread_private_name():
+    assert unread_private_names([path.read_text(encoding="utf-8") for path in SOURCES]) == []

@@ -532,6 +532,17 @@ def test_cli_malformed_spec_is_operational_error(tmp_path, capsys):
     assert main(["check", str(path)]) == 2
 
 
+@pytest.mark.parametrize("opener", ["[", '{"m": '])
+@pytest.mark.parametrize("command", ["check", "rank", "factorize", "nambu", "jacobi", "sigma-delta"])
+def test_cli_deeply_nested_spec_is_operational_error(opener, command, tmp_path, capsys):
+    # deeper than the JSON decoder's recursion limit: one error line, exit 2
+    path = tmp_path / "deep.json"
+    path.write_text(opener * 200_000, encoding="utf-8")
+    assert main([command, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: JSON nested deeper than the decoder's recursion limit\n"
+
+
 def test_cli_internal_failure_exits_three(monkeypatch, capsys):
     # a factorization that does not wedge back is a program fault, not a verdict
     original = npk.grassmann.Factorization.wedge
