@@ -21,16 +21,18 @@ The n-ary bracket runs through one general kernel over sparse gradients
 over one nonzero entry per argument, skipping repeated indices;
 :func:`nary_bracket` and :func:`npk.oracles.jacobi_defect` use it.  The
 Jacobi oracle needs only brackets ``{g, x_R}`` whose arguments after the
-first are coordinates (the one with a quadratic argument there splits
-into two by Leibniz), and ``{g, x_R} = sum_w d_w g * P^{w R}`` is one
+first are coordinates, and ``{g, x_R} = sum_w d_w g * P^{w R}`` is one
 row of the field's (n-1)-face table ``faces(n-1)``, up to one sign per
 grade; so the oracle reads its brackets off that table and never calls
 the kernel.  It enumerates no argument tuples: each nonzero bracket of a
-nonconstant blade with a face, and each pair of disjoint faces, is pushed
-to the generating families it belongs to, so its cost follows the
-field's support (its nonconstant blades and the (n-1)-faces of its
-blades), not the number of families.  It never consults the differential
-defect or the classifier; it is their check.
+nonconstant blade with a face is pushed to its coordinate family.  Once
+those vanish, a quadratic family ``x_u x_v, x_T'`` reduces by Leibniz to
+its symbol ``Q[u, v]``, a sum of products of two face entries that each
+pair of disjoint faces pushes to its key ``(T', u, v)``; no pair
+``(u, v)`` is enumerated, and at even grade the pairs cancel.  So the
+cost follows the field's support (its nonconstant blades and the
+(n-1)-faces of its blades), not the number of families.  It never
+consults the differential defect or the classifier; it is their check.
 """
 
 from __future__ import annotations
@@ -228,18 +230,24 @@ def differential_defect(field: MultivectorField) -> MultivectorField:
     return contracted_derivative(field, field)
 
 
+def _check_jacobi_grade(n: int) -> None:
+    """The Jacobi guard: the identity is stated for grade ``n >= 1``.
+
+    Both Jacobi functions refuse a lower grade on every call, before any
+    argument is read; the guard builds nothing.
+    """
+    if n < 1:
+        raise ValueError(f"the generalized Jacobi identity needs grade >= 1, got {n}")
+
+
 @cache
 def _jacobi_shuffles(n: int) -> dict:
     """The (n, n-1)-shuffles of 2n-1 argument positions, keyed by left positions.
 
     Each value is ``(sign, left, right)``; the table is built once per n
     and only read, by :func:`npk.oracles.jacobi_defect`.
-    :func:`jacobi_identity_holds` calls it only as its grade guard: the
-    Jacobi identity is stated for grade n >= 1, and a lower grade is
-    refused here on every call, before any argument is read.
     """
-    if n < 1:
-        raise ValueError(f"the generalized Jacobi identity needs grade >= 1, got {n}")
+    _check_jacobi_grade(n)
     indices = tuple(range(2 * n - 1))
     out = {}
     for left in combinations(indices, n):
@@ -254,15 +262,51 @@ def _face_bracket(grad: Gradient, row: dict | None, dim: int) -> Polynomial:
     ``grad`` is the sparse gradient of ``g`` and ``row`` is the row of an
     increasing tuple ``R`` in the (n-1)-face table ``C = field.faces(n-1)``
     (``None`` when ``R`` is no face of a blade, and then the bracket is
-    zero).  The sign is proved in :func:`jacobi_identity_holds`.
+    zero).  The products whose index the row has are summed in one
+    :meth:`~npk.polynomial.Polynomial.sum_of_products`.  The sign is proved
+    in :func:`jacobi_identity_holds`.
     """
-    acc = Polynomial.zero(dim)
-    if row:
-        for w, d in grad.items():
-            coef = row.get((w,))
-            if coef is not None:
-                acc = acc + d * coef
-    return acc
+    products = [(1, d, coef) for w, d in grad.items() if (coef := row.get((w,))) is not None] if row else []
+    return Polynomial.sum_of_products(dim, products)
+
+
+def _coordinate_defects(field: MultivectorField, rows: dict) -> dict:
+    """``{T: (-1)^(n-1) J(x_T)}`` for the coordinate families that receive a
+    push, without zeros; see :func:`jacobi_identity_holds`."""
+    m = field.dim
+    out: dict = {}
+    for s, p in field.terms.items():
+        if p.is_constant():
+            continue
+        grad = _gradient(p)
+        ends = {(w,) for w in grad}
+        for r, row in rows.items():
+            # a face that no index of the gradient completes reads zero
+            if ends.isdisjoint(row):
+                continue
+            merged = merge_blades(s, r)
+            if merged:
+                val = _face_bracket(grad, row, m)
+                _add_term(out, merged[1], val if merged[0] > 0 else -val)
+    return out
+
+
+def _quadratic_symbol(rows: dict) -> dict:
+    """``{(T', u, v): products}`` for the keys ``u <= v`` that receive a push:
+    ``Q[u, v]`` of the family ``x_u x_v, x_T'`` is the sum of the signed
+    products ``(sign, a, b)``; see :func:`jacobi_identity_holds`."""
+    out: dict = {}
+    for a, ends in rows.items():
+        for r, row in rows.items():
+            merged = merge_blades(a, r)
+            if not merged:
+                continue
+            sign, tup = merged
+            for (w,), e in ends.items():
+                for (z,), f in row.items():
+                    key = (tup, w, z) if w < z else (tup, z, w)
+                    out.setdefault(key, []).append((2 * sign if w == z else sign, e, f))
+    return out
 
 
 def jacobi_identity_holds(field: MultivectorField) -> bool:
@@ -285,99 +329,67 @@ def jacobi_identity_holds(field: MultivectorField) -> bool:
     the positions of ``R`` in the blade ``B = sort(w, R)``.  If ``w`` sits
     at position ``p`` of ``B``, then ``sum(pos) = n(n-1)/2 - p``, so that
     sign is ``(-1)^(n-1-p)``; moving ``w`` from the front to position ``p``
-    gives ``P^{w R} = (-1)^p P^B``.  Write ``FB(S, R)`` for the read
-    ``(-1)^(n-1) {P^S, x_R}`` (:func:`_face_bracket`), and ``sign(S, R)``
-    for the sign of merging two disjoint increasing tuples
+    gives ``P^{w R} = (-1)^p P^B``.  Write ``FB(g, R)`` for the read
+    ``(-1)^(n-1) {g, x_R}`` (:func:`_face_bracket`), ``FB(S, R)`` when
+    ``g = P^S``, ``E_A[w] = C[A][(w,)]`` for a face ``A`` (the ``w`` with
+    an entry are the ends of ``A``), and ``sign(S, R)`` for the sign of
+    merging two disjoint increasing tuples
     (:func:`~npk.exterior.merge_blades`).
 
-    Nothing is enumerated per family: each nonzero bracket is pushed to the
-    families it belongs to, and a family that receives nothing has zero
-    defect.  The bracket is a derivation in each argument, so a shuffle
-    whose inner bracket is constant adds nothing, and a term is nonzero
-    only where both of its brackets read a face:
+    Write ``J(f_1, .., f_{2n-1})`` for the shuffle sum, one term
+    ``sign(S, R) {{f_S}, f_R}`` per (n, n-1)-shuffle ``S | R`` of the
+    argument positions; the full permutation sum is ``n!(n-1)! J``, so
+    ``J`` is alternating in its arguments.  A shuffle whose inner bracket
+    is constant adds nothing, and a term is nonzero only where both of its
+    brackets read a face.  Nothing is enumerated per family: each nonzero
+    term is pushed to the family it belongs to, and a family that receives
+    nothing has zero defect.
 
-    - the coordinate family ``x_T``: the shuffle ``S | R`` (``T`` the union
+    - The coordinate family ``x_T``: the shuffle ``S | R`` (``T`` the union
       of ``S`` and ``R``) adds ``sign(S, R) {P^S, x_R}``.  ``{x_S} = P^S``
       is nonconstant only for a live blade ``S``, and ``{P^S, x_R}`` is
-      zero unless ``R`` is a face, so the family's defect is
-      ``(-1)^(n-1)`` times the sum of ``sign(S, R) FB(S, R)`` over the
-      disjoint live ``S`` and faces ``R`` merging to ``T``;
-    - the quadratic family ``x_u x_v, x_T'`` with the quad in the inner
-      bracket: the shuffle ``(x_u x_v, x_A) | R`` adds
-      ``sign(A, R) {{x_u x_v, x_A}, x_R}`` (the quad, first, adds no
-      inversion).  By Leibniz ``{x_u x_v, x_A} = x_v P^{u A} + x_u P^{v A}``,
-      zero unless ``A`` is a face that ``u`` or ``v`` completes to a blade,
-      and the outer bracket is zero unless ``R`` is a face; so only
-      disjoint ordered pairs of faces ``(A, R)`` appear.  The term carries
-      two face reads, whose signs cancel;
-    - the quadratic family with the quad in the outer bracket: the shuffle
-      ``S | (x_u x_v, x_R')`` adds ``(-1)^n sign(S, R') {P^S, x_u x_v, x_R'}``,
-      the quad preceding the n left arguments.  By Leibniz that bracket is
-      ``x_v {P^S, x_u, x_R'} + x_u {P^S, x_v, x_R'}``, and for
-      ``R = sort(w, R')`` with ``w`` at position ``j``, moving ``x_w`` past
-      the ``j`` smaller entries gives ``{P^S, x_w, x_R'} = (-1)^j {P^S, x_R}``.
-      So every face ``R`` with ``FB(S, R)`` nonzero and every position
-      ``j`` whose rest ``R'`` misses ``S`` add ``-sign(S, R') (-1)^j FB(S, R)``
-      to ``lead[w]`` of the family ``merge(S, R')``, whose defect is then
-      ``x_v lead[u] + x_u lead[v]`` plus its inner terms.  Here ``R`` may
-      meet ``S``, in ``w`` only.
+      zero unless ``R`` is a face that an index of ``d P^S`` completes, so
+      ``J(x_T)`` is ``(-1)^(n-1)`` times the sum of ``sign(S, R) FB(S, R)``
+      over the disjoint live ``S`` and such faces ``R`` merging to ``T``
+      (:func:`_coordinate_defects`).
+    - The quadratic family ``x_u x_v, x_T'``.  ``J`` is a differential
+      operator of order two in its first argument that kills constants, so
+      Leibniz gives
+      ``J(x_u x_v, x_T') = x_v J(x_u, x_T') + x_u J(x_v, x_T') + Q[u, v]``,
+      ``Q`` the part in which both derivatives fall on the quad.
+      ``J(x_w, x_T')`` repeats an argument when ``w`` is in ``T'``, and is
+      otherwise a coordinate family's defect up to sign; so once every
+      coordinate family vanishes, the family's defect is ``Q[u, v]``.  Only
+      the shuffles with the quad in the inner bracket differentiate it
+      twice: ``(x_u x_v, x_A) | R`` adds ``sign(A, R) {{x_u x_v, x_A}, x_R}``
+      (the quad, first, adds no inversion).  By Leibniz
+      ``{x_u x_v, x_A} = x_v P^{u A} + x_u P^{v A}``, zero unless ``A`` is
+      a face with end ``u`` or ``v``, and the outer bracket is zero unless
+      ``R`` is a face; its two face reads carry signs that cancel, so the
+      term is ``sign(A, R) FB(grad(x_v E_A[u] + x_u E_A[v]), R)``, and as
+      ``d_z (x_v E_A[u]) = delta_zv E_A[u] + x_v d_z E_A[u]`` its part that
+      differentiates the quad twice is
+      ``sign(A, R) (E_A[u] E_R[v] + E_A[v] E_R[u])``, or
+      ``2 sign(A, R) E_A[u] E_R[u]`` at ``u = v``, where the quad is
+      ``x_u^2``.  ``Q[u, v]`` sums it over the disjoint ordered pairs of
+      faces ``(A, R)`` merging to ``T'``.
 
-    The quadratic inner brackets are memoised for this one call.
+    Each pair of faces pushes ``sign(A, R) E_A[w] E_R[z]`` to the key
+    ``(T', min(w, z), max(w, z))`` for each end ``w`` of ``A`` and ``z`` of
+    ``R``, twice when ``w = z`` (:func:`_quadratic_symbol`); a key that
+    receives nothing has ``Q = 0``, so no pair ``(u, v)`` is enumerated.
+    Swapping ``A`` and ``R`` multiplies ``sign(A, R)`` by
+    ``(-1)^((n-1)^2) = (-1)^(n-1)`` and leaves the products as they are:
+    at even grade the pairs cancel, ``Q`` is zero, and the quadratic
+    families hold as soon as the coordinate families do.  The identity
+    holds iff ``J(x_T)`` vanishes for every ``T`` and, at odd grade,
+    ``Q`` vanishes at every key.
     """
     m, n = field.dim, field.grade
-    _jacobi_shuffles(n)  # the grade guard
+    _check_jacobi_grade(n)
     rows = field.faces(n - 1)
-    zero = Polynomial.zero(m)
-    outer: dict = {}
-    for s, p in field.terms.items():
-        if not p.is_constant():
-            grad = _gradient(p)
-            for r, row in rows.items():
-                val = _face_bracket(grad, row, m)
-                if val:
-                    outer[s, r] = val
-    coordinate: dict = {}
-    lead: dict = {}
-    # FB(S, R) goes to the coordinate family merge(S, R) and, as lead[w],
-    # to the quadratic family merge(S, R - w) of each w in R
-    for (s, r), val in outer.items():
-        merged = merge_blades(s, r)
-        if merged:
-            _add_term(coordinate, merged[1], val if merged[0] > 0 else -val)
-        for j, w in enumerate(r):
-            merged = merge_blades(s, r[:j] + r[j + 1:])
-            if merged:
-                sign, rest = merged
-                _add_term(lead.setdefault(rest, {}), w, -val if sign * (-1) ** j > 0 else val)
-    if coordinate:
+    if _coordinate_defects(field, rows):
         return False
-    # {{x_u x_v, x_A}, x_R}: the face A, the shuffle sign and the face row of R
-    lefts: dict = {}
-    for a, ends in rows.items():
-        for r, row in rows.items():
-            merged = merge_blades(a, r)
-            if merged:
-                lefts.setdefault(merged[1], []).append((merged[0], a, ends, row))
-    coords = [Polynomial.variable(u, m) for u in range(1, m + 1)]
-    inner: dict = {}
-    for tup in {**lead, **lefts}:
-        pushed = lead.get(tup, {})
-        for u in range(1, m + 1):
-            for v in range(u, m + 1):
-                acc = zero
-                for sign, a, ends, row in lefts.get(tup, ()):
-                    if (u,) not in ends and (v,) not in ends:
-                        continue
-                    quad = inner.get((u, v, a))
-                    if quad is None:
-                        both = {u: 2 * coords[u - 1]} if u == v else {u: coords[v - 1], v: coords[u - 1]}
-                        quad = inner[u, v, a] = _gradient(_face_bracket(both, ends, m))
-                    val = _face_bracket(quad, row, m)
-                    acc = acc + val if sign > 0 else acc - val
-                if u in pushed:
-                    acc = acc + coords[v - 1] * pushed[u]
-                if v in pushed:
-                    acc = acc + coords[u - 1] * pushed[v]
-                if acc:
-                    return False
-    return True
+    if n % 2 == 0:
+        return True
+    return not any(Polynomial.sum_of_products(m, products) for products in _quadratic_symbol(rows).values())

@@ -11,9 +11,11 @@ from npk.compat import delta, is_compatible
 from npk.exterior import Multivector, iter_blades
 from npk.fields import (
     MultivectorField,
+    _coordinate_defects,
     _face_bracket,
     _gradient,
     _jacobi_shuffles,
+    _quadratic_symbol,
     contracted_derivative,
     differential_defect,
     jacobi_identity_holds,
@@ -23,7 +25,7 @@ from npk.fields import (
 from npk.oracles import jacobi_defect
 from npk.poisson import block_sum, classify, coordinate_semidecomposable
 from npk.polynomial import Polynomial
-from npk.suites import random_decomposable_field, random_linear_field, random_polynomial
+from npk.suites import random_constant_field, random_decomposable_field, random_linear_field, random_polynomial
 from oracles import (
     alternation_defect_components,
     bracket_by_minors,
@@ -393,9 +395,81 @@ def test_memoised_oracle_matches_defect_loop():
     assert verdicts == {(n, v) for n in (2, 3, 4) for v in (True, False)}
 
 
-def test_oracle_cost_follows_the_support(monkeypatch):
-    # two blades on 20 coordinates: C(20, 9) coordinate families, yet only
-    # the brackets that read a face reach a truth test
+def test_family_pushes_match_the_shuffle_sum():
+    # jacobi_defect returns the full permutation sum; each (n, n-1)-shuffle
+    # stands for the n!(n-1)! permutations that reorder its two slots, all
+    # of equal signed value, so jacobi_defect = c_n J with c_n = n!(n-1)!.
+    # The coordinate pushes sum to (-1)^(n-1) J(x_T), and Q[u, v] is the
+    # part of J(x_u x_v, x_T') in which both derivatives fall on the quad,
+    # J(x_u x_v, x_T') - x_v J(x_u, x_T') - x_u J(x_v, x_T'); zero at even grade
+    c = {1: 1, 2: 2, 3: 12, 4: 144}
+    assert c == {n: factorial(n) * factorial(n - 1) for n in c}
+    rng = random.Random("quadratic-symbol")
+    coordinate_seen, quad_seen, symbol_seen, squares = set(), set(), set(), 0
+    for n, m in ((1, 3), (2, 4), (3, 5), (4, 7)):
+        x = [var(u, m) for u in range(1, m + 1)]
+        # two blades sharing only the index 1 (one blade at n = 1), whose
+        # faces without it are disjoint and both completed by 1, and two
+        # random blades
+        shared = [tuple(range(1, n + 1)), (1,) + tuple(range(n + 1, 2 * n))]
+        for _ in range(4):
+            chosen = dict.fromkeys(shared + rng.sample(list(iter_blades(m, n)), 2))
+            f = MultivectorField(m, n, {b: random_polynomial(rng, m, degree=rng.randint(1, 2), max_monos=2) for b in chosen})
+            rows = f.faces(n - 1)
+            coordinate = _coordinate_defects(f, rows)
+            assert all(coordinate.values())
+            for tup in combinations(range(1, m + 1), 2 * n - 1):
+                value = coordinate.get(tup, Polynomial.zero(m))
+                assert jacobi_defect(f, [x[a - 1] for a in tup]) == (-1) ** (n - 1) * c[n] * value, (f, tup)
+                if value:
+                    coordinate_seen.add(n)
+            symbol = {key: Polynomial.sum_of_products(m, products) for key, products in _quadratic_symbol(rows).items()}
+            for tup in combinations(range(1, m + 1), 2 * n - 2):
+                rest = [x[a - 1] for a in tup]
+                single = [jacobi_defect(f, [x[w - 1]] + rest) for w in range(1, m + 1)]
+                for u in range(1, m + 1):
+                    for v in range(u, m + 1):
+                        defect = jacobi_defect(f, [x[u - 1] * x[v - 1]] + rest)
+                        q = symbol.get((tup, u, v), Polynomial.zero(m))
+                        assert defect - x[v - 1] * single[u - 1] - x[u - 1] * single[v - 1] == c[n] * q, (f, tup, u, v)
+                        if defect:
+                            quad_seen.add(n)
+                        if q:
+                            symbol_seen.add(n)
+                            squares += u == v
+    assert coordinate_seen == quad_seen == {1, 2, 3, 4}
+    assert symbol_seen == {1, 3} and squares >= 5
+
+
+def test_oracle_matches_classifier_past_the_coordinate_families():
+    # a seeded population whose failures include fields that pass every
+    # coordinate family and fail only a quadratic one, where Q decides
+    rng = random.Random("quadratic-stage")
+    late = 0
+    verdicts = set()
+    for i in range(400):
+        n = (2, 3, 4)[i % 3]
+        m = rng.randint(2 * n - 1, n + 3)
+        kind = i // 3 % 4
+        if kind == 0:
+            f = random_linear_field(rng, m, n, max_terms=4)
+        elif kind == 1:
+            f = random_decomposable_field(rng, m, n)
+        elif kind == 2:
+            chosen = rng.sample(list(iter_blades(m, n)), rng.randint(1, 2))
+            f = MultivectorField(m, n, {b: random_polynomial(rng, m, degree=2, max_monos=2) for b in chosen})
+        else:
+            f = random_constant_field(rng, m, n, max_terms=3)
+        verdict = jacobi_identity_holds(f)
+        assert verdict == classify(f).is_poisson, f
+        late += not verdict and not _coordinate_defects(f, f.faces(n - 1))
+        verdicts.add((n, verdict))
+    assert verdicts == {(n, v) for n in (2, 3, 4) for v in (True, False)}
+    assert late >= 20
+
+
+def _truth_tests(monkeypatch, f) -> tuple[bool, int]:
+    """The oracle's verdict on ``f`` and its count of ``Polynomial.__bool__`` calls."""
     calls = []
     truth = Polynomial.__bool__
 
@@ -403,10 +477,30 @@ def test_oracle_cost_follows_the_support(monkeypatch):
         calls.append(None)
         return truth(self)
 
-    f = random_decomposable_field(random.Random(5), 20, 5)
-    monkeypatch.setattr(Polynomial, "__bool__", counted)
-    assert jacobi_identity_holds(f)
-    assert len(calls) <= 1000
+    with monkeypatch.context() as patch:
+        patch.setattr(Polynomial, "__bool__", counted)
+        verdict = jacobi_identity_holds(f)
+    return verdict, len(calls)
+
+
+def test_oracle_cost_follows_the_support(monkeypatch):
+    # two blades on 20 coordinates: C(20, 9) coordinate families, yet only
+    # the brackets that read a face reach a truth test
+    verdict, calls = _truth_tests(monkeypatch, random_decomposable_field(random.Random(5), 20, 5))
+    assert verdict and calls <= 1000
+
+
+def test_quadratic_stage_visits_only_pushed_pairs(monkeypatch):
+    # a loop over the m(m+1)/2 pairs (u, v) of every quadratic family that
+    # receives a push makes 3,744 truth tests on three constant 4-blades on
+    # 12 coordinates, and 8,424 on a constant decomposable 3-vector with 27
+    # blades; the keys of Q make none at even grade and 891 here
+    verdict, calls = _truth_tests(monkeypatch, block_sum(2, 3, 12))
+    assert verdict and calls <= 200
+    m = 12
+    v = [Multivector(m, 1, {(a,): 1, (a + 1,): 2, (a + 2,): -1}) for a in (1, 4, 7)]
+    verdict, calls = _truth_tests(monkeypatch, MultivectorField.from_multivector(v[0].wedge(v[1]).wedge(v[2])))
+    assert verdict and calls <= 1000
 
 
 def _wide_fields():
@@ -448,6 +542,16 @@ def test_jacobi_needs_grade_at_least_one():
     assert jacobi_defect(d1, [x1 * x1]) == jacobi_defect_bruteforce(d1, [x1 * x1])
     assert not jacobi_identity_holds(d1)
     assert jacobi_identity_holds(MultivectorField(3, 1))
+
+
+def test_oracle_grade_guard_builds_no_shuffle_table(monkeypatch):
+    def forbidden(n):
+        raise AssertionError("the oracle built the shuffle table")
+
+    monkeypatch.setattr(npk.fields, "_jacobi_shuffles", forbidden)
+    assert jacobi_identity_holds(MultivectorField(7, 7, {tuple(range(1, 8)): 1}))
+    with pytest.raises(ValueError, match="grade >= 1"):
+        jacobi_identity_holds(MultivectorField(3, 0, {(): 1}))
 
 
 def test_shuffle_table_built_once_per_grade():

@@ -5,7 +5,12 @@ import pathlib
 
 import pytest
 
-SOURCES = sorted((pathlib.Path(__file__).resolve().parents[1] / "src" / "npk").glob("*.py"))
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SOURCES = sorted((ROOT / "src" / "npk").glob("*.py"))
+# the unused-import check also reads the tests and the scripts, named by
+# their path from the root; a package module is named by its file name
+CHECKED = {p.name: p for p in SOURCES}
+CHECKED.update({str(p.relative_to(ROOT)): p for d in ("tests", "scripts") for p in sorted((ROOT / d).glob("*.py"))})
 
 
 def _names_in(node) -> set[str]:
@@ -50,7 +55,7 @@ def test_unused_imports_are_found():
     assert unused_imports("from a import b\n__all__ = ['b']\n") == []
 
 
-@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+@pytest.mark.parametrize("path", CHECKED.values(), ids=CHECKED.keys())
 def test_no_unused_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
