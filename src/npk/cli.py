@@ -2,8 +2,9 @@
 
 Exit codes separate mathematical outcomes from operational problems:
 0 means the check passed or the property holds, 1 means it fails
-mathematically, 2 means the invocation or input was unusable, 3 means an
-internal consistency check of the program failed.  JSON
+mathematically, 2 means the invocation or input was unusable, 3 means the
+program failed on an accepted input (an internal consistency check or any
+other exception, reported in one ``internal error:`` line).  JSON
 output is canonical and, for a fixed seed, byte-identical across runs;
 wall-clock timing appears only in the human-readable form.
 """
@@ -189,26 +190,33 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _load(args) -> MultivectorField:
+    """The spec's field, once the spec and the options are known to be usable."""
+    field = to_field(parse_spec(args.spec))
+    # these commands test the bracket of an n-ary structure, which needs n >= 2
+    if args.command in ("check", "nambu", "jacobi", "sigma-delta") and field.grade < 2:
+        raise SpecError("classification needs grade at least 2")
+    if getattr(args, "samples", 0) < 0:
+        raise ValueError(f"--samples must be at least 0, got {args.samples}")
+    return field
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     start = time.monotonic()
     try:
-        if args.command == "suite":
-            report, code = _cmd_suite(args)
-        else:
-            field = to_field(parse_spec(args.spec))
-            # these commands test the bracket of an n-ary structure, which needs n >= 2
-            if args.command in ("check", "nambu", "jacobi", "sigma-delta") and field.grade < 2:
-                raise SpecError("classification needs grade at least 2")
-            if getattr(args, "samples", 0) < 0:
-                raise ValueError(f"--samples must be at least 0, got {args.samples}")
-            report, code = _COMMANDS[args.command](field, args)
+        field = None if args.command == "suite" else _load(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except AssertionError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
+    try:
+        report, code = _cmd_suite(args) if field is None else _COMMANDS[args.command](field, args)
+    except SpecError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except Exception as exc:  # the input was accepted: any other failure is the program's
+        print(f"internal error: {' '.join(str(exc).split())} ({type(exc).__name__})", file=sys.stderr)
         return 3
     _emit(report, args.json, time.monotonic() - start)
     return code

@@ -28,7 +28,7 @@ the kernel.  It enumerates no argument tuples: each nonzero bracket of a
 nonconstant blade with a face is pushed to its coordinate family.  Once
 those vanish, a quadratic family ``x_u x_v, x_T'`` reduces by Leibniz to
 its symbol ``Q[u, v]``, a sum of products of two face entries that each
-pair of disjoint faces pushes to its key ``(T', u, v)``; no pair
+unordered pair of disjoint faces pushes to its key ``(T', u, v)``; no pair
 ``(u, v)`` is enumerated, and at even grade the pairs cancel.  So the
 cost follows the field's support (its nonconstant blades and the
 (n-1)-faces of its blades), not the number of families.  It never
@@ -39,7 +39,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 from typing import Sequence
 
 from .exterior import (
@@ -294,18 +294,25 @@ def _coordinate_defects(field: MultivectorField, rows: dict) -> dict:
 def _quadratic_symbol(rows: dict) -> dict:
     """``{(T', u, v): products}`` for the keys ``u <= v`` that receive a push:
     ``Q[u, v]`` of the family ``x_u x_v, x_T'`` is the sum of the signed
-    products ``(sign, a, b)``; see :func:`jacobi_identity_holds`."""
+    products ``(sign, a, b)``; see :func:`jacobi_identity_holds`.  Each
+    unordered pair of faces is visited once."""
     out: dict = {}
-    for a, ends in rows.items():
-        for r, row in rows.items():
-            merged = merge_blades(a, r)
-            if not merged:
-                continue
-            sign, tup = merged
-            for (w,), e in ends.items():
-                for (z,), f in row.items():
-                    key = (tup, w, z) if w < z else (tup, z, w)
-                    out.setdefault(key, []).append((2 * sign if w == z else sign, e, f))
+    faces = list(rows.items())
+    # (A, R) and (R, A) push the same products, their signs (-1)^(n-1) apart
+    factor = 1 + (-1) ** len(faces[0][0]) if faces else 0
+    if not factor:
+        return out
+    for (a, ends), (r, row) in combinations_with_replacement(faces, 2):
+        merged = merge_blades(a, r)
+        if not merged:
+            continue
+        sign, tup = merged
+        if a != r:  # only the empty face (n = 1) is disjoint from itself
+            sign *= factor
+        for (w,), e in ends.items():
+            for (z,), f in row.items():
+                key = (tup, w, z) if w < z else (tup, z, w)
+                out.setdefault(key, []).append((2 * sign if w == z else sign, e, f))
     return out
 
 
@@ -374,13 +381,17 @@ def jacobi_identity_holds(field: MultivectorField) -> bool:
       ``x_u^2``.  ``Q[u, v]`` sums it over the disjoint ordered pairs of
       faces ``(A, R)`` merging to ``T'``.
 
-    Each pair of faces pushes ``sign(A, R) E_A[w] E_R[z]`` to the key
-    ``(T', min(w, z), max(w, z))`` for each end ``w`` of ``A`` and ``z`` of
-    ``R``, twice when ``w = z`` (:func:`_quadratic_symbol`); a key that
-    receives nothing has ``Q = 0``, so no pair ``(u, v)`` is enumerated.
     Swapping ``A`` and ``R`` multiplies ``sign(A, R)`` by
-    ``(-1)^((n-1)^2) = (-1)^(n-1)`` and leaves the products as they are:
-    at even grade the pairs cancel, ``Q`` is zero, and the quadratic
+    ``(-1)^((n-1)^2) = (-1)^(n-1)`` and leaves the products as they are,
+    so the ordered pairs ``(A, R)`` and ``(R, A)`` together push
+    ``factor sign(A, R) E_A[w] E_R[z]``, ``factor = 1 + (-1)^(n-1)``.
+    Each unordered pair of faces pushes that to the key
+    ``(T', min(w, z), max(w, z))`` for each end ``w`` of ``A`` and ``z`` of
+    ``R``, twice when ``w = z``; the one face disjoint from itself, the
+    empty face at ``n = 1``, pushes ``sign(A, A) E_A[w] E_A[z]`` once
+    (:func:`_quadratic_symbol`).  A key that receives nothing has
+    ``Q = 0``, so no pair ``(u, v)`` is enumerated.  At even grade
+    ``factor`` is zero: ``Q`` is zero, nothing is pushed, and the quadratic
     families hold as soon as the coordinate families do.  The identity
     holds iff ``J(x_T)`` vanishes for every ``T`` and, at odd grade,
     ``Q`` vanishes at every key.

@@ -26,9 +26,10 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import partial
+from math import lcm
 
 from .exterior import Covector, Multivector, blade_contractions, contract_terms, merge_blades
-from .linalg import Subspace, intersect
+from .linalg import Subspace, _forward, intersect
 from .polynomial import Polynomial
 
 
@@ -152,40 +153,66 @@ def contractions_decomposable(p: Multivector, k: int) -> bool:
     ``1 <= k <= n-2``; outside that range the equivalence with
     decomposability breaks down.
 
-    Only ``k*(s-k)`` indeterminates are needed, ``s`` the size of the
-    support (the union of the blades of ``p``), not ``k*m``:
+    Only ``k*(r-k)`` indeterminates are needed, ``r`` the rank of ``p``
+    (the dimension of its image ``V``), not ``k*m``:
 
-    * a covector component outside the support contracts ``p`` to zero, so
-      the contraction ``Q(alpha)`` depends only on the ``k x s`` matrix
-      ``M`` of support components;
-    * ``Q`` is multilinear and alternating in the rows of ``M``, so
+    * ``p`` lies in the top exterior power ``Λ^n V``.  One fraction-free
+      forward pass over the integer rows of the (n-1)-face table, which
+      span ``V``, gives the pivot columns ``c_1 < .. < c_r`` of ``V``'s
+      reduced-echelon basis ``v_1 .. v_r``, unique for the space.  That
+      basis is the identity on the pivot columns, so the component of
+      ``v_I`` on the blade ``c_J`` is ``delta_IJ``, and
+      ``p = sum_I p[c_I] v_I``: the coordinates of ``p`` in ``V`` are its
+      components on the pivot blades, ``p' = {I: p[c_I]}`` in ``Q^r``;
+    * ``i(alpha) v_I`` depends only on the values ``alpha(v_i)``, so the
+      k-fold contraction of ``p`` by ``alpha_1 .. alpha_k`` is the image
+      of the contraction of ``p'`` by ``beta_j = (alpha_j(v_i))_i`` under
+      the injective map ``Λ Q^r -> Λ Q^m`` sending ``e_i`` to ``v_i``.  An
+      injective linear map preserves and reflects decomposability (the
+      factors of a decomposable image span a subspace of the image of the
+      map), and ``alpha -> beta`` maps onto ``(Q^r)*``.  So the profile of
+      ``p`` is the profile of ``p'``, whose image is all of ``Q^r``: every
+      one of the ``r`` coordinates is in its support;
+    * the contraction ``Q(beta)`` is multilinear and alternating in the
+      rows of the ``k x r`` matrix ``M`` of the ``beta_j``, so
       ``Q(gM) = det(g) Q(M)`` for ``g`` in GL(k), and each defect, being
       quadratic in ``Q``, satisfies ``D(gM) = det(g)^2 D(M)``;
-    * fix k pivot columns of the support (the first k here).  Where the
-      pivot block ``B`` of ``M`` is invertible, ``M = B [I | A]`` up to the
-      column order, so ``D(M) = det(B)^2 D([I | A])``;
+    * fix the first k columns as pivots.  Where the pivot block ``B`` of
+      ``M`` is invertible, ``M = B [I | A]``, so
+      ``D(M) = det(B)^2 D([I | A])``;
     * those ``M`` are Zariski-dense, since ``det(B)`` is a nonzero
       polynomial.  So ``D`` vanishes identically in all ``k*m`` components
-      exactly when it vanishes identically in the ``k*(s-k)`` entries of
+      exactly when it vanishes identically in the ``k*(r-k)`` entries of
       ``A``; the converse direction is the special case ``M = [I | A]``.
 
-    The decision stays an exact polynomial identity.
+    The decision stays an exact polynomial identity.  The face table is
+    built here on the integer multiple of ``p`` over the lcm of its
+    denominators (same image) and dropped after the pass; nothing is kept
+    on ``p``.
     """
-    m, n = p.dim, p.grade
+    n = p.grade
     if n < 3:
         raise ValueError("needs grade at least 3")
     if not 1 <= k <= n - 2:
         raise ValueError(f"k must satisfy 1 <= k <= n-2, got k={k} for grade {n}")
     if p.is_zero():
         return True
-    support = sorted(set().union(*p.terms))
-    pivots, free = support[:k], support[k:]
-    nvars = k * len(free)
+    den = lcm(*(c.denominator for c in p.terms.values()))
+    faces = blade_contractions({blade: c.numerator * (den // c.denominator) for blade, c in p.terms.items()}, n - 1)
+    rows = ({u: x for (u,), x in face.items()} for face in faces.values())
+    pivots = _forward(rows, len(set().union(*p.terms)))[1]
+    position = {c: i for i, c in enumerate(pivots, 1)}
+    r = len(pivots)
+    nvars = k * (r - k)
     one = Polynomial.constant(1, nvars)
-    terms: dict = {blade: Polynomial.constant(c, nvars) for blade, c in p.terms.items()}
-    for i, pivot in enumerate(pivots):
-        alpha = {u: Polynomial.variable(i * len(free) + j, nvars) for j, u in enumerate(free, 1)}
-        alpha[pivot] = one
+    terms: dict = {
+        tuple(map(position.get, blade)): Polynomial.constant(c, nvars)
+        for blade, c in p.terms.items()
+        if position.keys() >= set(blade)
+    }
+    for i in range(k):
+        alpha = {u: Polynomial.variable(i * (r - k) + j, nvars) for j, u in enumerate(range(k + 1, r + 1), 1)}
+        alpha[i + 1] = one
         terms = contract_terms(alpha, terms)
     # a term map in covector indeterminates, not an element: its table is built here
     return plucker_holds(terms, blade_contractions(terms, n - k - 1))

@@ -263,6 +263,75 @@ def test_profile_builds_only_the_gauge_fixed_variables(monkeypatch):
             assert built and max(built) <= k * (s - k), (p, k, max(built))
 
 
+def _sparse_vector(rng, m):
+    axes = rng.sample(range(1, m + 1), rng.choice((2, 2, 2, 3)))
+    return Multivector(m, 1, {(u,): rng.choice((-2, -1, 1, Fraction(1, 2), 3)) for u in axes})
+
+
+def _wedge(vectors):
+    acc = vectors[0]
+    for v in vectors[1:]:
+        acc = acc.wedge(v)
+    return acc
+
+
+def _below_support(rng, m, n, kind):
+    """A nonzero grade-n multivector whose rank is below its support size,
+    from vectors with 2-3 entries each: a wedge of n of them (kind 0), or
+    the sum of two wedges from one pool of n+2, which spans a proper
+    subspace, sharing n-1 vectors (kind 1, decomposable) or n-2 (kind 2)."""
+    while True:
+        pool = [_sparse_vector(rng, m) for _ in range(n + 2)]
+        p = _wedge(pool[:n])
+        if kind:
+            p = p + _wedge(pool[kind:kind + n])
+        if p and sharp_profile(p).rank < len(set().union(*p.terms)):
+            return p
+
+
+def test_profile_in_the_image_matches_full_variable_route():
+    # the profile is decided in the image of P: a population whose rank is
+    # below its support, so the image is a proper part of the support
+    rng = random.Random("profile-image")
+    verdicts = set()
+    for n, count in ((3, 30), (4, 18), (5, 3)):
+        for i in range(count):
+            p = _below_support(rng, rng.randint(n + 3, 8), n, i % 3)
+            dec = is_decomposable(p)
+            verdicts.add((n, dec))
+            for k in range(1, n - 1):
+                assert contractions_decomposable(p, k) == contractions_decomposable_full(p, k) == dec, (p, k)
+    assert verdicts == {(n, v) for n in (3, 4, 5) for v in (True, False)}
+
+
+# the algebra benchmark's (8, 5, 1) shape: support 6, rank 5
+DEC_851 = Multivector(8, 1, {(1,): 2, (6,): -1}).wedge(blade(8, 2, 3, 4, 5))
+
+
+def test_profile_indeterminates_follow_the_rank(monkeypatch):
+    seen = []
+    plucker_holds = npk.grassmann.plucker_holds
+
+    def spy(terms, faces):
+        seen.append({c.num_vars for c in terms.values()})
+        return plucker_holds(terms, faces)
+
+    monkeypatch.setattr(npk.grassmann, "plucker_holds", spy)
+    assert (len(set().union(*DEC_851.terms)), sharp_profile(DEC_851).rank) == (6, 5)
+    assert all(contractions_decomposable(DEC_851, k) for k in (1, 2, 3))
+    # k * (r - k) with r = 5, not k * (s - k) with s = 6
+    assert seen == [{4}, {6}, {6}]
+
+
+def test_profile_keeps_no_table_on_the_element():
+    dec = Multivector(8, 1, {(1,): 2, (6,): -1}).wedge(blade(8, 2, 3, 4, 5))
+    p = Multivector(7, 3, {(1, 2, 3): 1, (1, 4, 5): Fraction(-2, 3), (2, 6, 7): 3})
+    for q in (dec, p):
+        for k in range(1, q.grade - 1):
+            contractions_decomposable(q, k)
+        assert q._faces == {}
+
+
 # ---------------------------------------------------------------------------
 # contraction subspace reports
 

@@ -558,6 +558,34 @@ def test_cli_internal_failure_exits_three(monkeypatch, capsys):
     assert "internal error: factorization round-trip failed" in capsys.readouterr().err
 
 
+# a library function each command calls once the spec is accepted
+LIBRARY_CALLS = {
+    "check": (npk.cli, "classify"),
+    "rank": (npk.cli, "sample_ranks"),
+    "factorize": (MultivectorField, "evaluate"),
+    "nambu": (npk.cli, "pointwise_decomposable"),
+    "jacobi": (npk.cli, "jacobi_identity_holds"),
+    "sigma-delta": (npk.cli, "is_compatible"),
+    "suite": (npk.cli, "run_all"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(LIBRARY_CALLS))
+def test_cli_library_value_error_exits_three(command, monkeypatch, capsys):
+    # a ValueError raised after the input was accepted is a program fault,
+    # not an unusable input: exit 3, one line, no traceback
+    def broken(*args, **kwargs):
+        raise ValueError("broken\ninvariant")
+
+    owner, name = LIBRARY_CALLS[command]
+    monkeypatch.setattr(owner, name, broken)
+    argv = [command] + ([] if command == "suite" else [str(SPECS / "decomposable_3vector.json")])
+    assert main([*argv, "--json"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "internal error: broken invariant (ValueError)\n"
+
+
 SPEC_VERDICTS = {  # name: (is_poisson, nambu_algebraic)
     "decomposable_3vector": (True, True),
     "nonpoisson_3vector": (False, False),
