@@ -3,7 +3,8 @@
 A grade-q field U is compatible with the structure field P when
 ``(i(alpha) P) ^ (i(alpha) U) = 0`` for every covector alpha.  The
 quantifier is quadratic in alpha, so over the rationals it is equivalent
-to its polarization on basis covector pairs, checked on both ``faces(1)``.
+to its polarization on basis covector pairs, which
+:func:`~npk.exterior.covector_pair_table` tabulates from P's and U's blades.
 On compatible fields a first-order operator of degree n-1 is defined; it
 annihilates P itself and acts on functions as ``f -> i(df) P``.  The
 operator does not square to zero in general, so no such identity is
@@ -15,8 +16,9 @@ asserted anywhere.  It shares the kernel
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
-from .exterior import _add_term, first_failing_pair, wedge_terms
+from .exterior import covector_pair_table, first_failing_pair
 from .fields import MultivectorField, contracted_derivative
 from .polynomial import Polynomial
 
@@ -44,17 +46,8 @@ def is_compatible(structure: MultivectorField, candidate: MultivectorField) -> C
         return Compatibility(True, None)
     if structure.grade == 0:
         raise ValueError("cannot contract a scalar")
-    # {(a,): i(dx^a) X} for both fields, read in one pass; absent when zero
-    sc = structure.faces(1)
-    cc = candidate.faces(1)
-
-    def polarized(a: int, b: int) -> dict:
-        out = wedge_terms(sc.get((a,), {}), cc.get((b,), {}))
-        for blade, coef in wedge_terms(sc.get((b,), {}), cc.get((a,), {})).items():
-            _add_term(out, blade, coef)
-        return out
-
-    witness = first_failing_pair(structure.dim, polarized)
+    table = covector_pair_table(structure.terms, candidate.terms, True)
+    witness = first_failing_pair(table, partial(Polynomial.sum_of_products, structure.dim))
     return Compatibility(witness is None, witness)
 
 

@@ -5,15 +5,15 @@ homogeneous element of grade k stores a sparse map ``terms`` from k-blades
 to nonzero coefficients.  One container, :class:`GradedTerms`, holds that
 map for any coefficient ring: it canonicalises input, keeps the zero above
 the top grade, and provides ``component``, ``wedge``, ``+ - * ==`` and
-``faces(k)``, its face table.
-Point values (:class:`Multivector`) are the subclass with
-``fractions.Fraction`` coefficients; multivector fields
-(:class:`npk.fields.MultivectorField`) are the subclass with polynomial
-coefficients.  The term kernels (:func:`wedge_terms`,
-:func:`contract_terms`, ...) only need coefficients supporting ``+``,
-unary ``-``, ``*`` and truthiness, so both subclasses share them.
-:func:`first_failing_pair` is the one quantifier over basis covector
-pairs that the bilinear and polarized quadratic conditions reduce to.
+``faces(k)``, its face table.  Point values (:class:`Multivector`) are
+the subclass with ``fractions.Fraction`` coefficients; multivector fields
+(:class:`npk.fields.MultivectorField`), with polynomial coefficients.  The
+term kernels (:func:`wedge_terms`, :func:`contract_terms`, ...) only need
+coefficients supporting ``+``, unary ``-``, ``*`` and truthiness, so both
+subclasses share them.
+:func:`covector_pair_table`, summed by :func:`first_failing_pair`, is
+the one kernel of the conditions quadratic in two covectors: the
+algebraic condition, compatibility and the Jacobi symbol.
 :func:`blade_contractions` is the one kernel for contraction with basis
 forms: it tabulates the contractions with every basis k-form at once,
 built from the faces of the blades present, and a basis covector is the
@@ -107,20 +107,6 @@ def shuffle_sign(left: Iterable[int], right: Iterable[int]) -> int:
     return merged[0]
 
 
-def first_failing_pair(dim: int, term) -> tuple[int, int] | None:
-    """Lexicographically first basis pair ``a <= b`` whose ``term(a, b)`` is nonzero.
-
-    A condition bilinear or polarized-quadratic in covectors holds for all
-    covectors iff it holds on these pairs (lossless over the rationals);
-    ``None`` means it holds.
-    """
-    for a in range(1, dim + 1):
-        for b in range(a, dim + 1):
-            if term(a, b):
-                return a, b
-    return None
-
-
 # ---------------------------------------------------------------------------
 # term-map kernels (coefficient-generic)
 
@@ -165,6 +151,60 @@ def contract_terms(alpha: Mapping[int, object], terms: Mapping[Blade, object]) -
                 piece = -piece
             _add_term(out, blade[:j] + blade[j + 1:], piece)
     return out
+
+
+def covector_pair_table(left: Mapping[Blade, object], right: Mapping[Blade, object], polarize: bool) -> dict:
+    """``{(a, b): {blade: [(sign, x, y), ...]}}`` over basis pairs ``a <= b``.
+
+    A list's products ``sign * x * y`` sum to the coefficient on ``blade``
+    of ``(i(dx^a) L) ^ (i(dx^b) R)`` (``L``, ``R`` the term maps), plus
+    ``(i(dx^b) L) ^ (i(dx^a) R)`` when ``polarize`` and ``a < b``.  Deleting
+    ``w`` from a blade ``S`` of ``L`` and ``z`` from ``T`` of ``R`` leaves
+    disjoint blades iff ``S & T <= {w, z}``, so one bitmask test rejects
+    ``|S & T| > 2``.  In ``U = sorted(S + T)``, ``r(v)`` (the indices below
+    ``v``) is the first position of ``v``; dropping the copies at ``r(w)``
+    and ``r(z)`` (``r(w) + 1`` if ``w = z``) leaves the blade.  Contracting
+    position ``i`` has sign ``(-1)^i``; as ``inv`` (the pairs ``x > y``
+    across) has ``inv(S - w, T - z) = inv(S, T) - #{y in T: y < w} - #{x in S: x > z} + [w > z]``,
+    the sign is ``(-1)^(inv(S, T) + |S| + r(w) + r(z) + [w > z] + [z in S])``,
+    with ``inv(S, T) = sum(r(x) for x in S) - |S|(|S| - 1)/2``.
+    """
+    out: dict = {}
+    rights = [(t, sum(1 << v for v in t), y) for t, y in right.items()]
+    for s, x in left.items():
+        ms = sum(1 << v for v in s)
+        base = len(s) * (len(s) + 1) // 2  # |S| - |S|(|S| - 1)/2, mod 2
+        for t, mt, y in rights:
+            both = ms & mt
+            if both.bit_count() > 2:
+                continue
+            u = tuple(sorted(s + t))
+            first = base + sum(map(u.index, s))
+            for w in s:
+                # every index both blades share must be w or z
+                need = both & ~(1 << w)
+                if need.bit_count() > 1:
+                    continue
+                for z in (need.bit_length() - 1,) if need else t:
+                    if w > z and not polarize:
+                        continue
+                    # q is r(z), or r(w) + 1 if w = z: (w > z) + (w == z) is (w >= z)
+                    p, q = u.index(w), u.index(z) + (w == z)
+                    odd = (first + p + q + (w >= z) + (ms >> z & 1)) % 2
+                    lo, hi = (p, q) if p < q else (q, p)
+                    blades = out.setdefault((w, z) if w <= z else (z, w), {})
+                    blades.setdefault(u[:lo] + u[lo + 1:hi] + u[hi + 1:], []).append((-1 if odd else 1, x, y))
+    return out
+
+
+def first_failing_pair(table: dict, total) -> tuple[int, int] | None:
+    """First pair of a :func:`covector_pair_table`, in order, with a blade whose
+    products ``total`` sums to nonzero; ``None`` means the condition holds
+    for all covectors (lossless over the rationals).  Stops at that pair."""
+    for pair in sorted(table):
+        if any(map(total, table[pair].values())):
+            return pair
+    return None
 
 
 def blade_contractions(terms: Mapping[Blade, object], k: int) -> dict:
@@ -243,11 +283,6 @@ class GradedTerms:
     @classmethod
     def zero(cls, dim: int, grade: int):
         return cls(dim, grade)
-
-    @classmethod
-    def blade(cls, dim: int, indices: Iterable[int], coeff=1):
-        indices = tuple(indices)
-        return cls(dim, len(indices), {indices: coeff})
 
     def faces(self, k: int) -> dict:
         """``blade_contractions(self.terms, k)``, built on first use and kept: nothing

@@ -27,19 +27,19 @@ grade; so the oracle reads its brackets off that table and never calls
 the kernel.  It enumerates no argument tuples: each nonzero bracket of a
 nonconstant blade with a face is pushed to its coordinate family.  Once
 those vanish, a quadratic family ``x_u x_v, x_T'`` reduces by Leibniz to
-its symbol ``Q[u, v]``, a sum of products of two face entries that each
-unordered pair of disjoint faces pushes to its key ``(T', u, v)``; no pair
-``(u, v)`` is enumerated, and at even grade the pairs cancel.  So the
-cost follows the field's support (its nonconstant blades and the
-(n-1)-faces of its blades), not the number of families.  It never
-consults the differential defect or the classifier; it is their check.
+its symbol ``Q[u, v]``, read off the polarized
+:func:`~npk.exterior.covector_pair_table` of P with itself, zero at even
+grade.  So the cost follows the field's support (its nonconstant blades,
+their (n-1)-faces and the pairs of blades sharing at most two indices),
+not the number of families.  It never consults the differential defect
+or the classifier; it is their check.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache
-from itertools import combinations, combinations_with_replacement
+from functools import cache, partial
+from itertools import combinations
 from typing import Sequence
 
 from .exterior import (
@@ -48,6 +48,8 @@ from .exterior import (
     Multivector,
     _add_term,
     contract_terms,
+    covector_pair_table,
+    first_failing_pair,
     merge_blades,
     shuffle_sign,
     sort_to_blade,
@@ -291,31 +293,6 @@ def _coordinate_defects(field: MultivectorField, rows: dict) -> dict:
     return out
 
 
-def _quadratic_symbol(rows: dict) -> dict:
-    """``{(T', u, v): products}`` for the keys ``u <= v`` that receive a push:
-    ``Q[u, v]`` of the family ``x_u x_v, x_T'`` is the sum of the signed
-    products ``(sign, a, b)``; see :func:`jacobi_identity_holds`.  Each
-    unordered pair of faces is visited once."""
-    out: dict = {}
-    faces = list(rows.items())
-    # (A, R) and (R, A) push the same products, their signs (-1)^(n-1) apart
-    factor = 1 + (-1) ** len(faces[0][0]) if faces else 0
-    if not factor:
-        return out
-    for (a, ends), (r, row) in combinations_with_replacement(faces, 2):
-        merged = merge_blades(a, r)
-        if not merged:
-            continue
-        sign, tup = merged
-        if a != r:  # only the empty face (n = 1) is disjoint from itself
-            sign *= factor
-        for (w,), e in ends.items():
-            for (z,), f in row.items():
-                key = (tup, w, z) if w < z else (tup, z, w)
-                out.setdefault(key, []).append((2 * sign if w == z else sign, e, f))
-    return out
-
-
 def jacobi_identity_holds(field: MultivectorField) -> bool:
     """Decide the generalized Jacobi identity for all smooth arguments.
 
@@ -364,37 +341,24 @@ def jacobi_identity_holds(field: MultivectorField) -> bool:
       Leibniz gives
       ``J(x_u x_v, x_T') = x_v J(x_u, x_T') + x_u J(x_v, x_T') + Q[u, v]``,
       ``Q`` the part in which both derivatives fall on the quad.
-      ``J(x_w, x_T')`` repeats an argument when ``w`` is in ``T'``, and is
-      otherwise a coordinate family's defect up to sign; so once every
-      coordinate family vanishes, the family's defect is ``Q[u, v]``.  Only
-      the shuffles with the quad in the inner bracket differentiate it
-      twice: ``(x_u x_v, x_A) | R`` adds ``sign(A, R) {{x_u x_v, x_A}, x_R}``
-      (the quad, first, adds no inversion).  By Leibniz
-      ``{x_u x_v, x_A} = x_v P^{u A} + x_u P^{v A}``, zero unless ``A`` is
-      a face with end ``u`` or ``v``, and the outer bracket is zero unless
-      ``R`` is a face; its two face reads carry signs that cancel, so the
-      term is ``sign(A, R) FB(grad(x_v E_A[u] + x_u E_A[v]), R)``, and as
-      ``d_z (x_v E_A[u]) = delta_zv E_A[u] + x_v d_z E_A[u]`` its part that
-      differentiates the quad twice is
-      ``sign(A, R) (E_A[u] E_R[v] + E_A[v] E_R[u])``, or
-      ``2 sign(A, R) E_A[u] E_R[u]`` at ``u = v``, where the quad is
-      ``x_u^2``.  ``Q[u, v]`` sums it over the disjoint ordered pairs of
-      faces ``(A, R)`` merging to ``T'``.
+      ``J(x_w, x_T')`` repeats an argument or is a coordinate family's
+      defect up to sign, so once those vanish the family's defect is
+      ``Q[u, v]``.  Only the shuffles ``(x_u x_v, x_A) | R`` (the quad,
+      first, adds no inversion) differentiate the quad twice; by Leibniz
+      ``{x_u x_v, x_A} = x_v P^{u A} + x_u P^{v A}``, and the outer bracket
+      reads a face ``R`` with signs that cancel, so
+      ``Q[u, v] = sum sign(A, R) (E_A[u] E_R[v] + E_A[v] E_R[u])`` over the
+      disjoint ordered faces ``(A, R)`` merging to ``T'``.  By the sign
+      above ``E_A[w] = (-1)^(n-1) (i(dx^w) P)^A``, the factors
+      ``(-1)^(n-1)`` cancel in a product, and ``e_A ^ e_R = sign(A, R) e_T'``,
+      so ``Q[u, v]`` is the coefficient on ``T'`` of
+      ``(i(dx^u) P) ^ (i(dx^v) P) + (i(dx^v) P) ^ (i(dx^u) P)``, read off
+      :func:`~npk.exterior.covector_pair_table` ``(P, P, True)`` and doubled
+      at ``u = v``, where the table lists the one wedge once.  At even
+      grade the contractions have odd grade and anticommute: ``Q = 0``.
 
-    Swapping ``A`` and ``R`` multiplies ``sign(A, R)`` by
-    ``(-1)^((n-1)^2) = (-1)^(n-1)`` and leaves the products as they are,
-    so the ordered pairs ``(A, R)`` and ``(R, A)`` together push
-    ``factor sign(A, R) E_A[w] E_R[z]``, ``factor = 1 + (-1)^(n-1)``.
-    Each unordered pair of faces pushes that to the key
-    ``(T', min(w, z), max(w, z))`` for each end ``w`` of ``A`` and ``z`` of
-    ``R``, twice when ``w = z``; the one face disjoint from itself, the
-    empty face at ``n = 1``, pushes ``sign(A, A) E_A[w] E_A[z]`` once
-    (:func:`_quadratic_symbol`).  A key that receives nothing has
-    ``Q = 0``, so no pair ``(u, v)`` is enumerated.  At even grade
-    ``factor`` is zero: ``Q`` is zero, nothing is pushed, and the quadratic
-    families hold as soon as the coordinate families do.  The identity
-    holds iff ``J(x_T)`` vanishes for every ``T`` and, at odd grade,
-    ``Q`` vanishes at every key.
+    The identity holds iff ``J(x_T)`` vanishes for every ``T`` and, at odd
+    grade, ``Q`` at every key (a key that receives nothing has ``Q = 0``).
     """
     m, n = field.dim, field.grade
     _check_jacobi_grade(n)
@@ -403,4 +367,5 @@ def jacobi_identity_holds(field: MultivectorField) -> bool:
         return False
     if n % 2 == 0:
         return True
-    return not any(Polynomial.sum_of_products(m, products) for products in _quadratic_symbol(rows).values())
+    table = covector_pair_table(field.terms, field.terms, True)
+    return first_failing_pair(table, partial(Polynomial.sum_of_products, m)) is None

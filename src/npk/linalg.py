@@ -144,14 +144,6 @@ class Subspace:
     def zero(cls, ambient_dim: int) -> "Subspace":
         return cls(ambient_dim, ())
 
-    @classmethod
-    def full(cls, ambient_dim: int) -> "Subspace":
-        rows = tuple(
-            tuple(Fraction(1 if j == i else 0) for j in range(ambient_dim))
-            for i in range(ambient_dim)
-        )
-        return cls(ambient_dim, rows)
-
     @property
     def dim(self) -> int:
         return len(self.basis)

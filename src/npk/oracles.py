@@ -13,12 +13,12 @@ besides the face-table oracle :func:`npk.fields.jacobi_identity_holds`.
 from __future__ import annotations
 
 from functools import reduce
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 from math import factorial
 from typing import Sequence
 
 from . import fields
-from .exterior import first_failing_pair, iter_blades
+from .exterior import iter_blades
 from .fields import MultivectorField
 from .poisson import pointwise_decomposable
 from .polynomial import Polynomial
@@ -80,10 +80,8 @@ def nambu_polarized_route(field: MultivectorField) -> bool:
     phis = list(iter_blades(m, n - 2))
     deep = {a: [reduce(contract, phi, c[a]) for phi in phis] for a in range(1, m + 1)}
 
-    def term(a: int, b: int) -> bool:
-        return any(c[a].wedge(deep[b][i]) + c[b].wedge(deep[a][i]) for i in range(len(phis)))
-
-    return first_failing_pair(m, term) is None
+    pairs = combinations_with_replacement(range(1, m + 1), 2)
+    return not any(c[a].wedge(deep[b][i]) + c[b].wedge(deep[a][i]) for a, b in pairs for i in range(len(phis)))
 
 
 def is_nambu_algebraic(field: MultivectorField) -> bool:

@@ -10,8 +10,8 @@ satisfies the generalized Jacobi identity iff
   covectors.
 
 Both conditions are decided exactly: the algebraic one reduces to basis
-covector pairs by bilinearity, the differential one is a polynomial
-identity; both read the field's 1-face table ``faces(1)``.  The algebraic
+covector pairs by bilinearity (:func:`~npk.exterior.covector_pair_table`),
+the differential one is a polynomial identity on ``faces(1)``.  The algebraic
 Nambu condition is equivalent to pointwise decomposability of the field
 value (Takhtajan; Gautheron), which the one Plucker loop
 :func:`~npk.grassmann.plucker_holds` decides on ``faces(n-1)``; the component
@@ -26,12 +26,12 @@ import random
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import combinations
 from math import gcd
 from typing import Sequence
 
-from .exterior import blade_contractions, first_failing_pair, shuffle_sign, wedge_terms
+from .exterior import blade_contractions, covector_pair_table, first_failing_pair, shuffle_sign
 from .fields import (
     MultivectorField,
     coordinate_vector_field,
@@ -40,7 +40,7 @@ from .fields import (
 )
 from .grassmann import plucker_holds
 from .linalg import Subspace, sparse_rank
-from .polynomial import integer_evaluator
+from .polynomial import Polynomial, integer_evaluator
 
 Point = tuple[Fraction, ...]
 
@@ -70,15 +70,15 @@ def algebraic_condition(field: MultivectorField) -> AlgebraicConditionReport:
 
     Bilinearity reduces the quantifier to basis pairs ``a <= b`` (the
     expression is symmetric in the pair for odd grade and antisymmetric
-    for even grade, so ordered pairs cover everything).  On failure the
-    lexicographically first failing pair is reported.  For even grade the
-    classifier ignores this condition; it is still evaluated and reported.
+    for even grade, so ordered pairs cover everything), not polarized.  On
+    failure the lexicographically first failing pair is reported.  For even
+    grade the classifier ignores this condition; it is still evaluated and
+    reported.
     """
-    m = field.dim
     if field.grade < 2:
         raise ValueError("needs grade at least 2")
-    c = field.faces(1)  # {(a,): i(dx^a) P}, absent when zero
-    witness = first_failing_pair(m, lambda a, b: wedge_terms(c.get((a,), {}), c.get((b,), {})))
+    table = covector_pair_table(field.terms, field.terms, False)
+    witness = first_failing_pair(table, partial(Polynomial.sum_of_products, field.dim))
     return AlgebraicConditionReport(witness is None, witness)
 
 

@@ -115,6 +115,34 @@ def contractions_decomposable_full(p: Multivector, k: int) -> bool:
     return not any(wedge_terms(face, terms) for face in blade_contractions(terms, n - k - 1).values())
 
 
+def pair_wedges_by_contraction(left: MultivectorField, right: MultivectorField, polarize: bool) -> dict:
+    """``{(a, b): wedge}`` for the basis pairs ``a <= b`` whose wedge is nonzero.
+
+    The wedge is ``(i(dx^a) L) ^ (i(dx^b) R)``, plus ``(i(dx^b) L) ^ (i(dx^a) R)``
+    with ``polarize`` (twice the first at ``a = b``).  Each contraction is
+    its own ``contract_covector`` call with a dense basis covector.  The
+    reference for :func:`npk.exterior.covector_pair_table`: the first key
+    is the witness of :func:`npk.poisson.algebraic_condition` (``P`` with
+    itself, not polarized) and of :func:`npk.compat.is_compatible`
+    (polarized).
+    """
+    m = left.dim
+
+    def contractions(f: MultivectorField) -> dict:
+        return {a: f.contract_covector([int(v == a) for v in range(1, m + 1)]) for a in range(1, m + 1)}
+
+    lc, rc = contractions(left), contractions(right)
+    out = {}
+    for a in range(1, m + 1):
+        for b in range(a, m + 1):
+            wedge = lc[a].wedge(rc[b])
+            if polarize:
+                wedge = wedge + lc[b].wedge(rc[a])
+            if wedge:
+                out[(a, b)] = wedge
+    return out
+
+
 def naive_det(rows):
     """Leibniz-formula determinant over any commutative coefficients."""
     n = len(rows)

@@ -9,9 +9,16 @@ from npk.compat import (
     is_compatible,
 )
 from npk.fields import MultivectorField, differential_defect
-from npk.poisson import algebraic_condition, coordinate_semidecomposable
+from npk.poisson import algebraic_condition, block_sum, build_semidecomposable, coordinate_semidecomposable
 from npk.polynomial import Polynomial
-from npk.suites import random_decomposable_field, random_linear_field, random_polynomial
+from npk.suites import (
+    _random_triangular_frames,
+    random_constant_field,
+    random_decomposable_field,
+    random_linear_field,
+    random_polynomial,
+)
+from oracles import pair_wedges_by_contraction
 
 M = 5
 X = [Polynomial.variable(u, M) for u in range(1, M + 1)]
@@ -118,14 +125,14 @@ def test_wedge_closure_recorded_not_asserted():
 # ---------------------------------------------------------------------------
 # self-compatibility
 
-def test_witnesses_match_the_per_index_contractions():
-    # is_compatible and algebraic_condition read every i(dx^a) X off one
-    # blade_contractions pass; their first failing pair must be the one
-    # that m separate contractions with dx^a give
-    def first_pair(m, term):
-        pairs = ((a, b) for a in range(1, m + 1) for b in range(a, m + 1))
-        return next((pair for pair in pairs if term(*pair)), None)
+def first_pair(wedges):
+    return min(wedges, default=None)
 
+
+def test_witnesses_match_the_per_index_contractions():
+    # is_compatible and algebraic_condition push blade pairs through one
+    # table; their first failing pair must be the one that m separate
+    # contractions with dx^a give
     rng = random.Random("one-pass-contractions")
     witnesses = set()
     for _ in range(200):
@@ -133,19 +140,69 @@ def test_witnesses_match_the_per_index_contractions():
         m = rng.randint(max(n, q), 6)
         p = random_linear_field(rng, m, n, max_terms=4)
         u = p if rng.random() < 0.3 else random_linear_field(rng, m, q, max_terms=3)
-        dx = {a: [int(v == a) for v in range(1, m + 1)] for a in range(1, m + 1)}
-        sc = {a: p.contract_covector(dx[a]) for a in range(1, m + 1)}
-        cc = {a: u.contract_covector(dx[a]) for a in range(1, m + 1)}
-        want = first_pair(m, lambda a, b: sc[a].wedge(cc[b]) + sc[b].wedge(cc[a]))
+        want = first_pair(pair_wedges_by_contraction(p, u, True))
         report = is_compatible(p, u)
         assert (report.holds, report.witness) == (want is None, want)
-        want = first_pair(m, lambda a, b: sc[a].wedge(sc[b]))
+        want = first_pair(pair_wedges_by_contraction(p, p, False))
         algebraic = algebraic_condition(p)
         assert (algebraic.holds, algebraic.witness) == (want is None, want)
         witnesses.update((report.witness, algebraic.witness))
     assert None in witnesses and len(witnesses) > 4
     with pytest.raises(ValueError, match="cannot contract a scalar"):
         is_compatible(grade0(X[0]), BLADE)
+
+
+def _paper_populations():
+    rng = random.Random("paper-populations")
+    fields = [block_sum(u, s, m) for u, s, m in ((1, 1, 2), (1, 3, 7), (2, 1, 5), (2, 2, 8), (2, 3, 12))]
+    fields += [
+        coordinate_semidecomposable(2 * n if h else n + 1, h, n)
+        for n in range(3, 10)
+        for h in range(0, (n - 3) // 2 + 1)
+    ]
+    for n in (3, 4, 5, 6):
+        frames = _random_triangular_frames(rng, 2 * n)
+        for h in range(0, (n - 3) // 2 + 1):
+            fields.append(build_semidecomposable(frames[:n], frames[n:], h))
+    # unit lower-triangular frames, so that the second frame reaches the
+    # first frame's coordinates and blades meet in fewer than three indices
+    for n, h, fill in ((3, 0, 0.6), (4, 0, 0.4), (5, 1, 0.15)):
+        frames = []
+        for i in range(1, 2 * n + 1):
+            comps = {(j,): rng.choice((-2, -1, 1, 2, 3)) for j in range(1, i) if rng.random() < fill}
+            frames.append(MultivectorField(2 * n, 1, {**comps, (i,): 1}))
+        fields.append(build_semidecomposable(frames[:n], frames[n:], h))
+    for _ in range(40):
+        n = rng.randint(2, 5)
+        m = rng.randint(n, 7)
+        fields.append(random_decomposable_field(rng, m, n))
+        fields.append(random_constant_field(rng, m, n))
+    return rng, fields
+
+
+def test_witnesses_match_the_dense_route_on_the_paper_populations():
+    # the dense route over block sums, the semi-decomposables on coordinate
+    # and triangular frames, decomposable and constant fields, each with
+    # itself and with a random field; the blade pairs that push to the table
+    # (sharing at most two indices) come in every size, in fields that
+    # hold and in fields that fail
+    rng, fields = _paper_populations()
+    verdicts, sizes = set(), {True: set(), False: set()}
+    for p in fields:
+        want = first_pair(pair_wedges_by_contraction(p, p, False))
+        algebraic = algebraic_condition(p)
+        assert (algebraic.holds, algebraic.witness) == (want is None, want), p
+        want = first_pair(pair_wedges_by_contraction(p, p, True))
+        report = is_compatible(p, p)
+        assert (report.holds, report.witness) == (want is None, want), p
+        u = random_linear_field(rng, p.dim, rng.randint(1, min(3, p.dim)), max_terms=3)
+        want = first_pair(pair_wedges_by_contraction(p, u, True))
+        report = is_compatible(p, u)
+        assert (report.holds, report.witness) == (want is None, want), (p, u)
+        verdicts.add((algebraic.holds, report.holds))
+        sizes[algebraic.holds] |= {len(set(s) & set(t)) for s in p.terms for t in p.terms} & {0, 1, 2}
+    assert verdicts == {(a, c) for a in (True, False) for c in (True, False)}
+    assert sizes == {True: {0, 1, 2}, False: {0, 1, 2}}
 
 
 def test_self_compatibility_cross_checks():

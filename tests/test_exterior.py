@@ -10,17 +10,18 @@ from npk.exterior import (
     Multivector,
     blade_contractions,
     contract_terms,
+    covector_pair_table,
     iter_blades,
 )
 from npk.fields import MultivectorField
 from npk.linalg import Subspace, rref
 from npk.polynomial import Polynomial
 from npk.suites import random_constant_multivector, random_linear_field
-from oracles import iterated_contraction
+from oracles import iterated_contraction, pair_wedges_by_contraction
 
 
 def blade(dim, *indices, c=1):
-    return Multivector.blade(dim, indices, c)
+    return Multivector(dim, len(indices), {indices: c})
 
 
 def contract_with(lam, p):
@@ -115,8 +116,8 @@ def test_two_form_contraction_committed_sign():
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_full_contraction_leaves_last_vector(n):
     m = n + 1
-    p = Multivector.blade(m, range(1, n + 1))
-    lam = Multivector.blade(m, range(1, n))
+    p = blade(m, *range(1, n + 1))
+    lam = blade(m, *range(1, n))
     assert contract_with(lam, p) == blade(m, n)
 
 
@@ -124,10 +125,10 @@ def test_full_contraction_leaves_last_vector(n):
 def test_double_omission_pattern(a, b):
     # i(eps1^...^hat a^...^hat b^...^eps n) applied to i(eps a)P gives +-e_b
     n, m = 4, 6
-    p = Multivector.blade(m, range(1, n + 1))
+    p = blade(m, *range(1, n + 1))
     pa = p.contract(Covector.basis(m, a))
     lam_indices = tuple(i for i in range(1, n + 1) if i not in (a, b))
-    lam = Multivector.blade(m, lam_indices)
+    lam = blade(m, *lam_indices)
     out = contract_with(lam, pa)
     assert out == blade(m, b) or out == blade(m, b, c=-1)
     oracle = iterated_contraction(pa, [Covector.basis(m, i) for i in lam_indices])
@@ -246,11 +247,37 @@ def test_blade_contractions_match_dense_enumeration():
         assert blade_contractions(scalar, 0) == ({(): scalar} if scalar else {})
 
 
+@pytest.mark.parametrize("p,q", [(1, 2), (2, 2), (3, 3), (2, 4)])
+def test_pair_table_matches_the_dense_route_on_blade_pairs(p, q):
+    # every pair of basis blades S, T on six coordinates: the table's sums
+    # are the dense route's wedges (which count the polarized diagonal
+    # twice), and only the pairs sharing at most two indices push anything
+    m = 6
+    sizes = set()
+    for s in iter_blades(m, p):
+        for t in iter_blades(m, q):
+            left, right = MultivectorField(m, p, {s: 2}), MultivectorField(m, q, {t: -3})
+            shared = len(set(s) & set(t))
+            for polarize in (False, True):
+                table = covector_pair_table(left.terms, right.terms, polarize)
+                got = {}
+                for (a, b), blades in table.items():
+                    twice = 2 if polarize and a == b else 1
+                    sums = {blade: Polynomial.sum_of_products(m, products) * twice for blade, products in blades.items()}
+                    if wedge := MultivectorField(m, p + q - 2, sums):
+                        got[(a, b)] = wedge
+                assert got == pair_wedges_by_contraction(left, right, polarize), (s, t, polarize)
+                assert shared <= 2 or not table
+                if table:
+                    sizes.add(shared)
+    assert sizes == set(range(min(p, q, 2) + 1))
+
+
 _INEXACT = {
     "multivector-float": lambda: Multivector(3, 1, {(1,): 0.1}),
     "multivector-bool": lambda: Multivector(3, 1, {(1,): True}),
     "multivector-str": lambda: Multivector(3, 1, {(1,): "1/2"}),
-    "multivector-times-bool": lambda: Multivector.blade(3, (1, 2)) * True,
+    "multivector-times-bool": lambda: blade(3, 1, 2) * True,
     "covector-float": lambda: Covector(2, (0.5, 1)),
     "covector-bool": lambda: Covector(2, (1, True)),
     "polynomial-float": lambda: Polynomial(2, {(1, 0): 0.5}),

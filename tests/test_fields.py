@@ -8,14 +8,13 @@ import pytest
 import npk.fields
 import npk.poisson
 from npk.compat import delta, is_compatible
-from npk.exterior import Multivector, iter_blades
+from npk.exterior import Multivector, covector_pair_table, iter_blades
 from npk.fields import (
     MultivectorField,
     _coordinate_defects,
     _face_bracket,
     _gradient,
     _jacobi_shuffles,
-    _quadratic_symbol,
     contracted_derivative,
     differential_defect,
     jacobi_identity_holds,
@@ -372,7 +371,7 @@ def _memo_cases():
         # and two blades sharing one index with the first coefficient on it
         line = Multivector(m, 1, {(1,): 2, (n + 1,): -1})
         for u in range(2, n + 1):
-            line = line.wedge(Multivector.blade(m, (u,)))
+            line = line.wedge(Multivector(m, 1, {(u,): 1}))
         cases.append(MultivectorField.from_multivector(line) * (x[0] + 3 * x[n] - 1))
         cases.append(MultivectorField(m, n, {first: x[0] + 1, shared: Fraction(-2, 3)}))
         # a square coefficient, so the x_u^2 families cancel only with
@@ -423,7 +422,13 @@ def test_family_pushes_match_the_shuffle_sum():
                 assert jacobi_defect(f, [x[a - 1] for a in tup]) == (-1) ** (n - 1) * c[n] * value, (f, tup)
                 if value:
                     coordinate_seen.add(n)
-            symbol = {key: Polynomial.sum_of_products(m, products) for key, products in _quadratic_symbol(rows).items()}
+            # Q[u, v] on T' is the polarized pair table's sum, doubled at u = v
+            table = covector_pair_table(f.terms, f.terms, True)
+            symbol = {
+                (tup, u, v): Polynomial.sum_of_products(m, products) * (2 if u == v else 1)
+                for (u, v), blades in table.items()
+                for tup, products in blades.items()
+            }
             for tup in combinations(range(1, m + 1), 2 * n - 2):
                 rest = [x[a - 1] for a in tup]
                 single = [jacobi_defect(f, [x[w - 1]] + rest) for w in range(1, m + 1)]
@@ -512,7 +517,7 @@ def _wide_fields():
 
     line = Multivector(10, 1, {(1,): 2, (5,): -1})
     for u in (2, 3, 4):
-        line = line.wedge(Multivector.blade(10, (u,)))
+        line = line.wedge(Multivector(10, 1, {(u,): 1}))
     return [
         coordinate_semidecomposable(10, 1, 5),
         block_sum(2, 3, 12),

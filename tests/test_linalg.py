@@ -15,6 +15,11 @@ def F(x):
     return Fraction(x)
 
 
+def full(dim):
+    """The whole space, its reduced-echelon basis the identity rows."""
+    return Subspace(dim, tuple(tuple(F(int(i == j)) for j in range(dim)) for i in range(dim)))
+
+
 def column_image(mat, ncols):
     """Column space of ``mat``, eliminated independently of its row space."""
     return Subspace.from_vectors([[row[c] for row in mat] for c in range(ncols)], len(mat))
@@ -27,7 +32,7 @@ def test_identity_matrix():
     image = column_image(mat, 3)
     assert rank == 3 == image.dim
     assert kernel == Subspace.zero(3)
-    assert image == Subspace.full(3)
+    assert image == full(3)
 
 
 def test_zero_matrix():
@@ -36,7 +41,7 @@ def test_zero_matrix():
     rank, kernel = space.dim, space.annihilator()
     image = column_image(mat, 4)
     assert rank == 0 == image.dim
-    assert kernel == Subspace.full(4)
+    assert kernel == full(4)
     assert image == Subspace.zero(2)
 
 
@@ -72,7 +77,7 @@ def test_intersection_derived():
 
 def test_intersection_ambient_mismatch():
     with pytest.raises(ValueError):
-        intersect(Subspace.full(3), Subspace.full(4))
+        intersect(full(3), full(4))
 
 
 def test_contains():

@@ -10,10 +10,13 @@ from math import comb
 
 import pytest
 
+import npk.exterior
+import npk.fields
 import npk.grassmann
 import npk.linalg
 import npk.poisson
 from npk.cli import main
+from npk.compat import is_compatible
 from npk.exterior import blade_contractions, iter_blades
 from npk.fields import MultivectorField, coordinate_vector_field, jacobi_identity_holds
 from npk.grassmann import sharp_profile
@@ -582,6 +585,29 @@ def test_rank_sampling_refuses_non_exact_coordinates():
                 sample_ranks(f, [(0,) * M, (Fraction(1, 2), bad, 0, 0, 0)])
             with pytest.raises(TypeError, match="coordinates must be ints or Fractions"):
                 classify(f, [(bad,) + (0,) * (M - 1)])
+
+
+def test_scale_examples_merge_no_blade(monkeypatch):
+    # the paper's constant-rank-2n structure at (n, h) = (11, 4) and (13, 3):
+    # every two of its blades share at least three indices, so the
+    # algebraic condition, self-compatibility and the Jacobi oracle push
+    # nothing and merge no blade
+    calls = []
+    merge = npk.exterior.merge_blades
+
+    def counted(left, right):
+        calls.append((left, right))
+        return merge(left, right)
+
+    for module in (npk.exterior, npk.fields, npk.grassmann):
+        monkeypatch.setattr(module, "merge_blades", counted)
+    for n, h in ((11, 4), (13, 3)):
+        p = coordinate_semidecomposable(2 * n, h, n)
+        verdict = classify(p)
+        assert verdict.is_poisson and {rank for _, rank in verdict.rank_at_samples} == {2 * n}
+        calls.clear()
+        assert algebraic_condition(p).holds and is_compatible(p, p).holds and jacobi_identity_holds(p)
+        assert calls == []
 
 
 def test_jacobi_oracle_agrees_with_classifier_spot_checks():
