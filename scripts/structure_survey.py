@@ -6,7 +6,6 @@ Runs without installation: the package is picked up from ../src.
 
 import pathlib
 import sys
-import warnings
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
@@ -16,7 +15,7 @@ from npk import (  # noqa: E402
     block_sum,
     classify,
     coordinate_semidecomposable,
-    involutivity_sample,
+    is_involutive,
 )
 
 
@@ -39,16 +38,14 @@ def main() -> int:
     for name, field in gallery():
         verdict = classify(field)
         rank0 = verdict.rank_at_samples[0][1]
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            involutive = involutivity_sample(field) if verdict.pointwise_decomposable else "-"
+        involutive = is_involutive(field) if verdict.pointwise_decomposable else "-"
         print(
             f"{name:34s} {field.grade:2d} {field.dim:2d} {str(verdict.is_poisson):>7s} "
             f"{str(verdict.algebraic_holds):>9s} {str(verdict.nambu_algebraic):>5s} "
             f"{rank0:6d} {str(involutive):>11s}"
         )
-    print("\n* involutivity is sampled at the default points; '-' when the")
-    print("  field is not pointwise decomposable (no distribution of rank n).")
+    print("\n* involutivity of the image distribution, decided exactly from the")
+    print("  face rows; '-' when the field is not pointwise decomposable.")
     return 0
 
 

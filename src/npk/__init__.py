@@ -42,7 +42,7 @@ from .poisson import (
     coordinate_semidecomposable,
     default_sample_points,
     differential_condition,
-    involutivity_sample,
+    is_involutive,
     pointwise_decomposable,
 )
 from .polynomial import Polynomial
@@ -83,10 +83,10 @@ __all__ = [
     "from_field",
     "gradient_contraction",
     "intersect",
-    "involutivity_sample",
     "irreducibility_check",
     "is_compatible",
     "is_decomposable",
+    "is_involutive",
     "jacobi_identity_holds",
     "lie_bracket",
     "nary_bracket",

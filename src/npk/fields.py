@@ -19,15 +19,14 @@ generating family of arguments.
 The n-ary bracket runs through one general kernel over sparse gradients
 ``{u: d_u f}``: the expansion ``sum prod_i d_{u_i} f_i * P^{u_1..u_n}``
 over one nonzero entry per argument, skipping repeated indices;
-:func:`nary_bracket` and :func:`npk.oracles.jacobi_defect` use it.  The
-Jacobi oracle needs only brackets ``{g, x_R}`` whose arguments after the
-first are coordinates, and ``{g, x_R} = sum_w d_w g * P^{w R}`` is one
-row of the field's (n-1)-face table ``faces(n-1)``, up to one sign per
-grade; so the oracle reads its brackets off that table and never calls
-the kernel.  It enumerates no argument tuples: each nonzero bracket of a
+:func:`nary_bracket` uses it.  The Jacobi oracle needs only brackets
+``{g, x_R}`` whose arguments after the first are coordinates, and
+``{g, x_R} = sum_w d_w g * P^{w R}`` is one row of the field's
+(n-1)-face table ``faces(n-1)``, up to one sign per grade; so the oracle
+reads its brackets off that table and never calls the kernel.  It enumerates no argument tuples: each nonzero bracket of a
 nonconstant blade with a face is pushed to its coordinate family.  Once
 those vanish, a quadratic family ``x_u x_v, x_T'`` reduces by Leibniz to
-its symbol ``Q[u, v]``, read off the polarized
+its symbol ``Q[u, v]``, twice an entry of the
 :func:`~npk.exterior.covector_pair_table` of P with itself, zero at even
 grade.  So the cost follows the field's support (its nonconstant blades,
 their (n-1)-faces and the pairs of blades sharing at most two indices),
@@ -38,8 +37,7 @@ or the classifier; it is their check.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache, partial
-from itertools import combinations
+from functools import partial
 from typing import Sequence
 
 from .exterior import (
@@ -51,7 +49,6 @@ from .exterior import (
     covector_pair_table,
     first_failing_pair,
     merge_blades,
-    shuffle_sign,
     sort_to_blade,
     wedge_terms,
 )
@@ -232,32 +229,6 @@ def differential_defect(field: MultivectorField) -> MultivectorField:
     return contracted_derivative(field, field)
 
 
-def _check_jacobi_grade(n: int) -> None:
-    """The Jacobi guard: the identity is stated for grade ``n >= 1``.
-
-    Both Jacobi functions refuse a lower grade on every call, before any
-    argument is read; the guard builds nothing.
-    """
-    if n < 1:
-        raise ValueError(f"the generalized Jacobi identity needs grade >= 1, got {n}")
-
-
-@cache
-def _jacobi_shuffles(n: int) -> dict:
-    """The (n, n-1)-shuffles of 2n-1 argument positions, keyed by left positions.
-
-    Each value is ``(sign, left, right)``; the table is built once per n
-    and only read, by :func:`npk.oracles.jacobi_defect`.
-    """
-    _check_jacobi_grade(n)
-    indices = tuple(range(2 * n - 1))
-    out = {}
-    for left in combinations(indices, n):
-        right = tuple(i for i in indices if i not in left)
-        out[left] = (shuffle_sign(left, right), left, right)
-    return out
-
-
 def _face_bracket(grad: Gradient, row: dict | None, dim: int) -> Polynomial:
     """``sum_w d_w g * C[R][(w,)]``, which is ``(-1)^(n-1) {g, x_R}``.
 
@@ -352,20 +323,23 @@ def jacobi_identity_holds(field: MultivectorField) -> bool:
       above ``E_A[w] = (-1)^(n-1) (i(dx^w) P)^A``, the factors
       ``(-1)^(n-1)`` cancel in a product, and ``e_A ^ e_R = sign(A, R) e_T'``,
       so ``Q[u, v]`` is the coefficient on ``T'`` of
-      ``(i(dx^u) P) ^ (i(dx^v) P) + (i(dx^v) P) ^ (i(dx^u) P)``, read off
-      :func:`~npk.exterior.covector_pair_table` ``(P, P, True)`` and doubled
-      at ``u = v``, where the table lists the one wedge once.  At even
+      ``(i(dx^u) P) ^ (i(dx^v) P) + (i(dx^v) P) ^ (i(dx^u) P)``.  At odd
+      grade the contractions have even grade and commute, so ``Q[u, v]`` is
+      twice the coefficient of ``(i(dx^u) P) ^ (i(dx^v) P)``, on and off the
+      diagonal: twice the entry ``(u, v)`` of the unpolarized
+      :func:`~npk.exterior.covector_pair_table` ``(P, P, False)``.  At even
       grade the contractions have odd grade and anticommute: ``Q = 0``.
 
     The identity holds iff ``J(x_T)`` vanishes for every ``T`` and, at odd
     grade, ``Q`` at every key (a key that receives nothing has ``Q = 0``).
     """
     m, n = field.dim, field.grade
-    _check_jacobi_grade(n)
+    if n < 1:
+        raise ValueError(f"the generalized Jacobi identity needs grade >= 1, got {n}")
     rows = field.faces(n - 1)
     if _coordinate_defects(field, rows):
         return False
     if n % 2 == 0:
         return True
-    table = covector_pair_table(field.terms, field.terms, True)
+    table = covector_pair_table(field.terms, field.terms, False)
     return first_failing_pair(table, partial(Polynomial.sum_of_products, m)) is None

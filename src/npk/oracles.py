@@ -1,23 +1,18 @@
-"""Independent cross-check routes, reached only by the suites and tests.
+"""Independent cross-check routes for the algebraic Nambu condition.
 
 Each command decides with one route; the routes here recompute the same
 answer another way so that the suites can require agreement.  The
 algebraic Nambu condition has two such routes besides pointwise
 decomposability (:func:`npk.poisson.pointwise_decomposable`): the
 component-form quadratic identities and their basis-pair polarization.
-The generalized Jacobi identity has :func:`jacobi_defect`, the full
-shuffle sum of nested brackets through the general bracket kernel,
-besides the face-table oracle :func:`npk.fields.jacobi_identity_holds`.
+:func:`is_nambu_algebraic` runs all three and requires them to agree.
 """
 
 from __future__ import annotations
 
 from functools import reduce
 from itertools import combinations, combinations_with_replacement
-from math import factorial
-from typing import Sequence
 
-from . import fields
 from .exterior import iter_blades
 from .fields import MultivectorField
 from .poisson import pointwise_decomposable
@@ -103,23 +98,3 @@ def is_nambu_algebraic(field: MultivectorField) -> bool:
         raise AssertionError(f"independent routes disagree: {routes}")
     return routes[0]
 
-
-def jacobi_defect(field: MultivectorField, functions: Sequence[Polynomial]) -> Polynomial:
-    """Signed sum of nested brackets over all permutations of 2n-1 arguments.
-
-    Both bracket slots are antisymmetric, so the full permutation sum
-    factors exactly through (n, n-1)-shuffles with multiplicity n!(n-1)!;
-    the returned polynomial is the complete permutation sum including that
-    factor.  Every bracket runs through the general kernel
-    ``fields._bracket``, looked up on the module at each call.
-    """
-    n = field.grade
-    shuffles = fields._jacobi_shuffles(n)
-    grads = fields._gradients(field, functions, 2 * n - 1)
-    acc = Polynomial.zero(field.dim)
-    for sign, left, right in shuffles.values():
-        inner = fields._gradient(fields._bracket(field, [grads[i] for i in left]))
-        if inner:
-            outer = fields._bracket(field, [inner] + [grads[j] for j in right])
-            acc = acc + outer if sign > 0 else acc - outer
-    return acc * (factorial(n) * factorial(n - 1))

@@ -17,13 +17,13 @@ value (Takhtajan; Gautheron), which the one Plucker loop
 :func:`~npk.grassmann.plucker_holds` decides on ``faces(n-1)``; the component
 and polarized routes that cross-check it live in :mod:`npk.oracles`.  The
 module also builds the semi-decomposable structures of constant rank 2n
-and samples involutivity of the image distribution.
+and decides, for decomposable fields, involutivity of the image
+distribution as a polynomial identity on the face rows.
 """
 
 from __future__ import annotations
 
 import random
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
@@ -39,7 +39,7 @@ from .fields import (
     lie_bracket,
 )
 from .grassmann import plucker_holds
-from .linalg import Subspace, sparse_rank
+from .linalg import sparse_rank
 from .polynomial import Polynomial, integer_evaluator
 
 Point = tuple[Fraction, ...]
@@ -293,43 +293,22 @@ def block_sum(u: int, s: int, m: int) -> MultivectorField:
 
 
 # ---------------------------------------------------------------------------
-# involutivity sampling
+# involutivity of the image distribution
 
-def involutivity_sample(
-    field: MultivectorField,
-    points: Sequence[Point] | None = None,
-    seed: int = 0,
-) -> bool:
-    """Sampled involutivity of the image distribution of the field.
+def is_involutive(field: MultivectorField) -> bool:
+    """Whether the image distribution of a decomposable field is involutive.
 
-    Spanning vector fields are the contractions with all basis (n-1)-forms
-    (they span the image wherever the field is nonzero).  Their pairwise
-    Lie brackets are computed symbolically and tested for membership in
-    the pointwise span at each sample point; points where the field
-    vanishes are skipped with a notice.  A sampled check only: it can
-    refute involutivity, never certify it globally.
+    The face rows ``X_R = i(dx^R) P`` over the (n-1)-faces ``R`` span the
+    image of ``P`` wherever ``P != 0``.  Decided exactly: the distribution
+    is involutive on ``{P != 0}`` iff ``[X_R, X_S] ^ P`` vanishes
+    identically for every pair of face rows.  Proof: where ``P(x) != 0`` is
+    decomposable, a vector lies in its image iff its wedge with ``P(x)``
+    vanishes; ``[X_R, X_S] ^ P`` is a polynomial field, and one that
+    vanishes on the nonempty Zariski-open set ``{P != 0}`` is zero.  (A
+    zero field has no face rows and is involutive.)  Needs grade >= 1 and a
+    pointwise-decomposable field, where the image has rank n.
     """
-    m, n = field.dim, field.grade
-    pts = list(points) if points is not None else default_sample_points(m, seed)
-    generators = [MultivectorField(m, 1, face) for face in field.faces(n - 1).values()]
-    brackets = [
-        lie_bracket(generators[i], generators[j])
-        for i in range(len(generators))
-        for j in range(i + 1, len(generators))
-    ]
-    brackets = [b for b in brackets if not b.is_zero()]
-    ok = True
-    for pt in pts:
-        if field.evaluate(pt).is_zero():
-            warnings.warn(f"sample point {pt} skipped: the field vanishes there", stacklevel=2)
-            continue
-        span = Subspace.from_vectors(
-            [g.evaluate(pt).vector_components() for g in generators], m
-        )
-        for bracket in brackets:
-            value = bracket.evaluate(pt)
-            if value.is_zero():
-                continue
-            if not span.contains(value.vector_components()):
-                ok = False
-    return ok
+    if field.grade < 1 or not pointwise_decomposable(field):
+        raise ValueError("involutivity is decided for pointwise-decomposable fields of grade >= 1")
+    rows = [MultivectorField(field.dim, 1, face) for face in field.faces(field.grade - 1).values()]
+    return not any(lie_bracket(x, y).wedge(field) for x, y in combinations(rows, 2))

@@ -1,21 +1,25 @@
 """Independent brute-force oracles, kept separate from the library paths.
 
 Everything here recomputes quantities from first principles (full
-permutation sums, one-covector-at-a-time contraction, Leibniz
-determinants, dense Fraction Gauss-Jordan elimination) so the tests have
-a second route to every value.
+permutation and shuffle sums of nested brackets, one-covector-at-a-time
+contraction, Leibniz determinants, dense Fraction Gauss-Jordan
+elimination) so the tests have a second route to every value; the
+sampled involutivity check is a second route that can only refute.
 :class:`TuplePolynomial` is the plain exponent-tuple/Fraction polynomial,
 the reference for the packed-exponent :class:`npk.polynomial.Polynomial`.
 """
 
 from fractions import Fraction
+from functools import cache
 from itertools import combinations, permutations
+from math import factorial
 from typing import Iterator, Mapping, Sequence
 
-from npk.exterior import Multivector, blade_contractions, contract_terms, iter_blades, wedge_terms
-from npk.fields import MultivectorField, nary_bracket
+import npk.fields
+from npk.exterior import Multivector, blade_contractions, contract_terms, iter_blades, shuffle_sign, wedge_terms
+from npk.fields import MultivectorField, lie_bracket, nary_bracket
 from npk.linalg import Subspace
-from npk.oracles import jacobi_defect
+from npk.poisson import default_sample_points
 from npk.polynomial import Polynomial
 
 
@@ -209,6 +213,44 @@ def alternation_defect_components(a: MultivectorField, b: MultivectorField) -> d
     return out
 
 
+@cache
+def jacobi_shuffles(n: int) -> dict:
+    """The (n, n-1)-shuffles of 2n-1 argument positions, keyed by left positions.
+
+    Each value is ``(sign, left, right)``; the table is built once per n
+    and only read, by :func:`jacobi_defect`.  Grade ``n < 1`` is refused.
+    """
+    if n < 1:
+        raise ValueError(f"the generalized Jacobi identity needs grade >= 1, got {n}")
+    indices = tuple(range(2 * n - 1))
+    out = {}
+    for left in combinations(indices, n):
+        right = tuple(i for i in indices if i not in left)
+        out[left] = (shuffle_sign(left, right), left, right)
+    return out
+
+
+def jacobi_defect(field: MultivectorField, functions: Sequence[Polynomial]) -> Polynomial:
+    """Signed sum of nested brackets over all permutations of 2n-1 arguments.
+
+    Both bracket slots are antisymmetric, so the full permutation sum
+    factors exactly through (n, n-1)-shuffles with multiplicity n!(n-1)!;
+    the returned polynomial is the complete permutation sum including that
+    factor.  Every bracket runs through the general kernel
+    ``npk.fields._bracket``, looked up on the module at each call.
+    """
+    n = field.grade
+    shuffles = jacobi_shuffles(n)
+    grads = npk.fields._gradients(field, functions, 2 * n - 1)
+    acc = Polynomial.zero(field.dim)
+    for sign, left, right in shuffles.values():
+        inner = npk.fields._gradient(npk.fields._bracket(field, [grads[i] for i in left]))
+        if inner:
+            outer = npk.fields._bracket(field, [inner] + [grads[j] for j in right])
+            acc = acc + outer if sign > 0 else acc - outer
+    return acc * (factorial(n) * factorial(n - 1))
+
+
 def jacobi_defect_bruteforce(field: MultivectorField, functions) -> Polynomial:
     """Full signed permutation sum of nested brackets, no shuffle collapse."""
     n = field.grade
@@ -224,7 +266,7 @@ def jacobi_defect_bruteforce(field: MultivectorField, functions) -> Polynomial:
 
 
 def jacobi_identity_by_defect_loop(field: MultivectorField) -> bool:
-    """Generalized Jacobi identity through :func:`npk.oracles.jacobi_defect`.
+    """Generalized Jacobi identity through :func:`jacobi_defect`.
 
     Checks every generating family (each increasing (2n-1)-tuple of
     coordinates, and each product of two coordinates followed by an
@@ -241,6 +283,31 @@ def jacobi_identity_by_defect_loop(field: MultivectorField) -> bool:
         for tup in combinations(range(1, m + 1), 2 * n - 2)
     ]
     return not any(jacobi_defect(field, family) for family in families)
+
+
+def involutivity_by_sampling(field: MultivectorField, points=None, seed: int = 0) -> bool:
+    """Sampled involutivity of the image distribution: may refute, never certifies.
+
+    The reference for :func:`npk.poisson.is_involutive`.  The face rows
+    span the image wherever the field is nonzero; each nonzero Lie bracket
+    of two rows is evaluated at every sample point (the default points when
+    ``points`` is None) where the field is nonzero and tested for
+    membership in the span of the rows there, by Gauss-Jordan elimination.
+    False means some point refutes involutivity.
+    """
+    m, n = field.dim, field.grade
+    pts = list(points) if points is not None else default_sample_points(m, seed)
+    rows = [MultivectorField(m, 1, face) for face in field.faces(n - 1).values()]
+    brackets = [b for x, y in combinations(rows, 2) if (b := lie_bracket(x, y))]
+    for pt in pts:
+        if field.evaluate(pt).is_zero():
+            continue
+        span = Subspace.from_vectors([row.evaluate(pt).vector_components() for row in rows], m)
+        for bracket in brackets:
+            value = bracket.evaluate(pt)
+            if not value.is_zero() and not span.contains(value.vector_components()):
+                return False
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,6 @@ import json
 import pathlib
 import random
 import types
-import warnings
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -27,7 +26,7 @@ from npk.poisson import (
     classify,
     coordinate_semidecomposable,
     default_sample_points,
-    involutivity_sample,
+    is_involutive,
     pointwise_decomposable,
     sample_ranks,
 )
@@ -40,6 +39,7 @@ from npk.suites import (
     random_linear_field,
     random_polynomial,
 )
+from oracles import involutivity_by_sampling
 
 SPECS = pathlib.Path(__file__).resolve().parents[1] / "specs"
 M = 5
@@ -273,31 +273,99 @@ def test_block_sum_layout():
 
 
 # ---------------------------------------------------------------------------
-# involutivity sampling
+# involutivity of the image distribution
+
+def _frame_wedge(rng, m, n):
+    """Wedge of n vector fields with two entries each, of degree at most 2."""
+    acc = None
+    for _ in range(n):
+        entries = {(u,): random_polynomial(rng, m, degree=2, max_monos=2) for u in rng.sample(range(1, m + 1), 2)}
+        x = MultivectorField(m, 1, entries)
+        acc = x if acc is None else acc.wedge(x)
+    return acc
+
 
 def test_involutivity_coordinate_distribution():
-    assert involutivity_sample(BLADE)
+    assert is_involutive(BLADE)
 
 
 def test_involutivity_twisted_distribution_fails():
     # generators span e1, e2, e3 + x1*e4; [d1, d3 + x1 d4] = d4 leaves the span
     field = MultivectorField(M, 3, {(1, 2, 3): 1, (1, 2, 4): X[0]})
     assert pointwise_decomposable(field)
-    assert not involutivity_sample(field)
+    assert not is_involutive(field)
 
 
 def test_involutivity_scaled_frame_holds():
-    field = MultivectorField(M, 3, {(1, 2, 3): Polynomial.constant(1, M) + X[0]})
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # the zero locus of 1+x1 may be sampled
-        assert involutivity_sample(field)
+    assert is_involutive(MultivectorField(M, 3, {(1, 2, 3): Polynomial.constant(1, M) + X[0]}))
 
 
-def test_involutivity_skips_zero_points_with_notice():
+def test_involutivity_holds_across_the_zero_locus():
+    # x1 e123 vanishes on x1 = 0; off it the image is span{e1, e2, e3}
     field = MultivectorField(M, 3, {(1, 2, 3): X[0]})
-    origin_only = [tuple(Fraction(0) for _ in range(M))]
-    with pytest.warns(UserWarning, match="skipped"):
-        assert involutivity_sample(field, points=origin_only)
+    assert field.evaluate((0,) * M).is_zero()
+    assert is_involutive(field)
+    # a zero field has no face rows; a grade-1 field has one
+    assert is_involutive(MultivectorField(M, 3))
+    assert is_involutive(MultivectorField(M, 1, {(1,): X[1], (2,): X[0]}))
+
+
+def test_is_involutive_needs_a_decomposable_field():
+    with pytest.raises(ValueError, match="pointwise-decomposable"):
+        is_involutive(MIXED)
+    with pytest.raises(ValueError, match="grade >= 1"):
+        is_involutive(MultivectorField(M, 0, {(): 1}))
+
+
+def test_is_involutive_agrees_with_sampling():
+    # sampling may only refute: where it refutes the exact verdict is False,
+    # that is, where the exact check certifies no sample point refutes
+    rng = random.Random("involutivity")
+    fields = [_frame_wedge(rng, rng.randint(n + 1, 6), n) for n in (2, 3, 4) for _ in range(15)]
+    fields += [random_decomposable_field(rng, rng.randint(4, 6), rng.randint(2, 4)) for _ in range(15)]
+    verdicts = set()
+    for f in fields:
+        assert pointwise_decomposable(f)
+        exact, sampled = is_involutive(f), involutivity_by_sampling(f)
+        assert sampled or not exact, f
+        verdicts.add((exact, sampled))
+    assert verdicts >= {(True, True), (False, False)}
+
+
+# ---------------------------------------------------------------------------
+# the paper's facts on decomposable fields
+
+def _paper_population(rng):
+    for n in (3, 4):
+        for _ in range(12):
+            m = rng.randint(n + 1, 7)
+            yield _frame_wedge(rng, m, n)
+            yield _frame_wedge(rng, m, n) + _frame_wedge(rng, m, n)
+            yield random_linear_field(rng, m, n, max_terms=4)
+
+
+def test_ternary_algebraic_condition_is_pointwise_decomposability():
+    # the lemma with k = 1: at n = 3, (i(a) P) ^ (i(b) P) = 0 for all
+    # covectors iff P is decomposable at every point
+    seen = set()
+    for f in _paper_population(random.Random("paper-ternary")):
+        if f.grade == 3:
+            decomposable = pointwise_decomposable(f)
+            assert algebraic_condition(f).holds == decomposable, f
+            seen.add(decomposable)
+    assert seen == {True, False}
+
+
+def test_decomposable_fields_satisfy_both_conditions():
+    # for n >= 3 a pointwise-decomposable field is Poisson: each term of the
+    # differential defect holds some frame field on both sides of the wedge
+    grades = set()
+    for f in _paper_population(random.Random("paper-decomposable")):
+        if pointwise_decomposable(f):
+            verdict = classify(f)
+            assert verdict.algebraic_holds and verdict.differential_holds and verdict.is_poisson, f
+            grades.add(f.grade)
+    assert grades == {3, 4}
 
 
 # ---------------------------------------------------------------------------

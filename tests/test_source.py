@@ -5,6 +5,8 @@ import pathlib
 
 import pytest
 
+import npk
+
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SOURCES = sorted((ROOT / "src" / "npk").glob("*.py"))
 # the unused-import check also reads the tests and the scripts, named by
@@ -101,3 +103,8 @@ def test_unread_private_names_are_found():
 
 def test_no_unread_private_name():
     assert unread_private_names([path.read_text(encoding="utf-8") for path in SOURCES]) == []
+
+
+def test_public_names_resolve_and_are_sorted():
+    assert [name for name in npk.__all__ if not hasattr(npk, name)] == []
+    assert npk.__all__ == sorted(npk.__all__)
