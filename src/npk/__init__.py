@@ -32,7 +32,7 @@ from .grassmann import (
     is_decomposable,
     sharp_profile,
 )
-from .linalg import Subspace, intersect
+from .linalg import Subspace
 from .poisson import (
     PoissonVerdict,
     algebraic_condition,
@@ -82,7 +82,6 @@ __all__ = [
     "factorize",
     "from_field",
     "gradient_contraction",
-    "intersect",
     "irreducibility_check",
     "is_compatible",
     "is_decomposable",

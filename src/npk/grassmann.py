@@ -1,9 +1,10 @@
 """Structure theory of a single grade-n multivector at a point.
 
 The sharp map sends (n-1)-forms to vectors by contraction, the rows of
-the face table ``faces(n-1)``; its image dimension is the rank of the
-multivector.  The annihilator (the covectors contracting it to zero) is
-the kernel of the image rows, because
+the (n-1)-face table; its image dimension is the rank of the multivector.
+Every reader of that image (profile, contractions, irreducibility) goes
+through one reduction, :func:`_image`.  The annihilator (the covectors
+contracting it to zero) is the kernel of the image rows, because
 ``<i(alpha) P, dx^s> = ±<alpha, i(dx^s) P>``; it is read off the echelon
 basis of the image, and the two dimensions sum to the ambient dimension.
 Rank n characterises decomposable multivectors, equivalently the vanishing
@@ -29,7 +30,7 @@ from functools import partial
 from math import lcm
 
 from .exterior import Covector, Multivector, blade_contractions, contract_terms, merge_blades
-from .linalg import Subspace, _forward, intersect
+from .linalg import Subspace, _forward, _reduced
 from .polynomial import Polynomial
 
 
@@ -62,6 +63,19 @@ class Factorization:
         return acc
 
 
+def _image(p: Multivector) -> tuple[dict[int, dict[int, int]], list[int]]:
+    """Pivot rows and columns of the image of ``p`` (grade >= 1), by one :func:`~npk.linalg._forward`.
+
+    The rows are the (n-1)-faces ``{u-1: int}`` of ``p`` over the lcm of its
+    denominators (same image); the table is dropped, nothing is kept on ``p``.
+    """
+    den = lcm(*(c.denominator for c in p.terms.values()))
+    scaled = {blade: c.numerator * (den // c.denominator) for blade, c in p.terms.items()}
+    faces = blade_contractions(scaled, p.grade - 1)
+    rows = ({u - 1: x for (u,), x in face.items()} for face in faces.values())
+    return _forward(rows, len(set().union(*p.terms)))
+
+
 def sharp_profile(p: Multivector) -> SharpProfile:
     """Image, annihilator and rank of the contraction map of ``p``.
 
@@ -72,9 +86,7 @@ def sharp_profile(p: Multivector) -> SharpProfile:
     """
     if p.grade < 1:
         raise ValueError("sharp profile needs grade at least 1")
-    m = p.dim
-    faces = p.faces(p.grade - 1).values()
-    image = Subspace.from_vectors([[face.get((u,), 0) for u in range(1, m + 1)] for face in faces], m)
+    image = Subspace(p.dim, tuple(map(tuple, _reduced(*_image(p), p.dim))))
     return SharpProfile(image.dim, image)
 
 
@@ -156,11 +168,10 @@ def contractions_decomposable(p: Multivector, k: int) -> bool:
     Only ``k*(r-k)`` indeterminates are needed, ``r`` the rank of ``p``
     (the dimension of its image ``V``), not ``k*m``:
 
-    * ``p`` lies in the top exterior power ``Λ^n V``.  One fraction-free
-      forward pass over the integer rows of the (n-1)-face table, which
-      span ``V``, gives the pivot columns ``c_1 < .. < c_r`` of ``V``'s
-      reduced-echelon basis ``v_1 .. v_r``, unique for the space.  That
-      basis is the identity on the pivot columns, so the component of
+    * ``p`` lies in the top exterior power ``Λ^n V``.  :func:`_image`
+      gives the pivot columns ``c_1 < .. < c_r`` of ``V``'s reduced-echelon
+      basis ``v_1 .. v_r``, unique for the space.  That basis is the
+      identity on the pivot columns, so the component of
       ``v_I`` on the blade ``c_J`` is ``delta_IJ``, and
       ``p = sum_I p[c_I] v_I``: the coordinates of ``p`` in ``V`` are its
       components on the pivot blades, ``p' = {I: p[c_I]}`` in ``Q^r``;
@@ -185,9 +196,7 @@ def contractions_decomposable(p: Multivector, k: int) -> bool:
       exactly when it vanishes identically in the ``k*(r-k)`` entries of
       ``A``; the converse direction is the special case ``M = [I | A]``.
 
-    The decision stays an exact polynomial identity.  The face table is
-    built here on the integer multiple of ``p`` over the lcm of its
-    denominators (same image) and dropped after the pass; nothing is kept
+    The decision stays an exact polynomial identity, and nothing is kept
     on ``p``.
     """
     n = p.grade
@@ -197,11 +206,8 @@ def contractions_decomposable(p: Multivector, k: int) -> bool:
         raise ValueError(f"k must satisfy 1 <= k <= n-2, got k={k} for grade {n}")
     if p.is_zero():
         return True
-    den = lcm(*(c.denominator for c in p.terms.values()))
-    faces = blade_contractions({blade: c.numerator * (den // c.denominator) for blade, c in p.terms.items()}, n - 1)
-    rows = ({u: x for (u,), x in face.items()} for face in faces.values())
-    pivots = _forward(rows, len(set().union(*p.terms)))[1]
-    position = {c: i for i, c in enumerate(pivots, 1)}
+    pivots = _image(p)[1]
+    position = {c + 1: i for i, c in enumerate(pivots, 1)}
     r = len(pivots)
     nvars = k * (r - k)
     one = Polynomial.constant(1, nvars)
@@ -233,25 +239,29 @@ def contraction_subspace_report(p: Multivector, alpha: Covector) -> ContractionS
     The inclusion holds universally; equality must hold whenever the rank
     drops by exactly one (always the case for nonzero contractions of a
     decomposable multivector).
+
+    On the image's echelon basis, with ``a_i = alpha(v_i)`` and ``a_j`` the
+    first nonzero one, ``sum c_i v_i`` is in ``ker(alpha)`` iff ``c_j a_j =
+    -sum_(i != j) c_i a_i``: the meet is spanned by the ``v_i - (a_i / a_j) v_j``,
+    ``i != j``.  If every ``a_i`` is 0 the meet is the image.
     """
     if p.grade < 1:
         raise ValueError("needs grade at least 1")
     m = p.dim
     profile = sharp_profile(p)
     contracted = p.contract(alpha)
-    if contracted.grade == 0 or contracted.is_zero():
-        small = Subspace.zero(m)
-        rank_c = 0
-    else:
-        cp = sharp_profile(contracted)
-        small, rank_c = cp.image, cp.rank
-    ker_alpha = Subspace.from_vectors([alpha.components], m).annihilator()
-    bound = intersect(ker_alpha, profile.image)
-    inclusion = all(bound.contains(row) for row in small.basis)
+    small = Subspace.zero(m) if contracted.grade == 0 or contracted.is_zero() else sharp_profile(contracted).image
+    vectors = profile.image.basis
+    values = [sum(a * x for a, x in zip(alpha.components, v)) for v in vectors]
+    j = next((i for i, a in enumerate(values) if a), None)
+    if j is not None:
+        vj, aj = vectors[j], values[j]
+        vectors = [[x - a / aj * y for x, y in zip(v, vj)] for i, (v, a) in enumerate(zip(vectors, values)) if i != j]
+    bound = Subspace.from_vectors(vectors, m)
     return ContractionSubspaceReport(
-        inclusion_holds=inclusion,
+        inclusion_holds=Subspace.from_vectors(bound.basis + small.basis, m) == bound,
         equality_holds=small == bound,
-        rank_drop=profile.rank - rank_c,
+        rank_drop=profile.rank - small.dim,
     )
 
 
@@ -278,12 +288,12 @@ def irreducibility_check(p: Multivector, seed: int = 0) -> IrreducibilityVerdict
     seeded random covectors are sampled; a contraction that stays nonzero
     while dropping the rank by at least n witnesses reducibility.  Sampling can
     never certify irreducibility, so the remaining outcome is an honest
-    "no witness found".
+    "no witness found".  Each rank is the pivot count of :func:`_image`.
     """
     if p.is_zero():
         raise ValueError("zero tensor")
     m, n = p.dim, p.grade
-    rank = sharp_profile(p).rank
+    rank = len(_image(p)[1])
     if rank < 2 * n:
         return IrreducibilityVerdict(IrreducibilityKind.CERTIFIED_BY_RANK)
     rng = random.Random(seed)
@@ -296,6 +306,6 @@ def irreducibility_check(p: Multivector, seed: int = 0) -> IrreducibilityVerdict
         contracted = p.contract(alpha)
         if contracted.is_zero():
             continue
-        if sharp_profile(contracted).rank <= rank - n:
+        if len(_image(contracted)[1]) <= rank - n:
             return IrreducibilityVerdict(IrreducibilityKind.REDUCIBILITY_WITNESS, alpha)
     return IrreducibilityVerdict(IrreducibilityKind.NO_WITNESS_FOUND)

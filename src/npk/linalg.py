@@ -1,15 +1,16 @@
 """Exact rational linear algebra: reduced echelon forms and subspaces.
 
 Matrices are iterables of equal-length rows of ints or Fractions.  The one
-forward elimination runs fraction-free on sparse integer rows and stops
-as soon as the rank reaches the width; :func:`rref` turns only its pivot
-rows back into Fractions, and :func:`sparse_rank` takes sparse integer
-rows and returns the rank alone.  Subspaces of the base
-space and of its dual share one representation (a canonical reduced
-row-echelon basis); the caller tracks variance.  Canonical form makes
-subspace equality plain structural equality, and membership is one
-:func:`sparse_rank`.  The kernel of a matrix is the annihilator of its row
-space, read off that space's echelon basis.
+forward elimination, :func:`_forward`, runs fraction-free on sparse
+integer rows and stops once the rank reaches the width; :func:`_reduced`
+turns only its pivot rows back into Fractions.  :func:`rref` is the two in
+turn, :func:`sparse_rank` the first alone, and ``grassmann._image`` feeds
+it face rows.  Subspaces of the base space and of its dual share one
+representation (a canonical reduced row-echelon basis); the caller tracks
+variance.  Canonical form makes subspace equality plain structural
+equality, and membership is one :func:`sparse_rank`.  The kernel of a
+matrix is the annihilator of its row space, read off that space's echelon
+basis.
 """
 
 from __future__ import annotations
@@ -96,8 +97,8 @@ def rref(rows: Iterable[Sequence], width: int | None = None) -> tuple[list[list[
     forward pass (:func:`_forward`) reads has its zero entries dropped and
     is scaled by the lcm of its denominators to an integer row
     ``{col: int}``.  Elimination stops once the rank equals ``width``.
-    Only the pivot rows are back-substituted and turned into dense
-    Fraction rows with leading entry 1.
+    Only the pivot rows are back-substituted (:func:`_reduced`) and
+    turned into dense Fraction rows with leading entry 1.
     """
     rows = list(rows)
     if width is None:
@@ -107,7 +108,11 @@ def rref(rows: Iterable[Sequence], width: int | None = None) -> tuple[list[list[
     if any(len(row) != width for row in rows):
         raise ValueError("matrix rows must have equal length")
     echelon, order = _forward(map(_integer_row, rows), width)
-    zero = Fraction(0)
+    return _reduced(echelon, order, width), order
+
+
+def _reduced(echelon: dict[int, dict[int, int]], order: list[int], width: int) -> list[list[Fraction]]:
+    """The pivot rows of :func:`_forward`, back-substituted in integers (in place), as dense rows with leading 1."""
     reduced = []
     for i in reversed(range(len(order))):
         c = order[i]
@@ -116,13 +121,11 @@ def rref(rows: Iterable[Sequence], width: int | None = None) -> tuple[list[list[
             if later in vec:
                 vec = _eliminate(vec, echelon[later], later)
         echelon[c] = vec
-        lead = vec[c]
-        dense = [zero] * width
+        dense = [Fraction(0)] * width
         for j, x in vec.items():
-            dense[j] = Fraction(x, lead)
+            dense[j] = Fraction(x, vec[c])
         reduced.append(dense)
-    reduced.reverse()
-    return reduced, order
+    return reduced[::-1]
 
 
 @dataclass(frozen=True)
@@ -134,11 +137,7 @@ class Subspace:
 
     @classmethod
     def from_vectors(cls, vectors: Iterable[Sequence], ambient_dim: int) -> "Subspace":
-        vecs = list(vectors)
-        if not vecs:
-            return cls(ambient_dim, ())
-        reduced, _ = rref(vecs, ambient_dim)
-        return cls(ambient_dim, tuple(tuple(row) for row in reduced))
+        return cls(ambient_dim, tuple(map(tuple, rref(vectors, ambient_dim)[0])))
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
@@ -172,10 +171,3 @@ class Subspace:
             vectors.append(v)
         return Subspace.from_vectors(vectors, width)
 
-
-def intersect(u: Subspace, v: Subspace) -> Subspace:
-    """Canonical basis of the intersection of two subspaces: ``(u° + v°)°``."""
-    if u.ambient_dim != v.ambient_dim:
-        raise ValueError("subspaces live in different ambient spaces")
-    covectors = u.annihilator().basis + v.annihilator().basis
-    return Subspace.from_vectors(covectors, u.ambient_dim).annihilator()

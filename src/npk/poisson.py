@@ -178,15 +178,14 @@ def sample_ranks(field: MultivectorField, points: Sequence[Point]) -> tuple[tupl
 def classify(
     field: MultivectorField,
     sample_points: Sequence[Point] | None = None,
-    seed: int = 0,
 ) -> PoissonVerdict:
     """Classify a grade-n field (n >= 2) against the Poisson conditions.
 
     The verdict applies the parity rule exactly: even grade needs only the
     differential condition, odd grade needs both; n = 2 is the classical
     Poisson case, decided by ``[P, P] = 0`` alone.  Ranks are reported at
-    the supplied or default sample points by :func:`sample_ranks`; the
-    seed only picks the default points.  Decomposability is a polynomial
+    the supplied sample points, or at ``default_sample_points(dim)``, by
+    :func:`sample_ranks`.  Decomposability is a polynomial
     identity, independent of the samples.  The algebraic Nambu condition is
     equivalent to pointwise decomposability, so the one result fills both
     fields.
@@ -198,7 +197,7 @@ def classify(
     differential = differential_condition(field)
     decomposable = pointwise_decomposable(field)
     if sample_points is None:
-        sample_points = default_sample_points(field.dim, seed)
+        sample_points = default_sample_points(field.dim)
     ranks = sample_ranks(field, sample_points)
     return PoissonVerdict(
         parity="even" if even else "odd",

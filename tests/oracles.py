@@ -3,8 +3,9 @@
 Everything here recomputes quantities from first principles (full
 permutation and shuffle sums of nested brackets, one-covector-at-a-time
 contraction, Leibniz determinants, dense Fraction Gauss-Jordan
-elimination) so the tests have a second route to every value; the
-sampled involutivity check is a second route that can only refute.
+elimination, subspace meets through annihilators) so the tests have a
+second route to every value; the sampled involutivity check is a second
+route that can only refute.
 :class:`TuplePolynomial` is the plain exponent-tuple/Fraction polynomial,
 the reference for the packed-exponent :class:`npk.polynomial.Polynomial`.
 """
@@ -73,6 +74,19 @@ def fraction_rref(rows, width=None):
         if r == len(mat):
             break
     return mat[:r], pivots
+
+
+def intersection_by_annihilators(u: Subspace, v: Subspace) -> Subspace:
+    """Canonical basis of the intersection of two subspaces: ``(u° + v°)°``.
+
+    The reference for the meet that
+    :func:`npk.grassmann.contraction_subspace_report` reads off an echelon
+    basis: two annihilators, one join and one more annihilator.
+    """
+    if u.ambient_dim != v.ambient_dim:
+        raise ValueError("subspaces live in different ambient spaces")
+    covectors = u.annihilator().basis + v.annihilator().basis
+    return Subspace.from_vectors(covectors, u.ambient_dim).annihilator()
 
 
 def annihilator_by_contraction(p: Multivector) -> Subspace:

@@ -5,9 +5,10 @@ from itertools import combinations
 import pytest
 
 import npk.grassmann
-from npk.exterior import Covector, Multivector
+from npk.exterior import Covector, Multivector, blade_contractions
 from npk.fields import MultivectorField
 from npk.grassmann import (
+    ContractionSubspaceReport,
     IrreducibilityKind,
     NotDecomposableError,
     contraction_subspace_report,
@@ -23,7 +24,12 @@ from npk.suites import (
     random_constant_multivector,
     random_decomposable_multivector,
 )
-from oracles import annihilator_by_contraction, contractions_decomposable_full
+from oracles import (
+    annihilator_by_contraction,
+    contractions_decomposable_full,
+    fraction_rref,
+    intersection_by_annihilators,
+)
 
 
 def blade(dim, *indices, c=1):
@@ -79,6 +85,32 @@ def test_annihilator_matches_contraction_kernel():
         cases.append(random_constant_multivector(rng, rng.randint(n, 7), n, max_terms=4))
     for p in cases:
         assert sharp_profile(p).annihilator == annihilator_by_contraction(p)
+
+
+def test_sharp_profile_matches_fraction_rref():
+    # the integer image reduction against dense Gauss-Jordan on the Fraction
+    # face rows: mixed denominators, zero and grade 1
+    rng = random.Random("profile-fraction-rref")
+    cases = [Multivector.zero(5, 3), Multivector.zero(4, 1), Multivector(4, 1, {(2,): Fraction(3, 7)})]
+    for _ in range(80):
+        m = rng.randint(1, 7)
+        n = rng.randint(1, min(4, m))
+        terms = {
+            tuple(sorted(rng.sample(range(1, m + 1), n))): Fraction(rng.randint(-9, 9), rng.randint(1, 12))
+            for _ in range(rng.randint(1, 4))
+        }
+        cases.append(Multivector(m, n, terms))
+    mixed = grade_one = 0
+    for p in cases:
+        faces = blade_contractions(p.terms, p.grade - 1).values()
+        rows = [[face.get((u,), 0) for u in range(1, p.dim + 1)] for face in faces]
+        reduced, _ = fraction_rref(rows, p.dim)
+        profile = sharp_profile(p)
+        assert profile.rank == len(reduced)
+        assert profile.image.basis == tuple(map(tuple, reduced))
+        mixed += len({c.denominator for c in p.terms.values()}) >= 2
+        grade_one += p.grade == 1 and bool(p)
+    assert mixed >= 20 and grade_one >= 5
 
 
 def test_sharp_profile_of_a_wide_blade():
@@ -326,9 +358,13 @@ def test_profile_indeterminates_follow_the_rank(monkeypatch):
 def test_profile_keeps_no_table_on_the_element():
     dec = Multivector(8, 1, {(1,): 2, (6,): -1}).wedge(blade(8, 2, 3, 4, 5))
     p = Multivector(7, 3, {(1, 2, 3): 1, (1, 4, 5): Fraction(-2, 3), (2, 6, 7): 3})
-    for q in (dec, p):
+    two_block = Multivector(6, 3, {(1, 2, 3): 1, (4, 5, 6): 1})
+    for q in (dec, p, two_block):
         for k in range(1, q.grade - 1):
             contractions_decomposable(q, k)
+        sharp_profile(q)
+        irreducibility_check(q)
+        contraction_subspace_report(q, Covector.basis(q.dim, 1))
         assert q._faces == {}
 
 
@@ -370,6 +406,56 @@ def test_report_random_pairs():
         assert report.inclusion_holds
         if report.rank_drop == 1:
             assert report.equality_holds
+
+
+def _image_by_contraction(q, m):
+    """The image of ``q``: the annihilator of its dense contraction kernel."""
+    return Subspace.zero(m) if q.grade == 0 else annihilator_by_contraction(q).annihilator()
+
+
+def _report_by_annihilators(p, alpha):
+    m = p.dim
+    image = _image_by_contraction(p, m)
+    small = _image_by_contraction(p.contract(alpha), m)
+    ker_alpha = Subspace.from_vectors([alpha.components], m).annihilator()
+    bound = intersection_by_annihilators(ker_alpha, image)
+    return ContractionSubspaceReport(all(bound.contains(v) for v in small.basis), small == bound, image.dim - small.dim)
+
+
+def test_report_matches_the_annihilator_meet():
+    # the meet read off the echelon basis against (ker alpha° + im P°)°,
+    # with both images from the dense contraction kernel
+    rng = random.Random("report-oracle")
+    drops, verdicts, vanishing = set(), set(), 0
+    for i in range(120):
+        n = rng.randint(1, 3)
+        m = rng.randint(max(n, 2), 7)
+        kind = i % 5
+        if kind == 0:
+            p = Multivector.zero(m, n) if i % 3 == 0 else random_decomposable_multivector(rng, m, n)
+        elif kind == 1 and m >= 2 * n:
+            scale = Fraction(rng.randint(1, 5), rng.randint(1, 5))
+            p = Multivector(m, n, {tuple(range(1, n + 1)): 1, tuple(range(n + 1, 2 * n + 1)): scale})
+        else:
+            p = random_constant_multivector(rng, m, n, max_terms=4)
+        kernel = annihilator_by_contraction(p).basis
+        if i % 4 == 0 and kernel:
+            # a combination of annihilator covectors vanishes on im P
+            comps = [sum(rng.randint(-3, 3) * v[u] for v in kernel) for u in range(m)]
+            alpha = Covector(m, tuple(comps))
+        elif i % 4 == 1:
+            alpha = Covector.basis(m, rng.randint(1, m))
+        else:
+            alpha = Covector(m, tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(m)))
+        report = contraction_subspace_report(p, alpha)
+        assert report == _report_by_annihilators(p, alpha), (p, alpha)
+        assert report.inclusion_holds
+        drops.add(min(report.rank_drop, 2))
+        verdicts.add(report.equality_holds)
+        vanishing += all(sum(a * x for a, x in zip(alpha.components, v)) == 0 for v in sharp_profile(p).image.basis)
+    assert drops == {0, 1, 2}
+    assert verdicts == {True, False}
+    assert vanishing >= 10
 
 
 # ---------------------------------------------------------------------------
