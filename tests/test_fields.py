@@ -23,6 +23,7 @@ from npk.fields import (
 from npk.poisson import block_sum, classify, coordinate_semidecomposable
 from npk.polynomial import Polynomial
 from npk.suites import random_constant_field, random_decomposable_field, random_linear_field, random_polynomial
+import oracles
 from oracles import (
     alternation_defect_components,
     bracket_by_minors,
@@ -557,8 +558,18 @@ def test_jacobi_needs_grade_at_least_one():
     assert jacobi_defect(d1, [x1 * x1]) == jacobi_defect_bruteforce(d1, [x1 * x1])
     assert not jacobi_identity_holds(d1)
     assert jacobi_identity_holds(MultivectorField(3, 1))
-    # the top degree of a 7-dimensional space: a constant blade is Poisson
+
+
+def test_oracle_grade_guard_builds_no_shuffle_table(monkeypatch):
+    def forbidden(n):
+        raise AssertionError("the oracle built the shuffle table")
+
+    monkeypatch.setattr(oracles, "jacobi_shuffles", forbidden)
+    # the package keeps no shuffle table of its own to fall back on
+    assert not any("shuffle" in name for name in vars(npk.fields))
     assert jacobi_identity_holds(MultivectorField(7, 7, {tuple(range(1, 8)): 1}))
+    with pytest.raises(ValueError, match="grade >= 1"):
+        jacobi_identity_holds(MultivectorField(3, 0, {(): 1}))
 
 
 def test_shuffle_table_built_once_per_grade():
