@@ -2,14 +2,16 @@
 
 The sharp map sends (n-1)-forms to vectors by contraction, the rows of
 the (n-1)-face table; its image dimension is the rank of the multivector.
-Every reader of that image (profile, contractions, irreducibility) goes
-through one reduction, :func:`_image`.  The annihilator (the covectors
-contracting it to zero) is the kernel of the image rows, because
+Every question about a constant (rank, image, decomposability, factors,
+contraction pivots, irreducibility) goes through one reduction,
+:func:`_image`.  The annihilator (the covectors contracting it to zero) is
+the kernel of the image rows, because
 ``<i(alpha) P, dx^s> = ±<alpha, i(dx^s) P>``; it is read off the echelon
 basis of the image, and the two dimensions sum to the ambient dimension.
 Rank n characterises decomposable multivectors, equivalently the vanishing
 of every contraction-wedge defect ``(i(lam) P) ^ P`` over basis (n-1)-forms
-(the classical quadratic decomposability relations).  Rank also bounds
+(the classical quadratic decomposability relations, :func:`plucker_holds`,
+run only where they are polynomial identities).  Rank also bounds
 reducibility: a multivector that splits into two independent grade-n
 summands needs rank at least 2n.
 
@@ -40,10 +42,13 @@ class NotDecomposableError(ValueError):
 
 @dataclass(frozen=True)
 class SharpProfile:
-    """Rank and image of the sharp map; the annihilator is derived on demand."""
+    """Image of the sharp map; its rank and annihilator are derived on demand."""
 
-    rank: int
     image: Subspace
+
+    @property
+    def rank(self) -> int:
+        return self.image.dim
 
     @property
     def annihilator(self) -> Subspace:
@@ -63,17 +68,18 @@ class Factorization:
         return acc
 
 
-def _image(p: Multivector) -> tuple[dict[int, dict[int, int]], list[int]]:
+def _image(p: Multivector, width: int | None = None) -> tuple[dict[int, dict[int, int]], list[int]]:
     """Pivot rows and columns of the image of ``p`` (grade >= 1), by one :func:`~npk.linalg._forward`.
 
     The rows are the (n-1)-faces ``{u-1: int}`` of ``p`` over the lcm of its
     denominators (same image); the table is dropped, nothing is kept on ``p``.
+    The pass stops at ``width`` pivots, by default the support size (a bound on the rank).
     """
     den = lcm(*(c.denominator for c in p.terms.values()))
     scaled = {blade: c.numerator * (den // c.denominator) for blade, c in p.terms.items()}
     faces = blade_contractions(scaled, p.grade - 1)
     rows = ({u - 1: x for (u,), x in face.items()} for face in faces.values())
-    return _forward(rows, len(set().union(*p.terms)))
+    return _forward(rows, width or len(set().union(*p.terms)))
 
 
 def sharp_profile(p: Multivector) -> SharpProfile:
@@ -86,29 +92,24 @@ def sharp_profile(p: Multivector) -> SharpProfile:
     """
     if p.grade < 1:
         raise ValueError("sharp profile needs grade at least 1")
-    image = Subspace(p.dim, tuple(map(tuple, _reduced(*_image(p), p.dim))))
-    return SharpProfile(image.dim, image)
+    return SharpProfile(Subspace(p.dim, tuple(map(tuple, _reduced(*_image(p), p.dim)))))
 
 
 def plucker_holds(terms, faces) -> bool:
-    """Whether every quadratic defect ``(i(dx^s) P) ^ P`` vanishes.
+    """Whether every quadratic defect ``(i(dx^s) P) ^ P`` vanishes identically.
 
-    ``P`` is the grade-n term map ``terms`` and ``faces`` its (n-1)-face
-    table (``faces(n-1)`` of an element), so ``s`` runs over the basis
-    (n-1)-blades; the defects are the classical quadratic
-    decomposability relations, over any coefficient ring.  Each defect
-    coefficient is a sum of signed products ``+-F[r] * P[b]`` over the
-    face's terms ``r`` and the blades ``b`` disjoint from it; the products
-    are grouped by the merged blade and each group is summed in one
-    accumulation (:meth:`Polynomial.sum_of_products` for polynomial
-    coefficients), then tested once.
+    ``P`` is the grade-n term map ``terms``, with polynomial coefficients,
+    and ``faces`` its (n-1)-face table (``faces(n-1)`` of an element), so
+    ``s`` runs over the basis (n-1)-blades; the defects are the classical
+    quadratic decomposability relations.  Each defect coefficient is a sum
+    of signed products ``+-F[r] * P[b]`` over the face's terms ``r`` and
+    the blades ``b`` disjoint from it; the products are grouped by the
+    merged blade and each group is summed in one
+    :meth:`Polynomial.sum_of_products`, then tested once.
     """
-    sample = next(iter(terms.values()), None)
-    if isinstance(sample, Polynomial):
-        total = partial(Polynomial.sum_of_products, sample.num_vars)
-    else:
-        def total(products):
-            return sum(s * a * b for s, a, b in products)
+    if not terms:
+        return True
+    total = partial(Polynomial.sum_of_products, next(iter(terms.values())).num_vars)
     # each face is grade 1, so its terms are (u,); (u,) ^ blade is tabulated
     # once per u, when a face first needs it (a failing check stops early)
     inserts: dict = {}
@@ -128,26 +129,30 @@ def plucker_holds(terms, faces) -> bool:
 def is_decomposable(p: Multivector) -> bool:
     """Whether ``p`` is a wedge of grade-1 vectors.
 
-    Decided by the contraction-wedge defects ``(i(lam) p) ^ p`` over all
-    basis (n-1)-forms, which suffice by linearity; zero counts as
-    decomposable by convention.  Equivalent to rank n for nonzero input.
+    Decided by the rank, at least n for nonzero input and n exactly when
+    ``p`` is decomposable: :func:`_image` stops at n + 1 pivots.  Zero and
+    grade at most 1 count as decomposable by convention.
     """
-    return p.grade <= 1 or plucker_holds(p.terms, p.faces(p.grade - 1))
+    return p.grade <= 1 or p.is_zero() or len(_image(p, p.grade + 1)[1]) == p.grade
 
 
 def factorize(p: Multivector) -> Factorization:
     """Factor a decomposable multivector into grade-1 vectors, exactly.
 
-    Takes the canonical basis of the image of the sharp map (dimension n),
-    wedges it, and rescales the first factor by the unique rational ratio
-    between the two proportional decomposables.  Only the round-trip is
-    contractual; the gauge is the canonical reduced-echelon one.
+    One :func:`_image` pass, stopped at n + 1 pivots, decides (rank n);
+    the canonical basis of the image is wedged, and the first factor is
+    rescaled by the unique rational ratio between the two proportional
+    decomposables.  Only the round-trip is contractual; the gauge is the
+    canonical reduced-echelon one.
     """
     if p.is_zero():
         raise ValueError("zero tensor")
-    if not is_decomposable(p):
+    if p.grade < 1:
+        raise ValueError("factorize needs grade at least 1")
+    echelon, order = _image(p, p.grade + 1)
+    if len(order) != p.grade:
         raise NotDecomposableError("not decomposable")
-    factors = [Multivector.from_vector(row) for row in sharp_profile(p).image.basis]
+    factors = [Multivector.from_vector(row) for row in _reduced(echelon, order, p.dim)]
     blade, coef = next(iter(p.terms.items()))
     factors[0] = factors[0] * (coef / Factorization(tuple(factors)).wedge().terms[blade])
     result = Factorization(tuple(factors))

@@ -8,9 +8,8 @@ turn, :func:`sparse_rank` the first alone, and ``grassmann._image`` feeds
 it face rows.  Subspaces of the base space and of its dual share one
 representation (a canonical reduced row-echelon basis); the caller tracks
 variance.  Canonical form makes subspace equality plain structural
-equality, and membership is one :func:`sparse_rank`.  The kernel of a
-matrix is the annihilator of its row space, read off that space's echelon
-basis.
+equality.  The kernel of a matrix is the annihilator of its row space,
+read off that space's echelon basis.
 """
 
 from __future__ import annotations
@@ -146,13 +145,6 @@ class Subspace:
     @property
     def dim(self) -> int:
         return len(self.basis)
-
-    def contains(self, vector: Sequence) -> bool:
-        """Whether ``vector`` lies in the span: adding it leaves the rank at ``dim``."""
-        if len(vector) != self.ambient_dim:
-            raise ValueError("vector length must equal the ambient dimension")
-        rows = [*map(_integer_row, self.basis), _integer_row(vector)]
-        return sparse_rank(rows, self.ambient_dim) == self.dim
 
     def annihilator(self) -> "Subspace":
         """Covectors vanishing on the subspace: the kernel of its basis rows.

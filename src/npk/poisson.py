@@ -91,9 +91,10 @@ def pointwise_decomposable(field: MultivectorField) -> bool:
     """Whether the field value is decomposable at every point.
 
     All contraction-wedge defects over basis (n-1)-forms are required to
-    vanish as polynomial identities in the coordinates.
+    vanish as polynomial identities in the coordinates.  Grade at most 1
+    counts as decomposable, as in :func:`~npk.grassmann.is_decomposable`.
     """
-    return plucker_holds(field.terms, field.faces(field.grade - 1))
+    return field.grade <= 1 or plucker_holds(field.terms, field.faces(field.grade - 1))
 
 
 # _SAMPLE_COORDS[a + 6][b - 1] is Fraction(a, b): the random coordinates, built once

@@ -3,9 +3,9 @@
 Everything here recomputes quantities from first principles (full
 permutation and shuffle sums of nested brackets, one-covector-at-a-time
 contraction, Leibniz determinants, dense Fraction Gauss-Jordan
-elimination, subspace meets through annihilators) so the tests have a
-second route to every value; the sampled involutivity check is a second
-route that can only refute.
+elimination and span membership, subspace meets through annihilators)
+so the tests have a second route to every value; the sampled
+involutivity check is a second route that can only refute.
 :class:`TuplePolynomial` is the plain exponent-tuple/Fraction polynomial,
 the reference for the packed-exponent :class:`npk.polynomial.Polynomial`.
 """
@@ -87,6 +87,16 @@ def intersection_by_annihilators(u: Subspace, v: Subspace) -> Subspace:
         raise ValueError("subspaces live in different ambient spaces")
     covectors = u.annihilator().basis + v.annihilator().basis
     return Subspace.from_vectors(covectors, u.ambient_dim).annihilator()
+
+
+def in_span(space: Subspace, vector) -> bool:
+    """Whether ``vector`` lies in ``space``: adding it to the basis leaves the rank at ``dim``.
+
+    The span-membership reference, by dense Gauss-Jordan elimination
+    (:func:`fraction_rref`); the package decides an inclusion by comparing
+    canonical bases, ``Subspace.from_vectors(u.basis + v.basis, m) == u``.
+    """
+    return len(fraction_rref([*space.basis, vector], space.ambient_dim)[0]) == space.dim
 
 
 def annihilator_by_contraction(p: Multivector) -> Subspace:
@@ -319,7 +329,7 @@ def involutivity_by_sampling(field: MultivectorField, points=None, seed: int = 0
         span = Subspace.from_vectors([row.evaluate(pt).vector_components() for row in rows], m)
         for bracket in brackets:
             value = bracket.evaluate(pt)
-            if not value.is_zero() and not span.contains(value.vector_components()):
+            if not value.is_zero() and not in_span(span, value.vector_components()):
                 return False
     return True
 

@@ -4,10 +4,10 @@ Each reader of a face table goes through ``GradedTerms.faces(k)``, which
 builds ``blade_contractions(terms, k)`` on first use and keeps it; only
 the two term maps that are no element (the symbolic contraction of
 ``contractions_decomposable`` and the position map of ``sample_ranks``)
-are tabulated directly, once per call.  ``contractions_decomposable``
-also tabulates the (n-1)-faces of its input directly, on the integer
-multiple of its terms, for the one forward pass that finds the image's
-pivot columns: the rows are read once and dropped, and a table kept on
+are tabulated directly, once per call.  ``grassmann._image`` also
+tabulates the (n-1)-faces of a constant directly, on the integer
+multiple of its terms, for the one forward pass behind every question
+about its image: the rows are read once and dropped, and a table kept on
 the caller's element would stay alive as long as the element does.
 """
 

@@ -19,7 +19,7 @@ from npk.grassmann import (
     sharp_profile,
 )
 from npk.linalg import Subspace
-from npk.poisson import algebraic_condition
+from npk.poisson import algebraic_condition, pointwise_decomposable
 from npk.suites import (
     random_constant_multivector,
     random_decomposable_multivector,
@@ -28,6 +28,7 @@ from oracles import (
     annihilator_by_contraction,
     contractions_decomposable_full,
     fraction_rref,
+    in_span,
     intersection_by_annihilators,
 )
 
@@ -131,17 +132,82 @@ def test_decomposable_examples():
     assert is_decomposable(Multivector.zero(5, 3))
 
 
+def test_grade_zero_edges():
+    # grade at most 1 counts as decomposable on both routes; a scalar has no factors
+    scalar = Multivector(4, 0, {(): Fraction(3, 2)})
+    assert is_decomposable(scalar)
+    assert pointwise_decomposable(MultivectorField.from_multivector(scalar))
+    assert pointwise_decomposable(MultivectorField.zero(3, 0))
+    with pytest.raises(ValueError, match="factorize"):
+        factorize(scalar)
+
+
 def test_decomposable_iff_rank_equals_grade():
+    # the rank of the image reduction against the quadratic Plücker relations,
+    # decided as polynomial identities on the constant field
     rng = random.Random("rank-route")
-    for _ in range(60):
-        m = rng.randint(3, 6)
-        n = rng.randint(2, min(4, m))
-        p = (
-            random_decomposable_multivector(rng, m, n)
-            if rng.random() < 0.5
-            else random_constant_multivector(rng, m, n, max_terms=4)
-        )
-        assert is_decomposable(p) == (sharp_profile(p).rank == n)
+    cases = [
+        Multivector.zero(5, 3), Multivector.zero(3, 5), Multivector.zero(4, 0),
+        Multivector(4, 0, {(): Fraction(-3, 2)}), Multivector(4, 1, {(2,): Fraction(3, 7), (4,): 1}),
+        Multivector(4, 4, {(1, 2, 3, 4): Fraction(5, 3)}), TWO_BLOCK, MIXED, E123,
+    ]
+    for i in range(200):
+        if i % 2 == 0:
+            m = rng.randint(1, 7)
+            n = rng.randint(1, min(4, m))
+            p = random_decomposable_multivector(rng, m, n) * Fraction(rng.randint(1, 9), rng.randint(1, 12))
+        else:
+            # 2-4 blades of grade 2..m-2, where both verdicts occur
+            m = rng.randint(4, 7)
+            n = rng.randint(2, min(4, m - 2))
+            terms = {
+                tuple(sorted(rng.sample(range(1, m + 1), n))): Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 12))
+                for _ in range(rng.randint(2, 4))
+            }
+            p = Multivector(m, n, terms)
+        cases.append(p)
+    verdicts = {True: 0, False: 0}
+    mixed = 0
+    for p in cases:
+        dec = is_decomposable(p)
+        assert dec == pointwise_decomposable(MultivectorField.from_multivector(p)), p
+        verdicts[dec] += 1
+        mixed += len({c.denominator for c in p.terms.values()}) >= 2
+    assert min(verdicts.values()) >= 50
+    assert mixed >= 40
+
+
+def test_constants_never_reach_the_plucker_loop(monkeypatch):
+    def forbidden(terms, faces):
+        raise AssertionError("a constant multivector reached plucker_holds")
+
+    monkeypatch.setattr(npk.grassmann, "plucker_holds", forbidden)
+    assert is_decomposable(E123) and not is_decomposable(MIXED) and not is_decomposable(TWO_BLOCK)
+    assert factorize(blade(5, 1, 2, 3, c=Fraction(-2, 3))).wedge() == blade(5, 1, 2, 3, c=Fraction(-2, 3))
+    with pytest.raises(NotDecomposableError):
+        factorize(TWO_BLOCK)
+
+
+def test_factorize_builds_one_face_table(monkeypatch):
+    # one (n-1)-face table per call, decomposable or not, on fresh elements
+    built = []
+
+    def counted(terms, k):
+        built.append(k)
+        return blade_contractions(terms, k)
+
+    for module in (npk.exterior, npk.grassmann):
+        monkeypatch.setattr(module, "blade_contractions", counted)
+    rng = random.Random("factorize-tables")
+    cases = [blade(6, 1, 2, 3), Multivector(8, 5, dict(DEC_851.terms)), Multivector(5, 3, dict(MIXED.terms))]
+    cases += [random_decomposable_multivector(rng, 7, 4) for _ in range(5)]
+    for p in cases:
+        built.clear()
+        try:
+            factorize(p)
+        except NotDecomposableError:
+            pass
+        assert built == [p.grade - 1], (p, built)
 
 
 def test_factorize_round_trip_scaled_blade():
@@ -363,6 +429,11 @@ def test_profile_keeps_no_table_on_the_element():
         for k in range(1, q.grade - 1):
             contractions_decomposable(q, k)
         sharp_profile(q)
+        is_decomposable(q)
+        try:
+            factorize(q)
+        except NotDecomposableError:
+            pass
         irreducibility_check(q)
         contraction_subspace_report(q, Covector.basis(q.dim, 1))
         assert q._faces == {}
@@ -419,7 +490,7 @@ def _report_by_annihilators(p, alpha):
     small = _image_by_contraction(p.contract(alpha), m)
     ker_alpha = Subspace.from_vectors([alpha.components], m).annihilator()
     bound = intersection_by_annihilators(ker_alpha, image)
-    return ContractionSubspaceReport(all(bound.contains(v) for v in small.basis), small == bound, image.dim - small.dim)
+    return ContractionSubspaceReport(all(in_span(bound, v) for v in small.basis), small == bound, image.dim - small.dim)
 
 
 def test_report_matches_the_annihilator_meet():
