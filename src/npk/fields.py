@@ -10,28 +10,25 @@ factor) and adds evaluation at a rational point (an exact
 contraction with a covector field; contraction with basis forms reads the
 field's face table ``faces(k)``, built once per field.  The module also
 provides the n-ary bracket a grade-n field induces on polynomial
-functions, the differential defect whose vanishing is the differential
-half of the Poisson conditions (one case of :func:`contracted_derivative`,
-the kernel it shares with the Lie bracket and :func:`~npk.compat.delta`),
-and the generalized Jacobi identity decided exactly on a finite
-generating family of arguments.
+functions, the differential defect ``K(P, P) = sum_u i(dx^u) P ^ d_u P``
+whose vanishing is the differential half of the Poisson conditions (one
+case of :func:`contracted_derivative`, the kernel it shares with the Lie
+bracket and :func:`~npk.compat.delta`), and the generalized Jacobi
+identity decided exactly on a finite generating family of arguments.
 
 The n-ary bracket runs through one general kernel over sparse gradients
 ``{u: d_u f}``: the expansion ``sum prod_i d_{u_i} f_i * P^{u_1..u_n}``
 over one nonzero entry per argument, skipping repeated indices;
-:func:`nary_bracket` uses it.  The Jacobi oracle needs only brackets
-``{g, x_R}`` whose arguments after the first are coordinates, and
-``{g, x_R} = sum_w d_w g * P^{w R}`` is one row of the field's
-(n-1)-face table ``faces(n-1)``, up to one sign per grade; so the oracle
-reads its brackets off that table and never calls the kernel.  It enumerates no argument tuples: each nonzero bracket of a
-nonconstant blade with a face is pushed to its coordinate family.  Once
-those vanish, a quadratic family ``x_u x_v, x_T'`` reduces by Leibniz to
+:func:`nary_bracket` uses it.  The Jacobi decision calls no bracket.  On
+the coordinate families its defect is the differential defect, and once
+that vanishes a quadratic family ``x_u x_v, x_T'`` reduces by Leibniz to
 its symbol ``Q[u, v]``, twice an entry of the
 :func:`~npk.exterior.covector_pair_table` of P with itself, zero at even
-grade.  So the cost follows the field's support (its nonconstant blades,
-their (n-1)-faces and the pairs of blades sharing at most two indices),
-not the number of families.  It never consults the differential defect
-or the classifier; it is their check.
+grade (proof in :func:`jacobi_identity_holds`).  So it decides the two
+conditions of the parity rule with the classifier's own kernels, and its
+cost follows the field's support, not the number of families.  A route
+independent of those kernels is the nested-bracket defect loop of the
+test oracles.
 """
 
 from __future__ import annotations
@@ -44,13 +41,12 @@ from .exterior import (
     Blade,
     GradedTerms,
     Multivector,
-    _add_term,
+    blade_contractions,
     contract_terms,
     covector_pair_table,
     first_failing_pair,
     merge_blades,
     sort_to_blade,
-    wedge_terms,
 )
 from .polynomial import Polynomial, integer_evaluator
 
@@ -133,17 +129,32 @@ def coordinate_vector_field(dim: int, u: int) -> MultivectorField:
 
 
 def contracted_derivative(a: MultivectorField, b: MultivectorField) -> MultivectorField:
-    """``sum_u (i(dx^u) A) ^ (d_u B)``, of grade ``a.grade + b.grade - 1``."""
-    out: dict[Blade, Polynomial] = {}
-    variables = set().union(*(p.variables() for p in b.terms.values()))
-    faces = a.faces(1)
-    for u in sorted(variables):
-        contracted = faces.get((u,))
-        if not contracted:
-            continue
-        partial = {blade: d for blade, p in b.terms.items() if (d := p.derivative(u))}
-        for key, val in wedge_terms(contracted, partial).items():
-            _add_term(out, key, val)
+    """``sum_u (i(dx^u) A) ^ (d_u B)``, of grade ``a.grade + b.grade - 1``.
+
+    Only the nonconstant coefficients of B contribute.  A's face table is
+    built symbolically, so that no coefficient is negated: contracting
+    ``{T: k}`` (``k`` the 1-based position of the blade ``T`` of A) gives
+    row ``(u,)`` the entries ``{R: +-k}``, ``(i(dx^u) A)^R = +-A^T``.  Each
+    blade ``S`` of B meets, for each variable ``u`` of its coefficient,
+    row ``(u,)``; the products ``sign(R, S) * (i(dx^u) A)^R * d_u B^S`` are
+    grouped by the merged blade of ``R`` and ``S``, and each group is
+    summed in one :meth:`~npk.polynomial.Polynomial.sum_of_products`.
+    """
+    live = [(s, p) for s, p in b.terms.items() if not p.is_constant()]
+    coefs = list(a.terms.values())
+    rows = blade_contractions({t: k for k, t in enumerate(a.terms, 1)}, 1) if live else {}
+    groups: dict[Blade, list] = {}
+    for s, p in live:
+        for u in p.variables():
+            row = rows.get((u,))
+            if not row:
+                continue
+            d = p.derivative(u)
+            for r, k in row.items():
+                if merged := merge_blades(r, s):
+                    sign = merged[0] if k > 0 else -merged[0]
+                    groups.setdefault(merged[1], []).append((sign, coefs[abs(k) - 1], d))
+    out = {key: val for key, products in groups.items() if (val := Polynomial.sum_of_products(a.dim, products))}
     return MultivectorField(a.dim, a.grade + b.grade - 1, out)
 
 
@@ -229,41 +240,6 @@ def differential_defect(field: MultivectorField) -> MultivectorField:
     return contracted_derivative(field, field)
 
 
-def _face_bracket(grad: Gradient, row: dict | None, dim: int) -> Polynomial:
-    """``sum_w d_w g * C[R][(w,)]``, which is ``(-1)^(n-1) {g, x_R}``.
-
-    ``grad`` is the sparse gradient of ``g`` and ``row`` is the row of an
-    increasing tuple ``R`` in the (n-1)-face table ``C = field.faces(n-1)``
-    (``None`` when ``R`` is no face of a blade, and then the bracket is
-    zero).  The products whose index the row has are summed in one
-    :meth:`~npk.polynomial.Polynomial.sum_of_products`.  The sign is proved
-    in :func:`jacobi_identity_holds`.
-    """
-    products = [(1, d, coef) for w, d in grad.items() if (coef := row.get((w,))) is not None] if row else []
-    return Polynomial.sum_of_products(dim, products)
-
-
-def _coordinate_defects(field: MultivectorField, rows: dict) -> dict:
-    """``{T: (-1)^(n-1) J(x_T)}`` for the coordinate families that receive a
-    push, without zeros; see :func:`jacobi_identity_holds`."""
-    m = field.dim
-    out: dict = {}
-    for s, p in field.terms.items():
-        if p.is_constant():
-            continue
-        grad = _gradient(p)
-        ends = {(w,) for w in grad}
-        for r, row in rows.items():
-            # a face that no index of the gradient completes reads zero
-            if ends.isdisjoint(row):
-                continue
-            merged = merge_blades(s, r)
-            if merged:
-                val = _face_bracket(grad, row, m)
-                _add_term(out, merged[1], val if merged[0] > 0 else -val)
-    return out
-
-
 def jacobi_identity_holds(field: MultivectorField) -> bool:
     """Decide the generalized Jacobi identity for all smooth arguments.
 
@@ -271,42 +247,35 @@ def jacobi_identity_holds(field: MultivectorField) -> bool:
     completely antisymmetric in its arguments, so it vanishes identically
     iff it vanishes on every increasing tuple of coordinates and on every
     family whose first argument is a product of two coordinates with the
-    rest an increasing coordinate tuple.  Both families are checked as
-    exact polynomial identities.
-
-    No bracket here goes through the general kernel.  In
-    ``{g, x_{r_1}, .., x_{r_{n-1}}} = sum prod_i d_{u_i} f_i P^{u_1..u_n}``
-    the factor ``d_{u_{i+1}} x_{r_i}`` is 1 at ``u_{i+1} = r_i`` and 0
-    elsewhere, so the sum collapses to ``{g, x_R} = sum_w d_w g P^{w R}``,
-    one row of the (n-1)-face table ``C = field.faces(n-1)`` up to one sign
-    per grade, ``P^{w R} = (-1)^(n-1) C[R][(w,)]``.  Proof: ``C[R][(w,)]``
-    carries the sign ``(-1)^(sum(pos) - (n-1)(n-2)/2)``, where ``pos`` are
-    the positions of ``R`` in the blade ``B = sort(w, R)``.  If ``w`` sits
-    at position ``p`` of ``B``, then ``sum(pos) = n(n-1)/2 - p``, so that
-    sign is ``(-1)^(n-1-p)``; moving ``w`` from the front to position ``p``
-    gives ``P^{w R} = (-1)^p P^B``.  Write ``FB(g, R)`` for the read
-    ``(-1)^(n-1) {g, x_R}`` (:func:`_face_bracket`), ``FB(S, R)`` when
-    ``g = P^S``, ``E_A[w] = C[A][(w,)]`` for a face ``A`` (the ``w`` with
-    an entry are the ends of ``A``), and ``sign(S, R)`` for the sign of
-    merging two disjoint increasing tuples
-    (:func:`~npk.exterior.merge_blades`).
+    rest an increasing coordinate tuple.  On those families it is the pair
+    of polynomial identities of the parity rule, both decided exactly: the
+    differential defect ``K(P, P)`` (:func:`differential_defect`) and, at
+    odd grade, the unpolarized :func:`~npk.exterior.covector_pair_table`
+    ``(P, P, False)`` of the algebraic condition, read here directly so
+    that grade 1 is decided too.
 
     Write ``J(f_1, .., f_{2n-1})`` for the shuffle sum, one term
     ``sign(S, R) {{f_S}, f_R}`` per (n, n-1)-shuffle ``S | R`` of the
-    argument positions; the full permutation sum is ``n!(n-1)! J``, so
-    ``J`` is alternating in its arguments.  A shuffle whose inner bracket
-    is constant adds nothing, and a term is nonzero only where both of its
-    brackets read a face.  Nothing is enumerated per family: each nonzero
-    term is pushed to the family it belongs to, and a family that receives
-    nothing has zero defect.
+    argument positions, with ``sign(S, R)`` the sign of merging two
+    disjoint increasing tuples (:func:`~npk.exterior.merge_blades`); the
+    full permutation sum is ``n!(n-1)! J``, so ``J`` is alternating in its
+    arguments.  Two facts are used for a bracket whose arguments after the
+    first are coordinates.  In
+    ``{g, x_{r_1}, .., x_{r_{n-1}}} = sum prod_i d_{u_i} f_i P^{u_1..u_n}``
+    the factor ``d_{u_{i+1}} x_{r_i}`` is 1 at ``u_{i+1} = r_i`` and 0
+    elsewhere, so ``{g, x_R} = sum_w d_w g P^{w R}``.  And
+    ``P^{w R} = (i(dx^w) P)^R``: if ``w`` sits at position ``p`` of the
+    blade ``B = sort(w, R)``, contracting it has sign ``(-1)^p``, and
+    moving ``w`` from the front to position ``p`` gives
+    ``P^{w R} = (-1)^p P^B``.
 
-    - The coordinate family ``x_T``: the shuffle ``S | R`` (``T`` the union
-      of ``S`` and ``R``) adds ``sign(S, R) {P^S, x_R}``.  ``{x_S} = P^S``
-      is nonconstant only for a live blade ``S``, and ``{P^S, x_R}`` is
-      zero unless ``R`` is a face that an index of ``d P^S`` completes, so
-      ``J(x_T)`` is ``(-1)^(n-1)`` times the sum of ``sign(S, R) FB(S, R)``
-      over the disjoint live ``S`` and such faces ``R`` merging to ``T``
-      (:func:`_coordinate_defects`).
+    - The coordinate family ``x_T``: ``J(x_T) = K(P, P)_T`` for every
+      increasing ``(2n-1)``-tuple ``T``.  ``{x_S} = P^S``, so the shuffle
+      ``S | R`` adds ``sign(S, R) sum_w d_w P^S (i(dx^w) P)^R``.  The
+      coefficient on ``T`` of ``K(P, P) = sum_w (i(dx^w) P) ^ d_w P`` is
+      the sum of ``sign(R, S) (i(dx^w) P)^R d_w P^S`` over the disjoint
+      ``R`` and ``S`` merging to ``T``, and
+      ``sign(R, S) = (-1)^(n(n-1)) sign(S, R) = sign(S, R)``.
     - The quadratic family ``x_u x_v, x_T'``.  ``J`` is a differential
       operator of order two in its first argument that kills constants, so
       Leibniz gives
@@ -317,12 +286,11 @@ def jacobi_identity_holds(field: MultivectorField) -> bool:
       ``Q[u, v]``.  Only the shuffles ``(x_u x_v, x_A) | R`` (the quad,
       first, adds no inversion) differentiate the quad twice; by Leibniz
       ``{x_u x_v, x_A} = x_v P^{u A} + x_u P^{v A}``, and the outer bracket
-      reads a face ``R`` with signs that cancel, so
-      ``Q[u, v] = sum sign(A, R) (E_A[u] E_R[v] + E_A[v] E_R[u])`` over the
-      disjoint ordered faces ``(A, R)`` merging to ``T'``.  By the sign
-      above ``E_A[w] = (-1)^(n-1) (i(dx^w) P)^A``, the factors
-      ``(-1)^(n-1)`` cancel in a product, and ``e_A ^ e_R = sign(A, R) e_T'``,
-      so ``Q[u, v]`` is the coefficient on ``T'`` of
+      ``sum_w d_w (.) P^{w R}`` meets the quad at ``w = v`` and ``w = u``,
+      so ``Q[u, v] = sum sign(A, R) (P^{u A} P^{v R} + P^{v A} P^{u R})``
+      over the disjoint ``(A, R)`` merging to ``T'``.  As
+      ``P^{w A} = (i(dx^w) P)^A`` and ``e_A ^ e_R = sign(A, R) e_T'``,
+      ``Q[u, v]`` is the coefficient on ``T'`` of
       ``(i(dx^u) P) ^ (i(dx^v) P) + (i(dx^v) P) ^ (i(dx^u) P)``.  At odd
       grade the contractions have even grade and commute, so ``Q[u, v]`` is
       twice the coefficient of ``(i(dx^u) P) ^ (i(dx^v) P)``, on and off the
@@ -330,16 +298,15 @@ def jacobi_identity_holds(field: MultivectorField) -> bool:
       :func:`~npk.exterior.covector_pair_table` ``(P, P, False)``.  At even
       grade the contractions have odd grade and anticommute: ``Q = 0``.
 
-    The identity holds iff ``J(x_T)`` vanishes for every ``T`` and, at odd
-    grade, ``Q`` at every key (a key that receives nothing has ``Q = 0``).
+    The identity holds iff ``K(P, P)`` vanishes and, at odd grade, ``Q``
+    vanishes at every key of the table.
     """
-    m, n = field.dim, field.grade
+    n = field.grade
     if n < 1:
         raise ValueError(f"the generalized Jacobi identity needs grade >= 1, got {n}")
-    rows = field.faces(n - 1)
-    if _coordinate_defects(field, rows):
+    if not differential_defect(field).is_zero():
         return False
     if n % 2 == 0:
         return True
     table = covector_pair_table(field.terms, field.terms, False)
-    return first_failing_pair(table, partial(Polynomial.sum_of_products, m)) is None
+    return first_failing_pair(table, partial(Polynomial.sum_of_products, field.dim)) is None

@@ -298,6 +298,8 @@ def irreducibility_check(p: Multivector, seed: int = 0) -> IrreducibilityVerdict
     if p.is_zero():
         raise ValueError("zero tensor")
     m, n = p.dim, p.grade
+    if n < 1:
+        raise ValueError("irreducibility check needs grade at least 1")
     rank = len(_image(p)[1])
     if rank < 2 * n:
         return IrreducibilityVerdict(IrreducibilityKind.CERTIFIED_BY_RANK)

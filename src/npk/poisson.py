@@ -11,9 +11,10 @@ satisfies the generalized Jacobi identity iff
 
 Both conditions are decided exactly: the algebraic one reduces to basis
 covector pairs by bilinearity (:func:`~npk.exterior.covector_pair_table`),
-the differential one is a polynomial identity on ``faces(1)``.  The algebraic
-Nambu condition is equivalent to pointwise decomposability of the field
-value (Takhtajan; Gautheron), which the one Plucker loop
+the differential one is the polynomial identity ``K(P, P) = 0`` of
+:func:`~npk.fields.differential_defect`.  The algebraic Nambu condition
+is equivalent to pointwise decomposability of the field value
+(Takhtajan; Gautheron), which the one Plucker loop
 :func:`~npk.grassmann.plucker_holds` decides on ``faces(n-1)``; the component
 and polarized routes that cross-check it live in :mod:`npk.oracles`.  The
 module also builds the semi-decomposable structures of constant rank 2n

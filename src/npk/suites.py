@@ -178,7 +178,14 @@ def random_polynomial(rng: random.Random, m: int, degree: int = 2, max_monos: in
 # suites
 
 def suite_jacobi_vs_classifier(seed: int = 0) -> SuiteResult:
-    """Generalized Jacobi identity versus the parity-rule classifier."""
+    """Generalized Jacobi identity versus the parity-rule classifier.
+
+    Both sides run the same two kernels, the differential defect and the
+    covector-pair table, so this checks only how the parity rule is wired
+    into each: the grade guard, the parity branch and the verdict.  The
+    route independent of those kernels, the nested-bracket defect loop,
+    is a test oracle.
+    """
     rng = random.Random(f"{seed}:jacobi")
     fields: list[MultivectorField] = []
     for _ in range(25):

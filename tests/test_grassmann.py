@@ -554,6 +554,12 @@ def test_zero_rejected():
         irreducibility_check(Multivector.zero(5, 3))
 
 
+def test_nonzero_scalar_refused():
+    # a scalar has no rank to drop: refused like the other grade-guarded checks
+    with pytest.raises(ValueError, match="needs grade at least 1"):
+        irreducibility_check(Multivector(4, 0, {(): 1}))
+
+
 def test_pairwise_condition_never_flags_a_witness():
     # multivectors whose basis-pair contraction wedges all vanish are
     # never reported reducible

@@ -105,6 +105,27 @@ def test_no_unread_private_name():
     assert unread_private_names([path.read_text(encoding="utf-8") for path in SOURCES]) == []
 
 
+def private_names_read_only_by_tests(package: list[str], tests: list[str]) -> list[str]:
+    """Private names of ``package`` that no package module reads but a test does.
+
+    Such a name is test-only code kept in the package; it belongs with the
+    test oracles.
+    """
+    return sorted(set(unread_private_names(package)) - set(unread_private_names(package + tests)))
+
+
+def test_private_names_read_only_by_tests_are_found():
+    package = ["def _oracle():\n    pass\ndef _dead():\n    pass\ndef _used():\n    pass\nx = _used()\n"]
+    tests = ["import m\nassert m._oracle() == m._used()\n"]
+    assert private_names_read_only_by_tests(package, tests) == ["_oracle"]
+
+
+def test_no_private_name_read_only_by_tests():
+    package = [path.read_text(encoding="utf-8") for path in SOURCES]
+    tests = [path.read_text(encoding="utf-8") for path in sorted((ROOT / "tests").glob("*.py"))]
+    assert private_names_read_only_by_tests(package, tests) == []
+
+
 def test_public_names_resolve_and_are_sorted():
     assert [name for name in npk.__all__ if not hasattr(npk, name)] == []
     assert npk.__all__ == sorted(npk.__all__)
