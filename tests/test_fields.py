@@ -6,6 +6,7 @@ from math import comb, factorial
 import pytest
 
 import npk.fields
+import npk.poisson
 from npk.compat import delta, is_compatible
 from npk.exterior import Multivector, covector_pair_table, iter_blades
 from npk.fields import (
@@ -591,6 +592,23 @@ def test_shuffle_table_built_once_per_grade():
     for _ in range(2):
         with pytest.raises(ValueError, match="grade >= 1"):
             jacobi_shuffles(0)
+
+
+def test_jacobi_oracle_is_independent_of_classifier(monkeypatch):
+    # the decision shares the differential defect and the pair table with the
+    # classifier by design, but reads the table itself: no entry point of
+    # npk.poisson is called, so grade 1 keeps its answers
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the Jacobi oracle consulted the classifier")
+
+    for name in ("classify", "algebraic_condition", "differential_condition", "pointwise_decomposable"):
+        monkeypatch.setattr(npk.poisson, name, forbidden)
+    lie_poisson = MultivectorField(3, 2, {(1, 2): var(3, 3), (1, 3): -var(2, 3), (2, 3): var(1, 3)})
+    assert jacobi_identity_holds(lie_poisson)
+    assert jacobi_identity_holds(MultivectorField(M, 3, {(1, 2, 3): X[0]}))
+    assert not jacobi_identity_holds(MultivectorField(M, 3, {(1, 2, 3): 1, (1, 4, 5): 1}))
+    assert not jacobi_identity_holds(MultivectorField(3, 2, {(1, 2): 1, (2, 3): var(2, 3)}))
+    assert not jacobi_identity_holds(MultivectorField(3, 1, {(1,): 1}))
 
 
 def test_oracle_reads_every_bracket_off_the_face_table(monkeypatch):
