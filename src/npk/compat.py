@@ -16,9 +16,8 @@ asserted anywhere.  It shares the kernel
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
-from .exterior import covector_pair_table, first_failing_pair
+from .exterior import first_failing_pair
 from .fields import MultivectorField, contracted_derivative
 from .polynomial import Polynomial
 
@@ -46,8 +45,7 @@ def is_compatible(structure: MultivectorField, candidate: MultivectorField) -> C
         return Compatibility(True, None)
     if structure.grade == 0:
         raise ValueError("cannot contract a scalar")
-    table = covector_pair_table(structure.terms, candidate.terms, True)
-    witness = first_failing_pair(table, partial(Polynomial.sum_of_products, structure.dim))
+    witness = first_failing_pair(structure.terms, candidate.terms, True)
     return Compatibility(witness is None, witness)
 
 

@@ -4,21 +4,21 @@ Basis blades are strictly increasing tuples of 1-based indices.  A
 homogeneous element of grade k stores a sparse map ``terms`` from k-blades
 to nonzero coefficients.  One container, :class:`GradedTerms`, holds that
 map for any coefficient ring: it canonicalises input, keeps the zero above
-the top grade, and provides ``component``, ``wedge``, ``+ - * ==`` and
-``faces(k)``, its face table.  Point values (:class:`Multivector`) are
-the subclass with ``fractions.Fraction`` coefficients; multivector fields
-(:class:`npk.fields.MultivectorField`), with polynomial coefficients.  The
-term kernels (:func:`wedge_terms`, :func:`contract_terms`, ...) only need
-coefficients supporting ``+``, unary ``-``, ``*`` and truthiness, so both
-subclasses share them.
-:func:`covector_pair_table`, summed by :func:`first_failing_pair`, is
-the one kernel of the conditions quadratic in two covectors: the
-algebraic condition, compatibility and the Jacobi symbol.
+the top grade, and provides ``component``, ``wedge`` and ``+ - * ==``; an
+element holds its ``dim``, ``grade`` and ``terms`` and nothing else.  Point
+values (:class:`Multivector`) are the subclass with ``fractions.Fraction``
+coefficients; multivector fields (:class:`npk.fields.MultivectorField`),
+with polynomial coefficients.  The term kernels (:func:`wedge_terms`,
+:func:`contract_terms`, ...) only need coefficients supporting ``+``,
+unary ``-``, ``*`` and truthiness, so both subclasses share them.
+:func:`covector_pair_table` is the one kernel of the conditions quadratic
+in two covectors: the algebraic condition, compatibility and the Jacobi
+symbol; :func:`first_failing_pair` builds it and sums it.
 :func:`blade_contractions` is the one kernel for contraction with basis
 forms: it tabulates the contractions with every basis k-form at once,
 built from the faces of the blades present, and a basis covector is the
-case k = 1.  An element reads that table through
-:meth:`GradedTerms.faces`, which builds it once per ``k`` and keeps it.
+case k = 1.  Each reader builds the table it reads; nothing is kept on an
+element.
 :func:`contract_terms` contracts with one general covector.
 
 Sign conventions, fixed once for the whole package:
@@ -42,7 +42,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Iterator, Mapping
 
-from .polynomial import _exact
+from .polynomial import Polynomial, _exact
 
 Blade = tuple[int, ...]
 
@@ -197,12 +197,18 @@ def covector_pair_table(left: Mapping[Blade, object], right: Mapping[Blade, obje
     return out
 
 
-def first_failing_pair(table: dict, total) -> tuple[int, int] | None:
-    """First pair of a :func:`covector_pair_table`, in order, with a blade whose
-    products ``total`` sums to nonzero; ``None`` means the condition holds
-    for all covectors (lossless over the rationals).  Stops at that pair."""
+def first_failing_pair(left: Mapping, right: Mapping, polarize: bool) -> tuple[int, int] | None:
+    """First pair of the :func:`covector_pair_table` ``(left, right, polarize)``
+    of two polynomial term maps, in order, with a blade whose products sum to
+    nonzero; ``None`` means the condition holds for all covectors (lossless
+    over the rationals).  The whole table is built first; the sums stop at
+    that pair, each blade summed in one :meth:`Polynomial.sum_of_products`."""
+    table = covector_pair_table(left, right, polarize)
+    if not table:
+        return None
+    dim = next(iter(left.values())).num_vars
     for pair in sorted(table):
-        if any(map(total, table[pair].values())):
+        if any(Polynomial.sum_of_products(dim, products) for products in table[pair].values()):
             return pair
     return None
 
@@ -258,7 +264,7 @@ class GradedTerms:
     like its coefficients.
     """
 
-    __slots__ = ("dim", "grade", "terms", "_faces")
+    __slots__ = ("dim", "grade", "terms")
     __hash__ = None
 
     def __init__(self, dim: int, grade: int, terms: Mapping[Blade, object] | None = None):
@@ -268,7 +274,6 @@ class GradedTerms:
             raise ValueError("grade must be nonnegative")
         self.dim = dim
         self.terms = {}
-        self._faces = {}
         if grade > dim:
             if terms and any(terms.values()):
                 raise ValueError("no blades exist above the top grade")
@@ -283,13 +288,6 @@ class GradedTerms:
     @classmethod
     def zero(cls, dim: int, grade: int):
         return cls(dim, grade)
-
-    def faces(self, k: int) -> dict:
-        """``blade_contractions(self.terms, k)``, built on first use and kept: nothing
-        writes to ``terms`` or to a table, so a later call returns the same object."""
-        if k not in self._faces:
-            self._faces[k] = blade_contractions(self.terms, k)
-        return self._faces[k]
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -419,6 +417,3 @@ class Covector:
 
     def sparse(self) -> dict[int, Fraction]:
         return {u + 1: c for u, c in enumerate(self.components) if c}
-
-    def is_zero(self) -> bool:
-        return not any(self.components)

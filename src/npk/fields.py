@@ -7,8 +7,9 @@ container with coefficients in the polynomials in ``x1..xm``: its
 subclass fixes the coefficient ring (so ``*`` also takes a polynomial
 factor) and adds evaluation at a rational point (an exact
 :class:`~npk.exterior.Multivector`), partial derivatives and the
-contraction with a covector field; contraction with basis forms reads the
-field's face table ``faces(k)``, built once per field.  The module also
+contraction with a covector field; a reader that contracts with basis
+forms builds the table :func:`~npk.exterior.blade_contractions` of the
+field's terms, and nothing is kept on the field.  The module also
 provides the n-ary bracket a grade-n field induces on polynomial
 functions, the differential defect ``K(P, P) = sum_u i(dx^u) P ^ d_u P``
 whose vanishing is the differential half of the Poisson conditions (one
@@ -34,7 +35,6 @@ test oracles.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import partial
 from typing import Sequence
 
 from .exterior import (
@@ -43,7 +43,6 @@ from .exterior import (
     Multivector,
     blade_contractions,
     contract_terms,
-    covector_pair_table,
     first_failing_pair,
     merge_blades,
     sort_to_blade,
@@ -308,5 +307,4 @@ def jacobi_identity_holds(field: MultivectorField) -> bool:
         return False
     if n % 2 == 0:
         return True
-    table = covector_pair_table(field.terms, field.terms, False)
-    return first_failing_pair(table, partial(Polynomial.sum_of_products, field.dim)) is None
+    return first_failing_pair(field.terms, field.terms, False) is None

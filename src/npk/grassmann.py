@@ -28,7 +28,6 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import partial
 from math import lcm
 
 from .exterior import Covector, Multivector, blade_contractions, contract_terms, merge_blades
@@ -95,21 +94,22 @@ def sharp_profile(p: Multivector) -> SharpProfile:
     return SharpProfile(Subspace(p.dim, tuple(map(tuple, _reduced(*_image(p), p.dim)))))
 
 
-def plucker_holds(terms, faces) -> bool:
+def plucker_holds(terms) -> bool:
     """Whether every quadratic defect ``(i(dx^s) P) ^ P`` vanishes identically.
 
     ``P`` is the grade-n term map ``terms``, with polynomial coefficients,
-    and ``faces`` its (n-1)-face table (``faces(n-1)`` of an element), so
-    ``s`` runs over the basis (n-1)-blades; the defects are the classical
-    quadratic decomposability relations.  Each defect coefficient is a sum
-    of signed products ``+-F[r] * P[b]`` over the face's terms ``r`` and
-    the blades ``b`` disjoint from it; the products are grouped by the
+    and ``s`` runs over the basis (n-1)-blades: the rows of its (n-1)-face
+    table, built here.  The defects are the classical quadratic
+    decomposability relations.  Each defect coefficient is a sum of signed
+    products ``+-F[r] * P[b]`` over the face's terms ``r`` and the blades
+    ``b`` disjoint from it; the products are grouped by the
     merged blade and each group is summed in one
     :meth:`Polynomial.sum_of_products`, then tested once.
     """
     if not terms:
         return True
-    total = partial(Polynomial.sum_of_products, next(iter(terms.values())).num_vars)
+    dim = next(iter(terms.values())).num_vars
+    faces = blade_contractions(terms, len(next(iter(terms))) - 1)
     # each face is grade 1, so its terms are (u,); (u,) ^ blade is tabulated
     # once per u, when a face first needs it (a failing check stops early)
     inserts: dict = {}
@@ -121,7 +121,7 @@ def plucker_holds(terms, faces) -> bool:
                 row = inserts[u] = [(merged, b) for blade, b in terms.items() if (merged := merge_blades((u,), blade))]
             for (sign, key), b in row:
                 groups.setdefault(key, []).append((sign, a, b))
-        if any(total(products) for products in groups.values()):
+        if any(Polynomial.sum_of_products(dim, products) for products in groups.values()):
             return False
     return True
 
@@ -225,8 +225,7 @@ def contractions_decomposable(p: Multivector, k: int) -> bool:
         alpha = {u: Polynomial.variable(i * (r - k) + j, nvars) for j, u in enumerate(range(k + 1, r + 1), 1)}
         alpha[i + 1] = one
         terms = contract_terms(alpha, terms)
-    # a term map in covector indeterminates, not an element: its table is built here
-    return plucker_holds(terms, blade_contractions(terms, n - k - 1))
+    return plucker_holds(terms)
 
 
 @dataclass(frozen=True)

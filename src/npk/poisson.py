@@ -15,7 +15,7 @@ the differential one is the polynomial identity ``K(P, P) = 0`` of
 :func:`~npk.fields.differential_defect`.  The algebraic Nambu condition
 is equivalent to pointwise decomposability of the field value
 (Takhtajan; Gautheron), which the one Plucker loop
-:func:`~npk.grassmann.plucker_holds` decides on ``faces(n-1)``; the component
+:func:`~npk.grassmann.plucker_holds` decides; the component
 and polarized routes that cross-check it live in :mod:`npk.oracles`.  The
 module also builds the semi-decomposable structures of constant rank 2n
 and decides, for decomposable fields, involutivity of the image
@@ -27,12 +27,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import combinations
 from math import gcd
 from typing import Sequence
 
-from .exterior import blade_contractions, covector_pair_table, first_failing_pair, shuffle_sign
+from .exterior import blade_contractions, first_failing_pair, shuffle_sign
 from .fields import (
     MultivectorField,
     coordinate_vector_field,
@@ -41,7 +41,7 @@ from .fields import (
 )
 from .grassmann import plucker_holds
 from .linalg import sparse_rank
-from .polynomial import Polynomial, integer_evaluator
+from .polynomial import integer_evaluator
 
 Point = tuple[Fraction, ...]
 
@@ -78,8 +78,7 @@ def algebraic_condition(field: MultivectorField) -> AlgebraicConditionReport:
     """
     if field.grade < 2:
         raise ValueError("needs grade at least 2")
-    table = covector_pair_table(field.terms, field.terms, False)
-    witness = first_failing_pair(table, partial(Polynomial.sum_of_products, field.dim))
+    witness = first_failing_pair(field.terms, field.terms, False)
     return AlgebraicConditionReport(witness is None, witness)
 
 
@@ -95,7 +94,7 @@ def pointwise_decomposable(field: MultivectorField) -> bool:
     vanish as polynomial identities in the coordinates.  Grade at most 1
     counts as decomposable, as in :func:`~npk.grassmann.is_decomposable`.
     """
-    return field.grade <= 1 or plucker_holds(field.terms, field.faces(field.grade - 1))
+    return field.grade <= 1 or plucker_holds(field.terms)
 
 
 # _SAMPLE_COORDS[a + 6][b - 1] is Fraction(a, b): the random coordinates, built once
@@ -311,5 +310,5 @@ def is_involutive(field: MultivectorField) -> bool:
     """
     if field.grade < 1 or not pointwise_decomposable(field):
         raise ValueError("involutivity is decided for pointwise-decomposable fields of grade >= 1")
-    rows = [MultivectorField(field.dim, 1, face) for face in field.faces(field.grade - 1).values()]
+    rows = [MultivectorField(field.dim, 1, face) for face in blade_contractions(field.terms, field.grade - 1).values()]
     return not any(lie_bracket(x, y).wedge(field) for x, y in combinations(rows, 2))

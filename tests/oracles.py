@@ -321,7 +321,7 @@ def involutivity_by_sampling(field: MultivectorField, points=None, seed: int = 0
     """
     m, n = field.dim, field.grade
     pts = list(points) if points is not None else default_sample_points(m, seed)
-    rows = [MultivectorField(m, 1, face) for face in field.faces(n - 1).values()]
+    rows = [MultivectorField(m, 1, face) for face in blade_contractions(field.terms, n - 1).values()]
     brackets = [b for x, y in combinations(rows, 2) if (b := lie_bracket(x, y))]
     for pt in pts:
         if field.evaluate(pt).is_zero():

@@ -10,6 +10,8 @@ import warnings
 
 import pytest
 
+import npk.oracles
+import npk.suites
 from npk.suites import (
     SuiteResult,
     suite_block_sum_instance,
@@ -79,6 +81,21 @@ def test_criterion_5_nambu_chain():
     # decomposability; mixed-frame structures are Poisson but not Nambu
     result = suite_nambu_chain(SEED)
     _report(5, "nambu-three-routes", result)
+
+
+def test_nambu_chain_catches_routes_that_always_hold(monkeypatch):
+    # every route of is_nambu_algebraic and the suite's own pointwise check
+    # say True; only the rank of the field's values can disagree
+    def always(field):
+        return True
+
+    for name in ("pointwise_decomposable", "nambu_polarized_route", "nambu_component_route"):
+        monkeypatch.setattr(npk.oracles, name, always)
+    monkeypatch.setattr(npk.suites, "pointwise_decomposable", always)
+    result = suite_nambu_chain(SEED)
+    assert not result.passed
+    assert len(result.failures) == 13
+    assert all("nambu=True disagrees with the rank" in f for f in result.failures)
 
 
 def test_criterion_6_two_block_instance():

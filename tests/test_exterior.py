@@ -298,3 +298,10 @@ def test_float_and_bool_coefficients_are_refused(build):
     # be stored as its binary expansion and a bool would pass for 0 or 1
     with pytest.raises(TypeError, match="must be ints or Fractions"):
         build()
+
+
+def test_multivector_repr():
+    assert repr(Multivector(4, 2, {(1, 2): 1, (1, 3): -1, (2, 4): Fraction(3, 2)})) == "e(1,2) - e(1,3) + 3/2*e(2,4)"
+    assert repr(Multivector(3, 1, {(2,): -2})) == "-2*e(2)"
+    assert repr(Multivector(4, 0, {(): Fraction(-2, 3)})) == "-2/3"
+    assert repr(Multivector.zero(4, 2)) == "0[grade 2, dim 4]"

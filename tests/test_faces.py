@@ -1,31 +1,29 @@
-"""Every contraction table is built once per element and k.
+"""Every contraction table is built at most once per term map and k.
 
-Each reader of a face table goes through ``GradedTerms.faces(k)``, which
-builds ``blade_contractions(terms, k)`` on first use and keeps it; only
-the two term maps that are no element (the symbolic contraction of
-``contractions_decomposable`` and the position map of ``sample_ranks``)
-are tabulated directly, once per call.  ``grassmann._image`` also
-tabulates the (n-1)-faces of a constant directly, on the integer
-multiple of its terms, for the one forward pass behind every question
-about its image: the rows are read once and dropped, and a table kept on
-the caller's element would stay alive as long as the element does.
+No table is kept on an element: each reader builds the
+``blade_contractions(terms, k)`` it reads, once per call.  The (n-1)-face
+table of the Plücker loop is built by ``plucker_holds``; the symbolic
+tables of ``contractions_decomposable``, ``sample_ranks`` and
+``contracted_derivative`` by those functions; and ``grassmann._image``
+tabulates the (n-1)-faces of a constant on the integer multiple of its
+terms, for the one forward pass behind every question about its image.
+A caller that decides the same thing twice for one element builds its
+table twice, and this count sees it.
 """
 
 import importlib
 import pathlib
 import pkgutil
 from collections import Counter
-from fractions import Fraction
 
 import pytest
 
 import npk
 from npk.cli import main
-from npk.exterior import Multivector, blade_contractions
-from npk.specio import parse_spec, to_field
+from npk.exterior import blade_contractions
 
 SPECS = sorted((pathlib.Path(__file__).resolve().parents[1] / "specs").glob("*.json"))
-COMMANDS = ("check", "rank", "nambu", "jacobi", "factorize", "sigma-delta")
+COMMANDS = ("check", "rank", "nambu", "jacobi", "factorize", "sigma-delta", "suite")
 
 
 @pytest.fixture
@@ -48,20 +46,10 @@ def builds(monkeypatch):
 
 @pytest.mark.parametrize("command", COMMANDS)
 def test_each_table_is_built_at_most_once(command, builds, capsys):
-    for spec in SPECS:
-        main([command, str(spec)])
+    runs = [["suite", "--seed", "0"]] if command == "suite" else [[command, str(spec)] for spec in SPECS]
+    for argv in runs:
+        main(argv)
         capsys.readouterr()
     assert builds, "no table was built: the patch missed the kernel"
     repeated = {key: count for key, count in builds.items() if count > 1}
     assert not repeated, f"{command} rebuilt {len(repeated)} tables"
-
-
-def test_faces_is_the_kernel_table_built_once():
-    elements = [to_field(parse_spec(spec)) for spec in SPECS]
-    elements.append(Multivector(5, 3, {(1, 2, 3): 2, (1, 4, 5): Fraction(-1, 3), (2, 3, 5): 1}))
-    elements.append(Multivector.zero(4, 2))
-    for p in elements:
-        for k in range(p.grade + 2):
-            table = p.faces(k)
-            assert table == blade_contractions(p.terms, k), (p, k)
-            assert p.faces(k) is table

@@ -8,7 +8,7 @@ import pytest
 import npk.fields
 import npk.poisson
 from npk.compat import delta, is_compatible
-from npk.exterior import Multivector, covector_pair_table, iter_blades
+from npk.exterior import Multivector, blade_contractions, covector_pair_table, iter_blades
 from npk.fields import (
     MultivectorField,
     _gradient,
@@ -62,6 +62,15 @@ def test_polynomial_derivative():
 
 # ---------------------------------------------------------------------------
 # componentwise field operations
+
+def test_field_repr():
+    # a coefficient of several terms or with a leading minus is parenthesised
+    assert repr(MultivectorField(3, 3, {(1, 2, 3): var(1, 3) + 1})) == "(x1 + 1)*e(1,2,3)"
+    assert repr(MultivectorField(4, 2, {(1, 2): var(1, 4), (3, 4): 1})) == "x1*e(1,2) + 1*e(3,4)"
+    assert repr(MultivectorField(4, 2, {(1, 2): -var(1, 4)})) == "(-x1)*e(1,2)"
+    assert repr(MultivectorField(4, 0, {(): var(1, 4)})) == "x1"
+    assert repr(MultivectorField.zero(4, 2)) == "0[grade 2, dim 4]"
+
 
 def test_partial_derivative_of_constant_field():
     f = MultivectorField(M, 3, {(1, 2, 3): 7})
@@ -342,7 +351,7 @@ def test_face_read_matches_kernel_and_minors():
         n = rng.randint(1, min(4, m))
         blades = rng.sample(list(iter_blades(m, n)), min(rng.randint(1, 3), comb(m, n)))
         p = MultivectorField(m, n, {b: random_polynomial(rng, m, degree=2) for b in blades})
-        rows = p.faces(n - 1)
+        rows = blade_contractions(p.terms, n - 1)
         g = random_polynomial(rng, m, degree=2, max_monos=4)
         for r in combinations(range(1, m + 1), n - 1):
             args = [g] + [var(a, m) for a in r]

@@ -5,7 +5,7 @@ from itertools import combinations
 import pytest
 
 import npk.grassmann
-from npk.exterior import Covector, Multivector, blade_contractions
+from npk.exterior import Covector, GradedTerms, Multivector, blade_contractions
 from npk.fields import MultivectorField
 from npk.grassmann import (
     ContractionSubspaceReport,
@@ -410,9 +410,9 @@ def test_profile_indeterminates_follow_the_rank(monkeypatch):
     seen = []
     plucker_holds = npk.grassmann.plucker_holds
 
-    def spy(terms, faces):
+    def spy(terms):
         seen.append({c.num_vars for c in terms.values()})
-        return plucker_holds(terms, faces)
+        return plucker_holds(terms)
 
     monkeypatch.setattr(npk.grassmann, "plucker_holds", spy)
     assert (len(set().union(*DEC_851.terms)), sharp_profile(DEC_851).rank) == (6, 5)
@@ -422,10 +422,17 @@ def test_profile_indeterminates_follow_the_rank(monkeypatch):
 
 
 def test_profile_keeps_no_table_on_the_element():
+    # an element holds dim, grade and terms only: no subclass adds a slot
+    # or an instance dict, so no table can be kept on it
+    assert GradedTerms.__slots__ == ("dim", "grade", "terms")
+    subclasses = GradedTerms.__subclasses__()
+    assert {Multivector, MultivectorField} <= set(subclasses)
+    assert all(cls.__dict__.get("__slots__") == () for cls in subclasses)
     dec = Multivector(8, 1, {(1,): 2, (6,): -1}).wedge(blade(8, 2, 3, 4, 5))
     p = Multivector(7, 3, {(1, 2, 3): 1, (1, 4, 5): Fraction(-2, 3), (2, 6, 7): 3})
     two_block = Multivector(6, 3, {(1, 2, 3): 1, (4, 5, 6): 1})
     for q in (dec, p, two_block):
+        before = dict(q.terms)
         for k in range(1, q.grade - 1):
             contractions_decomposable(q, k)
         sharp_profile(q)
@@ -436,7 +443,8 @@ def test_profile_keeps_no_table_on_the_element():
             pass
         irreducibility_check(q)
         contraction_subspace_report(q, Covector.basis(q.dim, 1))
-        assert q._faces == {}
+        assert not hasattr(q, "__dict__")
+        assert q.terms == before
 
 
 # ---------------------------------------------------------------------------
