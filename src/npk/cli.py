@@ -12,12 +12,13 @@ wall-clock timing appears only in the human-readable form.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import sys
 import time
 
-from .compat import delta, gradient_contraction, is_compatible
+from .compat import IncompatibleFieldError, delta, gradient_contraction
 from .fields import MultivectorField, jacobi_identity_holds
 from .grassmann import NotDecomposableError, factorize
 from .poisson import classify, default_sample_points, pointwise_decomposable, sample_ranks
@@ -109,25 +110,20 @@ def _cmd_jacobi(field: MultivectorField, args) -> tuple[dict, int]:
 
 
 def _cmd_sigma_delta(field: MultivectorField, args) -> tuple[dict, int]:
-    membership = is_compatible(field, field)
-    report: dict = {
-        "command": "sigma-delta",
-        "seed": args.seed,
-        "structure_compatible": membership.holds,
-        "witness": list(membership.witness) if membership.witness else None,
-    }
-    annihilates = False
-    if membership.holds:
+    report: dict = {"command": "sigma-delta", "seed": args.seed}
+    try:
         image = delta(field, field)
-        annihilates = image.is_zero()
-        report["operator_annihilates_structure"] = annihilates
-        f = Polynomial.variable(1, field.dim)
-        lifted = delta(field, MultivectorField(field.dim, 0, {(): f}))
-        report["gradient_action_matches"] = lifted == gradient_contraction(field, f)
-        if is_compatible(field, lifted).holds:
-            report["operator_square_on_x1"] = repr(delta(field, lifted))
-    ok = membership.holds and annihilates
-    return report, 0 if ok else 1
+    except IncompatibleFieldError as refusal:
+        report.update(structure_compatible=False, witness=list(refusal.witness))
+        return report, 1
+    annihilates = image.is_zero()
+    report.update(structure_compatible=True, witness=None, operator_annihilates_structure=annihilates)
+    f = Polynomial.variable(1, field.dim)
+    lifted = delta(field, MultivectorField(field.dim, 0, {(): f}))
+    report["gradient_action_matches"] = lifted == gradient_contraction(field, f)
+    with contextlib.suppress(IncompatibleFieldError):
+        report["operator_square_on_x1"] = repr(delta(field, lifted))
+    return report, 0 if annihilates else 1
 
 
 def _cmd_suite(args) -> tuple[dict, int]:

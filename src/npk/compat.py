@@ -23,7 +23,12 @@ from .polynomial import Polynomial
 
 
 class IncompatibleFieldError(ValueError):
-    """Raised when the operator is applied outside its compatible domain."""
+    """Raised when the operator is applied outside its compatible domain;
+    ``witness`` is the first failing basis pair of :func:`is_compatible`."""
+
+    def __init__(self, witness: tuple[int, int]):
+        super().__init__(f"candidate field is not compatible with the structure (witness pair {witness})")
+        self.witness = witness
 
 
 @dataclass(frozen=True)
@@ -59,9 +64,7 @@ def delta(structure: MultivectorField, candidate: MultivectorField) -> Multivect
     """
     membership = is_compatible(structure, candidate)
     if not membership.holds:
-        raise IncompatibleFieldError(
-            f"candidate field is not compatible with the structure (witness pair {membership.witness})"
-        )
+        raise IncompatibleFieldError(membership.witness)
     return contracted_derivative(structure, candidate) + contracted_derivative(candidate, structure)
 
 

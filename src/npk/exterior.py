@@ -13,7 +13,8 @@ with polynomial coefficients.  The term kernels (:func:`wedge_terms`,
 unary ``-``, ``*`` and truthiness, so both subclasses share them.
 :func:`covector_pair_table` is the one kernel of the conditions quadratic
 in two covectors: the algebraic condition, compatibility and the Jacobi
-symbol; :func:`first_failing_pair` builds it and sums it.
+symbol; its blades and signs come from :func:`merge_blades`, as in
+:func:`wedge_terms`, and :func:`first_failing_pair` builds it and sums it.
 :func:`blade_contractions` is the one kernel for contraction with basis
 forms: it tabulates the contractions with every basis k-form at once,
 built from the faces of the blades present, and a basis covector is the
@@ -99,14 +100,6 @@ def sort_to_blade(indices: Iterable[int]):
     return (1 if inv % 2 == 0 else -1), tuple(sorted(lst))
 
 
-def shuffle_sign(left: Iterable[int], right: Iterable[int]) -> int:
-    """Sign of interleaving two disjoint increasing sequences into one."""
-    merged = merge_blades(tuple(left), tuple(right))
-    if merged is None:
-        raise ValueError("sequences are not disjoint")
-    return merged[0]
-
-
 # ---------------------------------------------------------------------------
 # term-map kernels (coefficient-generic)
 
@@ -161,39 +154,31 @@ def covector_pair_table(left: Mapping[Blade, object], right: Mapping[Blade, obje
     ``(i(dx^b) L) ^ (i(dx^a) R)`` when ``polarize`` and ``a < b``.  Deleting
     ``w`` from a blade ``S`` of ``L`` and ``z`` from ``T`` of ``R`` leaves
     disjoint blades iff ``S & T <= {w, z}``, so one bitmask test rejects
-    ``|S & T| > 2``.  In ``U = sorted(S + T)``, ``r(v)`` (the indices below
-    ``v``) is the first position of ``v``; dropping the copies at ``r(w)``
-    and ``r(z)`` (``r(w) + 1`` if ``w = z``) leaves the blade.  Contracting
-    position ``i`` has sign ``(-1)^i``; as ``inv`` (the pairs ``x > y``
-    across) has ``inv(S - w, T - z) = inv(S, T) - #{y in T: y < w} - #{x in S: x > z} + [w > z]``,
-    the sign is ``(-1)^(inv(S, T) + |S| + r(w) + r(z) + [w > z] + [z in S])``,
-    with ``inv(S, T) = sum(r(x) for x in S) - |S|(|S| - 1)/2``.
+    ``|S & T| > 2``.  Contracting position ``i`` of ``S`` and ``j`` of ``T``
+    has sign ``(-1)^(i + j)``; :func:`merge_blades` gives the blade and the
+    rest of the sign.
     """
     out: dict = {}
     rights = [(t, sum(1 << v for v in t), y) for t, y in right.items()]
     for s, x in left.items():
         ms = sum(1 << v for v in s)
-        base = len(s) * (len(s) + 1) // 2  # |S| - |S|(|S| - 1)/2, mod 2
         for t, mt, y in rights:
             both = ms & mt
             if both.bit_count() > 2:
                 continue
-            u = tuple(sorted(s + t))
-            first = base + sum(map(u.index, s))
-            for w in s:
+            for i, w in enumerate(s):
                 # every index both blades share must be w or z
                 need = both & ~(1 << w)
                 if need.bit_count() > 1:
                     continue
-                for z in (need.bit_length() - 1,) if need else t:
+                shared = need.bit_length() - 1
+                for j, z in ((t.index(shared), shared),) if need else enumerate(t):
                     if w > z and not polarize:
                         continue
-                    # q is r(z), or r(w) + 1 if w = z: (w > z) + (w == z) is (w >= z)
-                    p, q = u.index(w), u.index(z) + (w == z)
-                    odd = (first + p + q + (w >= z) + (ms >> z & 1)) % 2
-                    lo, hi = (p, q) if p < q else (q, p)
+                    # S - w and T - z are disjoint, so the merge never vanishes
+                    sign, blade = merge_blades(s[:i] + s[i + 1:], t[:j] + t[j + 1:])
                     blades = out.setdefault((w, z) if w <= z else (z, w), {})
-                    blades.setdefault(u[:lo] + u[lo + 1:hi] + u[hi + 1:], []).append((-1 if odd else 1, x, y))
+                    blades.setdefault(blade, []).append((-sign if (i + j) % 2 else sign, x, y))
     return out
 
 

@@ -32,7 +32,7 @@ from itertools import combinations
 from math import gcd
 from typing import Sequence
 
-from .exterior import blade_contractions, first_failing_pair, shuffle_sign
+from .exterior import blade_contractions, first_failing_pair, merge_blades
 from .fields import (
     MultivectorField,
     coordinate_vector_field,
@@ -245,7 +245,7 @@ def build_semidecomposable(
     total = MultivectorField.zero(m, n)
     for subset in combinations(range(n), h):
         rest = tuple(i for i in range(n) if i not in subset)
-        sign = shuffle_sign(subset, rest)
+        sign = merge_blades(subset, rest)[0]
         factors = [v_fields[i] for i in subset] + [w_fields[j] for j in rest]
         term = factors[0]
         for f in factors[1:]:

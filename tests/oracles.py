@@ -17,7 +17,7 @@ from math import factorial
 from typing import Iterator, Mapping, Sequence
 
 import npk.fields
-from npk.exterior import Multivector, blade_contractions, contract_terms, iter_blades, shuffle_sign, wedge_terms
+from npk.exterior import Multivector, blade_contractions, contract_terms, iter_blades, merge_blades, wedge_terms
 from npk.fields import MultivectorField, lie_bracket, nary_bracket
 from npk.linalg import Subspace
 from npk.poisson import default_sample_points
@@ -250,7 +250,7 @@ def jacobi_shuffles(n: int) -> dict:
     out = {}
     for left in combinations(indices, n):
         right = tuple(i for i in indices if i not in left)
-        out[left] = (shuffle_sign(left, right), left, right)
+        out[left] = (merge_blades(left, right)[0], left, right)
     return out
 
 

@@ -1,10 +1,12 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import npk.exterior
 from npk.exterior import (
     Covector,
     Multivector,
@@ -12,12 +14,14 @@ from npk.exterior import (
     contract_terms,
     covector_pair_table,
     iter_blades,
+    merge_blades,
+    sort_to_blade,
 )
 from npk.fields import MultivectorField
 from npk.linalg import Subspace, rref
 from npk.polynomial import Polynomial
 from npk.suites import random_constant_multivector, random_linear_field
-from oracles import iterated_contraction, pair_wedges_by_contraction
+from oracles import iterated_contraction, pair_wedges_by_contraction, perm_sign
 
 
 def blade(dim, *indices, c=1):
@@ -59,6 +63,40 @@ def test_cross_terms_double():
 def test_wedge_dimension_mismatch():
     with pytest.raises(ValueError, match="incompatible spaces"):
         blade(4, 1).wedge(blade(5, 2))
+
+
+def test_merge_and_sort_signs_match_the_inversion_count():
+    # the one blade-merge sign of the package, against perm_sign's direct
+    # count of inversions: every pair of blades in dimension 6, and every
+    # index tuple of length at most 4 over 1..5
+    blades = [b for k in range(7) for b in iter_blades(6, k)]
+    for s in blades:
+        for t in blades:
+            want = (perm_sign(s + t), tuple(sorted(s + t))) if not set(s) & set(t) else None
+            assert merge_blades(s, t) == want, (s, t)
+    for k in range(5):
+        for indices in product(range(1, 6), repeat=k):
+            want = (perm_sign(indices), tuple(sorted(indices))) if len(set(indices)) == k else None
+            assert sort_to_blade(indices) == want, indices
+
+
+@pytest.mark.parametrize("cls", [Multivector, MultivectorField])
+def test_graded_terms_refusals(cls):
+    refusals = [
+        (lambda: cls(4, 2, {(1,): 1}), "blade (1,) does not have grade 2"),
+        (lambda: cls(3, 2, {(1, 4): 1}), "blade (1, 4) exceeds dimension 3"),
+        (lambda: cls(-1, 0), "dimension must be nonnegative"),
+        (lambda: cls(3, -1), "grade must be nonnegative"),
+        (lambda: cls(2, 3, {(1, 2, 3): 1}), "no blades exist above the top grade"),
+        (lambda: cls(4, 1, {(1,): 1}) + cls(4, 2, {(1, 2): 1}), "cannot add elements of different grades"),
+        (lambda: cls(4, 1, {(1,): 1}) + cls(5, 1, {(1,): 1}), "incompatible spaces"),
+    ]
+    for build, message in refusals:
+        with pytest.raises(ValueError) as refusal:
+            build()
+        assert type(refusal.value) is ValueError and str(refusal.value) == message
+    # a zero coefficient above the top grade is the canonical zero, not a refusal
+    assert cls(2, 3, {(1, 2, 3): 0}) == cls.zero(2, 5)
 
 
 def test_wedge_above_top_grade_is_canonical_zero():
@@ -247,7 +285,7 @@ def test_blade_contractions_match_dense_enumeration():
         assert blade_contractions(scalar, 0) == ({(): scalar} if scalar else {})
 
 
-@pytest.mark.parametrize("p,q", [(1, 2), (2, 2), (3, 3), (2, 4)])
+@pytest.mark.parametrize("p,q", [(1, 2), (2, 2), (3, 3), (2, 4), (2, 1), (3, 2), (4, 2)])
 def test_pair_table_matches_the_dense_route_on_blade_pairs(p, q):
     # every pair of basis blades S, T on six coordinates: the table's sums
     # are the dense route's wedges (which count the polarized diagonal
@@ -271,6 +309,33 @@ def test_pair_table_matches_the_dense_route_on_blade_pairs(p, q):
                 if table:
                     sizes.add(shared)
     assert sizes == set(range(min(p, q, 2) + 1))
+
+
+def test_pair_table_takes_blades_and_signs_from_merge_blades(monkeypatch):
+    # one merge per pushed product, and a merge that flips its sign flips
+    # the sign of every push: the table adds only the position parity
+    left = {(1, 2, 3): 2, (1, 4, 5): -1, (2, 4, 6): 5}
+    right = {(1, 2): 3, (3, 6): -2, (4, 5): 7}
+    calls = []
+    merge = npk.exterior.merge_blades
+
+    def flipped(s, t):
+        calls.append((s, t))
+        sign, blade = merge(s, t)
+        return -sign, blade
+
+    for polarize in (False, True):
+        want = covector_pair_table(left, right, polarize)
+        calls.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(npk.exterior, "merge_blades", flipped)
+            got = covector_pair_table(left, right, polarize)
+        pushes = sum(len(products) for blades in want.values() for products in blades.values())
+        assert pushes and len(calls) == pushes
+        assert got == {
+            pair: {blade: [(-sign, x, y) for sign, x, y in products] for blade, products in blades.items()}
+            for pair, blades in want.items()
+        }
 
 
 _INEXACT = {

@@ -8,7 +8,8 @@ tables of ``contractions_decomposable``, ``sample_ranks`` and
 tabulates the (n-1)-faces of a constant on the integer multiple of its
 terms, for the one forward pass behind every question about its image.
 A caller that decides the same thing twice for one element builds its
-table twice, and this count sees it.
+table twice, and this count sees it.  The same holds for the covector
+pair table behind every compatibility decision.
 """
 
 import importlib
@@ -19,8 +20,9 @@ from collections import Counter
 import pytest
 
 import npk
+import npk.exterior
 from npk.cli import main
-from npk.exterior import blade_contractions
+from npk.exterior import blade_contractions, covector_pair_table
 
 SPECS = sorted((pathlib.Path(__file__).resolve().parents[1] / "specs").glob("*.json"))
 COMMANDS = ("check", "rank", "nambu", "jacobi", "factorize", "sigma-delta", "suite")
@@ -53,3 +55,21 @@ def test_each_table_is_built_at_most_once(command, builds, capsys):
     assert builds, "no table was built: the patch missed the kernel"
     repeated = {key: count for key, count in builds.items() if count > 1}
     assert not repeated, f"{command} rebuilt {len(repeated)} tables"
+
+
+@pytest.mark.parametrize(
+    "spec,decisions", [("decomposable_3vector", 2), ("two_block_4vector", 2), ("nonpoisson_3vector", 1)]
+)
+def test_sigma_delta_decides_each_compatibility_once(spec, decisions, monkeypatch, capsys):
+    # delta decides (P, P) and (P, lifted) and reports a refusal, so no
+    # compatibility is decided again; a structure that fails stops at one
+    pairs = []
+
+    def counted(left, right, polarize):
+        pairs.append((left, right))
+        return covector_pair_table(left, right, polarize)
+
+    monkeypatch.setattr(npk.exterior, "covector_pair_table", counted)
+    main(["sigma-delta", str(SPECS[0].with_name(f"{spec}.json"))])
+    capsys.readouterr()
+    assert len(pairs) == decisions

@@ -54,6 +54,19 @@ def test_parse_integer_strings_as_fraction_reads_them():
         assert field.terms[(1, 2, 3)] == Fraction(value), value
 
 
+def test_parse_integer_values_read_as_their_strings():
+    # JSON integers take their own path through the parser, for constants
+    # and for monomial coefficients alike
+    for value in (7, -3, 0, 10**30):
+        as_int = to_field(parse_spec_text(CONSTANT_SPEC.replace('"1"', json.dumps(value))))
+        assert as_int == to_field(parse_spec_text(CONSTANT_SPEC.replace('"1"', json.dumps(str(value))))), value
+        monomials = [
+            {"m": 2, "n": 2, "kind": "polynomial", "terms": [{"indices": [1, 2], "value": [{"coef": c, "exps": [1, 0]}]}]}
+            for c in (value, str(value))
+        ]
+        assert parse_spec_data(monomials[0]).field == parse_spec_data(monomials[1]).field, value
+
+
 def test_parse_rejects_unsorted_indices():
     text = CONSTANT_SPEC.replace("[1, 2, 3]", "[2, 1, 3]")
     with pytest.raises(SpecError, match="strictly increasing"):
@@ -393,6 +406,13 @@ def test_cli_factorize_blade(spec_path, capsys):
     assert len(out["factors"]) == 3
 
 
+def test_cli_factorize_refuses_the_zero_tensor(spec_path, capsys):
+    for terms in ([], [{"indices": [1, 2], "value": "0"}]):
+        path = spec_path("zero.json", {"m": 4, "n": 2, "kind": "constant", "terms": terms})
+        assert main(["factorize", path, "--json"]) == 1
+        assert json.loads(capsys.readouterr().out) == {"command": "factorize", "error": "zero tensor"}
+
+
 def test_cli_jacobi_and_nambu(spec_path, capsys):
     path = spec_path("mixed.json", MIXED_SPEC)
     assert main(["jacobi", path, "--json"]) == 1
@@ -532,6 +552,31 @@ def test_cli_malformed_spec_is_operational_error(tmp_path, capsys):
     assert main(["check", str(path)]) == 2
 
 
+MALFORMED_SPECS = {
+    "top-level-list": ([1, 2, 3], "top level must be a JSON object"),
+    "missing-field": ({"m": 5, "n": 3, "kind": "constant"}, "top level: missing fields ['terms']"),
+    "bad-kind": ({"m": 5, "n": 3, "kind": "sparse", "terms": []}, "kind must be 'constant' or 'polynomial', got 'sparse'"),
+    "terms-object": ({"m": 5, "n": 3, "kind": "constant", "terms": {}}, "terms must be a list"),
+    "term-number": ({"m": 5, "n": 3, "kind": "constant", "terms": [1]}, "terms[0]: must be an object"),
+    "polynomial-string": (
+        {"m": 3, "n": 2, "kind": "polynomial", "terms": [{"indices": [1, 2], "value": "1"}]},
+        "terms[0]: polynomial values must be monomial lists",
+    ),
+    "monomial-number": (
+        {"m": 3, "n": 2, "kind": "polynomial", "terms": [{"indices": [1, 2], "value": [1]}]},
+        "terms[0].value[0]: must be an object",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_SPECS))
+def test_cli_malformed_spec_error_lines(case, spec_path, capsys):
+    obj, message = MALFORMED_SPECS[case]
+    assert main(["check", spec_path(f"{case}.json", obj)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("opener", ["[", '{"m": '])
 @pytest.mark.parametrize("command", ["check", "rank", "factorize", "nambu", "jacobi", "sigma-delta"])
 def test_cli_deeply_nested_spec_is_operational_error(opener, command, tmp_path, capsys):
@@ -565,7 +610,7 @@ LIBRARY_CALLS = {
     "factorize": (MultivectorField, "evaluate"),
     "nambu": (npk.cli, "pointwise_decomposable"),
     "jacobi": (npk.cli, "jacobi_identity_holds"),
-    "sigma-delta": (npk.cli, "is_compatible"),
+    "sigma-delta": (npk.cli, "delta"),
     "suite": (npk.cli, "run_all"),
 }
 
