@@ -25,6 +25,7 @@ from .grassmann import (
     IrreducibilityVerdict,
     NotDecomposableError,
     SharpProfile,
+    contraction_profile,
     contraction_subspace_report,
     contractions_decomposable,
     factorize,
@@ -71,6 +72,7 @@ __all__ = [
     "block_sum",
     "build_semidecomposable",
     "classify",
+    "contraction_profile",
     "contraction_subspace_report",
     "contractions_decomposable",
     "coordinate_semidecomposable",

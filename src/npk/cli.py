@@ -14,26 +14,28 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
-import json
 import sys
 import time
 
 from .compat import IncompatibleFieldError, delta, gradient_contraction
 from .fields import MultivectorField, jacobi_identity_holds
 from .grassmann import NotDecomposableError, factorize
-from .poisson import classify, default_sample_points, pointwise_decomposable, sample_ranks
+from .poisson import _sample_points, classify, default_sample_points, pointwise_decomposable, sample_ranks
 from .polynomial import Polynomial
-from .specio import SpecError, parse_spec, to_field
+from .specio import SpecError, canonical_json, parse_spec, to_field
 from .suites import run_all
 
 
-def _point_str(point) -> list[str]:
-    return [str(c) for c in point]  # the sample points are Fractions already
+# bounded like the points themselves, which it reads from their own cache
+@functools.lru_cache(maxsize=16)
+def _point_strs(dim: int, seed: int, samples: int) -> tuple[tuple[str, ...], ...]:
+    """The strings of ``default_sample_points(dim, seed, samples)``, built once per process."""
+    return tuple(tuple(map(str, pt)) for pt in _sample_points(dim, seed, samples))
 
 
 def _emit(report: dict, as_json: bool, elapsed: float) -> None:
     if as_json:
-        print(json.dumps(report, indent=2, sort_keys=True))
+        print(canonical_json(report))
         return
     for key, value in report.items():
         if key == "rank_at_samples":
@@ -67,7 +69,8 @@ def _cmd_check(field: MultivectorField, args) -> tuple[dict, int]:
         "pointwise_decomposable": verdict.pointwise_decomposable,
         "nambu_algebraic": verdict.nambu_algebraic,
         "rank_at_samples": [
-            {"point": _point_str(pt), "rank": r} for pt, r in verdict.rank_at_samples
+            {"point": strs, "rank": r}
+            for strs, (_, r) in zip(_point_strs(field.dim, args.seed, args.samples), verdict.rank_at_samples)
         ],
     }
     return report, 0 if verdict.is_poisson else 1
@@ -77,8 +80,8 @@ def _cmd_rank(field: MultivectorField, args) -> tuple[dict, int]:
     # the annihilator has one basis covector per free column: m - rank of them
     points = default_sample_points(field.dim, args.seed, extra=args.samples)
     entries = [
-        {"point": _point_str(pt), "rank": rank, "annihilator_dim": field.dim - rank}
-        for pt, rank in sample_ranks(field, points)
+        {"point": strs, "rank": rank, "annihilator_dim": field.dim - rank}
+        for strs, (_, rank) in zip(_point_strs(field.dim, args.seed, args.samples), sample_ranks(field, points))
     ]
     return {"command": "rank", "seed": args.seed, "rank_at_samples": entries}, 0
 

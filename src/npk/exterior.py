@@ -271,6 +271,14 @@ class GradedTerms:
             _add_term(self.terms, blade, self._coerce(coef, dim))
 
     @classmethod
+    def _raw(cls, dim: int, grade: int, terms: dict):
+        # internal fast path: the caller guarantees grade <= dim, valid
+        # blades of that grade and nonzero coefficients of the ring
+        element = object.__new__(cls)
+        element.dim, element.grade, element.terms = dim, grade, terms
+        return element
+
+    @classmethod
     def zero(cls, dim: int, grade: int):
         return cls(dim, grade)
 

@@ -209,9 +209,27 @@ def contractions_decomposable(p: Multivector, k: int) -> bool:
         raise ValueError("needs grade at least 3")
     if not 1 <= k <= n - 2:
         raise ValueError(f"k must satisfy 1 <= k <= n-2, got k={k} for grade {n}")
+    return p.is_zero() or _contractions_decomposable(p, _image(p)[1], k)
+
+
+def contraction_profile(p: Multivector) -> dict[int, bool]:
+    """``{k: contractions_decomposable(p, k)}`` for ``k = 1 .. n-2``, from one :func:`_image`.
+
+    Every k reads the same pivot columns, so the (n-1)-face table is built
+    and reduced once per profile; nothing is kept on ``p``.
+    """
+    n = p.grade
+    if n < 3:
+        raise ValueError("needs grade at least 3")
+    ks = range(1, n - 1)
     if p.is_zero():
-        return True
+        return dict.fromkeys(ks, True)
     pivots = _image(p)[1]
+    return {k: _contractions_decomposable(p, pivots, k) for k in ks}
+
+
+def _contractions_decomposable(p: Multivector, pivots: list[int], k: int) -> bool:
+    # the gauge-fixed decision of contractions_decomposable on p's image pivots
     position = {c + 1: i for i, c in enumerate(pivots, 1)}
     r = len(pivots)
     nvars = k * (r - k)

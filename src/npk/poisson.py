@@ -172,7 +172,10 @@ def sample_ranks(field: MultivectorField, points: Sequence[Point]) -> tuple[tupl
                 for entries in table
             )
             rank = ranks[key] = len(done) + sparse_rank(rows, m - len(done))
-        out.append((tuple(c if isinstance(c, Fraction) else Fraction(c) for c in pt), rank))
+        # the sample points are tuples of Fractions already: keep them
+        if type(pt) is not tuple or {*map(type, pt)} - {Fraction}:
+            pt = tuple(c if isinstance(c, Fraction) else Fraction(c) for c in pt)
+        out.append((pt, rank))
     return tuple(out)
 
 

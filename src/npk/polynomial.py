@@ -45,6 +45,19 @@ def _pack(exps: Sequence[int], width: int) -> int:
     return sum(e << (i * width) for i, e in enumerate(exps))
 
 
+def _packed(clean: Mapping[tuple[int, ...], int | Fraction]) -> tuple[dict[int, int], int, int, int]:
+    """``(terms, den, bound, width)`` of valid exponent tuples with nonzero exact coefficients.
+
+    The bound is read from the tuples given, so a monomial that cancelled
+    before the call does not widen the fields.
+    """
+    bound = max((max(e, default=0) for e in clean), default=0)
+    width = _width(bound)
+    # over the lcm of the denominators the numerators are already coprime to it
+    den = lcm(*(c.denominator for c in clean.values()))
+    return {_pack(e, width): c.numerator * (den // c.denominator) for e, c in clean.items()}, den, bound, width
+
+
 class Polynomial:
     """Polynomial in ``num_vars`` variables over the rationals.
 
@@ -66,13 +79,8 @@ class Polynomial:
                 raise ValueError(f"bad exponent tuple {exps!r} for {num_vars} variables")
             _exact(coef)
             clean[exps] = clean[exps] + coef if exps in clean else coef
-        clean = {e: c for e, c in clean.items() if c}
-        bound = max((max(e, default=0) for e in clean), default=0)
-        width = _width(bound)
-        # over the lcm of the denominators the numerators are already coprime to it
-        den = lcm(*(c.denominator for c in clean.values()))
-        packed = {_pack(e, width): c.numerator * (den // c.denominator) for e, c in clean.items()}
-        self.num_vars, self.terms, self.den, self.bound, self.width = num_vars, packed, den, bound, width
+        self.num_vars = num_vars
+        self.terms, self.den, self.bound, self.width = _packed({e: c for e, c in clean.items() if c})
 
     @classmethod
     def _raw(cls, num_vars: int, terms: dict[int, int], den: int = 1, bound: int = 0, width: int = 8) -> "Polynomial":

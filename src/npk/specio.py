@@ -14,11 +14,16 @@ unknown and repeated fields are rejected, indices must be strictly
 increasing, and all numbers arrive as rational strings or integers.  It
 validates the spec and builds its :class:`~npk.fields.MultivectorField`
 in one pass, reading each coefficient once; repeated blades and monomials
-merge by addition and a blade that cancels disappears.  A
-:class:`TensorSpec` is ``m``, ``n``, ``kind`` and that field.
-Serialization renders the field canonically (blades sorted, monomials as
+merge by addition and a blade that cancels disappears.  The validated
+components are packed straight into polynomials and the field is
+assembled without validating them again.  A :class:`TensorSpec` is
+``m``, ``n``, ``kind`` and that field.  Serialization renders the field
+canonically (blades sorted, monomials as
 :meth:`~npk.polynomial.Polynomial.monomials` orders them), so equal specs
 serialize byte-identically.
+:func:`canonical_json` is the one JSON writer of the package: the text of
+``json.dumps(obj, indent=2, sort_keys=True)``, built without the standard
+library's pure-Python indent path.
 """
 
 from __future__ import annotations
@@ -26,11 +31,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
 from .exterior import _add_term
 from .fields import MultivectorField
-from .polynomial import Polynomial
+from .polynomial import Polynomial, _packed
 
 
 class SpecError(ValueError):
@@ -128,11 +134,12 @@ def parse_spec_data(obj) -> TensorSpec:
         if not monos:
             del acc[blade]
 
+    # every blade, exponent tuple and coefficient is valid and nonzero by now
     if kind == "constant":
-        comps = {blade: Polynomial.constant(c, m) for blade, c in acc.items()}
+        comps = {blade: Polynomial._raw(m, {0: c.numerator}, c.denominator) for blade, c in acc.items()}
     else:
-        comps = {blade: Polynomial(m, monos) for blade, monos in acc.items()}
-    return TensorSpec(m, n, kind, MultivectorField(m, n, comps))
+        comps = {blade: Polynomial._raw(m, *_packed(monos)) for blade, monos in acc.items()}
+    return TensorSpec(m, n, kind, MultivectorField._raw(m, n, comps))
 
 
 def _unique_fields(pairs: list) -> dict:
@@ -170,7 +177,47 @@ def serialize(spec: TensorSpec) -> str:
             value = [{"coef": str(c), "exps": list(e)} for e, c in poly.monomials()]
         terms.append({"indices": list(blade), "value": value})
     obj = {"m": spec.m, "n": spec.n, "kind": spec.kind, "terms": terms}
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    return canonical_json(obj) + "\n"
+
+
+def canonical_json(obj) -> str:
+    """``json.dumps(obj, indent=2, sort_keys=True)``, byte for byte.
+
+    Dicts (with string keys), lists, tuples, strings, ints, bools and None
+    are written here; any other leaf goes to ``json.dumps``.
+    """
+    return _canonical(obj, "")
+
+
+def _canonical(obj, pad: str) -> str:
+    # obj's text, its nested lines indented two spaces below pad
+    if isinstance(obj, str):
+        return _quote(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = pad + "  "
+        items = [f"{_quote(key)}: {_canonical(obj[key], inner)}" for key in sorted(obj)]
+        brackets = "{}"
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        inner = pad + "  "
+        # a list of strings, such as a sample point, is quoted at C speed
+        items = map(_quote, obj) if {*map(type, obj)} == {str} else [_canonical(x, inner) for x in obj]
+        brackets = "[]"
+    else:
+        return json.dumps(obj)
+    sep = ",\n" + inner
+    return f"{brackets[0]}\n{inner}{sep.join(items)}\n{pad}{brackets[1]}"
 
 
 def to_field(spec: TensorSpec) -> MultivectorField:

@@ -18,8 +18,8 @@ from .exterior import Covector, Multivector, iter_blades
 from .fields import MultivectorField, jacobi_identity_holds
 from .grassmann import (
     IrreducibilityKind,
+    contraction_profile,
     contraction_subspace_report,
-    contractions_decomposable,
     factorize,
     irreducibility_check,
     is_decomposable,
@@ -254,9 +254,8 @@ def suite_contraction_profile(seed: int = 0) -> SuiteResult:
     cases = 0
     for i, p in enumerate(population):
         dec = is_decomposable(p)
-        for k in range(1, p.grade - 1):
+        for k, profile in contraction_profile(p).items():
             cases += 1
-            profile = contractions_decomposable(p, k)
             if profile != dec:
                 failures.append(f"instance {i} (grade {p.grade}, dim {p.dim}), k={k}: profile={profile} decomposable={dec}")
     # the sharp counterexample: both basis contractions decomposable, yet not decomposable
@@ -265,7 +264,7 @@ def suite_contraction_profile(seed: int = 0) -> SuiteResult:
     basis_ok = all(
         is_decomposable(counter.contract(Covector.basis(6, a))) for a in range(1, 7)
     )
-    if is_decomposable(counter) or not basis_ok or contractions_decomposable(counter, 1):
+    if is_decomposable(counter) or not basis_ok or contraction_profile(counter)[1]:
         failures.append("two-block counterexample misclassified")
     return SuiteResult(
         "contraction-profile-equivalence",

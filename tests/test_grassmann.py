@@ -11,6 +11,7 @@ from npk.grassmann import (
     ContractionSubspaceReport,
     IrreducibilityKind,
     NotDecomposableError,
+    contraction_profile,
     contraction_subspace_report,
     contractions_decomposable,
     factorize,
@@ -421,6 +422,41 @@ def test_profile_indeterminates_follow_the_rank(monkeypatch):
     assert seen == [{4}, {6}, {6}]
 
 
+def test_contraction_profile_is_every_k_from_one_face_table(monkeypatch):
+    # one (n-1)-face table per profile: the image pivots serve every k,
+    # while the per-k calls build one each; the contracted tables that the
+    # Plucker loop reads have grade below n-1
+    built = []
+
+    def counted(terms, k):
+        built.append(k)
+        return blade_contractions(terms, k)
+
+    for module in (npk.exterior, npk.grassmann):
+        monkeypatch.setattr(module, "blade_contractions", counted)
+    rng = random.Random("contraction-profile")
+    cases = [DEC_851, TWO_BLOCK, MIXED, blade(7, 1, 2, 3, 4, 5)]
+    cases += [random_constant_multivector(rng, 7, 5, max_terms=4) for _ in range(4)]
+    cases += [random_decomposable_multivector(rng, 7, 4) for _ in range(4)]
+    for p in cases:
+        n = p.grade
+        built.clear()
+        profile = contraction_profile(p)
+        assert built.count(n - 1) == 1, (p, built)
+        built.clear()
+        assert profile == {k: contractions_decomposable(p, k) for k in range(1, n - 1)}, p
+        assert built.count(n - 1) == n - 2, (p, built)
+        assert set(profile.values()) == {is_decomposable(p)}, p
+
+
+def test_contraction_profile_edges():
+    assert contraction_profile(Multivector.zero(6, 5)) == {1: True, 2: True, 3: True}
+    assert contraction_profile(TWO_BLOCK) == {1: False}
+    for p in (blade(5, 1, 2), blade(5, 1), Multivector.zero(5, 2)):
+        with pytest.raises(ValueError, match="needs grade at least 3"):
+            contraction_profile(p)
+
+
 def test_profile_keeps_no_table_on_the_element():
     # an element holds dim, grade and terms only: no subclass adds a slot
     # or an instance dict, so no table can be kept on it
@@ -435,6 +471,7 @@ def test_profile_keeps_no_table_on_the_element():
         before = dict(q.terms)
         for k in range(1, q.grade - 1):
             contractions_decomposable(q, k)
+        contraction_profile(q)
         sharp_profile(q)
         is_decomposable(q)
         try:

@@ -645,6 +645,19 @@ def test_rank_sampling_runs_one_elimination_per_distinct_value_vector(monkeypatc
     assert len(calls) == len(ranks) - 3
 
 
+def test_rank_sampling_keeps_fraction_points_and_converts_the_rest():
+    f = MultivectorField(M, 3, {(1, 2, 3): X[0], (1, 4, 5): X[1] + 1})
+    points = default_sample_points(M, 3)
+    ranked = sample_ranks(f, points)
+    # the sample points are tuples of Fractions: returned as they are
+    assert all(got is pt for (got, _), pt in zip(ranked, points))
+    # ints and lists are still made tuples of Fractions
+    mixed = [(0, 1, Fraction(1, 2), -3, 0), [Fraction(2), 0, 0, 0, 1]]
+    exact = [tuple(map(Fraction, pt)) for pt in mixed]
+    assert sample_ranks(f, mixed) == sample_ranks(f, exact)
+    assert all({*map(type, got)} == {Fraction} for got, _ in sample_ranks(f, mixed))
+
+
 def test_rank_sampling_refuses_non_exact_coordinates():
     polynomial = MultivectorField(M, 3, {(1, 2, 3): X[0], (1, 4, 5): X[1] + 1})
     for f in (polynomial, MIXED, MultivectorField(M, 3)):

@@ -129,3 +129,32 @@ def test_no_private_name_read_only_by_tests():
 def test_public_names_resolve_and_are_sorted():
     assert [name for name in npk.__all__ if not hasattr(npk, name)] == []
     assert npk.__all__ == sorted(npk.__all__)
+
+
+def indented_json_calls(source: str) -> list[int]:
+    """Lines that call ``json.dumps`` or ``json.dump`` with an ``indent`` keyword.
+
+    The standard library writes indented JSON on its pure-Python path; the
+    package writes its canonical JSON with ``specio.canonical_json``.  A
+    call is matched by the name it is made with, ``dumps`` or ``dump``, as
+    a name or as an attribute.
+    """
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name in ("dumps", "dump") and any(k.arg == "indent" for k in node.keywords):
+                lines.append(node.lineno)
+    return lines
+
+
+def test_indented_json_calls_are_found():
+    source = "import json\nfrom json import dumps\njson.dumps(x, indent=2)\njson.dumps(x)\ndumps(x, sort_keys=True, indent=None)\n"
+    assert indented_json_calls(source) == [3, 5]
+    assert indented_json_calls("json.dump(x, f, indent=1)\nprint(x, indent=2)\n") == [1]
+
+
+def test_no_indented_json_in_the_package():
+    found = {path.name: lines for path in SOURCES if (lines := indented_json_calls(path.read_text(encoding="utf-8")))}
+    assert found == {}

@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import npk
 import npk.grassmann
@@ -15,6 +17,7 @@ from npk.poisson import classify, default_sample_points
 from npk.polynomial import Polynomial
 from npk.specio import (
     SpecError,
+    canonical_json,
     from_field,
     parse_spec,
     parse_spec_data,
@@ -224,6 +227,72 @@ def test_polynomial_monomials_cancel_to_an_empty_blade():
     assert '"terms": []' in serialize(spec)
 
 
+def _slots(field: MultivectorField) -> tuple:
+    """Every slot of a field and of its components, in blade order."""
+    comps = [(b, type(p), p.num_vars, p.terms, p.den, p.bound, p.width) for b, p in field.terms.items()]
+    return type(field), field.dim, field.grade, comps
+
+
+def _assert_one_pass_load(spec: dict, comps: dict) -> None:
+    """The loaded field has the slots of the public constructors on ``comps``."""
+    m, n = spec["m"], spec["n"]
+    want = MultivectorField(m, n, {b: Polynomial(m, monos) for b, monos in comps.items()})
+    assert _slots(to_field(parse_spec_data(spec))) == _slots(want)
+
+
+def test_one_pass_loader_bound_comes_from_the_surviving_monomials():
+    # x1^300 cancels, so the fields stay one byte wide, as the constructor packs them
+    spec = json.loads(_polynomial_spec(
+        ((1, 2), [("5", (300, 0, 0)), ("1/2", (0, 1, 0))]),
+        ((2, 3), [("1", (0, 0, 2))]),
+        ((1, 2), [("-5", (300, 0, 0)), ("1/3", (0, 1, 0))]),
+    ))
+    comps = {(1, 2): {(0, 1, 0): Fraction(5, 6)}, (2, 3): {(0, 0, 2): 1}}
+    _assert_one_pass_load(spec, comps)
+    assert [(p.bound, p.width) for p in to_field(parse_spec_data(spec)).terms.values()] == [(1, 8), (2, 8)]
+    # a surviving high power widens its own component only
+    spec["terms"][2]["value"][0]["coef"] = "-4"
+    comps[(1, 2)][(300, 0, 0)] = 1
+    _assert_one_pass_load(spec, comps)
+    assert [(p.bound, p.width) for p in to_field(parse_spec_data(spec)).terms.values()] == [(300, 16), (2, 8)]
+
+
+def test_one_pass_loader_drops_a_blade_whose_monomials_cancel():
+    spec = json.loads(_polynomial_spec(
+        ((2, 3), [("2", (1, 1, 0))]),
+        ((1, 3), [("7/4", (0, 2, 1)), ("1", (1, 0, 0))]),
+        ((1, 2), [("1", (0, 0, 0))]),
+        ((1, 3), [("-7/4", (0, 2, 1)), ("-1", (1, 0, 0))]),
+    ))
+    _assert_one_pass_load(spec, {(2, 3): {(1, 1, 0): 2}, (1, 2): {(0, 0, 0): 1}})
+
+
+def test_one_pass_loader_packs_fractions_over_one_denominator():
+    spec = json.loads(_polynomial_spec(
+        ((1, 3), [("1/6", (1, 0, 0)), ("-3/4", (0, 1, 1)), ("5/9", (2, 0, 3)), ("2", (0, 0, 0))]),
+        ((1, 2), [("4/10", (0, 5, 0))]),
+    ))
+    comps = {
+        (1, 3): {(1, 0, 0): Fraction(1, 6), (0, 1, 1): Fraction(-3, 4), (2, 0, 3): Fraction(5, 9), (0, 0, 0): 2},
+        (1, 2): {(0, 5, 0): Fraction(2, 5)},
+    }
+    _assert_one_pass_load(spec, comps)
+    assert [p.den for p in to_field(parse_spec_data(spec)).terms.values()] == [36, 5]
+
+
+def test_one_pass_loader_constant_spec_with_a_cancelling_blade():
+    spec = {"m": 4, "n": 2, "kind": "constant", "terms": [
+        {"indices": [2, 4], "value": "3/8"},
+        {"indices": [1, 2], "value": "1"},
+        {"indices": [3, 4], "value": -2},
+        {"indices": [1, 2], "value": "-1"},
+        {"indices": [2, 4], "value": "1/8"},
+    ]}
+    zero = (0, 0, 0, 0)
+    _assert_one_pass_load(spec, {(2, 4): {zero: Fraction(1, 2)}, (3, 4): {zero: -2}})
+    assert all(p.terms.keys() == {0} for p in to_field(parse_spec_data(spec)).terms.values())
+
+
 # ---------------------------------------------------------------------------
 # round trips
 
@@ -243,6 +312,43 @@ def test_round_trip_random_specs():
 def test_serialize_is_canonical():
     spec = parse_spec_text(CONSTANT_SPEC)
     assert serialize(spec) == serialize(parse_spec_text(serialize(spec)))
+
+
+# ---------------------------------------------------------------------------
+# the canonical JSON writer
+
+_TEXT = st.text(st.characters(codec=None, exclude_categories=()), max_size=8)  # surrogates too
+_LEAVES = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=-(10**80), max_value=10**80)
+    | _TEXT
+    | st.text(st.characters(max_codepoint=0x1F), max_size=4)  # control characters
+    | st.floats()  # not a report value: it goes to json.dumps
+)
+_JSON = st.recursive(
+    _LEAVES,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=3).map(tuple)
+    | st.dictionaries(_TEXT, inner, max_size=4),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_JSON)
+@example({"b": [True, 1, 0, False, None], "a": {"": [], "\x00\u00e9\ud800": {}}, "c": [-(2**70), "\u2028"]})
+@example([[], {}, [[]], [{"k": {}}], ()])
+def test_canonical_json_matches_the_standard_indent_path(obj):
+    assert canonical_json(obj) == json.dumps(obj, indent=2, sort_keys=True)
+
+
+def test_canonical_json_writes_the_check_report():
+    report = {"command": "check", "algebraic_condition": {"holds": False, "witness": [1, 2]}, "seed": -3,
+              "rank_at_samples": [{"point": ("0", "-1/2"), "rank": 2}], "nambu_algebraic": True}
+    assert canonical_json(report) == json.dumps(report, indent=2, sort_keys=True)
+    assert canonical_json(report).splitlines()[:4] == ["{", '  "algebraic_condition": {', '    "holds": false,', '    "witness": [']
 
 
 # sha256 of `serialize(parse_spec(path))` for each shipped spec, recorded
@@ -501,6 +607,23 @@ def test_cli_check_samples(samples, extra, capsys):
     assert main(["check", str(SPECS / "two_block_4vector.json"), "--json", *samples]) == 0
     out = json.loads(capsys.readouterr().out)
     assert len(out["rank_at_samples"]) == 1 + 8 + extra
+
+
+@pytest.mark.parametrize("command", ["check", "rank"])
+def test_cli_point_strings_are_built_once_per_process(command, capsys):
+    # the strings of one (dim, seed, samples) serve every later op, in a bounded cache
+    strs = npk.cli._point_strs
+    assert strs.cache_info().maxsize == 16
+    strs.cache_clear()
+    runs = []
+    for spec in ("two_block_4vector", "decomposable_3vector", "two_block_4vector"):
+        main([command, str(SPECS / f"{spec}.json"), "--json", "--seed", "4"])
+        runs.append(json.loads(capsys.readouterr().out)["rank_at_samples"])
+    assert (strs.cache_info().misses, strs.cache_info().hits) == (2, 1)
+    assert runs[0] == runs[2]
+    for spec, entries in zip(("two_block_4vector", "decomposable_3vector"), runs):
+        points = default_sample_points(to_field(parse_spec(SPECS / f"{spec}.json")).dim, 4)
+        assert [entry["point"] for entry in entries] == [[str(c) for c in pt] for pt in points]
 
 
 @pytest.mark.parametrize("command", ["check", "rank"])
