@@ -16,10 +16,11 @@ reducibility: a multivector that splits into two independent grade-n
 summands needs rank at least 2n.
 
 Universally quantified conditions ("for all covectors ...") are decided
-exactly by treating covector components as polynomial indeterminates and
-testing identical vanishing; sampling basis covectors alone is unsound
-(there are non-decomposable multivectors all of whose basis contractions
-are decomposable).
+exactly: by rank or an explicit integer witness where one applies, else by
+treating covector components as polynomial indeterminates and testing
+identical vanishing; sampling basis covectors alone is unsound (there are
+non-decomposable multivectors all of whose basis contractions are
+decomposable).
 """
 
 from __future__ import annotations
@@ -74,11 +75,15 @@ def _image(p: Multivector, width: int | None = None) -> tuple[dict[int, dict[int
     denominators (same image); the table is dropped, nothing is kept on ``p``.
     The pass stops at ``width`` pivots, by default the support size (a bound on the rank).
     """
-    den = lcm(*(c.denominator for c in p.terms.values()))
-    scaled = {blade: c.numerator * (den // c.denominator) for blade, c in p.terms.items()}
-    faces = blade_contractions(scaled, p.grade - 1)
+    faces = blade_contractions(_integral(p), p.grade - 1)
     rows = ({u - 1: x for (u,), x in face.items()} for face in faces.values())
     return _forward(rows, width or len(set().union(*p.terms)))
+
+
+def _integral(p: Multivector) -> dict:
+    # the terms of p times the lcm of their denominators, all integers
+    den = lcm(*(c.denominator for c in p.terms.values()))
+    return {blade: c.numerator * (den // c.denominator) for blade, c in p.terms.items()}
 
 
 def sharp_profile(p: Multivector) -> SharpProfile:
@@ -164,13 +169,20 @@ def factorize(p: Multivector) -> Factorization:
 def contractions_decomposable(p: Multivector, k: int) -> bool:
     """Whether every k-fold covector contraction of ``p`` is decomposable.
 
-    The covector tuple is universally quantified, so its components become
-    polynomial indeterminates and every contraction-wedge defect of the
-    symbolic contraction must vanish identically.  Requires
-    ``1 <= k <= n-2``; outside that range the equivalence with
-    decomposability breaks down.
+    Requires ``1 <= k <= n-2``; outside that range the equivalence with
+    decomposability breaks down.  The cheapest exact certificate decides:
 
-    Only ``k*(r-k)`` indeterminates are needed, ``r`` the rank of ``p``
+    1. rank n certifies True: ``p = c v_1 ^ .. ^ v_n`` and, if
+       ``alpha(v_1) != 0`` (reorder), ``w_j = v_j - (alpha(v_j) / alpha(v_1)) v_1``
+       give ``i(alpha) p = c alpha(v_1) w_2 ^ .. ^ w_n``, the wedge of a basis
+       of ``V ∩ ker(alpha)`` (zero if alpha vanishes on ``V``); induct on k;
+    2. a witness certifies False: k seeded integer covectors contracting
+       ``p`` to a nonzero tensor of rank above ``n-k``, never decomposable;
+    3. otherwise the covector components become polynomial indeterminates
+       and every contraction-wedge defect of the symbolic contraction must
+       vanish identically, which certifies either verdict.
+
+    The identity needs only ``k*(r-k)`` indeterminates, ``r`` the rank of ``p``
     (the dimension of its image ``V``), not ``k*m``:
 
     * ``p`` lies in the top exterior power ``Λ^n V``.  :func:`_image`
@@ -229,7 +241,31 @@ def contraction_profile(p: Multivector) -> dict[int, bool]:
 
 
 def _contractions_decomposable(p: Multivector, pivots: list[int], k: int) -> bool:
-    # the gauge-fixed decision of contractions_decomposable on p's image pivots
+    # the three certificates of contractions_decomposable, cheapest first
+    if len(pivots) == p.grade:
+        return True
+    return _refuting_covectors(p, k) is None and _symbolic_profile(p, pivots, k)
+
+
+def _refuting_covectors(p: Multivector, k: int) -> list[dict[int, int]] | None:
+    # k integer covectors {index: int} contracting p, in order, to a nonzero
+    # tensor of rank above n-k, or None when three seeded draws find none
+    terms, grade, support = _integral(p), p.grade - k, sorted(set().union(*p.terms))
+    rng = random.Random(k)
+    for _ in range(3):
+        values = iter(rng.choices(range(-9, 10), k=k * len(support)))
+        alphas = [dict(zip(support, values)) for _ in range(k)]
+        q = terms
+        for alpha in alphas:
+            q = contract_terms(alpha, q)
+        # the rows i(dx^u) q are q's face rows transposed, up to one sign
+        if len(_forward(blade_contractions(q, 1).values(), grade + 1)[1]) > grade:
+            return alphas
+    return None
+
+
+def _symbolic_profile(p: Multivector, pivots: list[int], k: int) -> bool:
+    # the gauge-fixed identity of contractions_decomposable on p's image pivots
     position = {c + 1: i for i, c in enumerate(pivots, 1)}
     r = len(pivots)
     nvars = k * (r - k)

@@ -18,6 +18,9 @@ from .exterior import Covector, Multivector, iter_blades
 from .fields import MultivectorField, jacobi_identity_holds
 from .grassmann import (
     IrreducibilityKind,
+    _image,
+    _refuting_covectors,
+    _symbolic_profile,
     contraction_profile,
     contraction_subspace_report,
     factorize,
@@ -236,8 +239,19 @@ def suite_jacobi_vs_classifier(seed: int = 0) -> SuiteResult:
     )
 
 
+def _profile_certified(p: Multivector, k: int, verdict: bool) -> bool:
+    # True by the identity, not by the rank the profile may read; False by
+    # the witness, contracted again in Fractions, or by the identity
+    witness = None if verdict else _refuting_covectors(p, k)
+    if witness is None:
+        return _symbolic_profile(p, _image(p)[1], k) == verdict
+    for alpha in witness:
+        p = p.contract(Covector(p.dim, tuple(alpha.get(u, 0) for u in range(1, p.dim + 1))))
+    return not is_decomposable(p)
+
+
 def suite_contraction_profile(seed: int = 0) -> SuiteResult:
-    """Decomposability versus decomposability of all k-fold contractions."""
+    """Decomposability versus decomposability of all k-fold contractions, each verdict certified."""
     rng = random.Random(f"{seed}:profile")
     makers = {
         "decomposable_half": random_decomposable_multivector,
@@ -258,6 +272,8 @@ def suite_contraction_profile(seed: int = 0) -> SuiteResult:
             cases += 1
             if profile != dec:
                 failures.append(f"instance {i} (grade {p.grade}, dim {p.dim}), k={k}: profile={profile} decomposable={dec}")
+            if not _profile_certified(p, k, profile):
+                failures.append(f"instance {i} (grade {p.grade}, dim {p.dim}), k={k}: profile={profile} not certified")
     # the sharp counterexample: both basis contractions decomposable, yet not decomposable
     counter = Multivector(6, 3, {(1, 2, 3): 1, (4, 5, 6): 1})
     cases += 1

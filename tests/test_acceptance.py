@@ -10,6 +10,7 @@ import warnings
 
 import pytest
 
+import npk.grassmann
 import npk.oracles
 import npk.suites
 from npk.suites import (
@@ -58,6 +59,46 @@ def test_criterion_2_contraction_profile_equivalence():
     result = suite_contraction_profile(SEED)
     assert result.info["population"] >= 200
     _report(2, "contraction-profile-equivalence", result)
+
+
+def test_contraction_profile_suite_catches_a_false_rank_shortcut(monkeypatch):
+    # the rank-n shortcut answers False: the rank disagrees, and neither a
+    # witness nor the identity certifies the verdict
+    decide = npk.grassmann._contractions_decomposable
+
+    def shortcut_false(p, pivots, k):
+        return False if len(pivots) == p.grade else decide(p, pivots, k)
+
+    monkeypatch.setattr(npk.grassmann, "_contractions_decomposable", shortcut_false)
+    result = suite_contraction_profile(SEED)
+    assert not result.passed
+    # the seed-0 population has 254 (instance, k) pairs of rank n
+    disagree = [f.removesuffix(" decomposable=True") for f in result.failures if f.endswith("decomposable=True")]
+    uncertified = [f.removesuffix(" not certified") for f in result.failures if f.endswith("not certified")]
+    assert len(result.failures) == 2 * 254
+    assert disagree == uncertified and all(f.endswith("profile=False") for f in disagree)
+
+
+def test_contraction_profile_suite_certifies_true_without_the_rank(monkeypatch):
+    # a rank fault the profile and the suite's rank share: both say True
+    # everywhere, and only the identity refuses the random half's verdicts
+    monkeypatch.setattr(npk.grassmann, "_contractions_decomposable", lambda p, pivots, k: True)
+    monkeypatch.setattr(npk.suites, "is_decomposable", lambda p: True)
+    result = suite_contraction_profile(SEED)
+    assert not result.passed
+    # the seed-0 population has 26 non-decomposable (instance, k) pairs
+    uncertified = [f for f in result.failures if f.endswith("profile=True not certified")]
+    assert len(uncertified) == 26
+    assert result.failures == uncertified + ["two-block counterexample misclassified"]
+
+
+def test_contraction_profile_suite_rechecks_each_witness(monkeypatch):
+    # the suite's witnesses contract every input to zero: no False verdict
+    # re-checks in Fractions, although the profile itself is right
+    monkeypatch.setattr(npk.suites, "_refuting_covectors", lambda p, k: [{}] * k)
+    result = suite_contraction_profile(SEED)
+    assert len(result.failures) == 26
+    assert all(f.endswith("profile=False not certified") for f in result.failures)
 
 
 def test_criterion_3_ternary_decomposability():

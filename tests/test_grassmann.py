@@ -5,6 +5,7 @@ from itertools import combinations
 import pytest
 
 import npk.grassmann
+import npk.suites
 from npk.exterior import Covector, GradedTerms, Multivector, blade_contractions
 from npk.fields import MultivectorField
 from npk.grassmann import (
@@ -271,19 +272,25 @@ def test_profile_k_range_enforced():
         contractions_decomposable(E123, 0)
 
 
-def test_profile_true_implies_decomposable_random():
+def _forward_population():
     rng = random.Random("profile-forward")
+    cases = []
     for _ in range(40):
         m = rng.randint(4, 6)
         n = rng.choice((3, 4))
         if n > m - 1:
             continue
-        p = (
+        cases.append(
             random_decomposable_multivector(rng, m, n)
             if rng.random() < 0.5
             else random_constant_multivector(rng, m, n, max_terms=3)
         )
-        for k in range(1, n - 1):
+    return cases
+
+
+def test_profile_true_implies_decomposable_random():
+    for p in _forward_population():
+        for k in range(1, p.grade - 1):
             if contractions_decomposable(p, k):
                 assert is_decomposable(p)
 
@@ -307,7 +314,7 @@ def _on_support(rng, m, n, support, decomposable):
                 return acc
 
 
-def test_gauge_fixed_profile_matches_full_variable_route():
+def _gauge_population():
     rng = random.Random("profile-gauge")
     cases = [TWO_BLOCK, blade(6, 2, 4, 5, 6), blade(7, 3, 5, 6, 7, c=Fraction(-2, 3)),
              Multivector(8, 4, {(3, 5, 6, 8): 2}), Multivector(8, 3, {(3, 5, 6): 1, (3, 6, 8): Fraction(1, 2)}),
@@ -319,6 +326,11 @@ def test_gauge_fixed_profile_matches_full_variable_route():
         m = rng.randint(n if decomposable else n + 2, 7)
         support = sorted(rng.sample(range(1, m + 1), rng.randint(n if decomposable else n + 2, m)))
         cases.append(_on_support(rng, m, n, support, decomposable))
+    return cases
+
+
+def test_gauge_fixed_profile_matches_full_variable_route():
+    cases = _gauge_population()
     verdicts = {True: 0, False: 0}
     by_grade = set()
     small_supports = late_starts = 0
@@ -356,9 +368,10 @@ def test_profile_builds_only_the_gauge_fixed_variables(monkeypatch):
     cases += [_on_support(rng, 8, 5, sorted(rng.sample(range(1, 9), 7)), rng.random() < 0.5) for _ in range(6)]
     for p in cases:
         s = len(set().union(*p.terms))
+        pivots = npk.grassmann._image(p)[1]
         for k in range(1, p.grade - 1):
             built.clear()
-            contractions_decomposable(p, k)
+            npk.grassmann._symbolic_profile(p, pivots, k)
             assert built and max(built) <= k * (s - k), (p, k, max(built))
 
 
@@ -388,18 +401,36 @@ def _below_support(rng, m, n, kind):
             return p
 
 
-def test_profile_in_the_image_matches_full_variable_route():
-    # the profile is decided in the image of P: a population whose rank is
-    # below its support, so the image is a proper part of the support
+def _image_population():
+    # rank below support, so the image is a proper part of the support
     rng = random.Random("profile-image")
+    return [_below_support(rng, rng.randint(n + 3, 8), n, i % 3)
+            for n, count in ((3, 30), (4, 18), (5, 3)) for i in range(count)]
+
+
+def test_profile_in_the_image_matches_full_variable_route():
+    # the profile is decided in the image of P
     verdicts = set()
-    for n, count in ((3, 30), (4, 18), (5, 3)):
-        for i in range(count):
-            p = _below_support(rng, rng.randint(n + 3, 8), n, i % 3)
-            dec = is_decomposable(p)
-            verdicts.add((n, dec))
-            for k in range(1, n - 1):
-                assert contractions_decomposable(p, k) == contractions_decomposable_full(p, k) == dec, (p, k)
+    for p in _image_population():
+        dec = is_decomposable(p)
+        verdicts.add((p.grade, dec))
+        for k in range(1, p.grade - 1):
+            assert contractions_decomposable(p, k) == contractions_decomposable_full(p, k) == dec, (p, k)
+    assert verdicts == {(n, v) for n in (3, 4, 5) for v in (True, False)}
+
+
+def test_symbolic_identity_alone_matches_the_full_variable_route(monkeypatch):
+    # with the witness finding nothing, every False of the profile is the
+    # identity's; called directly, the identity decides both verdicts
+    monkeypatch.setattr(npk.grassmann, "_refuting_covectors", lambda p, k: None)
+    verdicts = set()
+    for p in _image_population():
+        dec = is_decomposable(p)
+        verdicts.add((p.grade, dec))
+        pivots = npk.grassmann._image(p)[1]
+        full = {k: contractions_decomposable_full(p, k) for k in range(1, p.grade - 1)}
+        assert contraction_profile(p) == full == dict.fromkeys(full, dec), p
+        assert {k: npk.grassmann._symbolic_profile(p, pivots, k) for k in full} == full, p
     assert verdicts == {(n, v) for n in (3, 4, 5) for v in (True, False)}
 
 
@@ -417,9 +448,76 @@ def test_profile_indeterminates_follow_the_rank(monkeypatch):
 
     monkeypatch.setattr(npk.grassmann, "plucker_holds", spy)
     assert (len(set().union(*DEC_851.terms)), sharp_profile(DEC_851).rank) == (6, 5)
-    assert all(contractions_decomposable(DEC_851, k) for k in (1, 2, 3))
+    pivots = npk.grassmann._image(DEC_851)[1]
+    assert all(npk.grassmann._symbolic_profile(DEC_851, pivots, k) for k in (1, 2, 3))
     # k * (r - k) with r = 5, not k * (s - k) with s = 6
     assert seen == [{4}, {6}, {6}]
+
+
+def _two_blade_851(rng):
+    """The algebra benchmark's two_blade (8, 5) shape: two 5-blades sharing two indices."""
+    def coef():
+        return Fraction(rng.choice((-5, -4, -3, -2, -1, 1, 2, 3, 4, 5)), rng.randint(1, 3))
+
+    return Multivector(8, 5, {(1, 2, 3, 4, 5): coef(), (1, 2, 6, 7, 8): coef()})
+
+
+def _contracted(p, witness):
+    for alpha in witness:
+        p = p.contract(Covector(p.dim, tuple(alpha.get(u, 0) for u in range(1, p.dim + 1))))
+    return p
+
+
+def _suite_population(monkeypatch, seed):
+    # the instances suite_contraction_profile profiles, recorded as it runs
+    seen = []
+    profile = npk.suites.contraction_profile
+
+    def record(p):
+        seen.append(p)
+        return profile(p)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(npk.suites, "contraction_profile", record)
+        assert npk.suites.suite_contraction_profile(seed).passed
+    return seen
+
+
+def test_witness_rechecks_without_the_kernel(monkeypatch):
+    # every non-decomposable input gets a witness for every k, and the
+    # witness, contracted in Fractions, leaves a non-decomposable tensor
+    rng = random.Random("two-blade-851")
+    cases = [TWO_BLOCK, *(_two_blade_851(rng) for _ in range(10))]
+    for seed in (0, 42):
+        cases += _suite_population(monkeypatch, seed)
+    refuted = 0
+    for p in cases:
+        dec = is_decomposable(p)
+        for k in range(1, p.grade - 1):
+            witness = npk.grassmann._refuting_covectors(p, k)
+            assert (witness is None) == dec, (p, k)
+            if witness is not None:
+                assert len(witness) == k and set().union(*witness) <= set().union(*p.terms)
+                q = _contracted(p, witness)
+                assert q and not is_decomposable(q), (p, k, witness)
+                refuted += 1
+    assert refuted >= 80
+
+
+def test_certificates_leave_nothing_to_the_identity(monkeypatch):
+    # rank n or a witness decides every profile of these inputs
+    def refuse(terms):
+        raise AssertionError("the symbolic identity ran")
+
+    monkeypatch.setattr(npk.grassmann, "plucker_holds", refuse)
+    rng = random.Random("certified-profiles")
+    cases = [DEC_851, TWO_BLOCK, *(_two_blade_851(rng) for _ in range(4))]
+    cases += [random_decomposable_multivector(rng, m, n) for m, n in ((6, 3), (7, 4)) for _ in range(4)]
+    cases += _forward_population() + _gauge_population() + _image_population()
+    for p in cases:
+        dec = is_decomposable(p)
+        profile = contraction_profile(p)
+        assert profile == {k: contractions_decomposable(p, k) for k in profile} == dict.fromkeys(profile, dec), p
 
 
 def test_contraction_profile_is_every_k_from_one_face_table(monkeypatch):
