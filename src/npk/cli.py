@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import functools
 import sys
 import time
@@ -129,33 +130,29 @@ def _cmd_sigma_delta(field: MultivectorField, args) -> tuple[dict, int]:
     return report, 0 if annihilates else 1
 
 
-def _cmd_suite(args) -> tuple[dict, int]:
+def _cmd_suite(field: None, args) -> tuple[dict, int]:
     results = run_all(args.seed)
-    report = {
-        "command": "suite",
-        "seed": args.seed,
-        "passed": all(r.passed for r in results),
-        "suites": [
-            {
-                "name": r.name,
-                "passed": r.passed,
-                "cases": r.cases,
-                "failures": r.failures,
-                "info": r.info,
-            }
-            for r in results
-        ],
-    }
-    return report, 0 if report["passed"] else 1
+    passed = all(r.passed for r in results)
+    report = {"command": "suite", "seed": args.seed, "passed": passed, "suites": list(map(dataclasses.asdict, results))}
+    return report, 0 if passed else 1
 
 
+_SEED = {"type": int, "default": 0, "help": "seed for sample points"}
+_SAMPLES = {"type": int, "default": 8, "help": "extra random sample points, at least 0"}
+_JSON = {"action": "store_true", "help": "canonical JSON output"}
+
+# name: handler, help line, least grade of the spec (n >= 2 where a bracket is
+# tested; None: the command reads no spec), options beyond spec and --json
 _COMMANDS = {
-    "check": _cmd_check,
-    "rank": _cmd_rank,
-    "factorize": _cmd_factorize,
-    "nambu": _cmd_nambu,
-    "jacobi": _cmd_jacobi,
-    "sigma-delta": _cmd_sigma_delta,
+    "check": (_cmd_check, "full Poisson classification", 2, {"--seed": _SEED, "--samples": _SAMPLES}),
+    "rank": (_cmd_rank, "rank of the sharp map at sample points", 0, {"--seed": _SEED, "--samples": _SAMPLES}),
+    "factorize": (_cmd_factorize, "factor a constant decomposable tensor", 0, {}),
+    "nambu": (_cmd_nambu, "algebraic Nambu condition", 2, {}),
+    "jacobi": (_cmd_jacobi, "generalized Jacobi identity", 2, {}),
+    "sigma-delta": (_cmd_sigma_delta, "compatibility family and the induced operator", 2, {"--seed": _SEED}),
+    # the suite's options carry no help text
+    "suite": (_cmd_suite, "run all seeded property suites", None,
+              {"--seed": {"type": int, "default": 0}, "--json": {"action": "store_true"}}),
 }
 
 
@@ -167,50 +164,38 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact checks for n-ary Poisson structures given as tensor spec files.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    helps = {
-        "check": "full Poisson classification",
-        "rank": "rank of the sharp map at sample points",
-        "factorize": "factor a constant decomposable tensor",
-        "nambu": "algebraic Nambu condition",
-        "jacobi": "generalized Jacobi identity",
-        "sigma-delta": "compatibility family and the induced operator",
-    }
-    for name, help_text in helps.items():
+    for name, (_, help_text, least_grade, options) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("spec", help="path to a tensor spec JSON file")
-        if name in ("check", "rank", "sigma-delta"):
-            p.add_argument("--seed", type=int, default=0, help="seed for sample points")
-        p.add_argument("--json", action="store_true", help="canonical JSON output")
-        if name in ("check", "rank"):
-            p.add_argument("--samples", type=int, default=8, help="extra random sample points, at least 0")
-    p = sub.add_parser("suite", help="run all seeded property suites")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--json", action="store_true")
+        if least_grade is not None:
+            p.add_argument("spec", help="path to a tensor spec JSON file")
+        # a command's --seed comes before --json, the rest after it
+        for flag, kwargs in ({"--seed": None, "--json": _JSON} | options).items():
+            if kwargs is not None:
+                p.add_argument(flag, **kwargs)
     return parser
 
 
-def _load(args) -> MultivectorField:
+def _load(args, least_grade: int) -> MultivectorField:
     """The spec's field, once the spec and the options are known to be usable."""
     field = to_field(parse_spec(args.spec))
-    # these commands test the bracket of an n-ary structure, which needs n >= 2
-    if args.command in ("check", "nambu", "jacobi", "sigma-delta") and field.grade < 2:
-        raise SpecError("classification needs grade at least 2")
+    if field.grade < least_grade:
+        raise SpecError(f"classification needs grade at least {least_grade}")
     if getattr(args, "samples", 0) < 0:
         raise ValueError(f"--samples must be at least 0, got {args.samples}")
     return field
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    handler, _, least_grade, _ = _COMMANDS[args.command]
     start = time.monotonic()
     try:
-        field = None if args.command == "suite" else _load(args)
+        field = None if least_grade is None else _load(args, least_grade)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
-        report, code = _cmd_suite(args) if field is None else _COMMANDS[args.command](field, args)
+        report, code = handler(field, args)
     except SpecError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

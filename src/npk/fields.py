@@ -102,11 +102,6 @@ class MultivectorField(GradedTerms):
         alpha = {u + 1: c for u, c in enumerate(comps) if c}
         return MultivectorField(self.dim, self.grade - 1, contract_terms(alpha, self.terms))
 
-    def __eq__(self, other) -> bool:
-        if isinstance(other, Multivector):
-            other = MultivectorField.from_multivector(other)
-        return super().__eq__(other)
-
     def __repr__(self) -> str:
         if not self.terms:
             return f"0[grade {self.grade}, dim {self.dim}]"

@@ -3,9 +3,10 @@
 The sharp map sends (n-1)-forms to vectors by contraction, the rows of
 the (n-1)-face table; its image dimension is the rank of the multivector.
 Every question about a constant (rank, image, decomposability, factors,
-contraction pivots, irreducibility) goes through one reduction,
-:func:`_image`.  The annihilator (the covectors contracting it to zero) is
-the kernel of the image rows, because
+contraction pivots and witnesses, subspace reports, irreducibility) goes
+through one reduction, :func:`_image`, of an integer term map; Fractions
+come back only where a caller receives a basis.  The annihilator (the
+covectors contracting it to zero) is the kernel of the image rows, because
 ``<i(alpha) P, dx^s> = ±<alpha, i(dx^s) P>``; it is read off the echelon
 basis of the image, and the two dimensions sum to the ambient dimension.
 Rank n characterises decomposable multivectors, equivalently the vanishing
@@ -28,11 +29,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from math import lcm
 
 from .exterior import Covector, Multivector, blade_contractions, contract_terms, merge_blades
-from .linalg import Subspace, _forward, _reduced
+from .linalg import Subspace, _forward, _reduced, sparse_rank
 from .polynomial import Polynomial
 
 
@@ -68,22 +68,22 @@ class Factorization:
         return acc
 
 
-def _image(p: Multivector, width: int | None = None) -> tuple[dict[int, dict[int, int]], list[int]]:
-    """Pivot rows and columns of the image of ``p`` (grade >= 1), by one :func:`~npk.linalg._forward`.
+def _image(terms: dict, width: int | None = None) -> tuple[dict[int, dict[int, int]], list[int]]:
+    """Pivot rows and columns of the image of an integer term map, by one :func:`~npk.linalg._forward`.
 
-    The rows are the (n-1)-faces ``{u-1: int}`` of ``p`` over the lcm of its
-    denominators (same image); the table is dropped, nothing is kept on ``p``.
+    The rows are the (n-1)-faces ``{u-1: int}`` of ``terms`` (grade >= 1, or
+    empty), such as :func:`_integral` gives; the table is dropped.
     The pass stops at ``width`` pivots, by default the support size (a bound on the rank).
     """
-    faces = blade_contractions(_integral(p), p.grade - 1)
+    faces = blade_contractions(terms, len(next(iter(terms), ())) - 1)
     rows = ({u - 1: x for (u,), x in face.items()} for face in faces.values())
-    return _forward(rows, width or len(set().union(*p.terms)))
+    return _forward(rows, width or len(set().union(*terms)))
 
 
-def _integral(p: Multivector) -> dict:
-    # the terms of p times the lcm of their denominators, all integers
-    den = lcm(*(c.denominator for c in p.terms.values()))
-    return {blade: c.numerator * (den // c.denominator) for blade, c in p.terms.items()}
+def _integral(coefs: dict) -> dict:
+    # the Fractions of coefs (terms or a covector) times the lcm of their denominators, all integers
+    den = lcm(*(c.denominator for c in coefs.values()))
+    return {key: c.numerator * (den // c.denominator) for key, c in coefs.items()}
 
 
 def sharp_profile(p: Multivector) -> SharpProfile:
@@ -96,7 +96,7 @@ def sharp_profile(p: Multivector) -> SharpProfile:
     """
     if p.grade < 1:
         raise ValueError("sharp profile needs grade at least 1")
-    return SharpProfile(Subspace(p.dim, tuple(map(tuple, _reduced(*_image(p), p.dim)))))
+    return SharpProfile(Subspace(p.dim, tuple(map(tuple, _reduced(*_image(_integral(p.terms)), p.dim)))))
 
 
 def plucker_holds(terms) -> bool:
@@ -138,7 +138,7 @@ def is_decomposable(p: Multivector) -> bool:
     ``p`` is decomposable: :func:`_image` stops at n + 1 pivots.  Zero and
     grade at most 1 count as decomposable by convention.
     """
-    return p.grade <= 1 or p.is_zero() or len(_image(p, p.grade + 1)[1]) == p.grade
+    return p.grade <= 1 or p.is_zero() or len(_image(_integral(p.terms), p.grade + 1)[1]) == p.grade
 
 
 def factorize(p: Multivector) -> Factorization:
@@ -154,7 +154,7 @@ def factorize(p: Multivector) -> Factorization:
         raise ValueError("zero tensor")
     if p.grade < 1:
         raise ValueError("factorize needs grade at least 1")
-    echelon, order = _image(p, p.grade + 1)
+    echelon, order = _image(_integral(p.terms), p.grade + 1)
     if len(order) != p.grade:
         raise NotDecomposableError("not decomposable")
     factors = [Multivector.from_vector(row) for row in _reduced(echelon, order, p.dim)]
@@ -221,7 +221,7 @@ def contractions_decomposable(p: Multivector, k: int) -> bool:
         raise ValueError("needs grade at least 3")
     if not 1 <= k <= n - 2:
         raise ValueError(f"k must satisfy 1 <= k <= n-2, got k={k} for grade {n}")
-    return p.is_zero() or _contractions_decomposable(p, _image(p)[1], k)
+    return p.is_zero() or _contractions_decomposable(p, _image(_integral(p.terms))[1], k)
 
 
 def contraction_profile(p: Multivector) -> dict[int, bool]:
@@ -236,7 +236,7 @@ def contraction_profile(p: Multivector) -> dict[int, bool]:
     ks = range(1, n - 1)
     if p.is_zero():
         return dict.fromkeys(ks, True)
-    pivots = _image(p)[1]
+    pivots = _image(_integral(p.terms))[1]
     return {k: _contractions_decomposable(p, pivots, k) for k in ks}
 
 
@@ -250,7 +250,7 @@ def _contractions_decomposable(p: Multivector, pivots: list[int], k: int) -> boo
 def _refuting_covectors(p: Multivector, k: int) -> list[dict[int, int]] | None:
     # k integer covectors {index: int} contracting p, in order, to a nonzero
     # tensor of rank above n-k, or None when three seeded draws find none
-    terms, grade, support = _integral(p), p.grade - k, sorted(set().union(*p.terms))
+    terms, grade, support = _integral(p.terms), p.grade - k, sorted(set().union(*p.terms))
     rng = random.Random(k)
     for _ in range(3):
         values = iter(rng.choices(range(-9, 10), k=k * len(support)))
@@ -258,8 +258,7 @@ def _refuting_covectors(p: Multivector, k: int) -> list[dict[int, int]] | None:
         q = terms
         for alpha in alphas:
             q = contract_terms(alpha, q)
-        # the rows i(dx^u) q are q's face rows transposed, up to one sign
-        if len(_forward(blade_contractions(q, 1).values(), grade + 1)[1]) > grade:
+        if len(_image(q, grade + 1)[1]) > grade:
             return alphas
     return None
 
@@ -298,28 +297,29 @@ def contraction_subspace_report(p: Multivector, alpha: Covector) -> ContractionS
     drops by exactly one (always the case for nonzero contractions of a
     decomposable multivector).
 
-    On the image's echelon basis, with ``a_i = alpha(v_i)`` and ``a_j`` the
-    first nonzero one, ``sum c_i v_i`` is in ``ker(alpha)`` iff ``c_j a_j =
-    -sum_(i != j) c_i a_i``: the meet is spanned by the ``v_i - (a_i / a_j) v_j``,
-    ``i != j``.  If every ``a_i`` is 0 the meet is the image.
+    Both images are integer echelon rows of :func:`_image` (``p`` and ``alpha``
+    over the lcm of their denominators).  The small image is in the bound iff
+    ``alpha`` kills its rows and they add no pivot to the image of ``p``; the bound
+    has dimension ``rank - [alpha != 0 on im p]``, so equality is inclusion plus that.
     """
     if p.grade < 1:
         raise ValueError("needs grade at least 1")
-    m = p.dim
-    profile = sharp_profile(p)
-    contracted = p.contract(alpha)
-    small = Subspace.zero(m) if contracted.grade == 0 or contracted.is_zero() else sharp_profile(contracted).image
-    vectors = profile.image.basis
-    values = [sum(a * x for a, x in zip(alpha.components, v)) for v in vectors]
-    j = next((i for i, a in enumerate(values) if a), None)
-    if j is not None:
-        vj, aj = vectors[j], values[j]
-        vectors = [[x - a / aj * y for x, y in zip(v, vj)] for i, (v, a) in enumerate(zip(vectors, values)) if i != j]
-    bound = Subspace.from_vectors(vectors, m)
+    if p.dim != alpha.dim:
+        raise ValueError("incompatible spaces")
+    terms, a = _integral(p.terms), _integral(alpha.sparse())
+    big, order = _image(terms)
+    # a grade-1 p contracts to a scalar, whose image is zero
+    small = _image(contract_terms(a, terms))[0] if p.grade > 1 else {}
+
+    def kills(row: dict[int, int]) -> bool:
+        return not sum(a.get(j + 1, 0) * x for j, x in row.items())
+
+    rank = len(order)
+    inclusion = all(map(kills, small.values())) and sparse_rank([*big.values(), *small.values()], p.dim) == rank
     return ContractionSubspaceReport(
-        inclusion_holds=Subspace.from_vectors(bound.basis + small.basis, m) == bound,
-        equality_holds=small == bound,
-        rank_drop=profile.rank - small.dim,
+        inclusion_holds=inclusion,
+        equality_holds=inclusion and len(small) == rank - (not all(map(kills, big.values()))),
+        rank_drop=rank - len(small),
     )
 
 
@@ -346,26 +346,27 @@ def irreducibility_check(p: Multivector, seed: int = 0) -> IrreducibilityVerdict
     seeded random covectors are sampled; a contraction that stays nonzero
     while dropping the rank by at least n witnesses reducibility.  Sampling can
     never certify irreducibility, so the remaining outcome is an honest
-    "no witness found".  Each rank is the pivot count of :func:`_image`.
+    "no witness found".  Each rank is the pivot count of :func:`_image`, on
+    integer terms and candidates; only the witness becomes a :class:`Covector`.
     """
     if p.is_zero():
         raise ValueError("zero tensor")
     m, n = p.dim, p.grade
     if n < 1:
         raise ValueError("irreducibility check needs grade at least 1")
-    rank = len(_image(p)[1])
+    terms = _integral(p.terms)
+    rank = len(_image(terms)[1])
     if rank < 2 * n:
         return IrreducibilityVerdict(IrreducibilityKind.CERTIFIED_BY_RANK)
     rng = random.Random(seed)
-    candidates = [Covector.basis(m, u) for u in range(1, m + 1)]
+    candidates = [[int(u == v) for v in range(m)] for u in range(m)]
     for _ in range(_IRREDUCIBILITY_SAMPLES):
-        comps = [Fraction(rng.randint(-9, 9)) for _ in range(m)]
+        comps = [rng.randint(-9, 9) for _ in range(m)]
         if any(comps):
-            candidates.append(Covector(m, tuple(comps)))
-    for alpha in candidates:
-        contracted = p.contract(alpha)
-        if contracted.is_zero():
-            continue
-        if len(_image(contracted)[1]) <= rank - n:
-            return IrreducibilityVerdict(IrreducibilityKind.REDUCIBILITY_WITNESS, alpha)
+            candidates.append(comps)
+    for comps in candidates:
+        contracted = contract_terms(dict(enumerate(comps, 1)), terms)
+        # a zero contraction is skipped; the pass stops once the drop is too small
+        if contracted and len(_image(contracted, rank - n + 1)[1]) <= rank - n:
+            return IrreducibilityVerdict(IrreducibilityKind.REDUCIBILITY_WITNESS, Covector(m, tuple(comps)))
     return IrreducibilityVerdict(IrreducibilityKind.NO_WITNESS_FOUND)

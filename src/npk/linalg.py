@@ -138,10 +138,6 @@ class Subspace:
     def from_vectors(cls, vectors: Iterable[Sequence], ambient_dim: int) -> "Subspace":
         return cls(ambient_dim, tuple(map(tuple, rref(vectors, ambient_dim)[0])))
 
-    @classmethod
-    def zero(cls, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim, ())
-
     @property
     def dim(self) -> int:
         return len(self.basis)

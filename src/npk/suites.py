@@ -19,6 +19,7 @@ from .fields import MultivectorField, jacobi_identity_holds
 from .grassmann import (
     IrreducibilityKind,
     _image,
+    _integral,
     _refuting_covectors,
     _symbolic_profile,
     contraction_profile,
@@ -244,7 +245,7 @@ def _profile_certified(p: Multivector, k: int, verdict: bool) -> bool:
     # the witness, contracted again in Fractions, or by the identity
     witness = None if verdict else _refuting_covectors(p, k)
     if witness is None:
-        return _symbolic_profile(p, _image(p)[1], k) == verdict
+        return _symbolic_profile(p, _image(_integral(p.terms))[1], k) == verdict
     for alpha in witness:
         p = p.contract(Covector(p.dim, tuple(alpha.get(u, 0) for u in range(1, p.dim + 1))))
     return not is_decomposable(p)

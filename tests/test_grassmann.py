@@ -5,12 +5,14 @@ from itertools import combinations
 import pytest
 
 import npk.grassmann
+import npk.linalg
 import npk.suites
 from npk.exterior import Covector, GradedTerms, Multivector, blade_contractions
 from npk.fields import MultivectorField
 from npk.grassmann import (
     ContractionSubspaceReport,
     IrreducibilityKind,
+    IrreducibilityVerdict,
     NotDecomposableError,
     contraction_profile,
     contraction_subspace_report,
@@ -64,7 +66,7 @@ def test_sharp_profile_mixed_rank_five():
 def test_sharp_profile_zero():
     profile = sharp_profile(Multivector.zero(5, 3))
     assert profile.rank == 0
-    assert profile.image == Subspace.zero(5)
+    assert profile.image == Subspace(5, ())
     assert profile.annihilator == Subspace(5, tuple(tuple(Fraction(int(i == j)) for j in range(5)) for i in range(5)))
 
 
@@ -368,7 +370,7 @@ def test_profile_builds_only_the_gauge_fixed_variables(monkeypatch):
     cases += [_on_support(rng, 8, 5, sorted(rng.sample(range(1, 9), 7)), rng.random() < 0.5) for _ in range(6)]
     for p in cases:
         s = len(set().union(*p.terms))
-        pivots = npk.grassmann._image(p)[1]
+        pivots = npk.grassmann._image(npk.grassmann._integral(p.terms))[1]
         for k in range(1, p.grade - 1):
             built.clear()
             npk.grassmann._symbolic_profile(p, pivots, k)
@@ -427,7 +429,7 @@ def test_symbolic_identity_alone_matches_the_full_variable_route(monkeypatch):
     for p in _image_population():
         dec = is_decomposable(p)
         verdicts.add((p.grade, dec))
-        pivots = npk.grassmann._image(p)[1]
+        pivots = npk.grassmann._image(npk.grassmann._integral(p.terms))[1]
         full = {k: contractions_decomposable_full(p, k) for k in range(1, p.grade - 1)}
         assert contraction_profile(p) == full == dict.fromkeys(full, dec), p
         assert {k: npk.grassmann._symbolic_profile(p, pivots, k) for k in full} == full, p
@@ -448,7 +450,7 @@ def test_profile_indeterminates_follow_the_rank(monkeypatch):
 
     monkeypatch.setattr(npk.grassmann, "plucker_holds", spy)
     assert (len(set().union(*DEC_851.terms)), sharp_profile(DEC_851).rank) == (6, 5)
-    pivots = npk.grassmann._image(DEC_851)[1]
+    pivots = npk.grassmann._image(npk.grassmann._integral(DEC_851.terms))[1]
     assert all(npk.grassmann._symbolic_profile(DEC_851, pivots, k) for k in (1, 2, 3))
     # k * (r - k) with r = 5, not k * (s - k) with s = 6
     assert seen == [{4}, {6}, {6}]
@@ -624,7 +626,7 @@ def test_report_random_pairs():
 
 def _image_by_contraction(q, m):
     """The image of ``q``: the annihilator of its dense contraction kernel."""
-    return Subspace.zero(m) if q.grade == 0 else annihilator_by_contraction(q).annihilator()
+    return Subspace(m, ()) if q.grade == 0 else annihilator_by_contraction(q).annihilator()
 
 
 def _report_by_annihilators(p, alpha):
@@ -690,6 +692,61 @@ def test_two_block_witness():
     contracted = TWO_BLOCK.contract(verdict.witness)
     assert not contracted.is_zero()
     assert sharp_profile(contracted).rank <= sharp_profile(TWO_BLOCK).rank - 3
+
+
+NO_WITNESS = Multivector(6, 3, {(1, 2, 3): 1, (1, 4, 5): 1, (2, 4, 6): 1, (3, 5, 6): 1})
+OFF_AXIS_ONE = Multivector(7, 3, {(2, 3, 4): 1, (5, 6, 7): 1})
+
+
+def test_no_witness_found():
+    # rank 6 = 2n, yet no basis or sampled covector drops the rank by 3
+    assert sharp_profile(NO_WITNESS).rank == 6
+    for seed in (0, 1, 42):
+        assert irreducibility_check(NO_WITNESS, seed) == IrreducibilityVerdict(IrreducibilityKind.NO_WITNESS_FOUND)
+
+
+def test_zero_contraction_is_no_witness():
+    # dx^1 contracts P to zero, which drops the rank but splits nothing
+    assert OFF_AXIS_ONE.contract(Covector.basis(7, 1)).is_zero()
+    witness = Covector.basis(7, 2)
+    assert irreducibility_check(OFF_AXIS_ONE) == IrreducibilityVerdict(IrreducibilityKind.REDUCIBILITY_WITNESS, witness)
+
+
+def test_constant_questions_run_on_the_integer_echelon(monkeypatch):
+    # the report, the irreducibility search and the profile read the integer
+    # rows of _image: no Fraction echelon or Subspace, no Fraction contraction
+    # in the last two, and the profile witness ranks q by its own faces
+    rng = random.Random("integer-echelon")
+    grade5 = [DEC_851, *(_two_blade_851(rng) for _ in range(4))]
+    reports = [(p, Covector(p.dim, tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(p.dim))))
+               for p in (E123, MIXED, TWO_BLOCK, blade(4, 2), *grade5)]
+    reports.append((TWO_BLOCK, Covector.basis(6, 4)))
+    expected = [_report_by_annihilators(p, alpha) for p, alpha in reports]
+    constants = [E123, TWO_BLOCK, NO_WITNESS, OFF_AXIS_ONE, *grade5]
+    verdicts = [irreducibility_check(p) for p in constants]
+    profiles = [contraction_profile(p) for p in constants]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a Fraction route was taken")
+
+    for fn in (npk.linalg.rref, npk.linalg._reduced, Subspace.from_vectors.__func__):
+        monkeypatch.setattr(fn, "__code__", forbidden.__code__)
+    assert [contraction_subspace_report(p, alpha) for p, alpha in reports] == expected
+    monkeypatch.setattr(Multivector.contract, "__code__", forbidden.__code__)
+    assert [irreducibility_check(p) for p in constants] == verdicts
+    assert [contraction_profile(p) for p in constants] == profiles
+    tables = []
+
+    def spy(terms, k):
+        tables.append(k)
+        return blade_contractions(terms, k)
+
+    monkeypatch.setattr(npk.grassmann, "blade_contractions", spy)
+    for p in grade5:
+        for k in (1, 2):
+            tables.clear()
+            npk.grassmann._refuting_covectors(p, k)
+            assert set(tables) == {p.grade - k - 1}, (p, k, tables)
 
 
 def test_zero_rejected():

@@ -31,7 +31,7 @@ def test_identity_matrix():
     rank, kernel = space.dim, space.annihilator()
     image = column_image(mat, 3)
     assert rank == 3 == image.dim
-    assert kernel == Subspace.zero(3)
+    assert kernel == Subspace(3, ())
     assert image == full(3)
 
 
@@ -42,7 +42,7 @@ def test_zero_matrix():
     image = column_image(mat, 4)
     assert rank == 0 == image.dim
     assert kernel == full(4)
-    assert image == Subspace.zero(2)
+    assert image == Subspace(2, ())
 
 
 def test_rank_one_matrix():
