@@ -4,13 +4,15 @@ Basis blades are strictly increasing tuples of 1-based indices.  A
 homogeneous element of grade k stores a sparse map ``terms`` from k-blades
 to nonzero coefficients.  One container, :class:`GradedTerms`, holds that
 map for any coefficient ring: it canonicalises input, keeps the zero above
-the top grade, and provides ``component``, ``wedge`` and ``+ - * ==``; an
-element holds its ``dim``, ``grade`` and ``terms`` and nothing else.  Point
-values (:class:`Multivector`) are the subclass with ``fractions.Fraction``
-coefficients; multivector fields (:class:`npk.fields.MultivectorField`),
-with polynomial coefficients.  The term kernels (:func:`wedge_terms`,
-:func:`contract_terms`, ...) only need coefficients supporting ``+``,
-unary ``-``, ``*`` and truthiness, so both subclasses share them.
+the top grade, and provides ``component``, ``wedge``, ``+ - * ==`` and the
+one ``repr`` (sorted blades named ``e(i,j)``, each term by the polynomial
+term rule); an element holds its ``dim``, ``grade`` and ``terms`` and
+nothing else.  Point values (:class:`Multivector`) are the subclass with
+``fractions.Fraction`` coefficients; multivector fields
+(:class:`npk.fields.MultivectorField`), with polynomial coefficients.
+The term kernels (:func:`wedge_terms`, :func:`contract_terms`, ...) only
+need coefficients supporting ``+``, unary ``-``, ``*`` and truthiness, so
+both subclasses share them.
 :func:`covector_pair_table` is the one kernel of the conditions quadratic
 in two covectors: the algebraic condition, compatibility and the Jacobi
 symbol; its blades and signs come from :func:`merge_blades`, as in
@@ -43,7 +45,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Iterator, Mapping
 
-from .polynomial import Polynomial, _exact
+from .polynomial import Polynomial, _exact, _sum_text
 
 Blade = tuple[int, ...]
 
@@ -241,8 +243,9 @@ class GradedTerms:
     """Sparse homogeneous grade-k element over a coefficient ring.
 
     ``terms`` maps k-blades to nonzero coefficients.  Subclasses fix the
-    ring through two hooks: ``_coerce(coef, dim)`` turns an input into a
-    ring element (validating it) and ``_zero(dim)`` is the ring's zero;
+    ring through three hooks: ``_coerce(coef, dim)`` turns an input into a
+    ring element (validating it), ``_zero(dim)`` is the ring's zero and
+    ``_shown(coef)`` is how a coefficient reads in the one ``repr``;
     ``_factors`` lists the types ``*`` accepts.  The canonical zero above
     the top grade is stored with grade ``dim + 1`` so that out-of-range
     wedges compare equal.  An element is truthy exactly when it is nonzero,
@@ -343,6 +346,12 @@ class GradedTerms:
             return NotImplemented
         return self.dim == other.dim and self.grade == other.grade and self.terms == other.terms
 
+    def __repr__(self) -> str:
+        if not self.terms:
+            return f"0[grade {self.grade}, dim {self.dim}]"
+        terms = sorted(self.terms.items())
+        return _sum_text((self._shown(c), "e(" + ",".join(map(str, b)) + ")" if b else "") for b, c in terms)
+
 
 class Multivector(GradedTerms):
     """Sparse homogeneous grade-k element with exact rational coefficients.
@@ -362,6 +371,10 @@ class Multivector(GradedTerms):
     def _zero(dim: int) -> Fraction:
         return Fraction(0)
 
+    @staticmethod
+    def _shown(coef: Fraction) -> Fraction:
+        return coef
+
     @classmethod
     def from_vector(cls, coords: Iterable) -> "Multivector":
         coords = list(coords)
@@ -374,20 +387,6 @@ class Multivector(GradedTerms):
             raise ValueError("incompatible spaces")
         return Multivector(self.dim, self.grade - 1, contract_terms(alpha.sparse(), self.terms))
 
-    def __repr__(self) -> str:
-        if not self.terms:
-            return f"0[grade {self.grade}, dim {self.dim}]"
-        parts = []
-        for blade, coef in sorted(self.terms.items()):
-            name = "e(" + ",".join(map(str, blade)) + ")" if blade else "1"
-            if coef == 1 and blade:
-                parts.append(name)
-            elif coef == -1 and blade:
-                parts.append("-" + name)
-            else:
-                parts.append(f"{coef}*{name}" if blade else str(coef))
-        return " + ".join(parts).replace("+ -", "- ")
-
 
 @dataclass(frozen=True)
 class Covector:
@@ -397,7 +396,7 @@ class Covector:
     components: tuple[Fraction, ...]
 
     def __post_init__(self):
-        comps = tuple(c if type(c) is Fraction else Fraction(_exact(c)) for c in self.components)
+        comps = tuple(Multivector._coerce(c, self.dim) for c in self.components)
         if len(comps) != self.dim:
             raise ValueError("component vector length must equal the dimension")
         object.__setattr__(self, "components", comps)

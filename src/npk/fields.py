@@ -3,9 +3,10 @@
 A grade-n field on m coordinates is the :class:`~npk.exterior.GradedTerms`
 container with coefficients in the polynomials in ``x1..xm``: its
 ``terms`` map n-blades to polynomials, and storage, canonicalisation,
-``component``, ``wedge`` and ``+ - * ==`` are the shared ones.  This
-subclass fixes the coefficient ring (so ``*`` also takes a polynomial
-factor) and adds evaluation at a rational point (an exact
+``component``, ``wedge``, ``+ - * ==`` and ``repr`` are the shared ones.
+This subclass fixes the coefficient ring (so ``*`` also takes a polynomial
+factor) and how a coefficient reads (a sum or a negative in parentheses),
+and adds evaluation at a rational point (an exact
 :class:`~npk.exterior.Multivector`), partial derivatives and the
 contraction with a covector field; a reader that contracts with basis
 forms builds the table :func:`~npk.exterior.blade_contractions` of the
@@ -70,6 +71,12 @@ class MultivectorField(GradedTerms):
     def _zero(dim: int) -> Polynomial:
         return Polynomial.zero(dim)
 
+    @staticmethod
+    def _shown(coef: Polynomial) -> str:
+        # a text never counts as a unit, so 1*e(1,2) keeps its 1
+        text = repr(coef)
+        return f"({text})" if len(coef.terms) > 1 or text.startswith("-") else text
+
     @classmethod
     def from_multivector(cls, value: Multivector) -> "MultivectorField":
         return cls(value.dim, value.grade, dict(value.terms))
@@ -102,18 +109,6 @@ class MultivectorField(GradedTerms):
         alpha = {u + 1: c for u, c in enumerate(comps) if c}
         return MultivectorField(self.dim, self.grade - 1, contract_terms(alpha, self.terms))
 
-    def __repr__(self) -> str:
-        if not self.terms:
-            return f"0[grade {self.grade}, dim {self.dim}]"
-        parts = []
-        for blade, poly in sorted(self.terms.items()):
-            name = "e(" + ",".join(map(str, blade)) + ")" if blade else "1"
-            text = repr(poly)
-            if len(poly.terms) > 1 or text.startswith("-"):
-                text = f"({text})"
-            parts.append(f"{text}*{name}" if blade else text)
-        return " + ".join(parts)
-
 
 def coordinate_vector_field(dim: int, u: int) -> MultivectorField:
     """The constant coordinate frame field along direction ``u``."""
@@ -134,6 +129,8 @@ def contracted_derivative(a: MultivectorField, b: MultivectorField) -> Multivect
     grouped by the merged blade of ``R`` and ``S``, and each group is
     summed in one :meth:`~npk.polynomial.Polynomial.sum_of_products`.
     """
+    if a.grade + b.grade < 1:
+        raise ValueError("contracted_derivative needs total grade at least 1")
     live = [(s, p) for s, p in b.terms.items() if not p.is_constant()]
     coefs = list(a.terms.values())
     rows = blade_contractions({t: k for k, t in enumerate(a.terms, 1)}, 1) if live else {}

@@ -29,10 +29,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from enum import Enum
-from math import lcm
 
 from .exterior import Covector, Multivector, blade_contractions, contract_terms, merge_blades
-from .linalg import Subspace, _forward, _reduced, sparse_rank
+from .linalg import Subspace, _forward, _integral, _reduced, sparse_rank
 from .polynomial import Polynomial
 
 
@@ -72,18 +71,12 @@ def _image(terms: dict, width: int | None = None) -> tuple[dict[int, dict[int, i
     """Pivot rows and columns of the image of an integer term map, by one :func:`~npk.linalg._forward`.
 
     The rows are the (n-1)-faces ``{u-1: int}`` of ``terms`` (grade >= 1, or
-    empty), such as :func:`_integral` gives; the table is dropped.
+    empty), such as :func:`~npk.linalg._integral` gives; the table is dropped.
     The pass stops at ``width`` pivots, by default the support size (a bound on the rank).
     """
     faces = blade_contractions(terms, len(next(iter(terms), ())) - 1)
     rows = ({u - 1: x for (u,), x in face.items()} for face in faces.values())
     return _forward(rows, width or len(set().union(*terms)))
-
-
-def _integral(coefs: dict) -> dict:
-    # the Fractions of coefs (terms or a covector) times the lcm of their denominators, all integers
-    den = lcm(*(c.denominator for c in coefs.values()))
-    return {key: c.numerator * (den // c.denominator) for key, c in coefs.items()}
 
 
 def sharp_profile(p: Multivector) -> SharpProfile:

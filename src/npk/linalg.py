@@ -1,15 +1,16 @@
 """Exact rational linear algebra: reduced echelon forms and subspaces.
 
-Matrices are iterables of equal-length rows of ints or Fractions.  The one
-forward elimination, :func:`_forward`, runs fraction-free on sparse
-integer rows and stops once the rank reaches the width; :func:`_reduced`
-turns only its pivot rows back into Fractions.  :func:`rref` is the two in
-turn, :func:`sparse_rank` the first alone, and ``grassmann._image`` feeds
-it face rows.  Subspaces of the base space and of its dual share one
-representation (a canonical reduced row-echelon basis); the caller tracks
-variance.  Canonical form makes subspace equality plain structural
-equality.  The kernel of a matrix is the annihilator of its row space,
-read off that space's echelon basis.
+Matrices are iterables of equal-length rows of ints or Fractions, which the
+one rational-to-integer scaling, :func:`_integral`, turns (like the term
+maps of ``grassmann``) into sparse integer rows; the one forward
+elimination, :func:`_forward`, runs fraction-free on those rows and stops
+once the rank reaches the width; :func:`_reduced` turns only its pivot rows
+back into Fractions.  :func:`rref` is the two in turn, :func:`sparse_rank`
+the first alone, and ``grassmann._image`` feeds it face rows.  Subspaces
+of the base space and of its dual share one representation (a canonical
+reduced row-echelon basis); the caller tracks variance.  Canonical form
+makes subspace equality plain structural equality.  The kernel of a matrix
+is the annihilator of its row space, read off that space's echelon basis.
 """
 
 from __future__ import annotations
@@ -31,13 +32,17 @@ def _primitive(vec: dict[int, int]) -> dict[int, int]:
     return vec if g == 1 else {j: x // g for j, x in vec.items()}
 
 
+def _integral(coefs: dict) -> dict:
+    """The ints and Fractions of ``coefs`` (any keys) times the lcm of their denominators, all integers."""
+    den = lcm(*(c.denominator for c in coefs.values()))
+    return {key: c.numerator * (den // c.denominator) for key, c in coefs.items()}
+
+
 def _integer_row(row: Sequence) -> dict[int, int]:
-    """The nonzero entries of ``row``, exact ints or Fractions, over the lcm of their denominators."""
+    """The nonzero entries of ``row``, exact ints or Fractions, by :func:`_integral`."""
     if not {*map(type, row)} <= _EXACT:
         raise TypeError(f"entries must be ints or Fractions, not {row!r}")
-    entries = [(j, x) for j, x in enumerate(row) if x]
-    den = lcm(*(x.denominator for _, x in entries))
-    return {j: x.numerator * (den // x.denominator) for j, x in entries}
+    return _integral({j: x for j, x in enumerate(row) if x})
 
 
 def _eliminate(vec: dict[int, int], pivot_row: dict[int, int], c: int) -> dict[int, int]:

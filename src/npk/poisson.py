@@ -97,10 +97,6 @@ def pointwise_decomposable(field: MultivectorField) -> bool:
     return field.grade <= 1 or plucker_holds(field.terms)
 
 
-# _SAMPLE_COORDS[a + 6][b - 1] is Fraction(a, b): the random coordinates, built once
-_SAMPLE_COORDS = tuple(tuple(Fraction(a, b) for b in (1, 2, 3)) for a in range(-6, 7))
-
-
 def default_sample_points(dim: int, seed: int = 0, extra: int = 8) -> list[Point]:
     """Origin, the coordinate unit points, and seeded random rational points.
 
@@ -117,10 +113,9 @@ def _sample_points(dim: int, seed: int, extra: int) -> tuple[Point, ...]:
     points: list[Point] = [(zero,) * dim]
     for u in range(dim):
         points.append(tuple(one if i == u else zero for i in range(dim)))
-    rng = random.Random(seed)
-    randint = rng.randint
+    randint = random.Random(seed).randint
     for _ in range(extra):
-        points.append(tuple(_SAMPLE_COORDS[randint(-6, 6) + 6][randint(1, 3) - 1] for _ in range(dim)))
+        points.append(tuple(Fraction(randint(-6, 6), randint(1, 3)) for _ in range(dim)))
     return tuple(points)
 
 
@@ -148,6 +143,8 @@ def sample_ranks(field: MultivectorField, points: Sequence[Point]) -> tuple[tupl
     rows vanish, so the rank is ``|U|`` plus the rank of the other rows
     with the columns ``U`` deleted, and only those rows are eliminated.
     """
+    if field.grade < 1:
+        raise ValueError("sample ranks need grade at least 1")
     m = field.dim
     values = integer_evaluator(list(field.terms.values()), m)
     faces = blade_contractions({blade: k for k, blade in enumerate(field.terms, 1)}, field.grade - 1)

@@ -9,9 +9,11 @@ numerator, ``gcd(den, *numerators) == 1``, and ``den == 1`` for zero.
 Width rule: ``bound`` bounds every single exponent and ``width`` is the
 least multiple of 8 bits holding it; sums keep the larger bound, products
 add the bounds, and a narrower operand is repacked first, so a field never
-wraps.  Equality compares at a common width.  Exponent tuples and Fractions
-appear only at the edges: the constructor, ``monomials()``, ``repr`` and
-the value of ``evaluate``, which sums in :func:`integer_evaluator`.
+wraps.  Equality compares at a common width.  ``a * b`` is the single triple
+``(1, a, b)`` of :meth:`Polynomial.sum_of_products`, the one product kernel.
+Exponent tuples and Fractions appear only at the edges: the constructor,
+``monomials()``, ``repr`` (by :func:`_sum_text`, the term rule the graded
+containers share) and ``evaluate``, which sums in :func:`integer_evaluator`.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from fractions import Fraction
 from functools import reduce
 from math import gcd, lcm
 from operator import or_
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 _EXACT = {int, Fraction}  # matched by exact type, so a bool or a float is not one
 
@@ -163,34 +165,11 @@ class Polynomial:
         if type(other) in _EXACT:
             if not other:
                 return Polynomial._raw(self.num_vars, {})
-            p = other.numerator
-            terms = {k: c * p for k, c in self.terms.items()}
+            terms = {k: c * other.numerator for k, c in self.terms.items()}
             return Polynomial._raw(self.num_vars, terms, self.den * other.denominator, self.bound, self.width)
         if not isinstance(other, Polynomial):
             return NotImplemented
-        if other.num_vars != self.num_vars:
-            raise ValueError("operands have different variable counts")
-        ta, tb = self.terms, other.terms
-        bound, width = self.bound + other.bound, self.width
-        if other.width != width or bound >> width:
-            width = _width(bound)
-            ta, tb = self._terms_at(width), other._terms_at(width)
-        if len(tb) > len(ta):
-            ta, tb = tb, ta
-        if len(tb) == 1:
-            # adding one fixed monomial is injective: nothing merges
-            ((kb, cb),) = tb.items()
-            out = {ka + kb: ca * cb for ka, ca in ta.items()}
-        else:
-            out = {}
-            get = out.get
-            for kb, cb in tb.items():
-                for ka, ca in ta.items():
-                    k = ka + kb
-                    out[k] = get(k, 0) + ca * cb
-            if not all(out.values()):
-                out = {k: c for k, c in out.items() if c}
-        return Polynomial._raw(self.num_vars, out, self.den * other.den, bound, width)
+        return Polynomial.sum_of_products(self.num_vars, ((1, self, other),))
 
     __rmul__ = __mul__
 
@@ -202,7 +181,7 @@ class Polynomial:
         lcm of the products' denominators, so no polynomial is built for a
         single product or a partial sum.  The signs are integers, usually
         ``+-1``; ``products`` is a sequence, read twice.  The width holds the
-        largest ``a.bound + b.bound``.
+        largest ``a.bound + b.bound``; only a cancellation rebuilds the dict.
         """
         bound, den = 0, 1
         for _, a, b in products:
@@ -226,7 +205,9 @@ class Polynomial:
                 for ka, ca in ta.items():
                     k = ka + kb
                     out[k] = get(k, 0) + ca * cb
-        return cls._raw(num_vars, {k: c for k, c in out.items() if c}, den, bound, width)
+        if not all(out.values()):
+            out = {k: c for k, c in out.items() if c}
+        return cls._raw(num_vars, out, den, bound, width)
 
     # -- calculus and evaluation ------------------------------------------
 
@@ -283,14 +264,17 @@ class Polynomial:
     def __repr__(self) -> str:
         if not self.terms:
             return "0"
-        parts = []
-        for exps, coef in sorted(self.monomials(), key=lambda t: (sum(t[0]), t[0]), reverse=True):
-            name = "*".join(f"x{i + 1}" if e == 1 else f"x{i + 1}^{e}" for i, e in enumerate(exps) if e)
-            if name and coef in (1, -1):
-                parts.append(("-" if coef < 0 else "") + name)
-            else:
-                parts.append(f"{coef}*{name}" if name else str(coef))
-        return " + ".join(parts).replace("+ -", "- ")
+        monos = sorted(self.monomials(), key=lambda t: (sum(t[0]), t[0]), reverse=True)
+        return _sum_text(
+            (c, "*".join(f"x{i}" if e == 1 else f"x{i}^{e}" for i, e in enumerate(x, 1) if e)) for x, c in monos
+        )
+
+
+def _sum_text(terms: Iterable[tuple[object, str]]) -> str:
+    """``coef*name + ...`` over ``(coef, name)`` pairs, the one term rule of every ``repr``: an empty
+    name shows the coefficient alone, a unit number (never a text) ``name`` or ``-name``."""
+    parts = (str(c) if not name else name if c == 1 else "-" + name if c == -1 else f"{c}*{name}" for c, name in terms)
+    return " + ".join(parts).replace("+ -", "- ")
 
 
 def integer_evaluator(polys: Sequence[Polynomial], num_vars: int) -> Callable[[Sequence], tuple[list[int], int]]:

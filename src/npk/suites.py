@@ -19,7 +19,6 @@ from .fields import MultivectorField, jacobi_identity_holds
 from .grassmann import (
     IrreducibilityKind,
     _image,
-    _integral,
     _refuting_covectors,
     _symbolic_profile,
     contraction_profile,
@@ -29,6 +28,7 @@ from .grassmann import (
     is_decomposable,
     sharp_profile,
 )
+from .linalg import _integral
 from .poisson import (
     algebraic_condition,
     block_sum,

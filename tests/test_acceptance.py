@@ -6,10 +6,6 @@ the acceptance record is readable from the pytest output (run with -s or
 check the failure report).
 """
 
-import warnings
-
-import pytest
-
 import npk.grassmann
 import npk.oracles
 import npk.suites
@@ -32,13 +28,6 @@ def _report(number: int, label: str, result: SuiteResult) -> None:
     status = "PASS" if result.passed else "FAIL"
     print(f"criterion {number} [{label}]: {status} ({result.cases} cases)")
     assert result.passed, f"criterion {number} failed: {result.failures}"
-
-
-@pytest.fixture(autouse=True)
-def _quiet_sample_notices():
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)
-        yield
 
 
 def test_criterion_1_jacobi_equivalence():

@@ -370,7 +370,7 @@ def test_profile_builds_only_the_gauge_fixed_variables(monkeypatch):
     cases += [_on_support(rng, 8, 5, sorted(rng.sample(range(1, 9), 7)), rng.random() < 0.5) for _ in range(6)]
     for p in cases:
         s = len(set().union(*p.terms))
-        pivots = npk.grassmann._image(npk.grassmann._integral(p.terms))[1]
+        pivots = npk.grassmann._image(npk.linalg._integral(p.terms))[1]
         for k in range(1, p.grade - 1):
             built.clear()
             npk.grassmann._symbolic_profile(p, pivots, k)
@@ -429,7 +429,7 @@ def test_symbolic_identity_alone_matches_the_full_variable_route(monkeypatch):
     for p in _image_population():
         dec = is_decomposable(p)
         verdicts.add((p.grade, dec))
-        pivots = npk.grassmann._image(npk.grassmann._integral(p.terms))[1]
+        pivots = npk.grassmann._image(npk.linalg._integral(p.terms))[1]
         full = {k: contractions_decomposable_full(p, k) for k in range(1, p.grade - 1)}
         assert contraction_profile(p) == full == dict.fromkeys(full, dec), p
         assert {k: npk.grassmann._symbolic_profile(p, pivots, k) for k in full} == full, p
@@ -450,7 +450,7 @@ def test_profile_indeterminates_follow_the_rank(monkeypatch):
 
     monkeypatch.setattr(npk.grassmann, "plucker_holds", spy)
     assert (len(set().union(*DEC_851.terms)), sharp_profile(DEC_851).rank) == (6, 5)
-    pivots = npk.grassmann._image(npk.grassmann._integral(DEC_851.terms))[1]
+    pivots = npk.grassmann._image(npk.linalg._integral(DEC_851.terms))[1]
     assert all(npk.grassmann._symbolic_profile(DEC_851, pivots, k) for k in (1, 2, 3))
     # k * (r - k) with r = 5, not k * (s - k) with s = 6
     assert seen == [{4}, {6}, {6}]
