@@ -17,11 +17,11 @@ both subclasses share them.
 in two covectors: the algebraic condition, compatibility and the Jacobi
 symbol; its blades and signs come from :func:`merge_blades`, as in
 :func:`wedge_terms`, and :func:`first_failing_pair` builds it and sums it.
-:func:`blade_contractions` is the one kernel for contraction with basis
-forms: it tabulates the contractions with every basis k-form at once,
-built from the faces of the blades present, and a basis covector is the
-case k = 1.  Each reader builds the table it reads; nothing is kept on an
-element.
+:func:`merge_blades` is the one blade sign (``component`` folds it over
+its indices).  :func:`blade_contractions` is the one kernel for
+contraction with basis forms, and each table deletes one index: the
+contractions with every basis covector (k = 1) or (n-1)-form (k = n - 1).
+Each reader builds the table it reads; nothing is kept on an element.
 :func:`contract_terms` contracts with one general covector.
 
 Sign conventions, fixed once for the whole package:
@@ -82,24 +82,6 @@ def merge_blades(left: Blade, right: Blade):
     out.extend(left[i:])
     out.extend(right[j:])
     return (1 if inv % 2 == 0 else -1), tuple(out)
-
-
-def sort_to_blade(indices: Iterable[int]):
-    """Sort an index tuple into a blade, tracking the permutation sign.
-
-    Returns ``(sign, blade)`` or ``None`` when an index repeats.
-    """
-    lst = list(indices)
-    inv = 0
-    for i in range(len(lst)):
-        a = lst[i]
-        for j in range(i + 1, len(lst)):
-            b = lst[j]
-            if a == b:
-                return None
-            if a > b:
-                inv += 1
-    return (1 if inv % 2 == 0 else -1), tuple(sorted(lst))
 
 
 # ---------------------------------------------------------------------------
@@ -203,24 +185,27 @@ def first_failing_pair(left: Mapping, right: Mapping, polarize: bool) -> tuple[i
 def blade_contractions(terms: Mapping[Blade, object], k: int) -> dict:
     """Map each k-blade ``s`` to ``i(dx^s) terms``, first index acting first.
 
-    Zero contractions are absent, so a blade shorter than k adds nothing.
-    Built from the k-faces of the blades present, so the cost is
-    ``len(terms) * C(grade, k)`` rather than ``C(dim, k)`` contractions.
-    Contracting the face at positions ``j1 < ... < jk`` of a blade, first
-    index first, has sign ``(-1)^(sum(j) - k(k-1)/2)``.  A face and its
-    complement determine the blade, so no two terms meet and nothing
-    cancels.  Complementing reverses lexicographic order, so the faces in
-    order pair with the complements in reverse order.
+    Every face table deletes one index, so ``k`` is 1 or ``n - 1`` (``n``
+    the grade; any other ``k`` is a ``ValueError``, and an empty map has no
+    faces).  At position ``j`` of a blade, ``k = 1`` deletes ``u``, row
+    ``(u,)``, sign ``(-1)^j``; ``k = n - 1`` keeps it, row the rest, entry
+    ``(u,)``, sign ``(-1)^(n-1-j)`` (each later face index is contracted
+    past ``u``).  Zero contractions are absent, so a grade-0 map has no
+    1-faces.  A face and its complement determine the blade, so nothing
+    cancels.  A blade's faces come in lexicographic order of positions.
     """
+    n = len(next(iter(terms), ()))
+    if terms and k != 1 and k != n - 1:
+        raise ValueError(f"face tables delete one index: k must be 1 or {n - 1}, got {k}")
     out: dict = {}
-    shift = k * (k - 1) // 2
-    for blade, coef in terms.items():
-        if len(blade) < k:
-            continue
-        rests = list(combinations(blade, len(blade) - k))
-        faces = zip(combinations(range(len(blade)), k), combinations(blade, k), reversed(rests))
-        for pos, face, rest in faces:
-            out.setdefault(face, {})[rest] = -coef if (sum(pos) - shift) % 2 else coef
+    if k == 1:
+        for blade, coef in terms.items():
+            for j, u in enumerate(blade):
+                out.setdefault((u,), {})[blade[:j] + blade[j + 1:]] = -coef if j % 2 else coef
+    else:
+        for blade, coef in terms.items():
+            for j in range(n - 1, -1, -1):
+                out.setdefault(blade[:j] + blade[j + 1:], {})[(blade[j],)] = -coef if (n - 1 - j) % 2 else coef
     return out
 
 
@@ -293,11 +278,13 @@ class GradedTerms:
 
     def component(self, indices: Iterable[int]):
         """Fully antisymmetric component for an arbitrary index tuple."""
-        sorted_ = sort_to_blade(indices)
-        coef = None if sorted_ is None else self.terms.get(sorted_[1])
-        if coef is None:
-            return self._zero(self.dim)
-        return coef if sorted_[0] > 0 else -coef
+        sign, blade = 1, ()
+        for u in indices:  # merge the indices one at a time; a repeat is zero
+            if (merged := merge_blades(blade, (u,))) is None:
+                return self._zero(self.dim)
+            sign, blade = sign * merged[0], merged[1]
+        coef = self.terms.get(blade)
+        return self._zero(self.dim) if coef is None else coef if sign > 0 else -coef
 
     def vector_components(self) -> tuple:
         if self.grade != 1:

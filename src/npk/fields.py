@@ -9,9 +9,10 @@ factor) and how a coefficient reads (a sum or a negative in parentheses),
 and adds evaluation at a rational point (an exact
 :class:`~npk.exterior.Multivector`), partial derivatives and the
 contraction with a covector field; a reader that contracts with basis
-forms builds the table :func:`~npk.exterior.blade_contractions` of the
-field's terms, and nothing is kept on the field.  The module also
-provides the n-ary bracket a grade-n field induces on polynomial
+forms builds the one-index face table
+:func:`~npk.exterior.blade_contractions` of the field's terms (k = 1
+here, k = n - 1 for the sharp rows), and nothing is kept on the field.
+The module also provides the n-ary bracket a grade-n field induces on polynomial
 functions, the differential defect ``K(P, P) = sum_u i(dx^u) P ^ d_u P``
 whose vanishing is the differential half of the Poisson conditions (one
 case of :func:`contracted_derivative`, the kernel it shares with the Lie
@@ -20,17 +21,18 @@ identity decided exactly on a finite generating family of arguments.
 
 The n-ary bracket runs through one general kernel over sparse gradients
 ``{u: d_u f}``: the expansion ``sum prod_i d_{u_i} f_i * P^{u_1..u_n}``
-over one nonzero entry per argument, skipping repeated indices;
-:func:`nary_bracket` uses it.  The Jacobi decision calls no bracket.  On
-the coordinate families its defect is the differential defect, and once
-that vanishes a quadratic family ``x_u x_v, x_T'`` reduces by Leibniz to
-its symbol ``Q[u, v]``, twice an entry of the
-:func:`~npk.exterior.covector_pair_table` of P with itself, zero at even
-grade (proof in :func:`jacobi_identity_holds`).  So it decides the two
-conditions of the parity rule with the classifier's own kernels, and its
-cost follows the field's support, not the number of families.  A route
-independent of those kernels is the nested-bracket defect loop of the
-test oracles.
+over one nonzero entry per argument, each index merged into the blade
+so far by :func:`~npk.exterior.merge_blades`, the package's one blade
+sign, whose ``None`` drops a repeated index; :func:`nary_bracket` uses
+it.  The Jacobi decision calls no bracket.  On the coordinate families
+its defect is the differential defect, and once that vanishes a quadratic
+family ``x_u x_v, x_T'`` reduces by Leibniz to its symbol ``Q[u, v]``,
+twice an entry of the :func:`~npk.exterior.covector_pair_table` of P
+with itself, zero at even grade (proof in :func:`jacobi_identity_holds`).
+So it decides the two conditions of the parity rule with the classifier's
+own kernels, and its cost follows the field's support, not the number of
+families.  A route independent of those kernels is the nested-bracket
+defect loop of the test oracles.
 """
 
 from __future__ import annotations
@@ -46,7 +48,6 @@ from .exterior import (
     contract_terms,
     first_failing_pair,
     merge_blades,
-    sort_to_blade,
 )
 from .polynomial import Polynomial, integer_evaluator
 
@@ -172,17 +173,17 @@ def _gradient(f: Polynomial) -> Gradient:
 def _bracket(field: MultivectorField, grads: Sequence[Gradient]) -> Polynomial:
     """Multilinear expansion ``sum prod_i d_{u_i} f_i * P^{u_1..u_n}``.
 
-    One nonzero gradient entry is chosen per row; a choice is dropped as
-    soon as an index repeats, and a complete one is sorted into a blade
-    whose coefficient is looked up in the field.
+    One nonzero gradient entry is chosen per row and merged into the blade
+    of the rows before it by :func:`~npk.exterior.merge_blades`, which also
+    keeps the sign; a choice is dropped as soon as an index repeats (the
+    merge is ``None``), and a complete one looks its blade up in the field.
     """
     terms = field.terms
     acc = Polynomial.zero(field.dim)
 
-    def expand(row: int, chosen: tuple[int, ...], factors: tuple[Polynomial, ...]) -> None:
+    def expand(row: int, sign: int, blade: Blade, factors: tuple[Polynomial, ...]) -> None:
         nonlocal acc
         if row == len(grads):
-            sign, blade = sort_to_blade(chosen)
             coef = terms.get(blade)
             if coef is None:
                 return
@@ -192,10 +193,10 @@ def _bracket(field: MultivectorField, grads: Sequence[Gradient]) -> Polynomial:
             acc = acc + piece if sign > 0 else acc - piece
             return
         for u, d in grads[row].items():
-            if u not in chosen:
-                expand(row + 1, chosen + (u,), factors + (d,))
+            if merged := merge_blades(blade, (u,)):
+                expand(row + 1, sign * merged[0], merged[1], factors + (d,))
 
-    expand(0, (), ())
+    expand(0, 1, (), ())
     return acc
 
 

@@ -29,6 +29,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain
 
 from .exterior import Covector, Multivector, blade_contractions, contract_terms, merge_blades
 from .linalg import Subspace, _forward, _integral, _reduced, sparse_rank
@@ -335,8 +336,9 @@ def irreducibility_check(p: Multivector, seed: int = 0) -> IrreducibilityVerdict
     """Search for a split of ``p`` into independent grade-n summands.
 
     Rank below 2n certifies irreducibility outright (each summand of a
-    split carries rank at least n).  Otherwise the basis covectors and 20
-    seeded random covectors are sampled; a contraction that stays nonzero
+    split carries rank at least n).  Otherwise the basis covectors, then 20
+    seeded random ones (drawn only if every basis covector fails) are
+    sampled; a contraction that stays nonzero
     while dropping the rank by at least n witnesses reducibility.  Sampling can
     never certify irreducibility, so the remaining outcome is an honest
     "no witness found".  Each rank is the pivot count of :func:`_image`, on
@@ -351,13 +353,10 @@ def irreducibility_check(p: Multivector, seed: int = 0) -> IrreducibilityVerdict
     rank = len(_image(terms)[1])
     if rank < 2 * n:
         return IrreducibilityVerdict(IrreducibilityKind.CERTIFIED_BY_RANK)
-    rng = random.Random(seed)
-    candidates = [[int(u == v) for v in range(m)] for u in range(m)]
-    for _ in range(_IRREDUCIBILITY_SAMPLES):
-        comps = [rng.randint(-9, 9) for _ in range(m)]
-        if any(comps):
-            candidates.append(comps)
-    for comps in candidates:
+    basis = ([int(u == v) for v in range(m)] for u in range(m))
+    randint = random.Random(seed).randint
+    draws = ([randint(-9, 9) for _ in range(m)] for _ in range(_IRREDUCIBILITY_SAMPLES))
+    for comps in chain(basis, filter(any, draws)):
         contracted = contract_terms(dict(enumerate(comps, 1)), terms)
         # a zero contraction is skipped; the pass stops once the drop is too small
         if contracted and len(_image(contracted, rank - n + 1)[1]) <= rank - n:

@@ -9,8 +9,9 @@ numerator, ``gcd(den, *numerators) == 1``, and ``den == 1`` for zero.
 Width rule: ``bound`` bounds every single exponent and ``width`` is the
 least multiple of 8 bits holding it; sums keep the larger bound, products
 add the bounds, and a narrower operand is repacked first, so a field never
-wraps.  Equality compares at a common width.  ``a * b`` is the single triple
-``(1, a, b)`` of :meth:`Polynomial.sum_of_products`, the one product kernel.
+wraps.  Equality compares at a common width.  :meth:`Polynomial.sum_of_products`
+is the one accumulation: ``a * b`` is its single triple ``(1, a, b)`` and
+``a +- b`` its pair ``(1, a, 1), (+-1, b, 1)`` with the unit polynomial.
 Exponent tuples and Fractions appear only at the edges: the constructor,
 ``monomials()``, ``repr`` (by :func:`_sum_text`, the term rule the graded
 containers share) and ``evaluate``, which sums in :func:`integer_evaluator`.
@@ -129,20 +130,8 @@ class Polynomial:
         return {_pack(_unpack(k, self.num_vars, self.width), width): c for k, c in self.terms.items()}
 
     def _add(self, other: "Polynomial", sign: int) -> "Polynomial":
-        if not self.terms:
-            return other if sign > 0 else -other
-        width = max(self.width, other.width)
-        g = gcd(self.den, other.den)
-        fa, fb = other.den // g, sign * (self.den // g)
-        ta = self._terms_at(width)
-        out = dict(ta) if fa == 1 else {k: c * fa for k, c in ta.items()}
-        for k, c in other._terms_at(width).items():
-            s = out.get(k, 0) + c * fb
-            if s:
-                out[k] = s
-            else:
-                del out[k]  # c is nonzero, so k was present
-        return Polynomial._raw(self.num_vars, out, self.den * fa, max(self.bound, other.bound), width)
+        one = Polynomial._raw(self.num_vars, {0: 1})
+        return Polynomial.sum_of_products(self.num_vars, ((1, self, one), (sign, other, one)))
 
     def __add__(self, other):
         other = self._coerce(other)

@@ -17,7 +17,7 @@ from math import factorial
 from typing import Iterator, Mapping, Sequence
 
 import npk.fields
-from npk.exterior import Multivector, blade_contractions, contract_terms, iter_blades, merge_blades, wedge_terms
+from npk.exterior import Multivector, contract_terms, iter_blades, merge_blades, wedge_terms
 from npk.fields import MultivectorField, lie_bracket, nary_bracket
 from npk.linalg import Subspace
 from npk.poisson import default_sample_points
@@ -32,6 +32,31 @@ def perm_sign(perm) -> int:
         if perm[i] > perm[j]
     )
     return 1 if inv % 2 == 0 else -1
+
+
+def reference_face_table(terms: Mapping, k: int) -> dict:
+    """Map each k-blade ``s`` to ``i(dx^s) terms`` for any k, first index acting first.
+
+    The reference for the one-index :func:`npk.exterior.blade_contractions`.
+    Zero contractions are absent, so a blade shorter than k adds nothing.
+    Built from the k-faces of the blades present, so the cost is
+    ``len(terms) * C(grade, k)`` rather than ``C(dim, k)`` contractions.
+    Contracting the face at positions ``j1 < ... < jk`` of a blade, first
+    index first, has sign ``(-1)^(sum(j) - k(k-1)/2)``.  A face and its
+    complement determine the blade, so no two terms meet and nothing
+    cancels.  Complementing reverses lexicographic order, so the faces in
+    order pair with the complements in reverse order.
+    """
+    out: dict = {}
+    shift = k * (k - 1) // 2
+    for blade, coef in terms.items():
+        if len(blade) < k:
+            continue
+        rests = list(combinations(blade, len(blade) - k))
+        faces = zip(combinations(range(len(blade)), k), combinations(blade, k), reversed(rests))
+        for pos, face, rest in faces:
+            out.setdefault(face, {})[rest] = -coef if (sum(pos) - shift) % 2 else coef
+    return out
 
 
 def iterated_contraction(p: Multivector, covectors) -> Multivector:
@@ -130,7 +155,9 @@ def contractions_decomposable_full(p: Multivector, k: int) -> bool:
     each of the k covectors gets m polynomial indeterminates, one per basis
     index whether or not the support uses it, and every contraction-wedge
     defect of the symbolic contraction is built with ``wedge_terms`` and
-    tested for identical vanishing.
+    tested for identical vanishing.  Its faces come from
+    :func:`reference_face_table`, so it shares no face kernel with the
+    package.
     """
     m, n = p.dim, p.grade
     if p.is_zero():
@@ -140,7 +167,7 @@ def contractions_decomposable_full(p: Multivector, k: int) -> bool:
     for i in range(k):
         alpha = {u: Polynomial.variable(i * m + u, nvars) for u in range(1, m + 1)}
         terms = contract_terms(alpha, terms)
-    return not any(wedge_terms(face, terms) for face in blade_contractions(terms, n - k - 1).values())
+    return not any(wedge_terms(face, terms) for face in reference_face_table(terms, n - k - 1).values())
 
 
 def pair_wedges_by_contraction(left: MultivectorField, right: MultivectorField, polarize: bool) -> dict:
@@ -321,7 +348,7 @@ def involutivity_by_sampling(field: MultivectorField, points=None, seed: int = 0
     """
     m, n = field.dim, field.grade
     pts = list(points) if points is not None else default_sample_points(m, seed)
-    rows = [MultivectorField(m, 1, face) for face in blade_contractions(field.terms, n - 1).values()]
+    rows = [MultivectorField(m, 1, face) for face in reference_face_table(field.terms, n - 1).values()]
     brackets = [b for x, y in combinations(rows, 2) if (b := lie_bracket(x, y))]
     for pt in pts:
         if field.evaluate(pt).is_zero():

@@ -1,12 +1,14 @@
 """Every contraction table is built at most once per term map and k.
 
 No table is kept on an element: each reader builds the
-``blade_contractions(terms, k)`` it reads, once per call.  The (n-1)-face
-table of the Plücker loop is built by ``plucker_holds``; the symbolic
-tables of ``contractions_decomposable``, ``sample_ranks`` and
-``contracted_derivative`` by those functions; and ``grassmann._image``
-tabulates the (n-1)-faces of a constant on the integer multiple of its
-terms, for the one forward pass behind every question about its image.
+``blade_contractions(terms, k)`` it reads, once per call, and every table
+deletes one index.  The k = 1 table of A's blades is built by
+``contracted_derivative``.  The k = n - 1 tables are built by
+``plucker_holds`` (the Plücker loop, which ``contractions_decomposable``
+runs on its symbolic contraction), ``sample_ranks`` and ``is_involutive``;
+and ``grassmann._image`` tabulates the (n-1)-faces of a constant on the
+integer multiple of its terms, for the one forward pass behind every
+question about its image.
 A caller that decides the same thing twice for one element builds its
 table twice, and this count sees it.  The same holds for the covector
 pair table behind every compatibility decision.

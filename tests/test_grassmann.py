@@ -694,6 +694,15 @@ def test_two_block_witness():
     assert sharp_profile(contracted).rank <= sharp_profile(TWO_BLOCK).rank - 3
 
 
+def test_basis_witness_draws_no_random_covector(monkeypatch):
+    # dx^1 already splits e123 + e456, so the random candidates are never drawn
+    draws = []
+    monkeypatch.setattr(random.Random, "randint", lambda self, a, b: draws.append((a, b)) or 0)
+    witness = Covector.basis(6, 1)
+    assert irreducibility_check(TWO_BLOCK) == IrreducibilityVerdict(IrreducibilityKind.REDUCIBILITY_WITNESS, witness)
+    assert draws == []
+
+
 NO_WITNESS = Multivector(6, 3, {(1, 2, 3): 1, (1, 4, 5): 1, (2, 4, 6): 1, (3, 5, 6): 1})
 OFF_AXIS_ONE = Multivector(7, 3, {(2, 3, 4): 1, (5, 6, 7): 1})
 

@@ -5,7 +5,7 @@ import re
 import pytest
 
 from npk.compat import delta, gradient_contraction
-from npk.exterior import Covector, Multivector
+from npk.exterior import Covector, Multivector, blade_contractions
 from npk.fields import (
     MultivectorField,
     contracted_derivative,
@@ -42,6 +42,11 @@ _REFUSALS = {
     "contract-spaces": (lambda: VECTOR.contract(Covector(2, (1, 0))), ValueError, "incompatible spaces"),
     "covector-length": (lambda: Covector(3, (1, 2)), ValueError, "component vector length must equal the dimension"),
     "covector-basis-range": (lambda: Covector.basis(3, 4), ValueError, "index 4 out of range 1..3"),
+    "face-table-k": (
+        lambda: blade_contractions({(1, 2, 3): 1}, 3),
+        ValueError,
+        "face tables delete one index: k must be 1 or 2, got 3",
+    ),
     # fields
     "field-component-vars": (
         lambda: MultivectorField(3, 1, {(1,): Y1}),
