@@ -6,7 +6,9 @@ mathematically, 2 means the invocation or input was unusable, 3 means the
 program failed on an accepted input (an internal consistency check or any
 other exception, reported in one ``internal error:`` line).  JSON
 output is canonical and, for a fixed seed, byte-identical across runs;
-wall-clock timing appears only in the human-readable form.
+wall-clock timing appears only in the human-readable form.  Each op's
+arguments go through argparse once, by its command's own parser; the full
+parser runs only to print help or an error.
 """
 
 from __future__ import annotations
@@ -156,6 +158,10 @@ _COMMANDS = {
 }
 
 
+# each command's own parser by name: the choices of its sub-parsers, stored by build_parser
+_COMMAND_PARSERS: dict[str, argparse.ArgumentParser] = {}
+
+
 # once per process: a parser is reference cycles that only the cyclic GC frees
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
@@ -172,6 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
         for flag, kwargs in ({"--seed": None, "--json": _JSON} | options).items():
             if kwargs is not None:
                 p.add_argument(flag, **kwargs)
+    _COMMAND_PARSERS.update(sub.choices)
     return parser
 
 
@@ -186,7 +193,15 @@ def _load(args, least_grade: int) -> MultivectorField:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # the full parser runs where argv[0] is no command or an argument is left over
+    parser = build_parser()
+    command = _COMMAND_PARSERS.get(argv[0]) if argv else None
+    args, extra = command.parse_known_args(argv[1:]) if command else (None, True)
+    if extra:
+        args = parser.parse_args(argv)
+    else:
+        args.command = argv[0]
     handler, _, least_grade, _ = _COMMANDS[args.command]
     start = time.monotonic()
     try:

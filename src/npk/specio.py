@@ -32,7 +32,6 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
-from pathlib import Path
 
 from .exterior import _add_term
 from .fields import MultivectorField
@@ -61,11 +60,11 @@ def _ints(xs: list) -> bool:
     return {*map(type, xs)} == {int}
 
 
-def _rational(text, where: str) -> int | Fraction:
+def _rational(text) -> int | Fraction:
     if _is_int(text):
         return text
     if not isinstance(text, str):
-        raise SpecError(f"{where}: rational values must be strings or integers, got {type(text).__name__}")
+        raise SpecError(f"rational values must be strings or integers, got {type(text).__name__}")
     try:
         return int(text)  # the common case, and no Fraction to build
     except ValueError:
@@ -73,23 +72,23 @@ def _rational(text, where: str) -> int | Fraction:
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise SpecError(f"{where}: bad rational {text!r} ({exc})") from None
+        raise SpecError(f"bad rational {text!r} ({exc})") from None
 
 
-def _check_keys(obj: dict, allowed: set[str], where: str) -> None:
+def _check_keys(obj: dict, allowed: set[str], where: str = "") -> None:
+    if obj.keys() == allowed:
+        return
     unknown = set(obj) - allowed
     if unknown:
-        raise SpecError(f"{where}: unknown fields {sorted(unknown)}")
-    missing = allowed - set(obj)
-    if missing:
-        raise SpecError(f"{where}: missing fields {sorted(missing)}")
+        raise SpecError(f"{where}unknown fields {sorted(unknown)}")
+    raise SpecError(f"{where}missing fields {sorted(allowed - set(obj))}")
 
 
 def parse_spec_data(obj) -> TensorSpec:
     """Validate an already-decoded JSON object and build its field."""
     if not isinstance(obj, dict):
         raise SpecError("top level must be a JSON object")
-    _check_keys(obj, {"m", "n", "kind", "terms"}, "top level")
+    _check_keys(obj, {"m", "n", "kind", "terms"}, "top level: ")
     m, n, kind, terms = obj["m"], obj["n"], obj["kind"], obj["terms"]
     if not _is_int(m) or m < 1:
         raise SpecError("m must be a positive integer")
@@ -102,37 +101,42 @@ def parse_spec_data(obj) -> TensorSpec:
     if not isinstance(terms, list):
         raise SpecError("terms must be a list")
 
-    # blade -> rational (constant) or blade -> {exponent tuple: rational}
+    # blade -> rational (constant) or blade -> {exponent tuple: rational};
+    # a refusal inside terms names its place, built only when it is raised
     acc: dict = {}
-    for pos, term in enumerate(terms):
-        where = f"terms[{pos}]"
-        if not isinstance(term, dict):
-            raise SpecError(f"{where}: must be an object")
-        _check_keys(term, {"indices", "value"}, where)
-        indices = term["indices"]
-        if not isinstance(indices, list) or len(indices) != n or not _ints(indices):
-            raise SpecError(f"{where}: indices must be a list of {n} integers")
-        if indices != sorted(set(indices)) or indices[0] < 1 or indices[-1] > m:
-            raise SpecError(f"{where}: indices must be strictly increasing within 1..{m}")
-        blade = tuple(indices)
-        value = term["value"]
-        if kind == "constant":
-            _add_term(acc, blade, _rational(value, where))
-            continue
-        if not isinstance(value, list):
-            raise SpecError(f"{where}: polynomial values must be monomial lists")
-        monos = acc.setdefault(blade, {})
-        for mpos, mono in enumerate(value):
-            mwhere = f"{where}.value[{mpos}]"
-            if not isinstance(mono, dict):
-                raise SpecError(f"{mwhere}: must be an object")
-            _check_keys(mono, {"coef", "exps"}, mwhere)
-            exps = mono["exps"]
-            if not isinstance(exps, list) or len(exps) != m or not _ints(exps) or min(exps) < 0:
-                raise SpecError(f"{mwhere}: exps must be a list of {m} nonnegative integers")
-            _add_term(monos, tuple(exps), _rational(mono["coef"], mwhere))
-        if not monos:
-            del acc[blade]
+    mpos = None  # the monomial being read, None outside a monomial list
+    try:
+        for pos, term in enumerate(terms):
+            if not isinstance(term, dict):
+                raise SpecError("must be an object")
+            _check_keys(term, {"indices", "value"})
+            indices = term["indices"]
+            if not isinstance(indices, list) or len(indices) != n or not _ints(indices):
+                raise SpecError(f"indices must be a list of {n} integers")
+            if indices != sorted(set(indices)) or indices[0] < 1 or indices[-1] > m:
+                raise SpecError(f"indices must be strictly increasing within 1..{m}")
+            blade = tuple(indices)
+            value = term["value"]
+            if kind == "constant":
+                _add_term(acc, blade, _rational(value))
+                continue
+            if not isinstance(value, list):
+                raise SpecError("polynomial values must be monomial lists")
+            monos = acc.setdefault(blade, {})
+            for mpos, mono in enumerate(value):
+                if not isinstance(mono, dict):
+                    raise SpecError("must be an object")
+                _check_keys(mono, {"coef", "exps"})
+                exps = mono["exps"]
+                if not isinstance(exps, list) or len(exps) != m or not _ints(exps) or min(exps) < 0:
+                    raise SpecError(f"exps must be a list of {m} nonnegative integers")
+                _add_term(monos, tuple(exps), _rational(mono["coef"]))
+            mpos = None
+            if not monos:
+                del acc[blade]
+    except SpecError as exc:
+        where = f"terms[{pos}]" if mpos is None else f"terms[{pos}].value[{mpos}]"
+        raise SpecError(f"{where}: {exc}") from None
 
     # every blade, exponent tuple and coefficient is valid and nonzero by now
     if kind == "constant":
@@ -144,11 +148,11 @@ def parse_spec_data(obj) -> TensorSpec:
 
 def _unique_fields(pairs: list) -> dict:
     # json.loads would keep the last of two equal keys without a word
-    obj = {}
-    for key, value in pairs:
-        if key in obj:
-            raise SpecError(f"duplicate field {key!r}")
-        obj[key] = value
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen = set()  # the first key met a second time
+        key = next(key for key, _ in pairs if key in seen or seen.add(key))
+        raise SpecError(f"duplicate field {key!r}")
     return obj
 
 
@@ -163,7 +167,8 @@ def parse_spec_text(text: str) -> TensorSpec:
 
 
 def parse_spec(path) -> TensorSpec:
-    return parse_spec_text(Path(path).read_text(encoding="utf-8"))
+    with open(path, encoding="utf-8") as f:
+        return parse_spec_text(f.read())
 
 
 def serialize(spec: TensorSpec) -> str:

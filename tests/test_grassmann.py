@@ -34,6 +34,7 @@ from oracles import (
     fraction_rref,
     in_span,
     intersection_by_annihilators,
+    reference_face_table,
 )
 
 
@@ -94,7 +95,7 @@ def test_annihilator_matches_contraction_kernel():
 
 def test_sharp_profile_matches_fraction_rref():
     # the integer image reduction against dense Gauss-Jordan on the Fraction
-    # face rows: mixed denominators, zero and grade 1
+    # face rows of the reference face table: mixed denominators, zero and grade 1
     rng = random.Random("profile-fraction-rref")
     cases = [Multivector.zero(5, 3), Multivector.zero(4, 1), Multivector(4, 1, {(2,): Fraction(3, 7)})]
     for _ in range(80):
@@ -107,7 +108,7 @@ def test_sharp_profile_matches_fraction_rref():
         cases.append(Multivector(m, n, terms))
     mixed = grade_one = 0
     for p in cases:
-        faces = blade_contractions(p.terms, p.grade - 1).values()
+        faces = reference_face_table(p.terms, p.grade - 1).values()
         rows = [[face.get((u,), 0) for u in range(1, p.dim + 1)] for face in faces]
         reduced, _ = fraction_rref(rows, p.dim)
         profile = sharp_profile(p)

@@ -1,7 +1,11 @@
 import hashlib
 import json
+import os
 import pathlib
 import random
+import re
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -675,6 +679,14 @@ def test_cli_malformed_spec_is_operational_error(tmp_path, capsys):
     assert main(["check", str(path)]) == 2
 
 
+_MONO = {"coef": "1", "exps": [1, 0, 0]}
+
+
+def _one_blade_spec(monomials: list) -> dict:
+    # the monomial objects as given, unchecked, on the blade (1, 2) of m = 3
+    return {"m": 3, "n": 2, "kind": "polynomial", "terms": [{"indices": [1, 2], "value": monomials}]}
+
+
 MALFORMED_SPECS = {
     "top-level-list": ([1, 2, 3], "top level must be a JSON object"),
     "missing-field": ({"m": 5, "n": 3, "kind": "constant"}, "top level: missing fields ['terms']"),
@@ -688,6 +700,39 @@ MALFORMED_SPECS = {
     "monomial-number": (
         {"m": 3, "n": 2, "kind": "polynomial", "terms": [{"indices": [1, 2], "value": [1]}]},
         "terms[0].value[0]: must be an object",
+    ),
+    "monomial-unknown-field": (
+        _one_blade_spec([_MONO, {"coef": "1", "exps": [0, 1, 0], "deg": 1}]),
+        "terms[0].value[1]: unknown fields ['deg']",
+    ),
+    "monomial-missing-field": (
+        _one_blade_spec([_MONO, {"coef": "2"}]), "terms[0].value[1]: missing fields ['exps']",
+    ),
+    "monomial-short-exps": (
+        _one_blade_spec([_MONO, {"coef": "1", "exps": [0, 1]}]),
+        "terms[0].value[1]: exps must be a list of 3 nonnegative integers",
+    ),
+    "monomial-negative-exps": (
+        _one_blade_spec([{"coef": "1", "exps": [0, -1, 0]}]),
+        "terms[0].value[0]: exps must be a list of 3 nonnegative integers",
+    ),
+    "monomial-bad-rational": (
+        _one_blade_spec([_MONO, {"coef": "1/0", "exps": [0, 1, 0]}]),
+        "terms[0].value[1]: bad rational '1/0' (Fraction(1, 0))",
+    ),
+    "monomial-bool-coef": (
+        _one_blade_spec([_MONO, {"coef": True, "exps": [0, 1, 0]}]),
+        "terms[0].value[1]: rational values must be strings or integers, got bool",
+    ),
+    "constant-bad-rational": (
+        {"m": 3, "n": 2, "kind": "constant", "terms": [{"indices": [1, 2], "value": "x"}]},
+        "terms[0]: bad rational 'x' (Invalid literal for Fraction: 'x')",
+    ),
+    # a term's own refusal after a monomial list names the term, not a monomial
+    "term-after-monomials": (
+        {"m": 3, "n": 2, "kind": "polynomial", "terms": [
+            {"indices": [1, 2], "value": [_MONO]}, {"indices": [2, 1], "value": []}]},
+        "terms[1]: indices must be strictly increasing within 1..3",
     ),
 }
 
@@ -781,6 +826,67 @@ def test_cli_unknown_command_usage_error():
     with pytest.raises(SystemExit) as excinfo:
         main(["frobnicate"])
     assert excinfo.value.code == 2
+
+
+def _outcome(argv, capsys):
+    # exit code, stdout and stderr of one run; the human form's timing line masked
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, re.sub(r"completed in \d+\.\d+s", "completed in ...", out), err
+
+
+def _route_corpus() -> list[list[str]]:
+    # SPEC stands for specs/decomposable_3vector.json
+    corpus = [[], ["-h"], ["--help"], ["-"], ["--"], ["frobnicate"], ["frobnicate", "SPEC"], ["-h", "check"],
+              ["--", "check", "SPEC"], ["check"], ["check", "--json"], ["check", "-"], ["check", "SPEC", "-"],
+              ["check", "--", "SPEC", "--json"], ["check", "SPEC", "--", "--json"],
+              ["check", "SPEC", "--js"], ["check", "SPEC", "--s", "3"], ["rank", "SPEC", "--se", "3", "--js"],
+              ["check", "SPEC", "--seed", "x"], ["rank", "SPEC", "--samples", "1.5"],
+              ["check", "SPEC", "--samples", "-2"], ["check", "SPEC", "--bogus"], ["jacobi", "SPEC", "SPEC", "--json"],
+              ["check", "SPEC", "extra"]]
+    for command, (_, _, least_grade, _) in npk.cli._COMMANDS.items():
+        argv = [command] + ([] if least_grade is None else ["SPEC"])
+        corpus += [[command, "-h"], [*argv, "--help"], [*argv, "--json"], argv, [*argv, "--seed", "3"],
+                   [*argv, "--seed=3", "--json"], [*argv, "--samples", "2", "--json"], [*argv, "--json", "--json"]]
+    return corpus
+
+
+@pytest.mark.parametrize("argv", _route_corpus(), ids=lambda argv: " ".join(argv) or "(no arguments)")
+def test_cli_dispatch_matches_the_full_parser(argv, monkeypatch, capsys):
+    # main parses argv with the command's own parser; with no such parser to
+    # dispatch to, every argv goes through build_parser().parse_args
+    argv = [str(SPECS / "decomposable_3vector.json") if arg == "SPEC" else arg for arg in argv]
+    direct = _outcome(argv, capsys)
+    monkeypatch.setattr(npk.cli, "_COMMAND_PARSERS", {})
+    assert _outcome(argv, capsys) == direct
+
+
+def test_cli_parses_a_usable_argv_once(monkeypatch, capsys):
+    # the full parser is for help and errors only
+    def refused(*args, **kwargs):
+        raise AssertionError("the full parser ran")
+
+    monkeypatch.setattr(npk.cli.build_parser(), "parse_args", refused)
+    for command in npk.cli._COMMANDS:
+        argv = [command] + ([] if command == "suite" else [str(SPECS / "decomposable_3vector.json")])
+        assert main([*argv, "--json"]) in (0, 1)
+        assert json.loads(capsys.readouterr().out)["command"] == command
+
+
+def test_cli_reads_sys_argv_when_run_as_a_module(monkeypatch, capsys):
+    # `python -m npk.cli`: main(None) reads sys.argv[1:]; one width wraps both usages
+    monkeypatch.setenv("COLUMNS", "80")
+    argv = ["check", str(SPECS / "decomposable_3vector.json"), "--json"]
+    env = {**os.environ, "PYTHONPATH": str(SPECS.parent / "src")}
+    run = subprocess.run([sys.executable, "-m", "npk.cli", *argv], capture_output=True, text=True, env=env, timeout=120)
+    assert (run.returncode, run.stdout) == (main(argv), capsys.readouterr().out)
+    bare = subprocess.run([sys.executable, "-m", "npk.cli"], capture_output=True, text=True, env=env, timeout=120)
+    assert bare.returncode == 2
+    assert bare.stdout == "" and bare.stderr == _outcome([], capsys)[2]
+    assert bare.stderr.startswith("usage: npk [-h] {check,rank,")
 
 
 # sha256 of `npk suite --seed S --json` stdout, and exit code plus sha256 of
