@@ -33,7 +33,7 @@ from .suites import run_all
 @functools.lru_cache(maxsize=16)
 def _point_strs(dim: int, seed: int, samples: int) -> tuple[tuple[str, ...], ...]:
     """The strings of ``default_sample_points(dim, seed, samples)``, built once per process."""
-    return tuple(tuple(map(str, pt)) for pt in _sample_points(dim, seed, samples))
+    return tuple(tuple(map(str, pt)) for pt in _sample_points(dim, seed, samples)[0])
 
 
 def _emit(report: dict, as_json: bool, elapsed: float) -> None:

@@ -49,7 +49,7 @@ from .exterior import (
     first_failing_pair,
     merge_blades,
 )
-from .polynomial import Polynomial, integer_evaluator
+from .polynomial import Polynomial, _integer_point, integer_evaluator
 
 
 class MultivectorField(GradedTerms):
@@ -88,9 +88,9 @@ class MultivectorField(GradedTerms):
     # -- pointwise and componentwise operations -----------------------------
 
     def evaluate(self, point: Sequence) -> Multivector:
-        """Exact substitution of a point of ints and Fractions, every component
-        through one :func:`~npk.polynomial.integer_evaluator` call."""
-        values, scale = integer_evaluator(list(self.terms.values()), self.dim)(point)
+        """Exact substitution of a point of ints and Fractions, made integer once,
+        every component through one :func:`~npk.polynomial.integer_evaluator` call."""
+        values, scale = integer_evaluator(list(self.terms.values()), self.dim)(*_integer_point(point, self.dim))
         return Multivector(self.dim, self.grade, {b: Fraction(v, scale) for b, v in zip(self.terms, values)})
 
     def partial(self, u: int) -> "MultivectorField":

@@ -138,11 +138,12 @@ def is_decomposable(p: Multivector) -> bool:
 def factorize(p: Multivector) -> Factorization:
     """Factor a decomposable multivector into grade-1 vectors, exactly.
 
-    One :func:`_image` pass, stopped at n + 1 pivots, decides (rank n);
-    the canonical basis of the image is wedged, and the first factor is
-    rescaled by the unique rational ratio between the two proportional
-    decomposables.  Only the round-trip is contractual; the gauge is the
-    canonical reduced-echelon one.
+    One :func:`_image` pass, stopped at n + 1 pivots, decides (rank n).
+    ``p`` is ``c`` times the wedge of its image's canonical reduced-echelon
+    rows, which are the identity on their ascending pivot columns: that
+    wedge is 1 on the pivot blade, so ``c`` is ``p``'s coefficient there and
+    scales the first row.  Only the round-trip is contractual; the gauge is
+    the canonical reduced-echelon one.
     """
     if p.is_zero():
         raise ValueError("zero tensor")
@@ -152,8 +153,7 @@ def factorize(p: Multivector) -> Factorization:
     if len(order) != p.grade:
         raise NotDecomposableError("not decomposable")
     factors = [Multivector.from_vector(row) for row in _reduced(echelon, order, p.dim)]
-    blade, coef = next(iter(p.terms.items()))
-    factors[0] = factors[0] * (coef / Factorization(tuple(factors)).wedge().terms[blade])
+    factors[0] = factors[0] * p.terms[tuple(c + 1 for c in order)]
     result = Factorization(tuple(factors))
     if result.wedge() != p:
         raise AssertionError("factorization round-trip failed")

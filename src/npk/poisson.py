@@ -30,7 +30,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import gcd
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .exterior import blade_contractions, first_failing_pair, merge_blades
 from .fields import (
@@ -41,7 +41,7 @@ from .fields import (
 )
 from .grassmann import plucker_holds
 from .linalg import sparse_rank
-from .polynomial import integer_evaluator
+from .polynomial import _integer_point, integer_evaluator
 
 Point = tuple[Fraction, ...]
 
@@ -101,14 +101,20 @@ def default_sample_points(dim: int, seed: int = 0, extra: int = 8) -> list[Point
     """Origin, the coordinate unit points, and seeded random rational points.
 
     Each random coordinate is ``a/b`` with ``a = randint(-6, 6)`` drawn
-    before ``b = randint(1, 3)``.  The points are built once per
-    ``(dim, seed, extra)`` in a process; every call returns a new list.
+    before ``b = randint(1, 3)``.  The points and their integer forms are
+    built once per ``(dim, seed, extra)``; every call returns a new list.
     """
-    return list(_sample_points(dim, seed, extra))
+    points = _SamplePoints((cached := _sample_points(dim, seed, extra))[0])
+    points.cached = cached
+    return points
+
+
+class _SamplePoints(list):  # the caller's list, carrying the cached points and integer forms
+    __slots__ = ("cached",)
 
 
 @lru_cache(maxsize=16)
-def _sample_points(dim: int, seed: int, extra: int) -> tuple[Point, ...]:
+def _sample_points(dim: int, seed: int, extra: int) -> tuple[tuple[Point, ...], tuple[tuple[list[int], int], ...]]:
     zero, one = Fraction(0), Fraction(1)
     points: list[Point] = [(zero,) * dim]
     for u in range(dim):
@@ -116,7 +122,23 @@ def _sample_points(dim: int, seed: int, extra: int) -> tuple[Point, ...]:
     randint = random.Random(seed).randint
     for _ in range(extra):
         points.append(tuple(Fraction(randint(-6, 6), randint(1, 3)) for _ in range(dim)))
-    return tuple(points)
+    return tuple(points), tuple(_integer_point(pt, dim) for pt in points)
+
+
+def _point_values(field: MultivectorField, points: Sequence[Point]) -> Iterator[tuple[Point, list[int]]]:
+    """``(point made Fractions, integer_evaluator values)``, a default point in place read in its cached form."""
+    m = field.dim
+    values = integer_evaluator(list(field.terms.values()), m)
+    cached, forms = getattr(points, "cached", ((), ()))
+    for i, pt in enumerate(points):
+        if i < len(cached) and pt is cached[i] and len(pt) == m:
+            form = forms[i]
+        else:
+            form = _integer_point(pt, m)
+            # the sample points are tuples of Fractions already: keep them
+            if type(pt) is not tuple or {*map(type, pt)} - {Fraction}:
+                pt = tuple(c if isinstance(c, Fraction) else Fraction(c) for c in pt)
+        yield pt, values(*form)[0]
 
 
 def sample_ranks(field: MultivectorField, points: Sequence[Point]) -> tuple[tuple[Point, int], ...]:
@@ -146,7 +168,6 @@ def sample_ranks(field: MultivectorField, points: Sequence[Point]) -> tuple[tupl
     if field.grade < 1:
         raise ValueError("sample ranks need grade at least 1")
     m = field.dim
-    values = integer_evaluator(list(field.terms.values()), m)
     faces = blade_contractions({blade: k for k, blade in enumerate(field.terms, 1)}, field.grade - 1)
     single, table = [], []
     for face in faces.values():
@@ -157,8 +178,7 @@ def sample_ranks(field: MultivectorField, points: Sequence[Point]) -> tuple[tupl
             table.append([(u - 1, k) for (u,), k in face.items()])
     ranks: dict[tuple[int, ...], int] = {}
     out = []
-    for pt in points:
-        ints, _ = values(pt)
+    for pt, ints in _point_values(field, points):
         g = gcd(*ints)
         key = tuple(v // g for v in ints) if g > 1 else tuple(ints)
         if (rank := ranks.get(key)) is None:
@@ -169,9 +189,6 @@ def sample_ranks(field: MultivectorField, points: Sequence[Point]) -> tuple[tupl
                 for entries in table
             )
             rank = ranks[key] = len(done) + sparse_rank(rows, m - len(done))
-        # the sample points are tuples of Fractions already: keep them
-        if type(pt) is not tuple or {*map(type, pt)} - {Fraction}:
-            pt = tuple(c if isinstance(c, Fraction) else Fraction(c) for c in pt)
         out.append((pt, rank))
     return tuple(out)
 
@@ -185,21 +202,41 @@ def classify(
     The verdict applies the parity rule exactly: even grade needs only the
     differential condition, odd grade needs both; n = 2 is the classical
     Poisson case, decided by ``[P, P] = 0`` alone.  Ranks are reported at
-    the supplied sample points, or at ``default_sample_points(dim)``, by
-    :func:`sample_ranks`.  Decomposability is a polynomial
-    identity, independent of the samples.  The algebraic Nambu condition is
-    equivalent to pointwise decomposability, so the one result fills both
-    fields.
+    the supplied sample points, or at ``default_sample_points(dim)``.
+    Pointwise decomposability, a polynomial identity equivalent to the
+    algebraic Nambu condition, fills both fields.  Every field is what the
+    four stages give, but no stage runs whose answer is already fixed:
+
+    * n = 3: by the paper's lemma with k = 1, ``P(x)`` is decomposable iff
+      every bivector ``i(alpha) P(x)`` squares to zero; over Q, iff the
+      polarization ``(i(alpha) P) ^ (i(beta) P)``, the algebraic condition,
+      vanishes (it is symmetric: bivectors commute).
+    * n != 3: a decomposable ``P(x) = v_1 ^ .. ^ v_n != 0`` has the image
+      ``V = span{v_i}`` of rank n, so :func:`~npk.grassmann.plucker_holds`
+      runs only where no sample rank is above n.
+    * decomposable, n >= 3: ``i(alpha) P ^ i(beta) P`` lies in
+      ``Λ^(2n-2) V = 0``, so the algebraic condition holds with no witness.
+      Near x with ``P(x) != 0``, ``P`` is a rational multiple of the wedge of
+      n face rows independent at x; each term ``(i(dx^u) P) ^ d_u P`` of the
+      differential defect then wedges 2n - 2 > n vectors of ``V``, and a
+      polynomial zero on the open set ``{P != 0}`` is zero.
+    * decomposable, n = 3: the rank is n where ``P(x) != 0``, else 0: no elimination.
     """
     if field.grade < 2:
         raise ValueError("classification needs grade at least 2")
-    even = field.grade % 2 == 0
-    algebraic = algebraic_condition(field)
-    differential = differential_condition(field)
-    decomposable = pointwise_decomposable(field)
+    n, even = field.grade, field.grade % 2 == 0
     if sample_points is None:
         sample_points = default_sample_points(field.dim)
-    ranks = sample_ranks(field, sample_points)
+    if n == 3:
+        algebraic = algebraic_condition(field)
+        decomposable = algebraic.holds
+        ranks = sample_ranks(field, sample_points) if not decomposable else tuple(
+            (pt, n * any(s)) for pt, s in _point_values(field, sample_points))
+    else:
+        ranks = sample_ranks(field, sample_points)
+        decomposable = all(rank <= n for _, rank in ranks) and pointwise_decomposable(field)
+        algebraic = AlgebraicConditionReport(True) if decomposable and n > 3 else algebraic_condition(field)
+    differential = (decomposable and n >= 3) or differential_condition(field)
     return PoissonVerdict(
         parity="even" if even else "odd",
         algebraic_holds=algebraic.holds,

@@ -212,7 +212,7 @@ class Polynomial:
 
     def evaluate(self, point: Sequence) -> Fraction:
         """The value at a point of ints and Fractions, through :func:`integer_evaluator`."""
-        (value,), scale = integer_evaluator([self], self.num_vars)(point)
+        (value,), scale = integer_evaluator([self], self.num_vars)(*_integer_point(point, self.num_vars))
         return Fraction(value, scale)
 
     # -- queries -----------------------------------------------------------
@@ -266,16 +266,27 @@ def _sum_text(terms: Iterable[tuple[object, str]]) -> str:
     return " + ".join(parts).replace("+ -", "- ")
 
 
-def integer_evaluator(polys: Sequence[Polynomial], num_vars: int) -> Callable[[Sequence], tuple[list[int], int]]:
+def _integer_point(point: Sequence, num_vars: int) -> tuple[list[int], int]:
+    """``(A, D)`` with ``point == A/D``, ``D`` the lcm of the denominators of its exact ints and Fractions."""
+    if len(point) != num_vars:
+        raise ValueError(f"point must have {num_vars} coordinates")
+    if not {*map(type, point)} <= _EXACT:
+        raise TypeError(f"coordinates must be ints or Fractions, not {point!r}")
+    ratios = [c.as_integer_ratio() for c in point]
+    d = lcm(*(q for _, q in ratios))
+    return [a * (d // q) for a, q in ratios], d
+
+
+def integer_evaluator(polys: Sequence[Polynomial], num_vars: int) -> Callable[..., tuple[list[int], int]]:
     """Evaluate ``polys`` at a point in integers, sharing one positive scale.
 
     Each monomial ``c_e x^e`` of ``p_k`` (numerator ``c_e`` over ``den_k``)
     is decoded once, here, into ``c_e * L/den_k``, its ``(variable index,
     exponent)`` pairs and its degree ``|e|``; ``L`` is the lcm of the
-    ``den_k`` and ``deg`` the largest degree.  The returned function writes
-    a point as ``A/D`` (``D`` the lcm of its denominators; a coordinate must
-    be exactly an int or a Fraction, so a bool or a float is a
-    ``TypeError``) and returns ``([S_1, ...], L * D**deg)`` with
+    ``den_k`` and ``deg`` the largest degree.  The returned function takes
+    a point in the integer form ``A, D`` of :func:`_integer_point`, made
+    once per point whatever is evaluated there, and returns
+    ``([S_1, ...], L * D**deg)`` with
     ``S_k = sum_e c_e (L/den_k) A^e D^(deg-|e|)``.  As ``x^e = A^e/D^|e|``,
     ``S_k = p_k(x) * L * D**deg``: every value carries the one positive
     scale, so a matrix of signed values ``S_k`` has the rank of the same
@@ -290,17 +301,8 @@ def integer_evaluator(polys: Sequence[Polynomial], num_vars: int) -> Callable[[S
         decoded.append(monos)
     deg = max((k for monos in decoded for _, _, k in monos), default=0)
 
-    def values(point: Sequence) -> tuple[list[int], int]:
-        if len(point) != num_vars:
-            raise ValueError(f"point must have {num_vars} coordinates")
-        if not {*map(type, point)} <= _EXACT:
-            raise TypeError(f"coordinates must be ints or Fractions, not {point!r}")
-        nums, powers = (), (1,)  # a constant monomial reads neither
-        if deg:
-            ratios = [c.as_integer_ratio() for c in point]
-            d = lcm(*(q for _, q in ratios))
-            nums = [a * (d // q) for a, q in ratios]
-            powers = [d ** (deg - k) for k in range(deg + 1)]
+    def values(nums: Sequence[int], d: int) -> tuple[list[int], int]:
+        powers = [d ** (deg - k) for k in range(deg + 1)]
         out = []
         for monos in decoded:
             s = 0

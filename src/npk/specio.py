@@ -65,9 +65,13 @@ def _rational(text) -> int | Fraction:
         return text
     if not isinstance(text, str):
         raise SpecError(f"rational values must be strings or integers, got {type(text).__name__}")
-    try:
-        return int(text)  # the common case, and no Fraction to build
-    except ValueError:
+    num, slash, den = text.partition("/")
+    try:  # an int, or [-]digits/digits in ASCII, is read without Fraction's parser
+        if not slash:
+            return int(text)
+        if text.isascii() and num.removeprefix("-").isdigit() and den.isdigit():
+            return Fraction(int(num), int(den))
+    except (ValueError, ZeroDivisionError):
         pass
     try:
         return Fraction(text)

@@ -36,6 +36,7 @@ from .poisson import (
     classify,
     coordinate_semidecomposable,
     default_sample_points,
+    differential_condition,
     pointwise_decomposable,
     sample_ranks,
 )
@@ -321,12 +322,13 @@ def suite_ternary_decomposability(seed: int = 0) -> SuiteResult:
     for i, f in enumerate(fields):
         cases += 1
         verdict = classify(f)
-        if not (verdict.is_poisson == verdict.pointwise_decomposable == verdict.algebraic_holds):
+        pointwise = pointwise_decomposable(f)
+        if not (verdict.is_poisson == pointwise == verdict.algebraic_holds):
             failures.append(
-                f"field {i}: poisson={verdict.is_poisson} pointwise={verdict.pointwise_decomposable} "
+                f"field {i}: poisson={verdict.is_poisson} pointwise={pointwise} "
                 f"algebraic={verdict.algebraic_holds}"
             )
-        if verdict.pointwise_decomposable and not verdict.differential_holds:
+        if pointwise and not differential_condition(f):
             failures.append(f"field {i}: decomposable but the differential condition fails")
     return SuiteResult(
         "ternary-decomposability",

@@ -23,9 +23,11 @@ from npk.poisson import (
     algebraic_condition,
     block_sum,
     build_semidecomposable,
+    PoissonVerdict,
     classify,
     coordinate_semidecomposable,
     default_sample_points,
+    differential_condition,
     is_involutive,
     pointwise_decomposable,
     sample_ranks,
@@ -358,14 +360,90 @@ def test_ternary_algebraic_condition_is_pointwise_decomposability():
 
 def test_decomposable_fields_satisfy_both_conditions():
     # for n >= 3 a pointwise-decomposable field is Poisson: each term of the
-    # differential defect holds some frame field on both sides of the wedge
+    # differential defect holds some frame field on both sides of the wedge;
+    # classify takes this on trust, so the conditions are decided directly
     grades = set()
     for f in _paper_population(random.Random("paper-decomposable")):
         if pointwise_decomposable(f):
-            verdict = classify(f)
-            assert verdict.algebraic_holds and verdict.differential_holds and verdict.is_poisson, f
+            assert algebraic_condition(f) == algebraic_condition(BLADE) and differential_condition(f), f
+            assert classify(f).is_poisson, f
             grades.add(f.grade)
     assert grades == {3, 4}
+
+
+def _four_stages(f, points):
+    """The verdict with every stage run in full, the route classify's shortcuts replace."""
+    even = f.grade % 2 == 0
+    algebraic, differential, decomposable = algebraic_condition(f), differential_condition(f), pointwise_decomposable(f)
+    return PoissonVerdict(
+        parity="even" if even else "odd",
+        algebraic_holds=algebraic.holds,
+        algebraic_witness=algebraic.witness,
+        differential_holds=differential,
+        is_poisson=differential if even else algebraic.holds and differential,
+        rank_at_samples=sample_ranks(f, points),
+        pointwise_decomposable=decomposable,
+        nambu_algebraic=decomposable,
+    )
+
+
+def _shortcut_population():
+    rng = random.Random("classify-shortcuts")
+    yield from _paper_population(rng)
+    for n in (2, 5):
+        for _ in range(6):
+            m = rng.randint(n + 1, 7)
+            yield random_linear_field(rng, m, n, max_terms=4)
+            yield random_decomposable_field(rng, m, n)
+    yield from (MIXED, BLADE, MultivectorField(M, 3), MultivectorField(M, 4), block_sum(2, 2, 8))
+    yield from (coordinate_semidecomposable(10, 1, 5), coordinate_semidecomposable(7, 0, 5))
+
+
+def test_classify_shortcuts_match_the_four_stages():
+    seen = set()
+    for f in _shortcut_population():
+        points = default_sample_points(f.dim, seed=f.dim)
+        # the cached integer forms, and points made integer per call
+        for pts in (points, [tuple(pt) for pt in points[:3]] + [list(pt) for pt in points[3:]]):
+            assert classify(f, pts) == _four_stages(f, pts), f
+        seen.add((f.grade, classify(f).pointwise_decomposable))
+    assert seen == {(n, dec) for n in (2, 3, 4, 5) for dec in (True, False)}
+
+
+def _forbid(monkeypatch, *fns):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("classify ran a stage its shortcuts imply")
+
+    # swapping the code object catches callers that imported the name directly
+    for fn in fns:
+        monkeypatch.setattr(fn, "__code__", forbidden.__code__)
+
+
+def test_classify_skips_the_plucker_loop_where_it_is_implied(monkeypatch):
+    # n = 3 reads decomposability off the algebraic condition; at n = 4 a
+    # sample rank above 4 refutes it
+    rng = random.Random("no-plucker")
+    fields = [f for f in _paper_population(rng) if f.grade == 3]
+    fields += [block_sum(2, 2, 8), _frame_wedge(rng, 8, 4) + _frame_wedge(rng, 8, 4)]
+    expected = [_four_stages(f, default_sample_points(f.dim)) for f in fields]
+    assert any(rank > 4 for _, rank in expected[-1].rank_at_samples)
+    assert {v.pointwise_decomposable for v in expected} == {True, False}
+    _forbid(monkeypatch, npk.grassmann.plucker_holds)
+    assert [classify(f) for f in fields] == expected
+
+
+def test_classify_skips_the_conditions_decomposability_implies(monkeypatch):
+    # at n = 3 the algebraic condition is the decomposability test itself,
+    # so only the differential defect is left out there
+    rng = random.Random("no-conditions")
+    fields = [f for f in _paper_population(rng) if pointwise_decomposable(f)]
+    fields += [random_decomposable_field(rng, 7, 5), coordinate_semidecomposable(7, 0, 5), MultivectorField(M, 4)]
+    expected = [_four_stages(f, default_sample_points(f.dim)) for f in fields]
+    assert {f.grade for f in fields} == {3, 4, 5}
+    _forbid(monkeypatch, npk.fields.differential_defect)
+    assert [classify(f) for f in fields] == expected
+    _forbid(monkeypatch, npk.exterior.first_failing_pair, npk.exterior.covector_pair_table)
+    assert [classify(f) for f in fields if f.grade > 3] == [v for f, v in zip(fields, expected) if f.grade > 3]
 
 
 # ---------------------------------------------------------------------------
@@ -585,10 +663,12 @@ def test_classify_runs_one_rank_only_elimination_per_point(monkeypatch, tmp_path
     polynomial = MultivectorField(M, 3, {(1, 2, 3): X[0], (1, 4, 5): X[1] + 1})
     verdict = classify(polynomial)
     assert 0 < len(calls) <= len(verdict.rank_at_samples) == 1 + M + 8
-    for constant in (MIXED, MultivectorField(M, 3)):
+    # a constant field has one value vector; the zero field is decomposable
+    # at n = 3, so its ranks are read off its values with no elimination
+    for constant, eliminations in ((MIXED, 1), (MultivectorField(M, 3), 0)):
         calls.clear()
         verdict = classify(constant)
-        assert len(calls) == 1
+        assert len(calls) == eliminations
         assert len({rank for _, rank in verdict.rank_at_samples}) == 1
     # `npk rank` takes the same route, from grade 1 on
     grade_one = MultivectorField(M, 1, {(2,): 3})
@@ -656,6 +736,20 @@ def test_rank_sampling_keeps_fraction_points_and_converts_the_rest():
     exact = [tuple(map(Fraction, pt)) for pt in mixed]
     assert sample_ranks(f, mixed) == sample_ranks(f, exact)
     assert all({*map(type, got)} == {Fraction} for got, _ in sample_ranks(f, mixed))
+
+
+def test_rank_sampling_reads_cached_forms_only_for_the_cached_points():
+    # a caller may edit the list of default points: moved or replaced points
+    # are made integer afresh, and default points of another dimension refused
+    drop = MultivectorField(M, 3, {(1, 2, 3): X[0], (1, 4, 5): X[1]})
+    for f in (drop, BLADE, X[2] * BLADE):
+        points = default_sample_points(M, 3)
+        points[1] = (Fraction(1, 2),) * M
+        points.insert(0, (Fraction(-1, 3), 2, 0, 1, 0))
+        assert_ranks_match_sharp_profile(f, points)
+        for run in (sample_ranks, classify):
+            with pytest.raises(ValueError, match=f"point must have {M} coordinates"):
+                run(f, default_sample_points(M - 1))
 
 
 def test_rank_sampling_refuses_non_exact_coordinates():

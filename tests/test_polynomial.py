@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from npk.polynomial import Polynomial, integer_evaluator
+from npk.polynomial import Polynomial, _integer_point, integer_evaluator
 from npk.specio import from_field, parse_spec_text, serialize, to_field
 from oracles import TuplePolynomial
 
@@ -138,8 +138,10 @@ def test_integer_evaluator_matches_reference():
         values = integer_evaluator(polys, num_vars)
         for _ in range(6):
             point = _seeded_point(rng, num_vars)
-            ints, scale = values(point)
-            d = lcm(*(Fraction(c).denominator for c in point))
+            nums, d = _integer_point(point, num_vars)
+            assert d == lcm(*(Fraction(c).denominator for c in point))
+            assert [Fraction(a, d) for a in nums] == point and all(type(a) is int for a in nums)
+            ints, scale = values(nums, d)
             assert scale == scale_l * d**deg
             assert all(type(s) is int for s in ints)
             assert [Fraction(s, scale) for s in ints] == [r.evaluate(point) for r in refs]
@@ -147,9 +149,9 @@ def test_integer_evaluator_matches_reference():
             for p, r in zip(polys, refs):
                 assert p.evaluate(point) == r.evaluate(point)
     # no components: nothing to evaluate, but the point is still checked
-    assert integer_evaluator([], 3)([1, Fraction(1, 2), 0]) == ([], 1)
+    assert integer_evaluator([], 3)(*_integer_point([1, Fraction(1, 2), 0], 3)) == ([], 1)
     with pytest.raises(ValueError, match="point must have 3 coordinates"):
-        integer_evaluator([], 3)([1, 2])
+        _integer_point([1, 2], 3)
 
 
 @pytest.mark.parametrize("bad", [0.1, True, False, 1.0, "1", None])

@@ -21,6 +21,7 @@ from npk.poisson import classify, default_sample_points
 from npk.polynomial import Polynomial
 from npk.specio import (
     SpecError,
+    _rational,
     canonical_json,
     from_field,
     parse_spec,
@@ -59,6 +60,22 @@ def test_parse_integer_strings_as_fraction_reads_them():
     for value in ("7", " -3 ", "+4", "1_000", "-12/8", "1e2", "0.5", "007"):
         field = to_field(parse_spec_text(CONSTANT_SPEC.replace('"1"', json.dumps(value))))
         assert field.terms[(1, 2, 3)] == Fraction(value), value
+
+
+def test_parse_fraction_strings_as_fraction_reads_them():
+    # "a/b" of ASCII digits is read as two ints; every other text goes to
+    # Fraction, whose verdict, or refusal, each must match
+    corpus = ("3/4", "-3/4", "+3/4", " 3/4", "3/ 4", "3/-4", "1_0/3", "03/04", "-0/5", "3/0", "٣/4", "²/4", "3.5/2", "1e3")
+    for text in corpus:
+        try:
+            expected = Fraction(text)
+        except (ValueError, ZeroDivisionError) as exc:
+            with pytest.raises(SpecError) as refusal:
+                _rational(text)
+            assert str(refusal.value) == f"bad rational {text!r} ({exc})", text
+        else:
+            got = _rational(text)
+            assert (type(got), got) == (type(expected), expected), text
 
 
 def test_parse_integer_values_read_as_their_strings():
@@ -757,18 +774,19 @@ def test_cli_deeply_nested_spec_is_operational_error(opener, command, tmp_path, 
 
 
 def test_cli_internal_failure_exits_three(monkeypatch, capsys):
-    # a factorization that does not wedge back is a program fault, not a verdict
+    # a factorization that does not wedge back is a program fault, not a verdict;
+    # the one wedge factorize makes is its round-trip check
     original = npk.grassmann.Factorization.wedge
     calls = []
 
-    def doubled_on_second_call(self):
+    def doubled(self):
         calls.append(self)
-        value = original(self)
-        return value * 2 if len(calls) == 2 else value
+        return original(self) * 2
 
-    monkeypatch.setattr(npk.grassmann.Factorization, "wedge", doubled_on_second_call)
+    monkeypatch.setattr(npk.grassmann.Factorization, "wedge", doubled)
     assert main(["factorize", str(SPECS / "decomposable_3vector.json")]) == 3
     assert "internal error: factorization round-trip failed" in capsys.readouterr().err
+    assert len(calls) == 1
 
 
 # a library function each command calls once the spec is accepted
