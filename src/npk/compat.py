@@ -4,7 +4,7 @@ A grade-q field U is compatible with the structure field P when
 ``(i(alpha) P) ^ (i(alpha) U) = 0`` for every covector alpha.  The
 quantifier is quadratic in alpha, so over the rationals it is equivalent
 to its polarization on basis covector pairs, which
-:func:`~npk.exterior.covector_pair_table` tabulates from P's and U's blades.
+:func:`~npk.exterior.first_failing_pair` decides from P's and U's blades.
 On compatible fields a first-order operator of degree n-1 is defined; it
 annihilates P itself and acts on functions as ``f -> i(df) P``.  The
 operator does not square to zero in general, so no such identity is

@@ -13,10 +13,10 @@ nothing else.  Point values (:class:`Multivector`) are the subclass with
 The term kernels (:func:`wedge_terms`, :func:`contract_terms`, ...) only
 need coefficients supporting ``+``, unary ``-``, ``*`` and truthiness, so
 both subclasses share them.
-:func:`covector_pair_table` is the one kernel of the conditions quadratic
-in two covectors: the algebraic condition, compatibility and the Jacobi
-symbol; its blades and signs come from :func:`merge_blades`, as in
-:func:`wedge_terms`, and :func:`first_failing_pair` builds it and sums it.
+:func:`first_failing_pair` is the one kernel of the conditions quadratic
+in two covectors (the algebraic condition, compatibility, the Jacobi
+symbol): products grouped by basis pair, and only the pairs up to the
+witness take their blades and signs from :func:`merge_blades`.
 :func:`merge_blades` is the one blade sign (``component`` folds it over
 its indices).  :func:`blade_contractions` is the one kernel for
 contraction with basis forms, and each table deletes one index: the
@@ -130,17 +130,17 @@ def contract_terms(alpha: Mapping[int, object], terms: Mapping[Blade, object]) -
     return out
 
 
-def covector_pair_table(left: Mapping[Blade, object], right: Mapping[Blade, object], polarize: bool) -> dict:
-    """``{(a, b): {blade: [(sign, x, y), ...]}}`` over basis pairs ``a <= b``.
+def _pair_groups(left: Mapping[Blade, object], right: Mapping[Blade, object], polarize: bool) -> dict:
+    """``{(a, b): [(S, i, T, j, x, y), ...]}`` over basis pairs ``a <= b``, nothing merged.
 
-    A list's products ``sign * x * y`` sum to the coefficient on ``blade``
-    of ``(i(dx^a) L) ^ (i(dx^b) R)`` (``L``, ``R`` the term maps), plus
-    ``(i(dx^b) L) ^ (i(dx^a) R)`` when ``polarize`` and ``a < b``.  Deleting
-    ``w`` from a blade ``S`` of ``L`` and ``z`` from ``T`` of ``R`` leaves
-    disjoint blades iff ``S & T <= {w, z}``, so one bitmask test rejects
-    ``|S & T| > 2``.  Contracting position ``i`` of ``S`` and ``j`` of ``T``
-    has sign ``(-1)^(i + j)``; :func:`merge_blades` gives the blade and the
-    rest of the sign.
+    An entry contracts position ``i`` of a blade ``S`` of ``L`` (coefficient
+    ``x``) and position ``j`` of a blade ``T`` of ``R`` (coefficient ``y``),
+    with sign ``(-1)^(i + j)``; :func:`_pair_blades` merges a pair's entries
+    into the coefficients of ``(i(dx^a) L) ^ (i(dx^b) R)``, plus
+    ``(i(dx^b) L) ^ (i(dx^a) R)`` when ``polarize`` and ``a < b`` (``L``,
+    ``R`` the term maps).  Deleting ``w`` from ``S`` and ``z`` from ``T``
+    leaves disjoint blades iff ``S & T <= {w, z}``, so one bitmask test
+    rejects ``|S & T| > 2``.
     """
     out: dict = {}
     rights = [(t, sum(1 << v for v in t), y) for t, y in right.items()]
@@ -159,25 +159,30 @@ def covector_pair_table(left: Mapping[Blade, object], right: Mapping[Blade, obje
                 for j, z in ((t.index(shared), shared),) if need else enumerate(t):
                     if w > z and not polarize:
                         continue
-                    # S - w and T - z are disjoint, so the merge never vanishes
-                    sign, blade = merge_blades(s[:i] + s[i + 1:], t[:j] + t[j + 1:])
-                    blades = out.setdefault((w, z) if w <= z else (z, w), {})
-                    blades.setdefault(blade, []).append((-sign if (i + j) % 2 else sign, x, y))
+                    out.setdefault((w, z) if w <= z else (z, w), []).append((s, i, t, j, x, y))
     return out
 
 
+def _pair_blades(group: list) -> dict:
+    """One pair's ``{blade: [(sign, x, y), ...]}``: :func:`merge_blades` gives each
+    entry its blade and the rest of its sign (the faces are disjoint, so it never vanishes)."""
+    blades: dict = {}
+    for s, i, t, j, x, y in group:
+        sign, blade = merge_blades(s[:i] + s[i + 1:], t[:j] + t[j + 1:])
+        blades.setdefault(blade, []).append((-sign if (i + j) % 2 else sign, x, y))
+    return blades
+
+
 def first_failing_pair(left: Mapping, right: Mapping, polarize: bool) -> tuple[int, int] | None:
-    """First pair of the :func:`covector_pair_table` ``(left, right, polarize)``
-    of two polynomial term maps, in order, with a blade whose products sum to
-    nonzero; ``None`` means the condition holds for all covectors (lossless
-    over the rationals).  The whole table is built first; the sums stop at
-    that pair, each blade summed in one :meth:`Polynomial.sum_of_products`."""
-    table = covector_pair_table(left, right, polarize)
-    if not table:
-        return None
-    dim = next(iter(left.values())).num_vars
-    for pair in sorted(table):
-        if any(Polynomial.sum_of_products(dim, products) for products in table[pair].values()):
+    """First pair ``(a, b)`` of :func:`_pair_groups` ``(left, right, polarize)``
+    of two polynomial term maps, in sorted order, with a blade whose products
+    sum to nonzero; ``None`` means the condition holds for all covectors
+    (lossless over the rationals).  Only the pairs up to the witness are
+    merged and summed, each blade in one :meth:`Polynomial.sum_of_products`."""
+    groups = _pair_groups(left, right, polarize)
+    for pair in sorted(groups):
+        blades = _pair_blades(groups[pair]).values()
+        if any(Polynomial.sum_of_products(products[0][1].num_vars, products) for products in blades):
             return pair
     return None
 

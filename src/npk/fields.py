@@ -27,8 +27,8 @@ sign, whose ``None`` drops a repeated index; :func:`nary_bracket` uses
 it.  The Jacobi decision calls no bracket.  On the coordinate families
 its defect is the differential defect, and once that vanishes a quadratic
 family ``x_u x_v, x_T'`` reduces by Leibniz to its symbol ``Q[u, v]``,
-twice an entry of the :func:`~npk.exterior.covector_pair_table` of P
-with itself, zero at even grade (proof in :func:`jacobi_identity_holds`).
+twice an entry of P's pair table with itself (:func:`~npk.exterior.first_failing_pair`),
+zero at even grade (proof in :func:`jacobi_identity_holds`).
 So it decides the two conditions of the parity rule with the classifier's
 own kernels, and its cost follows the field's support, not the number of
 families.  A route independent of those kernels is the nested-bracket
@@ -242,7 +242,7 @@ def jacobi_identity_holds(field: MultivectorField) -> bool:
     rest an increasing coordinate tuple.  On those families it is the pair
     of polynomial identities of the parity rule, both decided exactly: the
     differential defect ``K(P, P)`` (:func:`differential_defect`) and, at
-    odd grade, the unpolarized :func:`~npk.exterior.covector_pair_table`
+    odd grade, the unpolarized :func:`~npk.exterior.first_failing_pair`
     ``(P, P, False)`` of the algebraic condition, read here directly so
     that grade 1 is decided too.
 
@@ -286,8 +286,8 @@ def jacobi_identity_holds(field: MultivectorField) -> bool:
       ``(i(dx^u) P) ^ (i(dx^v) P) + (i(dx^v) P) ^ (i(dx^u) P)``.  At odd
       grade the contractions have even grade and commute, so ``Q[u, v]`` is
       twice the coefficient of ``(i(dx^u) P) ^ (i(dx^v) P)``, on and off the
-      diagonal: twice the entry ``(u, v)`` of the unpolarized
-      :func:`~npk.exterior.covector_pair_table` ``(P, P, False)``.  At even
+      diagonal: twice the entry ``(u, v)`` of the unpolarized pair table
+      that :func:`~npk.exterior.first_failing_pair` ``(P, P, False)`` sums.  At even
       grade the contractions have odd grade and anticommute: ``Q = 0``.
 
     The identity holds iff ``K(P, P)`` vanishes and, at odd grade, ``Q``

@@ -10,7 +10,7 @@ satisfies the generalized Jacobi identity iff
   covectors.
 
 Both conditions are decided exactly: the algebraic one reduces to basis
-covector pairs by bilinearity (:func:`~npk.exterior.covector_pair_table`),
+covector pairs by bilinearity (:func:`~npk.exterior.first_failing_pair`),
 the differential one is the polynomial identity ``K(P, P) = 0`` of
 :func:`~npk.fields.differential_defect`.  The algebraic Nambu condition
 is equivalent to pointwise decomposability of the field value
@@ -28,9 +28,9 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
-from math import gcd
-from typing import Iterator, Sequence
+from itertools import combinations, cycle
+from math import gcd, lcm
+from typing import Sequence
 
 from .exterior import blade_contractions, first_failing_pair, merge_blades
 from .fields import (
@@ -125,11 +125,13 @@ def _sample_points(dim: int, seed: int, extra: int) -> tuple[tuple[Point, ...], 
     return tuple(points), tuple(_integer_point(pt, dim) for pt in points)
 
 
-def _point_values(field: MultivectorField, points: Sequence[Point]) -> Iterator[tuple[Point, list[int]]]:
-    """``(point made Fractions, integer_evaluator values)``, a default point in place read in its cached form."""
-    m = field.dim
-    values = integer_evaluator(list(field.terms.values()), m)
+def _point_values(field: MultivectorField, points: Sequence[Point]) -> tuple[list[Point], list[list[int]]]:
+    """The points made Fractions, a default point read in its cached form, and the
+    ``integer_evaluator`` values at each; a constant field's one vector serves them all."""
+    m, polys = field.dim, list(field.terms.values())
+    values = None if field.is_constant() else integer_evaluator(polys, m)
     cached, forms = getattr(points, "cached", ((), ()))
+    out, vectors = [], []
     for i, pt in enumerate(points):
         if i < len(cached) and pt is cached[i] and len(pt) == m:
             form = forms[i]
@@ -138,7 +140,13 @@ def _point_values(field: MultivectorField, points: Sequence[Point]) -> Iterator[
             # the sample points are tuples of Fractions already: keep them
             if type(pt) is not tuple or {*map(type, pt)} - {Fraction}:
                 pt = tuple(c if isinstance(c, Fraction) else Fraction(c) for c in pt)
-        yield pt, values(*form)[0]
+        out.append(pt)
+        if values is not None:
+            vectors.append(values(*form)[0])
+    if values is None and out:
+        scale = lcm(*(p.den for p in polys))
+        vectors.append([p.terms[0] * (scale // p.den) for p in polys])
+    return out, vectors
 
 
 def sample_ranks(field: MultivectorField, points: Sequence[Point]) -> tuple[tuple[Point, int], ...]:
@@ -154,8 +162,11 @@ def sample_ranks(field: MultivectorField, points: Sequence[Point]) -> tuple[tupl
     sharp matrix's rank, and no Fraction is built.  Points whose vectors
     agree after dividing by their gcd have matrices ``g * M`` and ``g' * M``
     with ``g, g' > 0``, so one rank: :func:`~npk.linalg.sparse_rank` runs
-    once per such key.  A constant field has one key, and the origin shares
-    its key with every unit point whose coordinate no component reads.
+    once per such key, and the origin shares its key with every unit point
+    whose coordinate no component reads.  A constant field is not
+    evaluated: at degree 0, ``S_k = p_k * L`` (its numerator times
+    ``L/den_k``) does not depend on ``x``, so one vector, key and
+    elimination rank every point; each point is still checked.
 
     A face of exactly one blade is a *single* row, ``+-S_k e_u``.  Let
     ``U`` be the columns ``u`` of the single rows whose ``S_k`` is nonzero
@@ -178,7 +189,8 @@ def sample_ranks(field: MultivectorField, points: Sequence[Point]) -> tuple[tupl
             table.append([(u - 1, k) for (u,), k in face.items()])
     ranks: dict[tuple[int, ...], int] = {}
     out = []
-    for pt, ints in _point_values(field, points):
+    pts, vectors = _point_values(field, points)
+    for ints in vectors:
         g = gcd(*ints)
         key = tuple(v // g for v in ints) if g > 1 else tuple(ints)
         if (rank := ranks.get(key)) is None:
@@ -189,8 +201,8 @@ def sample_ranks(field: MultivectorField, points: Sequence[Point]) -> tuple[tupl
                 for entries in table
             )
             rank = ranks[key] = len(done) + sparse_rank(rows, m - len(done))
-        out.append((pt, rank))
-    return tuple(out)
+        out.append(rank)
+    return tuple(zip(pts, cycle(out)))
 
 
 def classify(
@@ -230,8 +242,11 @@ def classify(
     if n == 3:
         algebraic = algebraic_condition(field)
         decomposable = algebraic.holds
-        ranks = sample_ranks(field, sample_points) if not decomposable else tuple(
-            (pt, n * any(s)) for pt, s in _point_values(field, sample_points))
+        if decomposable:
+            pts, vectors = _point_values(field, sample_points)
+            ranks = tuple(zip(pts, cycle([n * any(s) for s in vectors])))
+        else:
+            ranks = sample_ranks(field, sample_points)
     else:
         ranks = sample_ranks(field, sample_points)
         decomposable = all(rank <= n for _, rank in ranks) and pointwise_decomposable(field)

@@ -31,6 +31,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from json.encoder import encode_basestring_ascii as _quote
 
 from .exterior import _add_term
@@ -193,7 +194,8 @@ def canonical_json(obj) -> str:
     """``json.dumps(obj, indent=2, sort_keys=True)``, byte for byte.
 
     Dicts (with string keys), lists, tuples, strings, ints, bools and None
-    are written here; any other leaf goes to ``json.dumps``.
+    are written here; any other leaf goes to ``json.dumps``.  The text of a
+    tuple of strings at one indentation is kept in a 256-entry memo.
     """
     return _canonical(obj, "")
 
@@ -219,14 +221,22 @@ def _canonical(obj, pad: str) -> str:
     elif isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
+        if {*map(type, obj)} == {str}:
+            # quoted at C speed; a tuple cannot change, so a point's text is written once per process
+            return _strings(obj, pad) if type(obj) is tuple else _strings.__wrapped__(obj, pad)
         inner = pad + "  "
-        # a list of strings, such as a sample point, is quoted at C speed
-        items = map(_quote, obj) if {*map(type, obj)} == {str} else [_canonical(x, inner) for x in obj]
+        items = [_canonical(x, inner) for x in obj]
         brackets = "[]"
     else:
         return json.dumps(obj)
     sep = ",\n" + inner
     return f"{brackets[0]}\n{inner}{sep.join(items)}\n{pad}{brackets[1]}"
+
+
+@lru_cache(maxsize=256)
+def _strings(strs, pad: str) -> str:
+    sep = ",\n" + pad + "  "
+    return f"[{sep[1:]}{sep.join(map(_quote, strs))}\n{pad}]"
 
 
 def to_field(spec: TensorSpec) -> MultivectorField:

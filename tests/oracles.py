@@ -8,6 +8,8 @@ so the tests have a second route to every value; the sampled
 involutivity check is a second route that can only refute.
 :class:`TuplePolynomial` is the plain exponent-tuple/Fraction polynomial,
 the reference for the packed-exponent :class:`npk.polynomial.Polynomial`.
+:func:`covector_pair_table` is not a second route: it is the package's own
+pair table in full, which the package sums only up to its first witness.
 """
 
 from fractions import Fraction
@@ -16,6 +18,7 @@ from itertools import combinations, permutations
 from math import factorial
 from typing import Iterator, Mapping, Sequence
 
+import npk.exterior
 import npk.fields
 from npk.exterior import Multivector, contract_terms, iter_blades, merge_blades, wedge_terms
 from npk.fields import MultivectorField, lie_bracket, nary_bracket
@@ -170,13 +173,27 @@ def contractions_decomposable_full(p: Multivector, k: int) -> bool:
     return not any(wedge_terms(face, terms) for face in reference_face_table(terms, n - k - 1).values())
 
 
+def covector_pair_table(left: Mapping, right: Mapping, polarize: bool) -> dict:
+    """``{(a, b): {blade: [(sign, x, y), ...]}}`` over basis pairs ``a <= b``, whole.
+
+    The table :func:`npk.exterior.first_failing_pair` sums only up to its
+    witness: every pair of the package's one enumeration, merged by
+    :func:`merge_blades` as that function merges it.  A list's products
+    ``sign * x * y`` sum to the coefficient on ``blade`` of
+    ``(i(dx^a) L) ^ (i(dx^b) R)``, plus ``(i(dx^b) L) ^ (i(dx^a) R)`` when
+    ``polarize`` and ``a < b``.
+    """
+    groups = npk.exterior._pair_groups(left, right, polarize)
+    return {pair: npk.exterior._pair_blades(group) for pair, group in groups.items()}
+
+
 def pair_wedges_by_contraction(left: MultivectorField, right: MultivectorField, polarize: bool) -> dict:
     """``{(a, b): wedge}`` for the basis pairs ``a <= b`` whose wedge is nonzero.
 
     The wedge is ``(i(dx^a) L) ^ (i(dx^b) R)``, plus ``(i(dx^b) L) ^ (i(dx^a) R)``
     with ``polarize`` (twice the first at ``a = b``).  Each contraction is
     its own ``contract_covector`` call with a dense basis covector.  The
-    reference for :func:`npk.exterior.covector_pair_table`: the first key
+    reference for :func:`covector_pair_table`: the first key
     is the witness of :func:`npk.poisson.algebraic_condition` (``P`` with
     itself, not polarized) and of :func:`npk.compat.is_compatible`
     (polarized).

@@ -12,7 +12,6 @@ from npk.exterior import (
     Multivector,
     blade_contractions,
     contract_terms,
-    covector_pair_table,
     iter_blades,
     merge_blades,
 )
@@ -20,7 +19,7 @@ from npk.fields import MultivectorField
 from npk.linalg import Subspace, rref
 from npk.polynomial import Polynomial
 from npk.suites import random_constant_multivector, random_linear_field
-from oracles import iterated_contraction, pair_wedges_by_contraction, perm_sign, reference_face_table
+from oracles import covector_pair_table, iterated_contraction, pair_wedges_by_contraction, perm_sign, reference_face_table
 
 
 def blade(dim, *indices, c=1):

@@ -10,8 +10,8 @@ and ``grassmann._image`` tabulates the (n-1)-faces of a constant on the
 integer multiple of its terms, for the one forward pass behind every
 question about its image.
 A caller that decides the same thing twice for one element builds its
-table twice, and this count sees it.  The same holds for the covector
-pair table behind every compatibility decision.
+table twice, and this count sees it.  The same holds for the
+``first_failing_pair`` decision behind every compatibility.
 """
 
 import importlib
@@ -22,9 +22,8 @@ from collections import Counter
 import pytest
 
 import npk
-import npk.exterior
 from npk.cli import main
-from npk.exterior import blade_contractions, covector_pair_table
+from npk.exterior import blade_contractions, first_failing_pair
 
 SPECS = sorted((pathlib.Path(__file__).resolve().parents[1] / "specs").glob("*.json"))
 COMMANDS = ("check", "rank", "nambu", "jacobi", "factorize", "sigma-delta", "suite")
@@ -69,9 +68,12 @@ def test_sigma_delta_decides_each_compatibility_once(spec, decisions, monkeypatc
 
     def counted(left, right, polarize):
         pairs.append((left, right))
-        return covector_pair_table(left, right, polarize)
+        return first_failing_pair(left, right, polarize)
 
-    monkeypatch.setattr(npk.exterior, "covector_pair_table", counted)
+    for info in pkgutil.iter_modules(npk.__path__):
+        module = importlib.import_module(f"npk.{info.name}")
+        if getattr(module, "first_failing_pair", None) is first_failing_pair:
+            monkeypatch.setattr(module, "first_failing_pair", counted)
     main(["sigma-delta", str(SPECS[0].with_name(f"{spec}.json"))])
     capsys.readouterr()
     assert len(pairs) == decisions

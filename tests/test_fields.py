@@ -8,7 +8,7 @@ import pytest
 import npk.fields
 import npk.poisson
 from npk.compat import delta, is_compatible
-from npk.exterior import Multivector, blade_contractions, covector_pair_table, iter_blades
+from npk.exterior import Multivector, blade_contractions, iter_blades
 from npk.fields import (
     MultivectorField,
     _gradient,
@@ -25,6 +25,7 @@ import oracles
 from oracles import (
     alternation_defect_components,
     bracket_by_minors,
+    covector_pair_table,
     jacobi_defect,
     jacobi_defect_bruteforce,
     jacobi_identity_by_defect_loop,

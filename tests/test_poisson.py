@@ -442,7 +442,7 @@ def test_classify_skips_the_conditions_decomposability_implies(monkeypatch):
     assert {f.grade for f in fields} == {3, 4, 5}
     _forbid(monkeypatch, npk.fields.differential_defect)
     assert [classify(f) for f in fields] == expected
-    _forbid(monkeypatch, npk.exterior.first_failing_pair, npk.exterior.covector_pair_table)
+    _forbid(monkeypatch, npk.exterior.first_failing_pair, npk.exterior._pair_groups)
     assert [classify(f) for f in fields if f.grade > 3] == [v for f, v in zip(fields, expected) if f.grade > 3]
 
 
@@ -723,6 +723,48 @@ def test_rank_sampling_runs_one_elimination_per_distinct_value_vector(monkeypatc
     ranks = [rank for _, rank in classify(field).rank_at_samples]
     assert ranks[:6] == [3, 5, 5, 3, 3, 3] and set(ranks[6:]) == {5}
     assert len(calls) == len(ranks) - 3
+
+
+def test_a_constant_field_is_ranked_from_one_value_vector(monkeypatch):
+    # at degree 0 every point has the same integer values, so no evaluator
+    # is built and one elimination ranks every point, default or edited;
+    # each point is still checked
+    rng = random.Random("constant-values")
+    fields = [random_constant_field(rng, 7, n, max_terms=5) for n in (2, 3, 4, 5) for _ in range(3)]
+    fields += [Fraction(-3, 4) * MIXED, block_sum(2, 2, 8), MultivectorField(6, 4)]
+    cases = []
+    for f in fields:
+        edited = default_sample_points(f.dim, 2)
+        edited[1] = (Fraction(1, 2),) * f.dim
+        edited.insert(0, tuple(range(f.dim)))
+        for points in (default_sample_points(f.dim, 2), edited):
+            want = tuple((tuple(map(Fraction, pt)), sharp_profile(f.evaluate(pt)).rank) for pt in points)
+            cases.append((f, points, want))
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a constant field built an evaluator")
+
+    monkeypatch.setattr(npk.poisson, "integer_evaluator", forbidden)
+    calls = _count_eliminations(monkeypatch)
+    assert {f.grade for f in fields} == {2, 3, 4, 5} and all(f.is_constant() for f in fields)
+    for f, points, want in cases:
+        calls.clear()
+        assert sample_ranks(f, points) == want
+        assert len(calls) == 1
+        if f.grade >= 2:
+            assert classify(f, points).rank_at_samples == want
+    for f in fields:
+        calls.clear()
+        assert sample_ranks(f, []) == () and not calls
+        with pytest.raises(TypeError, match="coordinates must be ints or Fractions"):
+            sample_ranks(f, [(0,) * f.dim, (True,) + (0,) * (f.dim - 1)])
+        for run in (sample_ranks, classify):
+            if run is classify and f.grade < 2:
+                continue
+            with pytest.raises(ValueError, match=f"point must have {f.dim} coordinates"):
+                run(f, [(0,) * f.dim, (1,) * (f.dim - 1)])
+            with pytest.raises(ValueError, match=f"point must have {f.dim} coordinates"):
+                run(f, default_sample_points(f.dim - 1))
 
 
 def test_rank_sampling_keeps_fraction_points_and_converts_the_rest():

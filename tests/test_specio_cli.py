@@ -372,6 +372,51 @@ def test_canonical_json_writes_the_check_report():
     assert canonical_json(report).splitlines()[:4] == ["{", '  "algebraic_condition": {', '    "holds": false,', '    "witness": [']
 
 
+@pytest.mark.parametrize("command", ["check", "rank"])
+def test_cli_reports_print_the_standard_writer_text(command, monkeypatch, capsys):
+    # each point's text comes from the memo after its first report: every
+    # report must still print json.dumps of itself, byte for byte
+    reports = []
+    writer = npk.cli.canonical_json
+
+    def recorded(report):
+        reports.append(report)
+        return writer(report)
+
+    monkeypatch.setattr(npk.cli, "canonical_json", recorded)
+    for spec in sorted(SPECS.glob("*.json")):
+        dim = to_field(parse_spec(spec)).dim
+        for seed in ("0", "3"):
+            for samples in ("0", "20", "0"):
+                main([command, str(spec), "--json", "--seed", seed, "--samples", samples])
+                out = capsys.readouterr().out
+                assert out == json.dumps(reports[-1], indent=2, sort_keys=True) + "\n"
+                points = default_sample_points(dim, int(seed), int(samples))
+                assert [entry["point"] for entry in reports[-1]["rank_at_samples"]] == [
+                    tuple(map(str, pt)) for pt in points
+                ]
+
+
+def test_canonical_json_memo_evicts_and_keeps_only_plain_string_tuples():
+    class Alias(str):
+        # equal to every string and hashed like "0": a memo keyed on it would answer for ("0",)
+        def __eq__(self, other):
+            return True
+
+        def __hash__(self):
+            return hash("0")
+
+    size = npk.specio._strings.cache_info().maxsize
+    tuples = [(str(i), f"-{i}/3") for i in range(size + 40)]
+    for _ in range(2):
+        for t in tuples:
+            for obj in (t, {"point": t}, [[t]], list(t)):
+                assert canonical_json(obj) == json.dumps(obj, indent=2, sort_keys=True)
+    assert npk.specio._strings.cache_info().currsize == size
+    for obj in (("0",), (Alias("7"),), ("0", Alias("7")), {"p": (Alias("7"),)}):
+        assert canonical_json(obj) == json.dumps(obj, indent=2, sort_keys=True)
+
+
 # sha256 of `serialize(parse_spec(path))` for each shipped spec, recorded
 # before specs were parsed straight into fields
 SERIALIZE_DIGESTS = {
