@@ -26,10 +26,11 @@ from .grassmann import NotDecomposableError, factorize
 from .poisson import _sample_points, classify, default_sample_points, pointwise_decomposable, sample_ranks
 from .polynomial import Polynomial
 from .specio import SpecError, canonical_json, parse_spec, to_field
-from .suites import run_all
 
 
-# bounded like the points themselves, which it reads from their own cache
+# bounded like the points themselves, which it reads from their own cache;
+# canonical_json keys a report table's text by the ids of these tuples, so
+# handing out the same objects each time is what lets it reuse that text
 @functools.lru_cache(maxsize=16)
 def _point_strs(dim: int, seed: int, samples: int) -> tuple[tuple[str, ...], ...]:
     """The strings of ``default_sample_points(dim, seed, samples)``, built once per process."""
@@ -44,7 +45,8 @@ def _emit(report: dict, as_json: bool, elapsed: float) -> None:
         if key == "rank_at_samples":
             print("rank_at_samples:")
             for entry in value:
-                print(f"  point ({', '.join(entry['point'])}) -> rank {entry['rank']}")
+                rest = ", ".join(f"{k} {v}" for k, v in entry.items() if k != "point")
+                print(f"  point ({', '.join(entry['point'])}) -> {rest}")
         elif key == "suites":
             for suite in value:
                 status = "PASS" if suite["passed"] else "FAIL"
@@ -133,7 +135,8 @@ def _cmd_sigma_delta(field: MultivectorField, args) -> tuple[dict, int]:
 
 
 def _cmd_suite(field: None, args) -> tuple[dict, int]:
-    results = run_all(args.seed)
+    from . import suites  # only this command reads the suites and their oracles
+    results = suites.run_all(args.seed)
     passed = all(r.passed for r in results)
     report = {"command": "suite", "seed": args.seed, "passed": passed, "suites": list(map(dataclasses.asdict, results))}
     return report, 0 if passed else 1

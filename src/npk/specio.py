@@ -23,7 +23,8 @@ canonically (blades sorted, monomials as
 serialize byte-identically.
 :func:`canonical_json` is the one JSON writer of the package: the text of
 ``json.dumps(obj, indent=2, sort_keys=True)``, built without the standard
-library's pure-Python indent path.
+library's pure-Python indent path.  A report's table of sample points is
+written once per set of point tuples; later reports fill in only the ranks.
 """
 
 from __future__ import annotations
@@ -195,7 +196,11 @@ def canonical_json(obj) -> str:
 
     Dicts (with string keys), lists, tuples, strings, ints, bools and None
     are written here; any other leaf goes to ``json.dumps``.  The text of a
-    tuple of strings at one indentation is kept in a 256-entry memo.
+    tuple of strings at one indentation is kept in a 256-entry memo.  A
+    record list (dicts of one set of plain ``str`` keys, each column all exact
+    ints or all tuples of plain ``str``) is kept cut at its int cells, by its
+    layout and the ``id`` of each tuple, in a 64-entry memo.  An entry holds
+    its tuples, so those ids name the same objects, and they cannot change.
     """
     return _canonical(obj, "")
 
@@ -212,31 +217,70 @@ def _canonical(obj, pad: str) -> str:
         return "false"
     if isinstance(obj, int):
         return int.__repr__(obj)
+    inner = pad + "  "
     if isinstance(obj, dict):
         if not obj:
             return "{}"
-        inner = pad + "  "
-        items = [f"{_quote(key)}: {_canonical(obj[key], inner)}" for key in sorted(obj)]
-        brackets = "{}"
-    elif isinstance(obj, (list, tuple)):
+        return _block([f"{_quote(key)}: {_canonical(obj[key], inner)}" for key in sorted(obj)], pad, "{}")
+    if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
+        if type(obj[0]) is dict and (text := _records(obj, pad)) is not None:
+            return text
         if {*map(type, obj)} == {str}:
             # quoted at C speed; a tuple cannot change, so a point's text is written once per process
             return _strings(obj, pad) if type(obj) is tuple else _strings.__wrapped__(obj, pad)
-        inner = pad + "  "
-        items = [_canonical(x, inner) for x in obj]
-        brackets = "[]"
-    else:
-        return json.dumps(obj)
-    sep = ",\n" + inner
-    return f"{brackets[0]}\n{inner}{sep.join(items)}\n{pad}{brackets[1]}"
+        return _block([_canonical(x, inner) for x in obj], pad, "[]")
+    return json.dumps(obj)
+
+
+def _block(items, pad: str, brackets: str) -> str:
+    # one item a line, two spaces below pad, between the brackets
+    sep = ",\n" + pad + "  "
+    return f"{brackets[0]}{sep[1:]}{sep.join(items)}\n{pad}{brackets[1]}"
 
 
 @lru_cache(maxsize=256)
 def _strings(strs, pad: str) -> str:
-    sep = ",\n" + pad + "  "
-    return f"[{sep[1:]}{sep.join(map(_quote, strs))}\n{pad}]"
+    return _block(map(_quote, strs), pad, "[]")
+
+
+# record-list texts (see canonical_json); the oldest entry goes first
+_TABLES: dict = {}
+_TABLES_MAX = 64
+
+
+def _records(rows, pad: str) -> str | None:
+    # a record list's text (see canonical_json), None for any other list
+    first = rows[0]  # its cells give most other lists away at once
+    if {*map(type, first.values())} - {int, tuple} or {*map(type, first)} != {str}:
+        return None
+    if {*map(type, rows)} != {dict} or {*map(len, rows)} != {len(first)}:
+        return None
+    try:  # rows as long as the first that all hold its keys have its key set
+        columns = {key: [row[key] for row in rows] for key in sorted(first)}
+    except KeyError:
+        return None
+    ints = [key for key, column in columns.items() if {*map(type, column)} == {int}]
+    cells = [cell for key, column in columns.items() if key not in ints for cell in column]
+    memo_key = (pad, len(rows), tuple(columns), tuple(ints), *map(id, cells))
+    entry = _TABLES.get(memo_key)
+    if entry is None:  # checked once: a later key with these ids has these very objects
+        if any(type(cell) is not tuple or {*map(type, cell)} - {str} for cell in cells):
+            return None
+        # "\0" marks an int cell: no quoted string or layout character is one
+        text = _block([_block([f"{_quote(key)}: " + ("\0" if key in ints else _canonical(row[key], pad + "    "))
+                               for key in columns], pad + "  ", "{}") for row in rows], pad, "[]")
+        pieces = [None] * (2 * len(rows) * len(ints) + 1)
+        pieces[::2] = text.split("\0")
+        if len(_TABLES) >= _TABLES_MAX:
+            del _TABLES[next(iter(_TABLES))]
+        entry = _TABLES[memo_key] = (pieces, cells)
+    # the int cells in text order: row by row, each row's keys sorted
+    values = columns[ints[0]] if len(ints) == 1 else [row[key] for row in rows for key in ints]
+    pieces = entry[0].copy()
+    pieces[1::2] = map(int.__repr__, values)
+    return "".join(pieces)
 
 
 def to_field(spec: TensorSpec) -> MultivectorField:

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 import npk
 import npk.grassmann
 import npk.oracles
+import npk.suites
 from npk.cli import main
 from npk.fields import MultivectorField
 from npk.poisson import classify, default_sample_points
@@ -339,6 +340,19 @@ def test_serialize_is_canonical():
 # the canonical JSON writer
 
 _TEXT = st.text(st.characters(codec=None, exclude_categories=()), max_size=8)  # surrogates too
+# one set of tuple objects for every draw: a record list's text is kept by the
+# ids of its tuples, so later draws meet the texts of earlier ones
+_SHARED_TUPLES = (("0", "-1/2"), ("%d", "\x00", "%"), (), ("\u2028",), tuple(["0", "-1/2"]))
+
+
+@st.composite
+def _record_lists(draw):
+    # dicts of one key set; each column all ints or all shared string tuples
+    keys = draw(st.lists(st.sampled_from(["point", "rank", "%d", "\x00"]), min_size=1, max_size=3, unique=True))
+    columns = {key: draw(st.sampled_from([st.integers(), st.sampled_from(_SHARED_TUPLES)])) for key in keys}
+    return draw(st.lists(st.fixed_dictionaries(columns), min_size=1, max_size=4))
+
+
 _LEAVES = (
     st.none()
     | st.booleans()
@@ -347,6 +361,7 @@ _LEAVES = (
     | _TEXT
     | st.text(st.characters(max_codepoint=0x1F), max_size=4)  # control characters
     | st.floats()  # not a report value: it goes to json.dumps
+    | _record_lists()
 )
 _JSON = st.recursive(
     _LEAVES,
@@ -415,6 +430,57 @@ def test_canonical_json_memo_evicts_and_keeps_only_plain_string_tuples():
     assert npk.specio._strings.cache_info().currsize == size
     for obj in (("0",), (Alias("7"),), ("0", Alias("7")), {"p": (Alias("7"),)}):
         assert canonical_json(obj) == json.dumps(obj, indent=2, sort_keys=True)
+
+
+def test_canonical_json_table_memo_is_bounded():
+    size = npk.specio._TABLES_MAX
+    tables = [[{"point": (str(i), "0"), "rank": i}, {"point": (), "rank": -i}] for i in range(size + 20)]
+    npk.specio._TABLES.clear()
+    for _ in range(2):
+        for rows in tables:
+            for obj in (rows, {"rank_at_samples": rows}):
+                assert canonical_json(obj) == json.dumps(obj, indent=2, sort_keys=True)
+    assert len(npk.specio._TABLES) == size
+    # a table already kept is filled in, not kept again
+    assert canonical_json(tables[-1]) == json.dumps(tables[-1], indent=2, sort_keys=True)
+    assert len(npk.specio._TABLES) == size
+
+
+def test_canonical_json_table_memo_holds_its_tuples():
+    # each point is freed before the next is built, which may take its id once
+    # both memos let go of it; a kept table holds its tuples, so no live key's
+    # ids are given out again
+    for i in range(2 * (npk.specio._strings.cache_info().maxsize + npk.specio._TABLES_MAX)):
+        rows = [{"point": (str(i), "0"), "rank": 1}]
+        assert canonical_json(rows) == json.dumps(rows, indent=2, sort_keys=True)
+        del rows
+
+
+def test_canonical_json_follows_a_record_list_changed_in_place():
+    class Alias(str):
+        pass
+
+    rows = [{"point": ("0", "1"), "rank": 2}, {"point": ("1/2", "-3"), "rank": 0}]
+    equal = tuple(["0", "1"])
+    assert equal == rows[0]["point"] and equal is not rows[0]["point"]
+    box = ["1"]  # a list inside a tuple can change: such a tuple's text is never kept
+    changes = [
+        (rows[1], "rank", 5),
+        (rows[0], "point", equal),
+        (rows[1], "rank", True),
+        (rows[1], "rank", 1),
+        (rows[1], "point", ("0", box)),
+        (box, 0, "2"),
+        (rows[1], "point", (Alias("7"), "0")),
+        (rows[0], "extra", 3),
+        (rows[1], "other", 3),  # as many keys as the first row, not the same ones
+        (rows[1], "extra", 4),
+    ]
+    assert canonical_json(rows) == json.dumps(rows, indent=2, sort_keys=True)
+    for row, key, value in changes:
+        row[key] = value
+        for obj in (rows, {"rank_at_samples": rows}):
+            assert canonical_json(obj) == json.dumps(obj, indent=2, sort_keys=True)
 
 
 # sha256 of `serialize(parse_spec(path))` for each shipped spec, recorded
@@ -731,6 +797,23 @@ def test_cli_human_output(spec_path, capsys):
     assert "completed in" in text
 
 
+@pytest.mark.parametrize("spec", ["two_block_4vector", "quadratic_rank_drop_3vector"])
+def test_cli_human_rank_prints_every_entry_key(spec, capsys):
+    path = str(SPECS / f"{spec}.json")
+    assert main(["rank", path, "--json", "--samples", "3"]) == 0
+    entries = json.loads(capsys.readouterr().out)["rank_at_samples"]
+    assert main(["rank", path, "--samples", "3"]) == 0
+    lines = [line for line in capsys.readouterr().out.splitlines() if line.startswith("  point")]
+    assert lines == [
+        f"  point ({', '.join(entry['point'])}) -> rank {entry['rank']}, annihilator_dim {entry['annihilator_dim']}"
+        for entry in entries
+    ]
+    # a check line names the rank only
+    assert main(["check", path, "--samples", "3"]) in (0, 1)
+    lines = [line for line in capsys.readouterr().out.splitlines() if line.startswith("  point")]
+    assert lines == [f"  point ({', '.join(entry['point'])}) -> rank {entry['rank']}" for entry in entries]
+
+
 def test_cli_missing_file_is_operational_error(capsys):
     assert main(["check", "/nonexistent/spec.json"]) == 2
 
@@ -842,7 +925,7 @@ LIBRARY_CALLS = {
     "nambu": (npk.cli, "pointwise_decomposable"),
     "jacobi": (npk.cli, "jacobi_identity_holds"),
     "sigma-delta": (npk.cli, "delta"),
-    "suite": (npk.cli, "run_all"),
+    "suite": (npk.suites, "run_all"),
 }
 
 
@@ -883,6 +966,14 @@ def test_nambu_and_classify_are_independent_of_the_oracles(monkeypatch, capsys):
         assert json.loads(capsys.readouterr().out)["nambu_algebraic"] is nambu
         verdict = classify(to_field(parse_spec(path)))
         assert (verdict.is_poisson, verdict.nambu_algebraic) == (poisson, nambu)
+
+
+def test_cli_import_leaves_the_suites_unloaded():
+    # only `npk suite` reads the suites, and through them the oracles
+    env = {**os.environ, "PYTHONPATH": str(SPECS.parent / "src")}
+    code = "import sys, npk.cli; print(sorted({'npk.suites', 'npk.oracles'} & set(sys.modules)))"
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert (run.returncode, run.stdout, run.stderr) == (0, "[]\n", "")
 
 
 def test_cli_unknown_command_usage_error():
