@@ -23,18 +23,9 @@ import time
 from .compat import IncompatibleFieldError, delta, gradient_contraction
 from .fields import MultivectorField, jacobi_identity_holds
 from .grassmann import NotDecomposableError, factorize
-from .poisson import _sample_points, classify, default_sample_points, pointwise_decomposable, sample_ranks
+from .poisson import classify, default_sample_points, pointwise_decomposable, sample_ranks
 from .polynomial import Polynomial
 from .specio import SpecError, canonical_json, parse_spec, to_field
-
-
-# bounded like the points themselves, which it reads from their own cache;
-# canonical_json keys a report table's text by the ids of these tuples, so
-# handing out the same objects each time is what lets it reuse that text
-@functools.lru_cache(maxsize=16)
-def _point_strs(dim: int, seed: int, samples: int) -> tuple[tuple[str, ...], ...]:
-    """The strings of ``default_sample_points(dim, seed, samples)``, built once per process."""
-    return tuple(tuple(map(str, pt)) for pt in _sample_points(dim, seed, samples)[0])
 
 
 def _emit(report: dict, as_json: bool, elapsed: float) -> None:
@@ -74,8 +65,7 @@ def _cmd_check(field: MultivectorField, args) -> tuple[dict, int]:
         "pointwise_decomposable": verdict.pointwise_decomposable,
         "nambu_algebraic": verdict.nambu_algebraic,
         "rank_at_samples": [
-            {"point": strs, "rank": r}
-            for strs, (_, r) in zip(_point_strs(field.dim, args.seed, args.samples), verdict.rank_at_samples)
+            {"point": strs, "rank": r} for strs, (_, r) in zip(points.strs, verdict.rank_at_samples)
         ],
     }
     return report, 0 if verdict.is_poisson else 1
@@ -86,7 +76,7 @@ def _cmd_rank(field: MultivectorField, args) -> tuple[dict, int]:
     points = default_sample_points(field.dim, args.seed, extra=args.samples)
     entries = [
         {"point": strs, "rank": rank, "annihilator_dim": field.dim - rank}
-        for strs, (_, rank) in zip(_point_strs(field.dim, args.seed, args.samples), sample_ranks(field, points))
+        for strs, (_, rank) in zip(points.strs, sample_ranks(field, points))
     ]
     return {"command": "rank", "seed": args.seed, "rank_at_samples": entries}, 0
 

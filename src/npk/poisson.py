@@ -30,7 +30,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, cycle
 from math import gcd, lcm
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .exterior import blade_contractions, first_failing_pair, merge_blades
 from .fields import (
@@ -97,24 +97,25 @@ def pointwise_decomposable(field: MultivectorField) -> bool:
     return field.grade <= 1 or plucker_holds(field.terms)
 
 
-def default_sample_points(dim: int, seed: int = 0, extra: int = 8) -> list[Point]:
+def default_sample_points(dim: int, seed: int = 0, extra: int = 8) -> _SamplePoints:
     """Origin, the coordinate unit points, and seeded random rational points.
 
     Each random coordinate is ``a/b`` with ``a = randint(-6, 6)`` drawn
-    before ``b = randint(1, 3)``.  The points and their integer forms are
-    built once per ``(dim, seed, extra)``; every call returns a new list.
+    before ``b = randint(1, 3)``.  The set is built once per
+    ``(dim, seed, extra)`` and shared: a tuple that cannot be edited, so a
+    caller that edits it copies it first with ``list(...)``.
     """
-    points = _SamplePoints((cached := _sample_points(dim, seed, extra))[0])
-    points.cached = cached
-    return points
+    return _sample_points(dim, seed, extra)
 
 
-class _SamplePoints(list):  # the caller's list, carrying the cached points and integer forms
-    __slots__ = ("cached",)
+class _SamplePoints(tuple):
+    """A default point set, with each point's integer form (``forms``) and strings (``strs``)."""
 
 
+# one set per key, so each key hands out the same strs tuples: canonical_json
+# keys a report table's text by their ids, and their identity lets it reuse that text
 @lru_cache(maxsize=16)
-def _sample_points(dim: int, seed: int, extra: int) -> tuple[tuple[Point, ...], tuple[tuple[list[int], int], ...]]:
+def _sample_points(dim: int, seed: int, extra: int) -> _SamplePoints:
     zero, one = Fraction(0), Fraction(1)
     points: list[Point] = [(zero,) * dim]
     for u in range(dim):
@@ -122,31 +123,32 @@ def _sample_points(dim: int, seed: int, extra: int) -> tuple[tuple[Point, ...], 
     randint = random.Random(seed).randint
     for _ in range(extra):
         points.append(tuple(Fraction(randint(-6, 6), randint(1, 3)) for _ in range(dim)))
-    return tuple(points), tuple(_integer_point(pt, dim) for pt in points)
+    shared = _SamplePoints(points)
+    shared.forms = tuple(_integer_point(pt, dim) for pt in points)
+    shared.strs = tuple(tuple(map(str, pt)) for pt in points)
+    return shared
 
 
-def _point_values(field: MultivectorField, points: Sequence[Point]) -> tuple[list[Point], list[list[int]]]:
-    """The points made Fractions, a default point read in its cached form, and the
-    ``integer_evaluator`` values at each; a constant field's one vector serves them all."""
+def _point_values(field: MultivectorField, points: Iterable[Point]) -> tuple[Sequence[Point], list[list[int]]]:
+    """The points made Fractions and the ``integer_evaluator`` values at each: a
+    default set of the field's dimension is read whole, with its ``forms``, any
+    other points once, one by one; a constant field's one vector serves them all."""
     m, polys = field.dim, list(field.terms.values())
     values = None if field.is_constant() else integer_evaluator(polys, m)
-    cached, forms = getattr(points, "cached", ((), ()))
-    out, vectors = [], []
-    for i, pt in enumerate(points):
-        if i < len(cached) and pt is cached[i] and len(pt) == m:
-            form = forms[i]
-        else:
-            form = _integer_point(pt, m)
-            # the sample points are tuples of Fractions already: keep them
+    if isinstance(points, _SamplePoints) and len(points[0]) == m:
+        pts, forms = points, points.forms
+    else:
+        pts, forms = [], []
+        for pt in points:
+            forms.append(_integer_point(pt, m))
+            # tuples of Fractions, such as the default points, are kept as they are
             if type(pt) is not tuple or {*map(type, pt)} - {Fraction}:
                 pt = tuple(c if isinstance(c, Fraction) else Fraction(c) for c in pt)
-        out.append(pt)
-        if values is not None:
-            vectors.append(values(*form)[0])
-    if values is None and out:
-        scale = lcm(*(p.den for p in polys))
-        vectors.append([p.terms[0] * (scale // p.den) for p in polys])
-    return out, vectors
+            pts.append(pt)
+    if values is not None:
+        return pts, [values(*form)[0] for form in forms]
+    scale = lcm(*(p.den for p in polys))
+    return pts, [[p.terms[0] * (scale // p.den) for p in polys]] if pts else []
 
 
 def sample_ranks(field: MultivectorField, points: Sequence[Point]) -> tuple[tuple[Point, int], ...]:

@@ -24,7 +24,8 @@ serialize byte-identically.
 :func:`canonical_json` is the one JSON writer of the package: the text of
 ``json.dumps(obj, indent=2, sort_keys=True)``, built without the standard
 library's pure-Python indent path.  A report's table of sample points is
-written once per set of point tuples; later reports fill in only the ranks.
+written once per default sample-point set, whose ``strs`` are the same
+tuples on every call; later reports fill in only the ranks.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from json.encoder import encode_basestring_ascii as _quote
 
 from .exterior import _add_term
@@ -195,12 +195,11 @@ def canonical_json(obj) -> str:
     """``json.dumps(obj, indent=2, sort_keys=True)``, byte for byte.
 
     Dicts (with string keys), lists, tuples, strings, ints, bools and None
-    are written here; any other leaf goes to ``json.dumps``.  The text of a
-    tuple of strings at one indentation is kept in a 256-entry memo.  A
-    record list (dicts of one set of plain ``str`` keys, each column all exact
-    ints or all tuples of plain ``str``) is kept cut at its int cells, by its
-    layout and the ``id`` of each tuple, in a 64-entry memo.  An entry holds
-    its tuples, so those ids name the same objects, and they cannot change.
+    are written here; any other leaf goes to ``json.dumps``.  A record list
+    (dicts of one set of plain ``str`` keys, each column all exact ints or
+    all tuples of plain ``str``) is kept cut at its int cells, by its layout
+    and the ``id`` of each tuple, in a 64-entry memo.  An entry holds its
+    tuples, so those ids name the same objects, and they cannot change.
     """
     return _canonical(obj, "")
 
@@ -227,9 +226,8 @@ def _canonical(obj, pad: str) -> str:
             return "[]"
         if type(obj[0]) is dict and (text := _records(obj, pad)) is not None:
             return text
-        if {*map(type, obj)} == {str}:
-            # quoted at C speed; a tuple cannot change, so a point's text is written once per process
-            return _strings(obj, pad) if type(obj) is tuple else _strings.__wrapped__(obj, pad)
+        if {*map(type, obj)} == {str}:  # quoted at C speed
+            return _block(map(_quote, obj), pad, "[]")
         return _block([_canonical(x, inner) for x in obj], pad, "[]")
     return json.dumps(obj)
 
@@ -238,11 +236,6 @@ def _block(items, pad: str, brackets: str) -> str:
     # one item a line, two spaces below pad, between the brackets
     sep = ",\n" + pad + "  "
     return f"{brackets[0]}{sep[1:]}{sep.join(items)}\n{pad}{brackets[1]}"
-
-
-@lru_cache(maxsize=256)
-def _strings(strs, pad: str) -> str:
-    return _block(map(_quote, strs), pad, "[]")
 
 
 # record-list texts (see canonical_json); the oldest entry goes first

@@ -722,6 +722,17 @@ def test_zero_contraction_is_no_witness():
     assert irreducibility_check(OFF_AXIS_ONE) == IrreducibilityVerdict(IrreducibilityKind.REDUCIBILITY_WITNESS, witness)
 
 
+RANK_7 = Multivector(7, 3, {(1, 2, 7): -2, (1, 3, 7): -1, (1, 4, 5): 5, (2, 5, 6): -3, (3, 4, 6): 4})
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 3: a rank drop of n is taken for a split, "
+                   "so a rank-(2n + 1) 3-vector, which no split has, gets the witness dx^1")
+def test_rank_2n_plus_1_gets_no_reducibility_witness():
+    # a split has rank n + n or at least n + (n + 2): rank 2n + 1 = 7 has none
+    assert sharp_profile(RANK_7).rank == 7
+    assert irreducibility_check(RANK_7).kind is not IrreducibilityKind.REDUCIBILITY_WITNESS
+
+
 def test_constant_questions_run_on_the_integer_echelon(monkeypatch):
     # the report, the irreducibility search and the profile read the integer
     # rows of _image: no Fraction echelon or Subspace, no Fraction contraction

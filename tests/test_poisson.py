@@ -403,9 +403,13 @@ def test_classify_shortcuts_match_the_four_stages():
     seen = set()
     for f in _shortcut_population():
         points = default_sample_points(f.dim, seed=f.dim)
-        # the cached integer forms, and points made integer per call
-        for pts in (points, [tuple(pt) for pt in points[:3]] + [list(pt) for pt in points[3:]]):
-            assert classify(f, pts) == _four_stages(f, pts), f
+        want = _four_stages(f, points)
+        assert [pt for pt, _ in want.rank_at_samples] == list(points)
+        # the shared set is read whole; a copy, a generator and mixed points are made integer per call
+        mixed = [tuple(pt) for pt in points[:3]] + [list(pt) for pt in points[3:]]
+        for read in (lambda: points, lambda: list(points), lambda: (pt for pt in points), lambda: mixed):
+            assert classify(f, read()) == want, f
+            assert sample_ranks(f, read()) == want.rank_at_samples, f
         seen.add((f.grade, classify(f).pointwise_decomposable))
     assert seen == {(n, dec) for n in (2, 3, 4, 5) for dec in (True, False)}
 
@@ -470,13 +474,12 @@ def test_default_sample_points_are_built_once_per_arguments(monkeypatch):
     monkeypatch.setattr(npk.poisson, "random", types.SimpleNamespace(Random=counted))
     first = default_sample_points(4, 3, 5)
     assert len(first) == 1 + 4 + 5 and first[0] == (0,) * 4
-    # the caller owns its list: changing it changes no later call
-    kept = list(first)
-    first.append((1, 1, 1, 1))
-    first[0] = None
-    again = default_sample_points(4, seed=3, extra=5)
-    assert again == kept and again is not first
-    assert default_sample_points(4, 3, extra=5) == again
+    # one shared set per key, which no caller can edit: an editor copies it
+    with pytest.raises(TypeError):
+        first[0] = None
+    assert not hasattr(first, "append")
+    assert default_sample_points(4, seed=3, extra=5) is first
+    assert default_sample_points(4, 3, extra=5) is first
     assert builds == [3]
     # one build for each new (dim, seed, extra)
     for dim, seed, extra in ((4, 4, 5), (5, 3, 5), (4, 3, 6), (4, 4, 5), (5, 3, 5)):
@@ -581,7 +584,7 @@ def test_rank_sampling_matches_sharp_profile_at_every_point():
     rng = random.Random("rank-sampling-points")
     kinds = set()
     for f in _rank_sampling_fields():
-        points = default_sample_points(f.dim, seed=rng.randint(0, 99))
+        points = list(default_sample_points(f.dim, seed=rng.randint(0, 99)))
         # plain ints and Fractions with large denominators, mixed in one point
         points.append(tuple(
             rng.randint(-5, 5) if rng.random() < 0.5 else Fraction(rng.randint(-50, 50), rng.randint(2, 97))
@@ -734,7 +737,7 @@ def test_a_constant_field_is_ranked_from_one_value_vector(monkeypatch):
     fields += [Fraction(-3, 4) * MIXED, block_sum(2, 2, 8), MultivectorField(6, 4)]
     cases = []
     for f in fields:
-        edited = default_sample_points(f.dim, 2)
+        edited = list(default_sample_points(f.dim, 2))
         edited[1] = (Fraction(1, 2),) * f.dim
         edited.insert(0, tuple(range(f.dim)))
         for points in (default_sample_points(f.dim, 2), edited):
@@ -780,12 +783,23 @@ def test_rank_sampling_keeps_fraction_points_and_converts_the_rest():
     assert all({*map(type, got)} == {Fraction} for got, _ in sample_ranks(f, mixed))
 
 
+def test_default_sample_points_carry_their_integer_forms_and_strings():
+    for dim, seed, extra in ((1, 0, 8), (4, 3, 5), (7, 11, 0)):
+        points = default_sample_points(dim, seed, extra)
+        assert isinstance(points, tuple) and len(points) == 1 + dim + extra
+        assert points.forms == tuple(npk.poisson._integer_point(pt, dim) for pt in points)
+        assert points.strs == tuple(tuple(map(str, pt)) for pt in points)
+        # the same string tuples on every call
+        again = default_sample_points(dim, seed, extra).strs
+        assert all(a is b for a, b in zip(again, points.strs))
+
+
 def test_rank_sampling_reads_cached_forms_only_for_the_cached_points():
     # a caller may edit the list of default points: moved or replaced points
     # are made integer afresh, and default points of another dimension refused
     drop = MultivectorField(M, 3, {(1, 2, 3): X[0], (1, 4, 5): X[1]})
     for f in (drop, BLADE, X[2] * BLADE):
-        points = default_sample_points(M, 3)
+        points = list(default_sample_points(M, 3))
         points[1] = (Fraction(1, 2),) * M
         points.insert(0, (Fraction(-1, 3), 2, 0, 1, 0))
         assert_ranks_match_sharp_profile(f, points)

@@ -412,7 +412,7 @@ def test_cli_reports_print_the_standard_writer_text(command, monkeypatch, capsys
                 ]
 
 
-def test_canonical_json_memo_evicts_and_keeps_only_plain_string_tuples():
+def test_canonical_json_writes_string_sequences_and_str_subclasses():
     class Alias(str):
         # equal to every string and hashed like "0": a memo keyed on it would answer for ("0",)
         def __eq__(self, other):
@@ -421,13 +421,11 @@ def test_canonical_json_memo_evicts_and_keeps_only_plain_string_tuples():
         def __hash__(self):
             return hash("0")
 
-    size = npk.specio._strings.cache_info().maxsize
-    tuples = [(str(i), f"-{i}/3") for i in range(size + 40)]
+    tuples = [(str(i), f"-{i}/3") for i in range(296)]
     for _ in range(2):
         for t in tuples:
             for obj in (t, {"point": t}, [[t]], list(t)):
                 assert canonical_json(obj) == json.dumps(obj, indent=2, sort_keys=True)
-    assert npk.specio._strings.cache_info().currsize == size
     for obj in (("0",), (Alias("7"),), ("0", Alias("7")), {"p": (Alias("7"),)}):
         assert canonical_json(obj) == json.dumps(obj, indent=2, sort_keys=True)
 
@@ -448,9 +446,9 @@ def test_canonical_json_table_memo_is_bounded():
 
 def test_canonical_json_table_memo_holds_its_tuples():
     # each point is freed before the next is built, which may take its id once
-    # both memos let go of it; a kept table holds its tuples, so no live key's
+    # the memo lets go of it; a kept table holds its tuples, so no live key's
     # ids are given out again
-    for i in range(2 * (npk.specio._strings.cache_info().maxsize + npk.specio._TABLES_MAX)):
+    for i in range(2 * npk.specio._TABLES_MAX):
         rows = [{"point": (str(i), "0"), "rank": 1}]
         assert canonical_json(rows) == json.dumps(rows, indent=2, sort_keys=True)
         del rows
@@ -743,15 +741,15 @@ def test_cli_check_samples(samples, extra, capsys):
 
 @pytest.mark.parametrize("command", ["check", "rank"])
 def test_cli_point_strings_are_built_once_per_process(command, capsys):
-    # the strings of one (dim, seed, samples) serve every later op, in a bounded cache
-    strs = npk.cli._point_strs
-    assert strs.cache_info().maxsize == 16
-    strs.cache_clear()
+    # the points and strings of one (dim, seed, samples) serve every later op, in a bounded cache
+    cache = npk.poisson._sample_points
+    assert cache.cache_info().maxsize == 16
+    cache.cache_clear()
     runs = []
     for spec in ("two_block_4vector", "decomposable_3vector", "two_block_4vector"):
         main([command, str(SPECS / f"{spec}.json"), "--json", "--seed", "4"])
         runs.append(json.loads(capsys.readouterr().out)["rank_at_samples"])
-    assert (strs.cache_info().misses, strs.cache_info().hits) == (2, 1)
+    assert (cache.cache_info().misses, cache.cache_info().hits) == (2, 1)
     assert runs[0] == runs[2]
     for spec, entries in zip(("two_block_4vector", "decomposable_3vector"), runs):
         points = default_sample_points(to_field(parse_spec(SPECS / f"{spec}.json")).dim, 4)
