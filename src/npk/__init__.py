@@ -2,8 +2,8 @@
 
 Everything runs over the rationals with zero tolerance: exterior algebra
 kernels, exact linear algebra, decomposability and factorization of
-multivectors, the n-ary bracket with its generalized Jacobi identity,
-the Poisson and Nambu classification of polynomial multivector fields,
+multivectors, the n-ary bracket with its generalized Jacobi identity, the
+Schouten bracket, the Poisson and Nambu classification of polynomial fields,
 and the compatibility operator calculus.  All values are immutable after
 construction and all operations are pure functions.
 """
@@ -15,8 +15,8 @@ from .fields import (
     coordinate_vector_field,
     differential_defect,
     jacobi_identity_holds,
-    lie_bracket,
     nary_bracket,
+    schouten,
 )
 from .grassmann import (
     ContractionSubspaceReport,
@@ -89,11 +89,11 @@ __all__ = [
     "is_decomposable",
     "is_involutive",
     "jacobi_identity_holds",
-    "lie_bracket",
     "nary_bracket",
     "parse_spec",
     "parse_spec_text",
     "pointwise_decomposable",
+    "schouten",
     "serialize",
     "sharp_profile",
     "to_field",

@@ -49,8 +49,21 @@ def _emit(report: dict, as_json: bool, elapsed: float) -> None:
     print(f"completed in {elapsed:.2f}s")
 
 
-def _cmd_check(field: MultivectorField, args) -> tuple[dict, int]:
+# a value at a point A/D carries D**deg: above this exponent check and rank refuse to build it
+_MAX_EXPONENT = 2**16
+
+
+def _points(field: MultivectorField, args):
+    """The default sample points, once the field's largest exponent is at most ``_MAX_EXPONENT``."""
     points = default_sample_points(field.dim, args.seed, extra=args.samples)
+    if (bound := max((p.bound for p in field.terms.values()), default=0)) > _MAX_EXPONENT:
+        bits = bound * max(max(d, *map(abs, a)).bit_length() for a, d in points.forms)
+        raise SpecError(f"exponent {bound} exceeds {_MAX_EXPONENT}: a sample value would take about {bits} bits")
+    return points
+
+
+def _cmd_check(field: MultivectorField, args) -> tuple[dict, int]:
+    points = _points(field, args)
     verdict = classify(field, points)
     report = {
         "command": "check",
@@ -73,7 +86,7 @@ def _cmd_check(field: MultivectorField, args) -> tuple[dict, int]:
 
 def _cmd_rank(field: MultivectorField, args) -> tuple[dict, int]:
     # the annihilator has one basis covector per free column: m - rank of them
-    points = default_sample_points(field.dim, args.seed, extra=args.samples)
+    points = _points(field, args)
     entries = [
         {"point": strs, "rank": rank, "annihilator_dim": field.dim - rank}
         for strs, (_, rank) in zip(points.strs, sample_ranks(field, points))

@@ -60,7 +60,9 @@ def delta(structure: MultivectorField, candidate: MultivectorField) -> Multivect
     For a grade-q candidate U returns
     ``sum_u (i(dx^u) P) ^ (d_u U) + (i(dx^u) U) ^ (d_u P)``;
     the second term vanishes for q = 0, where the result is exactly
-    ``i(df) P``.  Raises when the candidate is not compatible.
+    ``i(df) P``.  By :func:`~npk.fields.schouten`, ``delta(P, U) = (-1)^(p-1) [P, U]``
+    when ``pq`` is even; for odd p and q, ``[P, U] = K(P, U) - K(U, P)``.
+    Raises when the candidate is not compatible.
     """
     membership = is_compatible(structure, candidate)
     if not membership.holds:

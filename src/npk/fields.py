@@ -1,38 +1,28 @@
 """Multivector fields with polynomial components on coordinate space.
 
 A grade-n field on m coordinates is the :class:`~npk.exterior.GradedTerms`
-container with coefficients in the polynomials in ``x1..xm``: its
-``terms`` map n-blades to polynomials, and storage, canonicalisation,
-``component``, ``wedge``, ``+ - * ==`` and ``repr`` are the shared ones.
-This subclass fixes the coefficient ring (so ``*`` also takes a polynomial
-factor) and how a coefficient reads (a sum or a negative in parentheses),
-and adds evaluation at a rational point (an exact
-:class:`~npk.exterior.Multivector`), partial derivatives and the
-contraction with a covector field; a reader that contracts with basis
-forms builds the one-index face table
-:func:`~npk.exterior.blade_contractions` of the field's terms (k = 1
-here, k = n - 1 for the sharp rows), and nothing is kept on the field.
-The module also provides the n-ary bracket a grade-n field induces on polynomial
-functions, the differential defect ``K(P, P) = sum_u i(dx^u) P ^ d_u P``
-whose vanishing is the differential half of the Poisson conditions (one
-case of :func:`contracted_derivative`, the kernel it shares with the Lie
-bracket and :func:`~npk.compat.delta`), and the generalized Jacobi
-identity decided exactly on a finite generating family of arguments.
+container over the polynomials in ``x1..xm``, with its storage,
+``component``, ``wedge``, ``+ - * ==`` and ``repr``.  This subclass fixes
+the ring (so ``*`` also takes a polynomial) and how a coefficient reads (a
+sum or a negative in parentheses), and adds evaluation at a rational point,
+partial derivatives and the contraction with a covector field.  Nothing is
+kept on a field: a reader that contracts with basis forms builds its own
+:func:`~npk.exterior.blade_contractions` table.
 
-The n-ary bracket runs through one general kernel over sparse gradients
-``{u: d_u f}``: the expansion ``sum prod_i d_{u_i} f_i * P^{u_1..u_n}``
-over one nonzero entry per argument, each index merged into the blade
-so far by :func:`~npk.exterior.merge_blades`, the package's one blade
-sign, whose ``None`` drops a repeated index; :func:`nary_bracket` uses
-it.  The Jacobi decision calls no bracket.  On the coordinate families
-its defect is the differential defect, and once that vanishes a quadratic
-family ``x_u x_v, x_T'`` reduces by Leibniz to its symbol ``Q[u, v]``,
-twice an entry of P's pair table with itself (:func:`~npk.exterior.first_failing_pair`),
-zero at even grade (proof in :func:`jacobi_identity_holds`).
-So it decides the two conditions of the parity rule with the classifier's
-own kernels, and its cost follows the field's support, not the number of
-families.  A route independent of those kernels is the nested-bracket
-defect loop of the test oracles.
+Every bracket here runs on one of two kernels.  ``K(A, B) = sum_u
+i(dx^u) A ^ d_u B`` (:func:`contracted_derivative`) gives the
+Schouten-Nijenhuis bracket, its sign proved once (:func:`schouten`), and
+the differential defect ``K(P, P)``, the differential half of the Poisson
+conditions.  :func:`~npk.exterior.contract_terms` gives the n-ary bracket
+of functions: n first-slot contractions of P by the arguments' sparse
+gradients ``{u: d_u f}``.  The generalized Jacobi identity calls no
+bracket: on the coordinate families its defect is ``K(P, P)``, and once
+that vanishes a quadratic family ``x_u x_v, x_T'`` reduces by Leibniz to
+its symbol, twice an entry of P's pair table with itself
+(:func:`~npk.exterior.first_failing_pair`), zero at even grade (proof in
+:func:`jacobi_identity_holds`).  So it decides the parity rule with the
+classifier's own kernels, at a cost that follows the field's support; the
+nested-bracket defect loop of the test oracles shares neither.
 """
 
 from __future__ import annotations
@@ -41,13 +31,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .exterior import (
-    Blade,
-    GradedTerms,
-    Multivector,
-    blade_contractions,
-    contract_terms,
-    first_failing_pair,
-    merge_blades,
+    Blade, GradedTerms, Multivector, blade_contractions, contract_terms, first_failing_pair, merge_blades,
 )
 from .polynomial import Polynomial, _integer_point, integer_evaluator
 
@@ -132,6 +116,8 @@ def contracted_derivative(a: MultivectorField, b: MultivectorField) -> Multivect
     """
     if a.grade + b.grade < 1:
         raise ValueError("contracted_derivative needs total grade at least 1")
+    if a.dim != b.dim:
+        raise ValueError("incompatible spaces")
     live = [(s, p) for s, p in b.terms.items() if not p.is_constant()]
     coefs = list(a.terms.values())
     rows = blade_contractions({t: k for k, t in enumerate(a.terms, 1)}, 1) if live else {}
@@ -150,13 +136,33 @@ def contracted_derivative(a: MultivectorField, b: MultivectorField) -> Multivect
     return MultivectorField(a.dim, a.grade + b.grade - 1, out)
 
 
-def lie_bracket(x: MultivectorField, y: MultivectorField) -> MultivectorField:
-    """Lie bracket of two polynomial vector fields."""
-    if x.grade != 1 or y.grade != 1:
-        raise ValueError("lie_bracket needs grade-1 fields")
-    if x.dim != y.dim:
-        raise ValueError("incompatible spaces")
-    return contracted_derivative(x, y) - contracted_derivative(y, x)
+def schouten(p: MultivectorField, q: MultivectorField) -> MultivectorField:
+    """The Schouten-Nijenhuis bracket ``[P, Q] = (-1)^(p-1) (K(P, Q) + (-1)^(pq) K(Q, P))``.
+
+    ``K`` is :func:`contracted_derivative` and ``p``, ``q`` are the grades;
+    ``[P, Q]`` has grade ``p + q - 1``, so two functions are refused.  The
+    polynomials and the ``d_u`` generate every field under ``^``, so one
+    bracket at most has ``[X, f] = X(f)``, ``[X, Y]`` the Lie bracket, graded
+    antisymmetry ``[Q, P] = -(-1)^((p-1)(q-1)) [P, Q]`` and the graded
+    Leibniz rule ``[P, Q ^ R] = [P, Q] ^ R + (-1)^((p-1)q) Q ^ [P, R]``.
+    This one has all four:
+
+    - ``i(dx^u) f = 0``, so ``[X, f] = K(X, f) = X(f)`` and
+      ``[X, Y] = K(X, Y) - K(Y, X)``.
+    - Antisymmetry, on ``K(P, Q)``: ``(-1)^(q-1+pq) = -(-1)^((p-1)(q-1)+p-1)``;
+      on ``K(Q, P)``: ``(-1)^(q-1) = -(-1)^((p-1)(q-1)+p-1+pq)``.
+    - Leibniz: ``d_u`` is a derivation and ``i(dx^u)`` a graded one, so
+      ``K(P, Q ^ R) = K(P, Q) ^ R + (-1)^((p-1)q) Q ^ K(P, R)`` and
+      ``K(Q ^ R, P) = (-1)^(pr) K(Q, P) ^ R + (-1)^q Q ^ K(R, P)``.  In
+      ``(-1)^(p-1) (K(P, Q ^ R) + (-1)^(p(q+r)) K(Q ^ R, P))`` the terms
+      ``. ^ R`` sum to ``[P, Q] ^ R`` and the terms ``Q ^ .`` to
+      ``(-1)^((p-1)q) Q ^ [P, R]``, as ``p(q+r) + q - (p-1)q = pr + 2q``.
+
+    So ``[P, P] = -2 K(P, P)`` at even grade and 0 at odd grade.
+    """
+    pq, qp = contracted_derivative(p, q), contracted_derivative(q, p)
+    out = pq - qp if p.grade * q.grade % 2 else pq + qp
+    return out if p.grade % 2 else -out
 
 
 # ---------------------------------------------------------------------------
@@ -171,33 +177,11 @@ def _gradient(f: Polynomial) -> Gradient:
 
 
 def _bracket(field: MultivectorField, grads: Sequence[Gradient]) -> Polynomial:
-    """Multilinear expansion ``sum prod_i d_{u_i} f_i * P^{u_1..u_n}``.
-
-    One nonzero gradient entry is chosen per row and merged into the blade
-    of the rows before it by :func:`~npk.exterior.merge_blades`, which also
-    keeps the sign; a choice is dropped as soon as an index repeats (the
-    merge is ``None``), and a complete one looks its blade up in the field.
-    """
+    """``i(df_n) .. i(df_1) P``: the first-slot contractions by the gradients, first row first."""
     terms = field.terms
-    acc = Polynomial.zero(field.dim)
-
-    def expand(row: int, sign: int, blade: Blade, factors: tuple[Polynomial, ...]) -> None:
-        nonlocal acc
-        if row == len(grads):
-            coef = terms.get(blade)
-            if coef is None:
-                return
-            piece = coef
-            for d in factors:
-                piece = piece * d
-            acc = acc + piece if sign > 0 else acc - piece
-            return
-        for u, d in grads[row].items():
-            if merged := merge_blades(blade, (u,)):
-                expand(row + 1, sign * merged[0], merged[1], factors + (d,))
-
-    expand(0, 1, (), ())
-    return acc
+    for grad in grads:
+        terms = contract_terms(grad, terms)
+    return terms.get((), Polynomial.zero(field.dim))
 
 
 def _gradients(field: MultivectorField, functions: Sequence[Polynomial], count: int) -> list[Gradient]:
@@ -212,8 +196,8 @@ def _gradients(field: MultivectorField, functions: Sequence[Polynomial], count: 
 def nary_bracket(field: MultivectorField, functions: Sequence[Polynomial]) -> Polynomial:
     """The bracket of n polynomial functions induced by a grade-n field.
 
-    Expands ``sum_u prod_i d_{u_i} f_i * P^{u_1..u_n}`` over one nonzero
-    entry of each argument's sparse gradient, skipping repeated indices;
+    ``sum prod_i d_{u_i} f_i * P^{u_1..u_n}``, contracting P's first slot
+    with ``df_1``, then ``df_2``, and so on, as ``(i(a) P)^R = a_u P^{u R}``;
     equivalently the sum over blades of the component times the Jacobian
     minor.  Completely antisymmetric in the arguments and a derivation in
     each.
@@ -225,9 +209,9 @@ def differential_defect(field: MultivectorField) -> MultivectorField:
     """The grade-(2n-1) obstruction sum_u (i(dx^u) P) ^ (d_u P).
 
     Identically zero iff the differential half of the Poisson conditions
-    holds; for even grade its vanishing is equivalent to the vanishing of
-    the self-bracket of the field.  Above the top grade the defect is the
-    canonical zero.
+    holds.  The self-bracket is ``[P, P] = -2 K(P, P)`` at even n and 0 at
+    odd n (:func:`schouten`), so at even n this is ``[P, P] = 0``.  Above
+    the top grade the defect is the canonical zero.
     """
     return contracted_derivative(field, field)
 

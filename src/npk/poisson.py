@@ -33,12 +33,7 @@ from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .exterior import blade_contractions, first_failing_pair, merge_blades
-from .fields import (
-    MultivectorField,
-    coordinate_vector_field,
-    differential_defect,
-    lie_bracket,
-)
+from .fields import MultivectorField, coordinate_vector_field, differential_defect, schouten
 from .grassmann import plucker_holds
 from .linalg import sparse_rank
 from .polynomial import _integer_point, integer_evaluator
@@ -365,4 +360,4 @@ def is_involutive(field: MultivectorField) -> bool:
     if field.grade < 1 or not pointwise_decomposable(field):
         raise ValueError("involutivity is decided for pointwise-decomposable fields of grade >= 1")
     rows = [MultivectorField(field.dim, 1, face) for face in blade_contractions(field.terms, field.grade - 1).values()]
-    return not any(lie_bracket(x, y).wedge(field) for x, y in combinations(rows, 2))
+    return not any(schouten(x, y).wedge(field) for x, y in combinations(rows, 2))

@@ -299,10 +299,12 @@ def integer_evaluator(polys: Sequence[Polynomial], num_vars: int) -> Callable[..
             pairs = [(i, e) for i, e in enumerate(_unpack(key, num_vars, p.width)) if e]
             monos.append((c * (scale // p.den), pairs, sum(e for _, e in pairs)))
         decoded.append(monos)
-    deg = max((k for monos in decoded for _, _, k in monos), default=0)
+    # only the degrees that occur get a power of D: a lone x^20000 needs two, not 20001
+    degrees = {0, *(k for monos in decoded for _, _, k in monos)}
+    deg = max(degrees)
 
     def values(nums: Sequence[int], d: int) -> tuple[list[int], int]:
-        powers = [d ** (deg - k) for k in range(deg + 1)]
+        powers = {k: d ** (deg - k) for k in degrees}
         out = []
         for monos in decoded:
             s = 0

@@ -21,7 +21,7 @@ from typing import Iterator, Mapping, Sequence
 import npk.exterior
 import npk.fields
 from npk.exterior import Multivector, contract_terms, iter_blades, merge_blades, wedge_terms
-from npk.fields import MultivectorField, lie_bracket, nary_bracket
+from npk.fields import MultivectorField, nary_bracket
 from npk.linalg import Subspace
 from npk.poisson import default_sample_points
 from npk.polynomial import Polynomial
@@ -353,20 +353,44 @@ def jacobi_identity_by_defect_loop(field: MultivectorField) -> bool:
     return not any(jacobi_defect(field, family) for family in families)
 
 
+def lie_derivative_by_coordinates(x: MultivectorField, q: MultivectorField) -> MultivectorField:
+    """``L_X Q`` by the coordinate formula, through no bracket kernel.
+
+    ``(L_X Q)^I = X(Q^I) - sum_k sum_u Q^{i_1..u..i_q} d_u X^{i_k}`` on every
+    increasing q-tuple ``I``, with ``u`` in place ``k``: each component is
+    read by ``component`` and differentiated by ``Polynomial.derivative``.
+    The reference for :func:`npk.fields.schouten` at grade 1, where
+    ``[X, Q] = L_X Q``.
+    """
+    m = x.dim
+    xs = x.vector_components()
+    out = {}
+    for blade in iter_blades(m, q.grade):
+        coef = q.component(blade)
+        acc = sum((xs[u - 1] * coef.derivative(u) for u in range(1, m + 1)), Polynomial.zero(m))
+        for k, i in enumerate(blade):
+            for u in range(1, m + 1):
+                acc = acc - q.component(blade[:k] + (u,) + blade[k + 1:]) * xs[i - 1].derivative(u)
+        if acc:
+            out[blade] = acc
+    return MultivectorField(m, q.grade, out)
+
+
 def involutivity_by_sampling(field: MultivectorField, points=None, seed: int = 0) -> bool:
     """Sampled involutivity of the image distribution: may refute, never certifies.
 
     The reference for :func:`npk.poisson.is_involutive`.  The face rows
     span the image wherever the field is nonzero; each nonzero Lie bracket
-    of two rows is evaluated at every sample point (the default points when
-    ``points`` is None) where the field is nonzero and tested for
-    membership in the span of the rows there, by Gauss-Jordan elimination.
-    False means some point refutes involutivity.
+    of two rows, taken by :func:`lie_derivative_by_coordinates` and so
+    sharing no bracket with the package, is evaluated at every sample point
+    (the default points when ``points`` is None) where the field is nonzero
+    and tested for membership in the span of the rows there, by
+    Gauss-Jordan elimination.  False means some point refutes involutivity.
     """
     m, n = field.dim, field.grade
     pts = list(points) if points is not None else default_sample_points(m, seed)
     rows = [MultivectorField(m, 1, face) for face in reference_face_table(field.terms, n - 1).values()]
-    brackets = [b for x, y in combinations(rows, 2) if (b := lie_bracket(x, y))]
+    brackets = [b for x, y in combinations(rows, 2) if (b := lie_derivative_by_coordinates(x, y))]
     for pt in pts:
         if field.evaluate(pt).is_zero():
             continue

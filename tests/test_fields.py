@@ -5,7 +5,9 @@ from math import comb, factorial
 
 import pytest
 
+import npk.exterior
 import npk.fields
+import npk.grassmann
 import npk.poisson
 from npk.compat import delta, is_compatible
 from npk.exterior import Multivector, blade_contractions, iter_blades
@@ -15,8 +17,8 @@ from npk.fields import (
     contracted_derivative,
     differential_defect,
     jacobi_identity_holds,
-    lie_bracket,
     nary_bracket,
+    schouten,
 )
 from npk.poisson import block_sum, classify, coordinate_semidecomposable
 from npk.polynomial import Polynomial
@@ -30,6 +32,7 @@ from oracles import (
     jacobi_defect_bruteforce,
     jacobi_identity_by_defect_loop,
     jacobi_shuffles,
+    lie_derivative_by_coordinates,
 )
 
 M = 5
@@ -244,8 +247,8 @@ def _random_sparse_field(rng, m, grade):
 
 def test_contracted_derivative_matches_two_field_alternation():
     # K(A, B) = sum_u (i(dx^u) A) ^ (d_u B) against the brute-force
-    # alternation, which is (p-1)! q! K(A, B); the Lie bracket
-    # K(X, Y) - K(Y, X) and delta K(P, U) + K(U, P) are read off the
+    # alternation, which is (p-1)! q! K(A, B); the Schouten bracket of two
+    # vector fields K(X, Y) - K(Y, X) and delta K(P, U) + K(U, P) are read off the
     # alternation alone.  U = g P is compatible with P at even grade, and
     # at odd grade when P is a single blade
     rng = random.Random("kernel-alternation")
@@ -267,7 +270,7 @@ def test_contracted_derivative_matches_two_field_alternation():
             ab = MultivectorField(m, p + q - 1, ab)
             ba = MultivectorField(m, p + q - 1, alternation_defect_components(b, a))
             if p == q == 1:
-                assert lie_bracket(a, b) == ab - ba
+                assert schouten(a, b) == ab - ba
                 brackets += bool(ab - ba)
             if is_compatible(a, b).holds:
                 # (p-1)! q! (q-1)! p! delta(A, B) = (q-1)! p! AB + (p-1)! q! BA
@@ -622,37 +625,113 @@ def test_jacobi_oracle_is_independent_of_classifier(monkeypatch):
 
 
 def test_oracle_reads_every_bracket_off_the_face_table(monkeypatch):
-    calls = []
-    kernel = npk.fields._bracket
+    # the bracket kernel and the contraction it runs on, patched in every npk
+    # module that imports it, are counted; neither decision path (classify,
+    # jacobi_identity_holds) calls either, so the nested-bracket oracle shares
+    # neither with them
+    calls, contractions = [], []
+    kernel, contract = npk.fields._bracket, npk.exterior.contract_terms
 
     def counted(*args):
         calls.append(args)
         return kernel(*args)
 
+    def counted_contraction(*args):
+        contractions.append(args)
+        return contract(*args)
+
     monkeypatch.setattr(npk.fields, "_bracket", counted)
+    for module in (npk.exterior, npk.fields, npk.grassmann):
+        monkeypatch.setattr(module, "contract_terms", counted_contraction)
     lie_poisson = MultivectorField(3, 2, {(1, 2): var(3, 3), (1, 3): -var(2, 3), (2, 3): var(1, 3)})
     assert jacobi_identity_holds(lie_poisson)
     assert jacobi_identity_holds(MultivectorField(M, 3, {(1, 2, 3): X[0] + 2 * X[3] - 1}))
-    assert calls == []
-    # the general kernel still serves the public bracket and the defect
+    assert classify(lie_poisson).is_poisson
+    assert not classify(MultivectorField(M, 3, {(1, 2, 3): 1, (1, 4, 5): 1})).is_poisson
+    assert calls == [] and contractions == []
+    # the general kernel still serves the public bracket and the defect, one
+    # contraction per argument
     assert nary_bracket(lie_poisson, [var(1, 3), var(2, 3)]) == var(3, 3)
-    assert len(calls) == 1
+    assert len(calls) == 1 and len(contractions) == 2
     assert jacobi_defect(lie_poisson, [var(1, 3) * var(2, 3), var(2, 3), var(3, 3)]) == 0
-    assert len(calls) > 1
+    assert len(calls) > 1 and len(contractions) == 2 * len(calls)
 
 
 # ---------------------------------------------------------------------------
-# vector fields
+# the Schouten bracket
 
-def test_lie_bracket_of_coordinate_fields_vanishes():
+def test_schouten_of_coordinate_fields_vanishes():
     a = MultivectorField(M, 1, {(1,): 1})
     b = MultivectorField(M, 1, {(3,): 1})
-    assert lie_bracket(a, b).is_zero()
+    assert schouten(a, b).is_zero()
 
 
-def test_lie_bracket_twisted_direction():
-    # [d1, d3 + x1*d4] = d4
+def test_schouten_twisted_direction():
+    # [d1, d3 + x1*d4] = d4, the Lie bracket of two vector fields
     a = MultivectorField(M, 1, {(1,): 1})
     b = MultivectorField(M, 1, {(3,): 1, (4,): X[0]})
-    assert lie_bracket(a, b) == MultivectorField(M, 1, {(4,): 1})
-    assert lie_bracket(b, a) == MultivectorField(M, 1, {(4,): -1})
+    assert schouten(a, b) == MultivectorField(M, 1, {(4,): 1})
+    assert schouten(b, a) == MultivectorField(M, 1, {(4,): -1})
+
+
+def _sign(exponent):
+    return -1 if exponent % 2 else 1
+
+
+def _signed_sum(dim, *pairs):
+    # sum of sign * field over fields whose stored grades may differ only
+    # through the canonical zero above the top grade
+    out: dict = {}
+    for sign, f in pairs:
+        for blade, coef in f.terms.items():
+            out[blade] = out.get(blade, Polynomial.zero(dim)) + sign * coef
+    return {blade: coef for blade, coef in out.items() if coef}
+
+
+def test_schouten_agrees_with_its_independent_routes():
+    # on seeded triples (grades 0-3 on Q^3 and Q^4, coefficients of degree at
+    # most 2), against routes that share no kernel with it: the Lie
+    # derivative by coordinates at p = 1, the Jacobiator of the coordinate
+    # brackets through nary_bracket at p = q = 2, and the graded rules
+    # (antisymmetry, Leibniz, Jacobi), which fix the bracket on the
+    # generators and so rule out every other sign table
+    rng = random.Random("schouten-routes")
+    counts = dict.fromkeys(("lie", "jacobiator", "antisymmetry", "leibniz", "even-leibniz", "jacobi"), 0)
+    for _ in range(300):
+        m = rng.choice((3, 4))
+        p, q, r = (_random_sparse_field(rng, m, rng.randint(0, 3)) for _ in range(3))
+        gp, gq, gr = p.grade, q.grade, r.grade
+        if gp == 1:
+            assert schouten(p, q) == lie_derivative_by_coordinates(p, q)
+            counts["lie"] += 1
+        if gp + gq >= 1:
+            assert schouten(q, p) == schouten(p, q) * -_sign((gp - 1) * (gq - 1))
+            counts["antisymmetry"] += 1
+        if gp + gq >= 1 and gp + gr >= 1 and gq + gr <= m:
+            left = schouten(p, q.wedge(r))
+            right = schouten(p, q).wedge(r) + q.wedge(schouten(p, r)) * _sign((gp - 1) * gq)
+            assert left == right
+            counts["leibniz"] += 1
+            counts["even-leibniz"] += gp % 2 == 0 and bool(left)
+        if gp + gq + gr >= 2:
+            def outer(a, b, c):
+                # (-1)^((a-1)(c-1)) [A, [B, C]], zero where [B, C] has grade -1
+                if b.grade + c.grade == 0:
+                    return MultivectorField(m, 0)
+                return schouten(a, schouten(b, c)) * _sign((a.grade - 1) * (c.grade - 1))
+            assert _signed_sum(m, (1, outer(p, q, r)), (1, outer(q, r, p)), (1, outer(r, p, q))) == {}
+            counts["jacobi"] += 1
+        if gp == 2:
+            # [P, P]_ijk = -2 (sum over the cyclic orders of {{x_i, x_j}, x_k})
+            pp = schouten(p, p)
+            x = [var(u, m) for u in range(1, m + 1)]
+            for i, j, k in combinations(range(m), 3):
+                cyclic = [(i, j, k), (j, k, i), (k, i, j)]
+                jacobiator = sum(
+                    (nary_bracket(p, [nary_bracket(p, [x[a], x[b]]), x[c]]) for a, b, c in cyclic),
+                    Polynomial.zero(m),
+                )
+                assert pp.component((i + 1, j + 1, k + 1)) == -2 * jacobiator
+                counts["jacobiator"] += 1
+    assert counts["lie"] >= 60 and counts["jacobiator"] >= 150 and counts["antisymmetry"] >= 250
+    assert counts["leibniz"] >= 150 and counts["even-leibniz"] >= 30 and counts["jacobi"] >= 250

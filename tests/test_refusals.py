@@ -11,8 +11,8 @@ from npk.fields import (
     contracted_derivative,
     coordinate_vector_field,
     differential_defect,
-    lie_bracket,
     nary_bracket,
+    schouten,
 )
 from npk.grassmann import contraction_subspace_report, contractions_decomposable, sharp_profile
 from npk.poisson import block_sum, build_semidecomposable, coordinate_semidecomposable, sample_ranks
@@ -60,9 +60,8 @@ _REFUSALS = {
         "covector field must have one component per coordinate",
     ),
     "coordinate-field-range": (lambda: coordinate_vector_field(3, 4), ValueError, "coordinate index 4 out of range 1..3"),
-    "lie-bracket-grade": (lambda: lie_bracket(SCALAR_FIELD, FRAME[0]), ValueError, "lie_bracket needs grade-1 fields"),
-    "lie-bracket-spaces": (
-        lambda: lie_bracket(coordinate_vector_field(3, 1), FRAME[0]),
+    "schouten-spaces": (
+        lambda: schouten(coordinate_vector_field(3, 1), FRAME[0]),
         ValueError,
         "incompatible spaces",
     ),
@@ -82,8 +81,18 @@ _REFUSALS = {
         ValueError,
         "contracted_derivative needs total grade at least 1",
     ),
+    "contracted-derivative-spaces": (
+        lambda: contracted_derivative(FRAME[0] * Polynomial.variable(1, 8), coordinate_vector_field(3, 1)),
+        ValueError,
+        "incompatible spaces",
+    ),
     "differential-defect-grade-0": (
         lambda: differential_defect(SCALAR_FIELD),
+        ValueError,
+        "contracted_derivative needs total grade at least 1",
+    ),
+    "schouten-grade-0": (
+        lambda: schouten(SCALAR_FIELD, SCALAR_FIELD),
         ValueError,
         "contracted_derivative needs total grade at least 1",
     ),

@@ -6,6 +6,7 @@ import random
 import re
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -760,6 +761,23 @@ def test_cli_point_strings_are_built_once_per_process(command, capsys):
 def test_cli_negative_samples_is_usage_error(command, capsys):
     assert main([command, str(SPECS / "two_block_4vector.json"), "--samples", "-2"]) == 2
     assert "error: --samples must be at least 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["check", "rank"])
+def test_cli_refuses_an_exponent_too_large_to_evaluate(command, tmp_path, capsys):
+    # D**(2**40) cannot be built: refused up front with the size of the values;
+    # 20000 builds one power of D per degree that occurs, not 20001 of them
+    spec = json.loads((SPECS / "scaled_decomposable_field.json").read_text())
+    path = tmp_path / "power.json"
+    for exponent, code in ((2**40, 2), (20000, 0)):
+        spec["terms"][0]["value"][1]["exps"][0] = exponent
+        path.write_text(json.dumps(spec), encoding="utf-8")
+        start = time.perf_counter()
+        assert main([command, str(path), "--json"]) == code
+        assert time.perf_counter() - start < 1
+        err = capsys.readouterr().err
+        assert ("exponent 1099511627776 exceeds 65536" in err) == (code == 2)
+        assert ("a sample value would take about 5497558138880 bits" in err) == (code == 2)
 
 
 @pytest.mark.parametrize("command", ["factorize", "nambu", "jacobi", "sigma-delta", "suite"])
