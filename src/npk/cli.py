@@ -6,25 +6,27 @@ mathematically, 2 means the invocation or input was unusable, 3 means the
 program failed on an accepted input (an internal consistency check or any
 other exception, reported in one ``internal error:`` line).  JSON
 output is canonical and, for a fixed seed, byte-identical across runs;
-wall-clock timing appears only in the human-readable form.  Each op's
-arguments go through argparse once, by its command's own parser; the full
-parser runs only to print help or an error.
+wall-clock timing appears only in the human-readable form.  A plain
+argv (a command, its spec, ``--json`` and the command's own flags, each
+with an ASCII integer) is read in one pass without argparse; any other
+argv goes to the full argparse parser, the one source of help, usage and
+error text.
 """
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import dataclasses
 import functools
 import sys
 import time
+from types import SimpleNamespace
 
 from .compat import IncompatibleFieldError, delta, gradient_contraction
 from .fields import MultivectorField, jacobi_identity_holds
 from .grassmann import NotDecomposableError, factorize
 from .poisson import classify, default_sample_points, pointwise_decomposable, sample_ranks
-from .polynomial import Polynomial
+from .polynomial import MAX_EXPONENT, Polynomial
 from .specio import SpecError, canonical_json, parse_spec, to_field
 
 
@@ -49,16 +51,12 @@ def _emit(report: dict, as_json: bool, elapsed: float) -> None:
     print(f"completed in {elapsed:.2f}s")
 
 
-# a value at a point A/D carries D**deg: above this exponent check and rank refuse to build it
-_MAX_EXPONENT = 2**16
-
-
 def _points(field: MultivectorField, args):
-    """The default sample points, once the field's largest exponent is at most ``_MAX_EXPONENT``."""
+    """The default sample points, once the field's largest exponent is at most ``MAX_EXPONENT``."""
     points = default_sample_points(field.dim, args.seed, extra=args.samples)
-    if (bound := max((p.bound for p in field.terms.values()), default=0)) > _MAX_EXPONENT:
+    if (bound := max((p.bound for p in field.terms.values()), default=0)) > MAX_EXPONENT:
         bits = bound * max(max(d, *map(abs, a)).bit_length() for a, d in points.forms)
-        raise SpecError(f"exponent {bound} exceeds {_MAX_EXPONENT}: a sample value would take about {bits} bits")
+        raise SpecError(f"exponent {bound} exceeds {MAX_EXPONENT}: a sample value would take about {bits} bits")
     return points
 
 
@@ -164,13 +162,10 @@ _COMMANDS = {
 }
 
 
-# each command's own parser by name: the choices of its sub-parsers, stored by build_parser
-_COMMAND_PARSERS: dict[str, argparse.ArgumentParser] = {}
-
-
 # once per process: a parser is reference cycles that only the cyclic GC frees
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
+def build_parser():
+    import argparse  # loaded only where an argv is not plain (_plain_args)
     parser = argparse.ArgumentParser(
         prog="npk",
         description="Exact checks for n-ary Poisson structures given as tensor spec files.",
@@ -184,8 +179,38 @@ def build_parser() -> argparse.ArgumentParser:
         for flag, kwargs in ({"--seed": None, "--json": _JSON} | options).items():
             if kwargs is not None:
                 p.add_argument(flag, **kwargs)
-    _COMMAND_PARSERS.update(sub.choices)
     return parser
+
+
+def _plain_args(argv) -> SimpleNamespace | None:
+    """``build_parser().parse_args(argv)`` for a plain argv, else None.
+
+    Plain: a command, then in any order at most one spec not starting with
+    ``-`` (where the command takes one), ``--json``, and the command's own
+    flags, each followed by an ASCII numeral of at most 18 digits with at
+    most one leading ``-``.  Help, ``--``, abbreviations, ``--seed=3``,
+    other numerals and a missing or repeated spec are left to the parser.
+    """
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    _, _, least_grade, options = _COMMANDS[argv[0]]
+    args = {"command": argv[0], "json": False} | {flag[2:]: kw.get("default", False) for flag, kw in options.items()}
+    wanted = least_grade is not None  # a spec is still to come
+    rest = iter(argv[1:])
+    for arg in rest:
+        if arg == "--json":
+            args["json"] = True
+        elif arg in options:
+            value = next(rest, "")
+            digits = value.removeprefix("-")
+            if not (digits.isascii() and digits.isdigit() and len(digits) <= 18):
+                return None
+            args[arg[2:]] = int(value)
+        elif wanted and arg[:1] != "-":
+            args["spec"], wanted = arg, False
+        else:
+            return None
+    return None if wanted else SimpleNamespace(**args)
 
 
 def _load(args, least_grade: int) -> MultivectorField:
@@ -200,14 +225,7 @@ def _load(args, least_grade: int) -> MultivectorField:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    # the full parser runs where argv[0] is no command or an argument is left over
-    parser = build_parser()
-    command = _COMMAND_PARSERS.get(argv[0]) if argv else None
-    args, extra = command.parse_known_args(argv[1:]) if command else (None, True)
-    if extra:
-        args = parser.parse_args(argv)
-    else:
-        args.command = argv[0]
+    args = _plain_args(argv) or build_parser().parse_args(argv)
     handler, _, least_grade, _ = _COMMANDS[args.command]
     start = time.monotonic()
     try:

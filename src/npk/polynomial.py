@@ -25,6 +25,8 @@ from math import gcd, lcm
 from operator import or_
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
+# the largest exponent integer_evaluator takes: a value at a point A/D carries D**exponent
+MAX_EXPONENT = 2**16
 _EXACT = {int, Fraction}  # matched by exact type, so a bool or a float is not one
 
 
@@ -290,8 +292,10 @@ def integer_evaluator(polys: Sequence[Polynomial], num_vars: int) -> Callable[..
     ``S_k = sum_e c_e (L/den_k) A^e D^(deg-|e|)``.  As ``x^e = A^e/D^|e|``,
     ``S_k = p_k(x) * L * D**deg``: every value carries the one positive
     scale, so a matrix of signed values ``S_k`` has the rank of the same
-    matrix of the ``p_k(x)``.
+    matrix of the ``p_k(x)``.  A bound above :data:`MAX_EXPONENT` is refused.
     """
+    if (bound := max((p.bound for p in polys), default=0)) > MAX_EXPONENT:
+        raise ValueError(f"exponent {bound} exceeds {MAX_EXPONENT}, the largest that evaluation takes")
     scale, decoded = lcm(*(p.den for p in polys)), []
     for p in polys:
         monos = []

@@ -14,8 +14,8 @@ pair table in full, which the package sums only up to its first witness.
 
 from fractions import Fraction
 from functools import cache
-from itertools import combinations, permutations
-from math import factorial
+from itertools import combinations, permutations, product
+from math import factorial, lcm, prod
 from typing import Iterator, Mapping, Sequence
 
 import npk.exterior
@@ -400,6 +400,64 @@ def involutivity_by_sampling(field: MultivectorField, points=None, seed: int = 0
             if not value.is_zero() and not in_span(span, value.vector_components()):
                 return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# constant 3-vectors on Q^6: Hitchin's invariant, and integer maps acting on
+# multivectors; both from permutation signs alone, with no package kernel
+
+def hitchin_lambda(p: Multivector) -> Fraction:
+    """Hitchin's invariant of a 3-vector P on Q^6: the scalar with ``K_P^2 = lambda * 1``.
+
+    ``K_P(alpha)`` is the covector ``v -> `` the e123456 coefficient of
+    ``i(alpha) P ^ P ^ v`` (Hitchin 2000).  It is linear in ``alpha``, so
+    ``K_P(K_P(dx^a))`` is row ``a`` of the square of the matrix whose row
+    ``a`` is ``K_P(dx^a)``.  ``K_P`` is quadratic in ``P``: it is built in
+    integers for ``L * P``, ``L`` the lcm of the denominators, and
+    ``lambda(P) = lambda(L * P) / L**4``.  Refused unless the square is scalar.
+    """
+    if (p.dim, p.grade) != (6, 3):
+        raise ValueError("Hitchin's invariant needs a 3-vector on Q^6")
+    den = lcm(*(c.denominator for c in p.terms.values()))
+    terms = {b: c.numerator * (den // c.denominator) for b, c in p.terms.items()}
+    k = []
+    for a in range(1, 7):
+        # i(dx^a) e_ijk deletes a from position s with the sign (-1)^s
+        faces = {b[:s] + b[s + 1:]: (-1) ** s * c for b, c in terms.items() for s in range(3) if b[s] == a}
+        row = [0] * 6
+        for face, c in faces.items():
+            for blade, d in terms.items():
+                if len(rest := set(range(1, 7)) - {*face, *blade}) == 1:
+                    (v,) = rest
+                    row[v - 1] += perm_sign((*face, *blade, v)) * c * d
+        k.append(row)
+    square = [[sum(k[a][v] * k[v][w] for v in range(6)) for w in range(6)] for a in range(6)]
+    if square != [[square[0][0] * (a == w) for w in range(6)] for a in range(6)]:
+        raise AssertionError(f"K_P^2 is not scalar: {square}")
+    return Fraction(square[0][0], den**4)
+
+
+def unimodular_matrix(rng, m: int) -> list[list[int]]:
+    """A seeded product of 12 elementary integer matrices ``1 + t E_ij`` (i != j): determinant 1."""
+    g = [[int(i == j) for j in range(m)] for i in range(m)]
+    for _ in range(12):
+        i, j = rng.sample(range(m), 2)
+        t = rng.choice([-2, -1, 1, 2])
+        g[i] = [x + t * y for x, y in zip(g[i], g[j])]
+    return g
+
+
+def transport(p: Multivector, g) -> Multivector:
+    """``g . P``: every ``e_i`` becomes the column ``g e_i = sum_k g[k][i] e_k``."""
+    columns = [[(k, g[k - 1][i]) for k in range(1, p.dim + 1) if g[k - 1][i]] for i in range(p.dim)]
+    out: dict = {}
+    for blade, c in p.terms.items():
+        for picks in product(*(columns[i - 1] for i in blade)):
+            image = tuple(k for k, _ in picks)
+            if len(set(image)) == p.grade:
+                key = tuple(sorted(image))
+                out[key] = out.get(key, 0) + perm_sign(image) * c * prod(x for _, x in picks)
+    return Multivector(p.dim, p.grade, out)
 
 
 # ---------------------------------------------------------------------------

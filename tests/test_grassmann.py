@@ -32,9 +32,12 @@ from oracles import (
     annihilator_by_contraction,
     contractions_decomposable_full,
     fraction_rref,
+    hitchin_lambda,
     in_span,
     intersection_by_annihilators,
     reference_face_table,
+    transport,
+    unimodular_matrix,
 )
 
 
@@ -799,3 +802,39 @@ def test_pairwise_condition_never_flags_a_witness():
         verdict = irreducibility_check(p)
         assert verdict.kind is not IrreducibilityKind.REDUCIBILITY_WITNESS
     assert checked >= 20
+
+
+# ---------------------------------------------------------------------------
+# Hitchin's invariant of 3-vectors on Q^6 (ROADMAP item 25), through
+# permutation signs alone: known values, a scalar square, invariance
+
+HITCHIN_VALUES = [  # (terms, lambda)
+    ({(1, 2, 6): 1, (1, 3, 5): 1, (2, 3, 4): 1}, 0),  # rank 6, no split over any field
+    ({(1, 3, 5): 1, (1, 4, 6): 2, (2, 3, 6): 2, (2, 4, 5): 2}, 32),  # splits over Q(sqrt 2) only
+    ({(1, 3, 5): 1, (1, 4, 6): -1, (2, 3, 6): -1, (2, 4, 5): -1}, -4),  # splits over Q(i) only
+]
+
+
+def test_hitchin_lambda_of_the_normal_forms():
+    for c in (1, 3, -2, Fraction(3, 5)):
+        assert hitchin_lambda(Multivector(6, 3, {(1, 2, 3): 1, (4, 5, 6): c})) == c**2
+    for terms, value in HITCHIN_VALUES:
+        assert hitchin_lambda(Multivector(6, 3, terms)) == value
+
+
+def test_hitchin_square_is_scalar_and_integer_maps_scale_lambda_by_det_squared():
+    rng = random.Random("hitchin")
+    blades, signs, checked = list(combinations(range(1, 7), 3)), set(), 0
+    while checked < 200:
+        terms = {b: rng.choice([1, -1, 2, -3, Fraction(1, 2)]) for b in rng.sample(blades, rng.randint(2, 8))}
+        p = Multivector(6, 3, terms)
+        if annihilator_by_contraction(p).dim:
+            continue  # rank below 6
+        lam = hitchin_lambda(p)  # refuses unless K_P^2 is a scalar matrix
+        q = transport(p, unimodular_matrix(rng, 6))
+        assert hitchin_lambda(q) == lam
+        d, u = rng.choice([2, -3]), rng.randrange(6)
+        assert hitchin_lambda(transport(q, [[d if i == j == u else int(i == j) for j in range(6)] for i in range(6)])) == d**2 * lam
+        signs.add((lam > 0) - (lam < 0))
+        checked += 1
+    assert signs == {-1, 0, 1}

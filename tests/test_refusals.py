@@ -1,6 +1,7 @@
 """Every refusal of the package, one row each: the call, the exception and its message."""
 
 import re
+from fractions import Fraction
 
 import pytest
 
@@ -15,7 +16,7 @@ from npk.fields import (
     schouten,
 )
 from npk.grassmann import contraction_subspace_report, contractions_decomposable, sharp_profile
-from npk.poisson import block_sum, build_semidecomposable, coordinate_semidecomposable, sample_ranks
+from npk.poisson import block_sum, build_semidecomposable, classify, coordinate_semidecomposable, sample_ranks
 from npk.polynomial import Polynomial
 from npk.specio import from_field
 
@@ -26,6 +27,7 @@ SCALAR_FIELD = MultivectorField(3, 0, {(): 1})
 X1 = Polynomial.variable(1, 3)
 Y1 = Polynomial.variable(1, 2)
 FRAME = [coordinate_vector_field(8, u) for u in range(1, 6)]
+HUGE = Polynomial(3, {(2**17, 0, 0): 1})  # x1^(2**17): at 1/3 a value of 3**(2**17)
 
 _REFUSALS = {
     # polynomials
@@ -34,6 +36,11 @@ _REFUSALS = {
     "sum-var-counts": (lambda: X1 + Y1, ValueError, "operands have different variable counts"),
     "product-var-counts": (lambda: X1 * Y1, ValueError, "operands have different variable counts"),
     "product-other-type": (lambda: X1 * None, TypeError, "unsupported operand type(s) for *"),
+    "evaluate-exponent": (
+        lambda: HUGE.evaluate([Fraction(1, 3), 0, 0]),
+        ValueError,
+        "exponent 131072 exceeds 65536, the largest that evaluation takes",
+    ),
     # graded containers and covectors
     "add-other-type": (lambda: VECTOR + 1, TypeError, "unsupported operand type(s) for +"),
     "sub-other-type": (lambda: VECTOR - 1, TypeError, "unsupported operand type(s) for -"),
@@ -100,6 +107,11 @@ _REFUSALS = {
         lambda: delta(SCALAR_FIELD, SCALAR_FIELD),
         ValueError,
         "contracted_derivative needs total grade at least 1",
+    ),
+    "classify-exponent": (
+        lambda: classify(MultivectorField(3, 2, {(1, 2): HUGE + 1})),
+        ValueError,
+        "exponent 131072 exceeds 65536, the largest that evaluation takes",
     ),
     "sample-ranks-grade-0": (
         lambda: sample_ranks(SCALAR_FIELD, [(0, 0, 0)]),

@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import pathlib
@@ -1008,6 +1010,24 @@ def _outcome(argv, capsys):
     return code, re.sub(r"completed in \d+\.\d+s", "completed in ...", out), err
 
 
+def test_cli_reads_a_plain_argv_without_argparse():
+    # a plain argv never builds the full parser, so argparse and gettext stay unloaded
+    env = {**os.environ, "PYTHONPATH": str(SPECS.parent / "src")}
+    spec = str(SPECS / "decomposable_3vector.json")
+    code = ("import contextlib, io, sys, npk.cli\n"
+            f"with contextlib.redirect_stdout(io.StringIO()): npk.cli.main(['check', {spec!r}, '--json'])\n"
+            "print(sorted({'argparse', 'gettext'} & set(sys.modules)))")
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert (run.returncode, run.stdout, run.stderr) == (0, "[]\n", "")
+
+
+# values argparse's int() reads but _plain_args leaves to it, next to plain ones
+_NUMERALS = ["3", "-3", "007", "-0", "+3", "3_0", "٣", "²", " 3", "1" * 19]
+# tokens at the edge of a plain argv: abbreviations, `=` forms and other spellings
+_BOUNDARY_TOKENS = ["-", "--", "-h", "--help", "--json", "--js", "--seed", "--se", "--seed=3", "--samples", "--bogus",
+                    "--3", "1.5", "", "x", *_NUMERALS]
+
+
 def _route_corpus() -> list[list[str]]:
     # SPEC stands for specs/decomposable_3vector.json
     corpus = [[], ["-h"], ["--help"], ["-"], ["--"], ["frobnicate"], ["frobnicate", "SPEC"], ["-h", "check"],
@@ -1016,7 +1036,10 @@ def _route_corpus() -> list[list[str]]:
               ["check", "SPEC", "--js"], ["check", "SPEC", "--s", "3"], ["rank", "SPEC", "--se", "3", "--js"],
               ["check", "SPEC", "--seed", "x"], ["rank", "SPEC", "--samples", "1.5"],
               ["check", "SPEC", "--samples", "-2"], ["check", "SPEC", "--bogus"], ["jacobi", "SPEC", "SPEC", "--json"],
-              ["check", "SPEC", "extra"]]
+              ["check", "SPEC", "extra"], ["jacobi", "SPEC", "--samples", "2"], ["nambu", "-", "--json"],
+              ["check", "SPEC", "SPEC"], ["rank", "rank", "--json"], ["check", "SPEC", "--seed"],
+              ["check", "--json", "SPEC", "--samples", "0", "--seed", "-1", "--seed", "2"]]
+    corpus += [["rank", "SPEC", "--seed", value, "--json"] for value in _NUMERALS]
     for command, (_, _, least_grade, _) in npk.cli._COMMANDS.items():
         argv = [command] + ([] if least_grade is None else ["SPEC"])
         corpus += [[command, "-h"], [*argv, "--help"], [*argv, "--json"], argv, [*argv, "--seed", "3"],
@@ -1026,24 +1049,63 @@ def _route_corpus() -> list[list[str]]:
 
 @pytest.mark.parametrize("argv", _route_corpus(), ids=lambda argv: " ".join(argv) or "(no arguments)")
 def test_cli_dispatch_matches_the_full_parser(argv, monkeypatch, capsys):
-    # main parses argv with the command's own parser; with no such parser to
-    # dispatch to, every argv goes through build_parser().parse_args
+    # main reads a plain argv itself; with that route shut, every argv goes
+    # through build_parser().parse_args
     argv = [str(SPECS / "decomposable_3vector.json") if arg == "SPEC" else arg for arg in argv]
     direct = _outcome(argv, capsys)
-    monkeypatch.setattr(npk.cli, "_COMMAND_PARSERS", {})
+    monkeypatch.setattr(npk.cli, "_plain_args", lambda argv: None)
     assert _outcome(argv, capsys) == direct
 
 
 def test_cli_parses_a_usable_argv_once(monkeypatch, capsys):
-    # the full parser is for help and errors only
-    def refused(*args, **kwargs):
-        raise AssertionError("the full parser ran")
+    # the full parser is for help, errors and other spellings only
+    def refused():
+        raise AssertionError("the full parser was built")
 
-    monkeypatch.setattr(npk.cli.build_parser(), "parse_args", refused)
+    monkeypatch.setattr(npk.cli, "build_parser", refused)
+    spec = str(SPECS / "decomposable_3vector.json")
     for command in npk.cli._COMMANDS:
-        argv = [command] + ([] if command == "suite" else [str(SPECS / "decomposable_3vector.json")])
+        argv = [command] + ([] if command == "suite" else [spec])
         assert main([*argv, "--json"]) in (0, 1)
         assert json.loads(capsys.readouterr().out)["command"] == command
+    # flags in any order, negative and zero-padded values, the last repeat wins
+    assert main(["rank", "--seed", "-3", "--json", spec, "--samples", "007", "--seed", "2"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert (report["seed"], len(report["rank_at_samples"])) == (2, len(default_sample_points(5, 2, extra=7)))
+
+
+@st.composite
+def _near_plain_argv(draw):
+    # a command, then mostly one spec, --json and the command's own flags with plain values, in any order
+    command = draw(st.sampled_from(list(npk.cli._COMMANDS)))
+    _, _, least_grade, options = npk.cli._COMMANDS[command]
+    flags = [flag for flag in options if flag != "--json"]
+    value = st.sampled_from(_NUMERALS[:4]) | st.sampled_from(_NUMERALS)
+    part = st.just(("--json",)) | st.tuples(st.sampled_from(flags or ["--seed"]), value)
+    specs = draw(st.sampled_from([0, 0, 0, 1] if least_grade is None else [1, 1, 1, 0, 2]))
+    parts = [("SPEC",)] * specs + draw(st.lists(part if flags else st.just(("--json",)) | part, max_size=3))
+    return [command, *(token for part in draw(st.permutations(parts)) for token in part)]
+
+
+_ARGV_TOKENS = [*npk.cli._COMMANDS, "SPEC", *_BOUNDARY_TOKENS]
+
+
+@settings(max_examples=800, deadline=None, derandomize=True, database=None)
+@given(_near_plain_argv() | st.lists(st.sampled_from(_ARGV_TOKENS), max_size=6)
+       | st.builds(lambda command, rest: [command, *rest], st.sampled_from(list(npk.cli._COMMANDS)),
+                   st.lists(st.sampled_from(_ARGV_TOKENS), max_size=6)))
+@example(["rank", "SPEC", "--seed", "1" * 5000])  # above int()'s digit limit: only the parser's error
+def test_plain_args_equal_the_full_parser(argv):
+    # a plain reading is the full parser's reading; where that parser exits, there is none
+    plain = npk.cli._plain_args(argv)
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            full = vars(npk.cli.build_parser().parse_args(argv))
+        except SystemExit:
+            full = None
+    assert plain is None or vars(plain) == full
+    if full is None:
+        assert plain is None
 
 
 def test_cli_reads_sys_argv_when_run_as_a_module(monkeypatch, capsys):
