@@ -17,8 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exterior import first_failing_pair
-from .fields import MultivectorField, contracted_derivative
+from .exterior import contract_terms, first_failing_pair
+from .fields import MultivectorField, _gradient, contracted_derivative
 from .polynomial import Polynomial
 
 
@@ -71,11 +71,12 @@ def delta(structure: MultivectorField, candidate: MultivectorField) -> Multivect
 
 
 def gradient_contraction(structure: MultivectorField, function: Polynomial) -> MultivectorField:
-    """``i(df) P`` computed directly from the gradient covector field.
+    """``i(df) P``: P contracted by f's sparse gradient ``{u: d_u f}``.
 
     Independent of :func:`delta`; used to cross-check its grade-0 action.
     """
     if function.num_vars != structure.dim:
         raise ValueError("function must be a polynomial in the coordinates")
-    comps = [function.derivative(u) for u in range(1, structure.dim + 1)]
-    return structure.contract_covector(comps)
+    if structure.grade == 0:
+        raise ValueError("cannot contract a scalar")
+    return MultivectorField(structure.dim, structure.grade - 1, contract_terms(_gradient(function), structure.terms))

@@ -4,9 +4,9 @@ A grade-n field on m coordinates is the :class:`~npk.exterior.GradedTerms`
 container over the polynomials in ``x1..xm``, with its storage,
 ``component``, ``wedge``, ``+ - * ==`` and ``repr``.  This subclass fixes
 the ring (so ``*`` also takes a polynomial) and how a coefficient reads (a
-sum or a negative in parentheses), and adds evaluation at a rational point,
-partial derivatives and the contraction with a covector field.  Nothing is
-kept on a field: a reader that contracts with basis forms builds its own
+sum or a negative in parentheses), and adds evaluation at a rational point
+and partial derivatives.  Nothing is kept on a field: a reader that
+contracts with basis forms builds its own
 :func:`~npk.exterior.blade_contractions` table.
 
 Every bracket here runs on one of two kernels.  ``K(A, B) = sum_u
@@ -15,14 +15,16 @@ Schouten-Nijenhuis bracket, its sign proved once (:func:`schouten`), and
 the differential defect ``K(P, P)``, the differential half of the Poisson
 conditions.  :func:`~npk.exterior.contract_terms` gives the n-ary bracket
 of functions: n first-slot contractions of P by the arguments' sparse
-gradients ``{u: d_u f}``.  The generalized Jacobi identity calls no
-bracket: on the coordinate families its defect is ``K(P, P)``, and once
-that vanishes a quadratic family ``x_u x_v, x_T'`` reduces by Leibniz to
-its symbol, twice an entry of P's pair table with itself
-(:func:`~npk.exterior.first_failing_pair`), zero at even grade (proof in
-:func:`jacobi_identity_holds`).  So it decides the parity rule with the
-classifier's own kernels, at a cost that follows the field's support; the
-nested-bracket defect loop of the test oracles shares neither.
+gradients ``{u: d_u f}``, each one an ``i(df)`` of
+:func:`~npk.compat.gradient_contraction`.  The generalized Jacobi
+identity calls no bracket: on the coordinate families its defect is
+``K(P, P)``, and once that vanishes a quadratic family ``x_u x_v, x_T'``
+reduces by Leibniz to its symbol, twice an entry of P's pair table with
+itself (:func:`~npk.exterior.first_failing_pair`), zero at even grade
+(proof in :func:`jacobi_identity_holds`).  So it decides the parity rule
+with the classifier's own kernels, at a cost that follows the field's
+support; the nested-bracket defect loop of the test oracles shares
+neither.
 """
 
 from __future__ import annotations
@@ -82,17 +84,6 @@ class MultivectorField(GradedTerms):
         if not 1 <= u <= self.dim:
             raise ValueError(f"coordinate index {u} out of range 1..{self.dim}")
         return MultivectorField(self.dim, self.grade, {b: p.derivative(u) for b, p in self.terms.items()})
-
-    # -- interior products ---------------------------------------------------
-
-    def contract_covector(self, comps: Sequence[Polynomial]) -> "MultivectorField":
-        """Interior product with a covector field given by m components."""
-        if self.grade == 0:
-            raise ValueError("cannot contract a scalar")
-        if len(comps) != self.dim:
-            raise ValueError("covector field must have one component per coordinate")
-        alpha = {u + 1: c for u, c in enumerate(comps) if c}
-        return MultivectorField(self.dim, self.grade - 1, contract_terms(alpha, self.terms))
 
 
 def coordinate_vector_field(dim: int, u: int) -> MultivectorField:

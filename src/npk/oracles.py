@@ -13,7 +13,7 @@ from __future__ import annotations
 from functools import reduce
 from itertools import combinations, combinations_with_replacement
 
-from .exterior import iter_blades
+from .exterior import contract_terms, iter_blades
 from .fields import MultivectorField
 from .poisson import pointwise_decomposable
 from .polynomial import Polynomial
@@ -69,7 +69,7 @@ def nambu_polarized_route(field: MultivectorField) -> bool:
     m, n = field.dim, field.grade
 
     def contract(f: MultivectorField, u: int) -> MultivectorField:
-        return f.contract_covector([int(v == u) for v in range(1, m + 1)])
+        return MultivectorField(m, f.grade - 1, contract_terms({u: 1}, f.terms))
 
     c = {a: contract(field, a) for a in range(1, m + 1)}
     phis = list(iter_blades(m, n - 2))

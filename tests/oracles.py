@@ -20,6 +20,7 @@ from typing import Iterator, Mapping, Sequence
 
 import npk.exterior
 import npk.fields
+from npk.compat import gradient_contraction
 from npk.exterior import Multivector, contract_terms, iter_blades, merge_blades, wedge_terms
 from npk.fields import MultivectorField, nary_bracket
 from npk.linalg import Subspace
@@ -192,16 +193,16 @@ def pair_wedges_by_contraction(left: MultivectorField, right: MultivectorField, 
 
     The wedge is ``(i(dx^a) L) ^ (i(dx^b) R)``, plus ``(i(dx^b) L) ^ (i(dx^a) R)``
     with ``polarize`` (twice the first at ``a = b``).  Each contraction is
-    its own ``contract_covector`` call with a dense basis covector.  The
-    reference for :func:`covector_pair_table`: the first key
-    is the witness of :func:`npk.poisson.algebraic_condition` (``P`` with
-    itself, not polarized) and of :func:`npk.compat.is_compatible`
-    (polarized).
+    its own :func:`~npk.compat.gradient_contraction` call with the
+    coordinate ``x_a``, as ``i(dx^a) = i(d x_a)``.  The reference for
+    :func:`covector_pair_table`: the first key is the witness of
+    :func:`npk.poisson.algebraic_condition` (``P`` with itself, not
+    polarized) and of :func:`npk.compat.is_compatible` (polarized).
     """
     m = left.dim
 
     def contractions(f: MultivectorField) -> dict:
-        return {a: f.contract_covector([int(v == a) for v in range(1, m + 1)]) for a in range(1, m + 1)}
+        return {a: gradient_contraction(f, Polynomial.variable(a, m)) for a in range(1, m + 1)}
 
     lc, rc = contractions(left), contractions(right)
     out = {}

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 
@@ -8,8 +9,8 @@ from npk.compat import (
     gradient_contraction,
     is_compatible,
 )
-from npk.fields import MultivectorField, differential_defect
-from npk.poisson import algebraic_condition, block_sum, build_semidecomposable, coordinate_semidecomposable
+from npk.fields import MultivectorField, differential_defect, jacobi_identity_holds
+from npk.poisson import algebraic_condition, block_sum, build_semidecomposable, classify, coordinate_semidecomposable
 from npk.polynomial import Polynomial
 from npk.suites import (
     _random_triangular_frames,
@@ -18,7 +19,7 @@ from npk.suites import (
     random_linear_field,
     random_polynomial,
 )
-from oracles import pair_wedges_by_contraction
+from oracles import bracket_by_minors, pair_wedges_by_contraction
 
 M = 5
 X = [Polynomial.variable(u, M) for u in range(1, M + 1)]
@@ -92,6 +93,29 @@ def test_gradient_action_matches_direct_contraction():
         p = structures[i % len(structures)]
         f = random_polynomial(rng, M, degree=2, max_monos=3)
         assert delta(p, grade0(f)) == gradient_contraction(p, f)
+
+
+def _casimir_case(m):
+    # the cited structure on Q^m, built from its components, and its
+    # quadratic Casimir sum x_i^2
+    x = [Polynomial.variable(u, m) for u in range(1, m + 1)]
+    if m == 3:  # Lie-Poisson so(3): x3 e12 - x2 e13 + x1 e23
+        p = MultivectorField(3, 2, {(1, 2): x[2], (1, 3): -x[1], (2, 3): x[0]})
+    else:  # Filippov's A_4: x1 e234 - x2 e134 + x3 e124 - x4 e123
+        p = MultivectorField(4, 3, {(2, 3, 4): x[0], (1, 3, 4): -x[1], (1, 2, 4): x[2], (1, 2, 3): -x[3]})
+    return p, x, sum((xi * xi for xi in x), Polynomial.zero(m))
+
+
+@pytest.mark.parametrize("m", [3, 4], ids=["so3", "filippov-a4"])
+def test_cited_casimirs_contract_to_zero(m):
+    p, x, casimir = _casimir_case(m)
+    assert classify(p).is_poisson
+    assert jacobi_identity_holds(p)
+    assert gradient_contraction(p, casimir).is_zero()
+    assert not gradient_contraction(p, x[0]).is_zero()
+    # the Jacobian-minor route, on every increasing coordinate tuple
+    tuples = list(combinations(x, p.grade - 1))
+    assert [bracket_by_minors(p, [casimir, *t]) for t in tuples] == [Polynomial.zero(m)] * len(tuples)
 
 
 def test_operator_range_stays_compatible():

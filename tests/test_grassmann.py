@@ -35,6 +35,7 @@ from oracles import (
     hitchin_lambda,
     in_span,
     intersection_by_annihilators,
+    perm_sign,
     reference_face_table,
     transport,
     unimodular_matrix,
@@ -838,3 +839,47 @@ def test_hitchin_square_is_scalar_and_integer_maps_scale_lambda_by_det_squared()
         signs.add((lam > 0) - (lam < 0))
         checked += 1
     assert signs == {-1, 0, 1}
+
+
+# ---------------------------------------------------------------------------
+# classical truths about constants (ROADMAP item 25) that share no kernel
+# with _image: the achievable ranks, and decomposability through the Hodge
+# dual, decided by permutation signs and the four-index Pluecker relations
+
+def _dual_two_form(p: Multivector) -> dict:
+    # omega_ij = sign(I, ij) P^I for the complement I of {i, j}
+    every = set(range(1, p.dim + 1))
+    return {
+        (i, j): perm_sign(rest + (i, j)) * p.component(rest)
+        for i, j in combinations(range(1, p.dim + 1), 2)
+        for rest in [tuple(sorted(every - {i, j}))]
+    }
+
+
+def _two_form_squares_to_zero(omega: dict, m: int) -> bool:
+    w = omega.__getitem__
+    return all(
+        w((i, j)) * w((k, l)) - w((i, k)) * w((j, l)) + w((i, l)) * w((j, k)) == 0
+        for i, j, k, l in combinations(range(1, m + 1), 4)
+    )
+
+
+def test_classical_truths_of_seeded_constants():
+    rng = random.Random("classical-truths")
+    corank_one, corank_two = 0, {True: 0, False: 0}
+    for _ in range(400):
+        m = rng.randint(3, 8)
+        n = rng.randint(1, m)
+        p = random_constant_multivector(rng, m, n, max_terms=6)
+        rank = sharp_profile(p).rank
+        assert rank >= n and rank != n + 1, (p, rank)
+        if n == m - 1:
+            corank_one += 1
+            assert is_decomposable(p)
+            assert factorize(p).wedge() == p
+        elif n == m - 2:
+            dual = _two_form_squares_to_zero(_dual_two_form(p), m)
+            assert is_decomposable(p) == dual, p
+            corank_two[dual] += 1
+    assert corank_one >= 50
+    assert min(corank_two.values()) >= 15

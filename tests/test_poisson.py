@@ -15,7 +15,7 @@ import npk.grassmann
 import npk.linalg
 import npk.poisson
 from npk.cli import main
-from npk.compat import is_compatible
+from npk.compat import gradient_contraction, is_compatible
 from npk.exterior import blade_contractions, iter_blades
 from npk.fields import MultivectorField, coordinate_vector_field, jacobi_identity_holds
 from npk.grassmann import sharp_profile
@@ -51,11 +51,6 @@ BLADE = MultivectorField(M, 3, {(1, 2, 3): 1})
 MIXED = MultivectorField(M, 3, {(1, 2, 3): 1, (1, 4, 5): 1})
 
 
-def dx(u, m):
-    # components of the basis covector dx^u, for contract_covector
-    return [int(v == u) for v in range(1, m + 1)]
-
-
 # ---------------------------------------------------------------------------
 # the algebraic condition
 
@@ -68,7 +63,7 @@ def test_algebraic_condition_mixed_fails_on_the_diagonal():
     report = algebraic_condition(MIXED)
     assert not report.holds
     assert report.witness == (1, 1)
-    contracted = MIXED.contract_covector(dx(1, M))
+    contracted = gradient_contraction(MIXED, X[0])
     assert contracted.wedge(contracted) == MultivectorField(M, 4, {(2, 3, 4, 5): 2})
 
 
@@ -90,9 +85,9 @@ def test_even_grade_symmetrization_is_trivial():
     for _ in range(10):
         f = random_constant_field(rng, 6, 4, max_terms=3)
         for a in range(1, 7):
-            fa = f.contract_covector(dx(a, 6))
+            fa = gradient_contraction(f, Polynomial.variable(a, 6))
             for b in range(a, 7):
-                fb = f.contract_covector(dx(b, 6))
+                fb = gradient_contraction(f, Polynomial.variable(b, 6))
                 assert (fa.wedge(fb) + fb.wedge(fa)).is_zero()
 
 

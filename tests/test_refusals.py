@@ -60,12 +60,6 @@ _REFUSALS = {
         ValueError,
         "component variable count must equal the coordinate dimension",
     ),
-    "contract-covector-scalar": (lambda: SCALAR_FIELD.contract_covector([X1] * 3), ValueError, "cannot contract a scalar"),
-    "contract-covector-length": (
-        lambda: FRAME[0].contract_covector([X1]),
-        ValueError,
-        "covector field must have one component per coordinate",
-    ),
     "coordinate-field-range": (lambda: coordinate_vector_field(3, 4), ValueError, "coordinate index 4 out of range 1..3"),
     "schouten-spaces": (
         lambda: schouten(coordinate_vector_field(3, 1), FRAME[0]),
@@ -82,6 +76,7 @@ _REFUSALS = {
         ValueError,
         "function must be a polynomial in the coordinates",
     ),
+    "gradient-contraction-scalar": (lambda: gradient_contraction(SCALAR_FIELD, X1), ValueError, "cannot contract a scalar"),
     # grade-0 input: the result of a contracted derivative would have grade -1
     "contracted-derivative-grade-0": (
         lambda: contracted_derivative(SCALAR_FIELD, SCALAR_FIELD),

@@ -2,6 +2,7 @@
 
 import ast
 import pathlib
+import re
 
 import pytest
 
@@ -13,6 +14,8 @@ SOURCES = sorted((ROOT / "src" / "npk").glob("*.py"))
 # their path from the root; a package module is named by its file name
 CHECKED = {p.name: p for p in SOURCES}
 CHECKED.update({str(p.relative_to(ROOT)): p for d in ("tests", "scripts") for p in sorted((ROOT / d).glob("*.py"))})
+# the oldest Python that pyproject.toml admits, as (3, minor)
+OLDEST = tuple(map(int, re.search(r'^requires-python = ">=(\d+)\.(\d+)"', (ROOT / "pyproject.toml").read_text(), re.M).groups()))
 
 
 def _names_in(node) -> set[str]:
@@ -49,6 +52,11 @@ def unused_imports(source: str) -> list[str]:
         if isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
             used |= set(ast.literal_eval(node.value))
     return sorted(f"{name} (line {line})" for name, line in imported.items() if name not in used and name != "*")
+
+
+@pytest.mark.parametrize("path", CHECKED.values(), ids=CHECKED.keys())
+def test_parses_at_the_oldest_supported_grammar(path):
+    ast.parse(path.read_text(encoding="utf-8"), feature_version=OLDEST)
 
 
 def test_unused_imports_are_found():
