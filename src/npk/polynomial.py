@@ -50,17 +50,20 @@ def _pack(exps: Sequence[int], width: int) -> int:
     return sum(e << (i * width) for i, e in enumerate(exps))
 
 
-def _packed(clean: Mapping[tuple[int, ...], int | Fraction]) -> tuple[dict[int, int], int, int, int]:
-    """``(terms, den, bound, width)`` of valid exponent tuples with nonzero exact coefficients.
+def _packed(clean: Mapping[Sequence[int], tuple[int, int]]) -> tuple[dict[int, int], int, int, int]:
+    """``(terms, den, bound, width)`` of valid exponents with nonzero ``(num, den)`` pairs, ``den > 0``.
 
-    The bound is read from the tuples given, so a monomial that cancelled
-    before the call does not widen the fields.
+    The bound is read from the exponents given, so a monomial that cancelled
+    before the call does not widen the fields.  At width 8 an exponent
+    tuple, or its ``bytes``, packs by ``int.from_bytes``.  Over the lcm of
+    reduced pairs' denominators the numerators are coprime to it; the
+    content of unreduced pairs is left to :meth:`Polynomial._raw`.
     """
     bound = max((max(e, default=0) for e in clean), default=0)
-    width = _width(bound)
-    # over the lcm of the denominators the numerators are already coprime to it
-    den = lcm(*(c.denominator for c in clean.values()))
-    return {_pack(e, width): c.numerator * (den // c.denominator) for e, c in clean.items()}, den, bound, width
+    width, den = _width(bound), lcm(*(d for _, d in clean.values()))
+    terms = {int.from_bytes(e, "little") if width == 8 else _pack(e, width): c * (den // d)
+             for e, (c, d) in clean.items()}
+    return terms, den, bound, width
 
 
 class Polynomial:
@@ -85,7 +88,7 @@ class Polynomial:
             _exact(coef)
             clean[exps] = clean[exps] + coef if exps in clean else coef
         self.num_vars = num_vars
-        self.terms, self.den, self.bound, self.width = _packed({e: c for e, c in clean.items() if c})
+        self.terms, self.den, self.bound, self.width = _packed({e: c.as_integer_ratio() for e, c in clean.items() if c})
 
     @classmethod
     def _raw(cls, num_vars: int, terms: dict[int, int], den: int = 1, bound: int = 0, width: int = 8) -> "Polynomial":

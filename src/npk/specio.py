@@ -12,13 +12,22 @@ Polynomial tensors use ``"kind": "polynomial"`` with each value a list of
 monomials ``{"coef": "1", "exps": [0, 1, 0, 0, 0]}``.  Parsing is strict:
 unknown and repeated fields are rejected, indices must be strictly
 increasing, and all numbers arrive as rational strings or integers.  It
-validates the spec and builds its :class:`~npk.fields.MultivectorField`
-in one pass, reading each coefficient once; repeated blades and monomials
-merge by addition and a blade that cancels disappears.  The validated
-components are packed straight into polynomials and the field is
-assembled without validating them again.  A :class:`TensorSpec` is
-``m``, ``n``, ``kind`` and that field.  Serialization renders the field
-canonically (blades sorted, monomials as
+validates the spec and builds its :class:`~npk.fields.MultivectorField` in
+one pass; repeated blades and monomials merge by addition and a blade that
+cancels disappears.  The text is decoded once, by a plain ``json.loads``,
+and a repeated field is found by counting: every string of an accepted spec
+is a fixed key, a ``kind`` or a rational, none holding a ``:``, so
+``text.count(":")`` is the number of key/value pairs in the text, 4 + 2 per
+term + 2 per monomial unless a field repeats (the decoder keeps its last
+value).  A refused spec, or one whose count is off, is decoded again
+through a hook that refuses a repeated field as each object closes, so
+every refusal, and its precedence, is that route's.  A coefficient is an
+unreduced ``(num, den)`` pair of ints, read without ``Fraction`` when it is
+an int or ``[-]digits/digits``, and merged by cross-multiplication.  An
+exponent list is keyed by ``bytes(exps)``, which checks 0..255 in C, and
+packed at width 8 by ``int.from_bytes``; a wider exponent keys by its
+tuple.  A :class:`TensorSpec` is ``m``, ``n``, ``kind`` and the field.
+Serialization renders the field canonically (blades sorted, monomials as
 :meth:`~npk.polynomial.Polynomial.monomials` orders them), so equal specs
 serialize byte-identically.
 :func:`canonical_json` is the one JSON writer of the package: the text of
@@ -34,8 +43,8 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
+from operator import itemgetter
 
-from .exterior import _add_term
 from .fields import MultivectorField
 from .polynomial import Polynomial, _packed
 
@@ -62,23 +71,33 @@ def _ints(xs: list) -> bool:
     return {*map(type, xs)} == {int}
 
 
-def _rational(text) -> int | Fraction:
-    if _is_int(text):
-        return text
+def _ratio(text) -> tuple[int, int]:
+    """``(num, den)`` of a rational value, ``den > 0``, equal to ``Fraction(text)`` but not reduced."""
     if not isinstance(text, str):
+        if _is_int(text):
+            return text, 1
         raise SpecError(f"rational values must be strings or integers, got {type(text).__name__}")
     num, slash, den = text.partition("/")
     try:  # an int, or [-]digits/digits in ASCII, is read without Fraction's parser
         if not slash:
-            return int(text)
-        if text.isascii() and num.removeprefix("-").isdigit() and den.isdigit():
-            return Fraction(int(num), int(den))
-    except (ValueError, ZeroDivisionError):
+            return int(text), 1
+        if text.isascii() and num.removeprefix("-").isdigit() and den.isdigit() and (d := int(den)):
+            return int(num), d
+    except ValueError:
         pass
     try:
-        return Fraction(text)
+        return Fraction(text).as_integer_ratio()
     except (ValueError, ZeroDivisionError) as exc:
         raise SpecError(f"bad rational {text!r} ({exc})") from None
+
+
+def _merge(acc: dict, key, num: int, den: int) -> None:
+    # acc[key] += num/den over (num, den) pairs; a sum that reaches 0 is deleted at once
+    n, d = acc.get(key, (0, 1))
+    if n := n * den + num * d:
+        acc[key] = n, d * den
+    else:
+        acc.pop(key, None)
 
 
 def _check_keys(obj: dict, allowed: set[str], where: str = "") -> None:
@@ -107,7 +126,7 @@ def parse_spec_data(obj) -> TensorSpec:
     if not isinstance(terms, list):
         raise SpecError("terms must be a list")
 
-    # blade -> rational (constant) or blade -> {exponent tuple: rational};
+    # blade -> (num, den) (constant) or blade -> {exponent key: (num, den)};
     # a refusal inside terms names its place, built only when it is raised
     acc: dict = {}
     mpos = None  # the monomial being read, None outside a monomial list
@@ -124,7 +143,7 @@ def parse_spec_data(obj) -> TensorSpec:
             blade = tuple(indices)
             value = term["value"]
             if kind == "constant":
-                _add_term(acc, blade, _rational(value))
+                _merge(acc, blade, *_ratio(value))
                 continue
             if not isinstance(value, list):
                 raise SpecError("polynomial values must be monomial lists")
@@ -136,7 +155,11 @@ def parse_spec_data(obj) -> TensorSpec:
                 exps = mono["exps"]
                 if not isinstance(exps, list) or len(exps) != m or not _ints(exps) or min(exps) < 0:
                     raise SpecError(f"exps must be a list of {m} nonnegative integers")
-                _add_term(monos, tuple(exps), _rational(mono["coef"]))
+                try:  # bytes() checks e < 256 in C; a wider exponent keys by its tuple
+                    key = bytes(exps)
+                except ValueError:
+                    key = tuple(exps)
+                _merge(monos, key, *_ratio(mono["coef"]))
             mpos = None
             if not monos:
                 del acc[blade]
@@ -144,9 +167,9 @@ def parse_spec_data(obj) -> TensorSpec:
         where = f"terms[{pos}]" if mpos is None else f"terms[{pos}].value[{mpos}]"
         raise SpecError(f"{where}: {exc}") from None
 
-    # every blade, exponent tuple and coefficient is valid and nonzero by now
+    # every blade, exponent key and coefficient is valid and nonzero by now
     if kind == "constant":
-        comps = {blade: Polynomial._raw(m, {0: c.numerator}, c.denominator) for blade, c in acc.items()}
+        comps = {blade: Polynomial._raw(m, {0: num}, den) for blade, (num, den) in acc.items()}
     else:
         comps = {blade: Polynomial._raw(m, *_packed(monos)) for blade, monos in acc.items()}
     return TensorSpec(m, n, kind, MultivectorField._raw(m, n, comps))
@@ -163,6 +186,16 @@ def _unique_fields(pairs: list) -> dict:
 
 
 def parse_spec_text(text: str) -> TensorSpec:
+    """The spec of JSON text: one plain decode, unless it is refused (see the module docstring)."""
+    try:
+        spec = parse_spec_data(obj := json.loads(text))
+        terms = obj["terms"]
+        monos = sum(map(len, map(itemgetter("value"), terms))) if spec.kind == "polynomial" else 0
+        if text.count(":") == 4 + 2 * len(terms) + 2 * monos:  # no field repeats
+            return spec
+    except (ValueError, RecursionError):
+        pass
+    # refused, or a field repeats: the hook route gives the refusal its precedence
     try:
         obj = json.loads(text, object_pairs_hook=_unique_fields)
     except json.JSONDecodeError as exc:
@@ -173,8 +206,10 @@ def parse_spec_text(text: str) -> TensorSpec:
 
 
 def parse_spec(path) -> TensorSpec:
-    with open(path, encoding="utf-8") as f:
-        return parse_spec_text(f.read())
+    with open(path, "rb") as f:
+        text = f.read().decode("utf-8")
+    # newlines as text mode translates them: JSON error lines and columns count by them
+    return parse_spec_text(text.replace("\r\n", "\n").replace("\r", "\n"))
 
 
 def serialize(spec: TensorSpec) -> str:

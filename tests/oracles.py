@@ -12,6 +12,7 @@ the reference for the packed-exponent :class:`npk.polynomial.Polynomial`.
 pair table in full, which the package sums only up to its first witness.
 """
 
+import json
 from fractions import Fraction
 from functools import cache
 from itertools import combinations, permutations, product
@@ -21,11 +22,12 @@ from typing import Iterator, Mapping, Sequence
 import npk.exterior
 import npk.fields
 from npk.compat import gradient_contraction
-from npk.exterior import Multivector, contract_terms, iter_blades, merge_blades, wedge_terms
+from npk.exterior import Multivector, _add_term, contract_terms, iter_blades, merge_blades, wedge_terms
 from npk.fields import MultivectorField, nary_bracket
 from npk.linalg import Subspace
 from npk.poisson import default_sample_points
-from npk.polynomial import Polynomial
+from npk.polynomial import Polynomial, _pack, _width
+from npk.specio import SpecError, TensorSpec
 
 
 def perm_sign(perm) -> int:
@@ -691,3 +693,124 @@ class TuplePolynomial:
                 parts.append(f"{coef}*" + "*".join(factors))
         text = " + ".join(parts)
         return text.replace("+ -", "- ")
+
+
+# -- the spec loader by a pairs hook -----------------------------------------
+# The route the package took before its plain decode: every JSON object goes
+# through a hook that refuses a repeated key, each rational becomes an int or
+# a Fraction, and each blade's monomials are packed from exponent tuples.
+
+
+def _spec_is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _spec_ints(xs: list) -> bool:
+    return {*map(type, xs)} == {int}
+
+
+def _spec_rational(text) -> int | Fraction:
+    if _spec_is_int(text):
+        return text
+    if not isinstance(text, str):
+        raise SpecError(f"rational values must be strings or integers, got {type(text).__name__}")
+    num, slash, den = text.partition("/")
+    try:
+        if not slash:
+            return int(text)
+        if text.isascii() and num.removeprefix("-").isdigit() and den.isdigit():
+            return Fraction(int(num), int(den))
+    except (ValueError, ZeroDivisionError):
+        pass
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise SpecError(f"bad rational {text!r} ({exc})") from None
+
+
+def _spec_check_keys(obj: dict, allowed: set[str], where: str = "") -> None:
+    if obj.keys() == allowed:
+        return
+    unknown = set(obj) - allowed
+    if unknown:
+        raise SpecError(f"{where}unknown fields {sorted(unknown)}")
+    raise SpecError(f"{where}missing fields {sorted(allowed - set(obj))}")
+
+
+def _spec_packed(clean: Mapping) -> tuple[dict[int, int], int, int, int]:
+    bound = max((max(e, default=0) for e in clean), default=0)
+    width = _width(bound)
+    den = lcm(*(c.denominator for c in clean.values()))
+    return {_pack(e, width): c.numerator * (den // c.denominator) for e, c in clean.items()}, den, bound, width
+
+
+def _spec_unique_fields(pairs: list) -> dict:
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen = set()
+        key = next(key for key, _ in pairs if key in seen or seen.add(key))
+        raise SpecError(f"duplicate field {key!r}")
+    return obj
+
+
+def parse_spec_by_pairs_hook(text: str) -> TensorSpec:
+    """The spec of ``text``, or its :class:`SpecError`, by the pairs-hook route."""
+    try:
+        obj = json.loads(text, object_pairs_hook=_spec_unique_fields)
+    except json.JSONDecodeError as exc:
+        raise SpecError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
+    except RecursionError:
+        raise SpecError("JSON nested deeper than the decoder's recursion limit") from None
+    if not isinstance(obj, dict):
+        raise SpecError("top level must be a JSON object")
+    _spec_check_keys(obj, {"m", "n", "kind", "terms"}, "top level: ")
+    m, n, kind, terms = obj["m"], obj["n"], obj["kind"], obj["terms"]
+    if not _spec_is_int(m) or m < 1:
+        raise SpecError("m must be a positive integer")
+    if not _spec_is_int(n) or n < 1:
+        raise SpecError("n must be a positive integer")
+    if n > m:
+        raise SpecError(f"n must not exceed m: no grade-{n} blades exist in dimension {m}")
+    if kind not in ("constant", "polynomial"):
+        raise SpecError(f"kind must be 'constant' or 'polynomial', got {kind!r}")
+    if not isinstance(terms, list):
+        raise SpecError("terms must be a list")
+    acc: dict = {}
+    mpos = None
+    try:
+        for pos, term in enumerate(terms):
+            if not isinstance(term, dict):
+                raise SpecError("must be an object")
+            _spec_check_keys(term, {"indices", "value"})
+            indices = term["indices"]
+            if not isinstance(indices, list) or len(indices) != n or not _spec_ints(indices):
+                raise SpecError(f"indices must be a list of {n} integers")
+            if indices != sorted(set(indices)) or indices[0] < 1 or indices[-1] > m:
+                raise SpecError(f"indices must be strictly increasing within 1..{m}")
+            blade = tuple(indices)
+            value = term["value"]
+            if kind == "constant":
+                _add_term(acc, blade, _spec_rational(value))
+                continue
+            if not isinstance(value, list):
+                raise SpecError("polynomial values must be monomial lists")
+            monos = acc.setdefault(blade, {})
+            for mpos, mono in enumerate(value):
+                if not isinstance(mono, dict):
+                    raise SpecError("must be an object")
+                _spec_check_keys(mono, {"coef", "exps"})
+                exps = mono["exps"]
+                if not isinstance(exps, list) or len(exps) != m or not _spec_ints(exps) or min(exps) < 0:
+                    raise SpecError(f"exps must be a list of {m} nonnegative integers")
+                _add_term(monos, tuple(exps), _spec_rational(mono["coef"]))
+            mpos = None
+            if not monos:
+                del acc[blade]
+    except SpecError as exc:
+        where = f"terms[{pos}]" if mpos is None else f"terms[{pos}].value[{mpos}]"
+        raise SpecError(f"{where}: {exc}") from None
+    if kind == "constant":
+        comps = {blade: Polynomial._raw(m, {0: c.numerator}, c.denominator) for blade, c in acc.items()}
+    else:
+        comps = {blade: Polynomial._raw(m, *_spec_packed(monos)) for blade, monos in acc.items()}
+    return TensorSpec(m, n, kind, MultivectorField._raw(m, n, comps))

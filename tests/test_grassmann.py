@@ -883,3 +883,20 @@ def test_classical_truths_of_seeded_constants():
             corank_two[dual] += 1
     assert corank_one >= 50
     assert min(corank_two.values()) >= 15
+    # dense (m-2)-vectors, whose dual 2-forms fill every four-index relation:
+    # wedges of m-2 random vectors, and random values on every blade
+    dense = {True: 0, False: 0}
+    for i in range(60):
+        m = rng.randint(4, 7)
+        if i % 2:
+            p = Multivector(m, m - 2, {b: rng.randint(-4, 4) or 5 for b in combinations(range(1, m + 1), m - 2)})
+        else:
+            p = Multivector(m, 0, {(): 1})
+            while p.grade < m - 2:
+                p = p.wedge(Multivector(m, 1, {(u,): rng.randint(-3, 3) for u in range(1, m + 1)}))
+            if p.is_zero():
+                continue
+        dual = _two_form_squares_to_zero(_dual_two_form(p), m)
+        assert is_decomposable(p) == dual, p
+        dense[dual] += 1
+    assert min(dense.values()) >= 15, dense

@@ -25,7 +25,7 @@ from npk.poisson import classify, default_sample_points
 from npk.polynomial import Polynomial
 from npk.specio import (
     SpecError,
-    _rational,
+    _ratio,
     canonical_json,
     from_field,
     parse_spec,
@@ -35,6 +35,8 @@ from npk.specio import (
     to_field,
 )
 from npk.suites import random_constant_field, random_linear_field
+from oracles import parse_spec_by_pairs_hook
+from test_spec_mutations import mutate
 
 SPECS = pathlib.Path(__file__).resolve().parents[1] / "specs"
 
@@ -62,24 +64,26 @@ def test_parse_exact_rational():
 def test_parse_integer_strings_as_fraction_reads_them():
     # integer strings skip Fraction, so each must still read as Fraction reads it
     for value in ("7", " -3 ", "+4", "1_000", "-12/8", "1e2", "0.5", "007"):
+        num, den = _ratio(value)
+        assert (type(num), type(den), den > 0, Fraction(num, den)) == (int, int, True, Fraction(value)), value
         field = to_field(parse_spec_text(CONSTANT_SPEC.replace('"1"', json.dumps(value))))
         assert field.terms[(1, 2, 3)] == Fraction(value), value
 
 
 def test_parse_fraction_strings_as_fraction_reads_them():
-    # "a/b" of ASCII digits is read as two ints; every other text goes to
-    # Fraction, whose verdict, or refusal, each must match
+    # "a/b" of ASCII digits is read as a pair of ints; every other text goes
+    # to Fraction, whose value, or refusal, each must match
     corpus = ("3/4", "-3/4", "+3/4", " 3/4", "3/ 4", "3/-4", "1_0/3", "03/04", "-0/5", "3/0", "٣/4", "²/4", "3.5/2", "1e3")
     for text in corpus:
         try:
             expected = Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
             with pytest.raises(SpecError) as refusal:
-                _rational(text)
+                _ratio(text)
             assert str(refusal.value) == f"bad rational {text!r} ({exc})", text
         else:
-            got = _rational(text)
-            assert (type(got), got) == (type(expected), expected), text
+            num, den = _ratio(text)
+            assert (type(num), type(den), den > 0, Fraction(num, den)) == (int, int, True, expected), text
 
 
 def test_parse_integer_values_read_as_their_strings():
@@ -316,6 +320,106 @@ def test_one_pass_loader_constant_spec_with_a_cancelling_blade():
     zero = (0, 0, 0, 0)
     _assert_one_pass_load(spec, {(2, 4): {zero: Fraction(1, 2)}, (3, 4): {zero: -2}})
     assert all(p.terms.keys() == {0} for p in to_field(parse_spec_data(spec)).terms.values())
+
+
+def _load_outcome(load, arg) -> tuple:
+    """Every slot of the loaded spec, dict orders included, or the refusal's type and text."""
+    try:
+        spec = load(arg)
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+    comps = [(b, list(p.terms.items()), p.den, p.bound, p.width) for b, p in spec.field.terms.items()]
+    return spec.m, spec.n, spec.kind, spec.field.dim, spec.field.grade, comps
+
+
+def _loader_corpus() -> list[str]:
+    texts = [path.read_text(encoding="utf-8") for path in sorted(SPECS.glob("*.json"))]
+    rng = random.Random("spec-mutations")  # the mutants of test_spec_mutations, and more
+    originals = [json.loads(text) for text in texts]
+    texts += [json.dumps(mutate(rng.choice(originals), rng)) for _ in range(1002)]
+    top = '{"m": 3, "n": 2, "kind": "%s", "terms": [%s]}'
+    mono = '{"coef": %s, "exps": %s}'
+    poly = lambda *monos: top % ("polynomial", '{"indices": [1, 2], "value": [%s]}' % ", ".join(monos))
+    texts += [
+        # a repeated field at each level, the last value valid or not
+        '{"m": 3, "m": 3, "n": 2, "kind": "constant", "terms": []}',
+        '{"m": 3, "n": 2, "kind": "constant", "terms": [], "m": "3"}',
+        top % ("constant", '{"indices": [1, 2], "indices": [1, 2], "value": "1"}'),
+        top % ("constant", '{"indices": [1, 2], "value": "1", "value": "1/0"}'),
+        poly('{"coef": "1", "exps": [1, 0, 0], "coef": "2"}'),
+        poly('{"coef": "1", "exps": [1, 0, 0], "exps": [-1, 0, 0]}'),
+        '{"m": 1, "m": 2} trailing',
+        '[{"a": 1, "a": 2}, ' + "[" * 100000,
+        "[" * 100000,
+        # spacing around the colons, escaped keys, a colon inside strings
+        '{"m"\t:3 ,"n" :\n2,  "kind" : "constant","terms":[{"indices" :[1,2],"value": "1/2"}]}',
+        top.replace('"m"', '"\\u006d"') % ("constant", '{"indices": [1, 2], "\\u0076alue": "1"}'),
+        '{"m": 3, "n": 2, "kind": "constant", "terms": [], "note": "a: b"}',
+        top % ("constant", '{"indices": [1, 2], "value": "1:2"}'),
+        # exponents at and beyond one byte, and a bool
+        poly(mono % ('"1"', "[255, 0, 1]")),
+        poly(mono % ('"1"', "[256, 0, 1]"), mono % ('"2"', "[1, 0, 0]")),
+        poly(mono % ('"1"', "[65536, 0, 0]"), mono % ('"1"', "[65536, 0, 0]")),
+        poly(mono % ('"1"', "[true, 0, 0]")),
+        poly(mono % ('"1"', "[-1, 0, 0]")),
+        # x1^300 cancels: the bound comes from the survivors
+        poly(mono % ('"5"', "[300, 0, 0]"), mono % ('"1/2"', "[0, 1, 0]"), mono % ('"-5"', "[300, 0, 0]")),
+        # rationals that are not in lowest terms, a signed zero, a signed denominator
+        poly(mono % ('"2/4"', "[1, 0, 0]"), mono % ('"-0/5"', "[0, 1, 0]"), mono % ('"-0/5"', "[1, 0, 0]")),
+        top % ("constant", '{"indices": [1, 2], "value": "2/4"}, {"indices": [1, 3], "value": "-0/5"}'),
+        top % ("constant", '{"indices": [1, 2], "value": "3/-4"}'),
+        '{"m": 2, "n": 1, "kind": "constant", "terms": [{"indices": [1], "value": "1%s"}]}' % ("0" * 5000),
+        '{"m": 2, "n": 1, "kind": "constant", "terms": [{"indices": [1], "value": 1%s}]}' % ("0" * 5000),
+        # a blade that cancels and then comes back goes to the end
+        top % ("constant", ", ".join('{"indices": [%s], "value": "%s"}' % t for t in
+                                     (("1, 2", "1/2"), ("2, 3", "1"), ("1, 2", "-2/4"), ("1, 3", "5"), ("1, 2", "7")))),
+        top % ("polynomial", ", ".join('{"indices": [%s], "value": [%s]}' % t for t in (
+            ("1, 2", mono % ('"1"', "[1, 0, 0]")), ("2, 3", mono % ('"1"', "[0, 0, 0]")),
+            ("1, 2", mono % ('"-1"', "[1, 0, 0]")), ("1, 2", mono % ('"3/2"', "[0, 1, 0]") + ", " + mono % ('"1"', "[1, 0, 0]")),
+        ))),
+    ]
+    return texts
+
+
+def test_loader_matches_the_pairs_hook_route():
+    mismatches = [text[:200] for text in _loader_corpus()
+                  if _load_outcome(parse_spec_text, text) != _load_outcome(parse_spec_by_pairs_hook, text)]
+    assert mismatches == []
+
+
+@pytest.mark.parametrize("newline", ["\r\n", "\r"])
+def test_loader_reads_line_ends_as_text_mode_does(newline, tmp_path):
+    path = tmp_path / "spec.json"
+    for text in (
+        '{\n"m": 3,\n"n": 2, "kind": "constant",\n"terms": [{"indices": [1, 2], "value": "1"}]}\n',
+        '{\n"m": 3,\n  "n": ,\n}',
+        '{\n"m": 3,\n"m": 3}\n',
+    ):
+        path.write_bytes(text.replace("\n", newline).encode("utf-8"))
+        by_text_mode = path.read_text(encoding="utf-8")
+        assert _load_outcome(parse_spec, path) == _load_outcome(parse_spec_by_pairs_hook, by_text_mode)
+
+
+def test_loader_decodes_once_without_a_hook_and_builds_no_fraction(monkeypatch):
+    # plain rationals only: shipped specs and seeded specs like the jacobi workload's
+    rng = random.Random("one-plain-decode")
+    texts = [path.read_text(encoding="utf-8") for path in sorted(SPECS.glob("*.json"))]
+    for _ in range(40):
+        m = rng.randint(3, 6)
+        field = random_linear_field(rng, m, 3, max_terms=4)
+        scale = Polynomial.variable(1, m) * Fraction(rng.randint(1, 9), rng.randint(2, 9)) - Fraction(rng.randint(-9, 9), 7)
+        texts.append(serialize(from_field(field * scale, "polynomial")))
+    want = [_load_outcome(parse_spec_by_pairs_hook, text) for text in texts]
+    decodes, fractions = [], []
+    loads, fraction = npk.specio.json.loads, npk.specio.Fraction
+    monkeypatch.setattr(npk.specio.json, "loads", lambda *a, **kw: decodes.append(kw) or loads(*a, **kw))
+    monkeypatch.setattr(npk.specio, "Fraction", lambda *a: fractions.append(a) or fraction(*a))
+    for text, outcome in zip(texts, want):
+        decodes.clear()
+        assert _load_outcome(parse_spec_text, text) == outcome
+        assert decodes == [{}], text
+    assert fractions == []
+    assert sum("/" in text for text in texts) >= 20  # "a/b" strings are read, not just ints
 
 
 # ---------------------------------------------------------------------------
