@@ -29,7 +29,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from enum import Enum
-from itertools import chain
 
 from .exterior import Covector, Multivector, blade_contractions, contract_terms, merge_blades
 from .linalg import Subspace, _forward, _integral, _reduced, sparse_rank
@@ -323,42 +322,32 @@ class IrreducibilityKind(Enum):
     REDUCIBILITY_WITNESS = "reducibility_witness"
 
 
-_IRREDUCIBILITY_SAMPLES = 20
-
-
 @dataclass(frozen=True)
 class IrreducibilityVerdict:
     kind: IrreducibilityKind
     witness: Covector | None = None
 
 
-def irreducibility_check(p: Multivector, seed: int = 0) -> IrreducibilityVerdict:
-    """Search for a split of ``p`` into independent grade-n summands.
+def irreducibility_check(p: Multivector) -> IrreducibilityVerdict:
+    """Search the basis covectors for a split of ``p`` into independent grade-n summands.
 
-    Rank below 2n certifies irreducibility outright (each summand of a
-    split carries rank at least n).  Otherwise the basis covectors, then 20
-    seeded random ones (drawn only if every basis covector fails) are
-    sampled; a contraction that stays nonzero
-    while dropping the rank by at least n witnesses reducibility.  Sampling can
-    never certify irreducibility, so the remaining outcome is an honest
-    "no witness found".  Each rank is the pivot count of :func:`_image`, on
-    integer terms and candidates; only the witness becomes a :class:`Covector`.
+    Rank below 2n certifies irreducibility (each summand of a split has rank
+    at least n).  Otherwise the first row ``i(dx^u) p``, in ascending ``u``, of
+    the one 1-face table (a zero contraction has no row) that drops the rank
+    by at least n witnesses reducibility with ``dx^u``.  A search never
+    certifies irreducibility, so the remaining outcome is an honest "no
+    witness found"; the verdict depends on ``p`` alone.  Ranks are pivot
+    counts of :func:`_image` on integer terms.
     """
     if p.is_zero():
         raise ValueError("zero tensor")
-    m, n = p.dim, p.grade
-    if n < 1:
+    if (n := p.grade) < 1:
         raise ValueError("irreducibility check needs grade at least 1")
     terms = _integral(p.terms)
     rank = len(_image(terms)[1])
     if rank < 2 * n:
         return IrreducibilityVerdict(IrreducibilityKind.CERTIFIED_BY_RANK)
-    basis = ([int(u == v) for v in range(m)] for u in range(m))
-    randint = random.Random(seed).randint
-    draws = ([randint(-9, 9) for _ in range(m)] for _ in range(_IRREDUCIBILITY_SAMPLES))
-    for comps in chain(basis, filter(any, draws)):
-        contracted = contract_terms(dict(enumerate(comps, 1)), terms)
-        # a zero contraction is skipped; the pass stops once the drop is too small
-        if contracted and len(_image(contracted, rank - n + 1)[1]) <= rank - n:
-            return IrreducibilityVerdict(IrreducibilityKind.REDUCIBILITY_WITNESS, Covector(m, tuple(comps)))
+    for (u,), row in sorted(blade_contractions(terms, 1).items()):
+        if len(_image(row, rank - n + 1)[1]) <= rank - n:  # the pass stops once the drop is too small
+            return IrreducibilityVerdict(IrreducibilityKind.REDUCIBILITY_WITNESS, Covector.basis(p.dim, u))
     return IrreducibilityVerdict(IrreducibilityKind.NO_WITNESS_FOUND)

@@ -21,12 +21,14 @@ is a fixed key, a ``kind`` or a rational, none holding a ``:``, so
 term + 2 per monomial unless a field repeats (the decoder keeps its last
 value).  A refused spec, or one whose count is off, is decoded again
 through a hook that refuses a repeated field as each object closes, so
-every refusal, and its precedence, is that route's.  A coefficient is an
-unreduced ``(num, den)`` pair of ints, read without ``Fraction`` when it is
-an int or ``[-]digits/digits``, and merged by cross-multiplication.  An
-exponent list is keyed by ``bytes(exps)``, which checks 0..255 in C, and
-packed at width 8 by ``int.from_bytes``; a wider exponent keys by its
-tuple.  A :class:`TensorSpec` is ``m``, ``n``, ``kind`` and the field.
+every refusal, and its precedence, is that route's; each is a
+:class:`SpecError`, an over-long integer and bytes that are not UTF-8 too.
+A coefficient is an unreduced ``(num, den)`` pair of ints, read without
+``Fraction`` when it is an int or ``[-]digits/digits``, and merged by
+cross-multiplication.  An exponent list is keyed by ``bytes(exps)``,
+which checks 0..255 in C, and packed at width 8 by ``int.from_bytes``; a
+wider exponent keys by its tuple.  A :class:`TensorSpec` is ``m``, ``n``,
+``kind`` and the field.
 Serialization renders the field canonically (blades sorted, monomials as
 :meth:`~npk.polynomial.Polynomial.monomials` orders them), so equal specs
 serialize byte-identically.
@@ -202,12 +204,19 @@ def parse_spec_text(text: str) -> TensorSpec:
         raise SpecError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
     except RecursionError:
         raise SpecError("JSON nested deeper than the decoder's recursion limit") from None
+    except SpecError:
+        raise
+    except ValueError:  # an int literal past the digit limit of Python 3.10.7 and later
+        raise SpecError("integer longer than the interpreter's digit limit") from None
     return parse_spec_data(obj)
 
 
 def parse_spec(path) -> TensorSpec:
     with open(path, "rb") as f:
-        text = f.read().decode("utf-8")
+        try:
+            text = f.read().decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise SpecError(f"not UTF-8: {exc.reason} at byte {exc.start}") from None
     # newlines as text mode translates them: JSON error lines and columns count by them
     return parse_spec_text(text.replace("\r\n", "\n").replace("\r", "\n"))
 

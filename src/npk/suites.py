@@ -448,7 +448,7 @@ def suite_block_sum_instance(seed: int = 0) -> SuiteResult:
     if bad:
         failures.append(f"rank != 8 at {len(bad)} sample points")
     cases += 1
-    check = irreducibility_check(f.evaluate([0] * 8), seed=seed)
+    check = irreducibility_check(f.evaluate([0] * 8))
     if check.kind is not IrreducibilityKind.REDUCIBILITY_WITNESS:
         failures.append(f"expected a reducibility witness, got {check.kind.value}")
     return SuiteResult(

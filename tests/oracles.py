@@ -6,6 +6,9 @@ contraction, Leibniz determinants, dense Fraction Gauss-Jordan
 elimination and span membership, subspace meets through annihilators)
 so the tests have a second route to every value; the sampled
 involutivity check is a second route that can only refute.
+:func:`irreducibility_by_sampled_covectors` is the package's earlier
+irreducibility search, basis covectors then seeded draws, kept as the
+reference for the seed-free one.
 :class:`TuplePolynomial` is the plain exponent-tuple/Fraction polynomial,
 the reference for the packed-exponent :class:`npk.polynomial.Polynomial`.
 :func:`covector_pair_table` is not a second route: it is the package's own
@@ -13,18 +16,20 @@ pair table in full, which the package sums only up to its first witness.
 """
 
 import json
+import random
 from fractions import Fraction
 from functools import cache
-from itertools import combinations, permutations, product
+from itertools import chain, combinations, permutations, product
 from math import factorial, lcm, prod
 from typing import Iterator, Mapping, Sequence
 
 import npk.exterior
 import npk.fields
 from npk.compat import gradient_contraction
-from npk.exterior import Multivector, _add_term, contract_terms, iter_blades, merge_blades, wedge_terms
+from npk.exterior import Covector, Multivector, _add_term, contract_terms, iter_blades, merge_blades, wedge_terms
 from npk.fields import MultivectorField, nary_bracket
-from npk.linalg import Subspace
+from npk.grassmann import IrreducibilityKind, IrreducibilityVerdict, _image
+from npk.linalg import Subspace, _integral
 from npk.poisson import default_sample_points
 from npk.polynomial import Polynomial, _pack, _width
 from npk.specio import SpecError, TensorSpec
@@ -405,6 +410,43 @@ def involutivity_by_sampling(field: MultivectorField, points=None, seed: int = 0
     return True
 
 
+_IRREDUCIBILITY_SAMPLES = 20
+
+
+def irreducibility_by_sampled_covectors(p: Multivector, seed: int = 0) -> IrreducibilityVerdict:
+    """Search for a split of ``p`` into independent grade-n summands.
+
+    The package's search before it read its candidates off one face table:
+    the reference for :func:`npk.grassmann.irreducibility_check`.
+    Rank below 2n certifies irreducibility outright (each summand of a
+    split carries rank at least n).  Otherwise the basis covectors, then 20
+    seeded random ones (drawn only if every basis covector fails) are
+    sampled; a contraction that stays nonzero
+    while dropping the rank by at least n witnesses reducibility.  Sampling can
+    never certify irreducibility, so the remaining outcome is an honest
+    "no witness found".  Each rank is the pivot count of :func:`_image`, on
+    integer terms and candidates; only the witness becomes a :class:`Covector`.
+    """
+    if p.is_zero():
+        raise ValueError("zero tensor")
+    m, n = p.dim, p.grade
+    if n < 1:
+        raise ValueError("irreducibility check needs grade at least 1")
+    terms = _integral(p.terms)
+    rank = len(_image(terms)[1])
+    if rank < 2 * n:
+        return IrreducibilityVerdict(IrreducibilityKind.CERTIFIED_BY_RANK)
+    basis = ([int(u == v) for v in range(m)] for u in range(m))
+    randint = random.Random(seed).randint
+    draws = ([randint(-9, 9) for _ in range(m)] for _ in range(_IRREDUCIBILITY_SAMPLES))
+    for comps in chain(basis, filter(any, draws)):
+        contracted = contract_terms(dict(enumerate(comps, 1)), terms)
+        # a zero contraction is skipped; the pass stops once the drop is too small
+        if contracted and len(_image(contracted, rank - n + 1)[1]) <= rank - n:
+            return IrreducibilityVerdict(IrreducibilityKind.REDUCIBILITY_WITNESS, Covector(m, tuple(comps)))
+    return IrreducibilityVerdict(IrreducibilityKind.NO_WITNESS_FOUND)
+
+
 # ---------------------------------------------------------------------------
 # constant 3-vectors on Q^6: Hitchin's invariant, and integer maps acting on
 # multivectors; both from permutation signs alone, with no package kernel
@@ -761,6 +803,10 @@ def parse_spec_by_pairs_hook(text: str) -> TensorSpec:
         raise SpecError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
     except RecursionError:
         raise SpecError("JSON nested deeper than the decoder's recursion limit") from None
+    except SpecError:
+        raise
+    except ValueError:  # an int literal past the interpreter's digit limit
+        raise SpecError("integer longer than the interpreter's digit limit") from None
     if not isinstance(obj, dict):
         raise SpecError("top level must be a JSON object")
     _spec_check_keys(obj, {"m", "n", "kind", "terms"}, "top level: ")

@@ -4,9 +4,11 @@ from itertools import combinations
 
 import pytest
 
+import npk.exterior
 import npk.grassmann
 import npk.linalg
 import npk.suites
+import perfbench.workloads
 from npk.exterior import Covector, GradedTerms, Multivector, blade_contractions
 from npk.fields import MultivectorField
 from npk.grassmann import (
@@ -35,6 +37,7 @@ from oracles import (
     hitchin_lambda,
     in_span,
     intersection_by_annihilators,
+    irreducibility_by_sampled_covectors,
     perm_sign,
     reference_face_table,
     transport,
@@ -699,13 +702,23 @@ def test_two_block_witness():
     assert sharp_profile(contracted).rank <= sharp_profile(TWO_BLOCK).rank - 3
 
 
-def test_basis_witness_draws_no_random_covector(monkeypatch):
-    # dx^1 already splits e123 + e456, so the random candidates are never drawn
-    draws = []
-    monkeypatch.setattr(random.Random, "randint", lambda self, a, b: draws.append((a, b)) or 0)
+def test_search_reads_one_face_table(monkeypatch):
+    # the candidates are the rows of one 1-face table; no covector is built
+    # or contracted, and no random state exists
+    tables, contractions, states = [], [], []
+    monkeypatch.setattr(npk.grassmann, "blade_contractions",
+                        lambda terms, k: tables.append((len(next(iter(terms))), k)) or blade_contractions(terms, k))
+    for module in (npk.grassmann, npk.exterior):
+        monkeypatch.setattr(module, "contract_terms", lambda *args: contractions.append(args))
+    monkeypatch.setattr(random, "Random", lambda *args: states.append(args))
     witness = Covector.basis(6, 1)
     assert irreducibility_check(TWO_BLOCK) == IrreducibilityVerdict(IrreducibilityKind.REDUCIBILITY_WITNESS, witness)
-    assert draws == []
+    # the rank pass over the 2-faces, the 1-face table, then the rank of its first row
+    assert tables == [(3, 2), (3, 1), (2, 1)]
+    tables.clear()
+    assert irreducibility_check(NO_WITNESS) == IrreducibilityVerdict(IrreducibilityKind.NO_WITNESS_FOUND)
+    assert tables == [(3, 2), (3, 1), *[(2, 1)] * 6]
+    assert contractions == [] and states == []
 
 
 NO_WITNESS = Multivector(6, 3, {(1, 2, 3): 1, (1, 4, 5): 1, (2, 4, 6): 1, (3, 5, 6): 1})
@@ -713,10 +726,9 @@ OFF_AXIS_ONE = Multivector(7, 3, {(2, 3, 4): 1, (5, 6, 7): 1})
 
 
 def test_no_witness_found():
-    # rank 6 = 2n, yet no basis or sampled covector drops the rank by 3
+    # rank 6 = 2n, yet no basis covector drops the rank by 3
     assert sharp_profile(NO_WITNESS).rank == 6
-    for seed in (0, 1, 42):
-        assert irreducibility_check(NO_WITNESS, seed) == IrreducibilityVerdict(IrreducibilityKind.NO_WITNESS_FOUND)
+    assert irreducibility_check(NO_WITNESS) == IrreducibilityVerdict(IrreducibilityKind.NO_WITNESS_FOUND)
 
 
 def test_zero_contraction_is_no_witness():
@@ -735,6 +747,49 @@ def test_rank_2n_plus_1_gets_no_reducibility_witness():
     # a split has rank n + n or at least n + (n + 2): rank 2n + 1 = 7 has none
     assert sharp_profile(RANK_7).rank == 7
     assert irreducibility_check(RANK_7).kind is not IrreducibilityKind.REDUCIBILITY_WITNESS
+
+
+# (e1+e2)^(e3+e4)^(e5+e6) + (e1-e2)^(e3-e4)^(e5-e6): a split that no basis covector separates
+OFF_BASIS_SPLIT = Multivector(6, 3, {(1, 3, 5): 2, (1, 4, 6): 2, (2, 3, 6): 2, (2, 4, 5): 2})
+
+
+def _search_population() -> list:
+    rng = random.Random("face-table-search")
+    constants = [TWO_BLOCK, OFF_AXIS_ONE, NO_WITNESS, RANK_7, OFF_BASIS_SPLIT]
+    for m in range(4, 10):
+        for n in range(2, min(m, 5) + 1):
+            for _ in range(8):
+                constants.append(random_constant_multivector(rng, m, n, max_terms=8))
+                q = random_decomposable_multivector(rng, m, n) + random_constant_multivector(rng, m, n, max_terms=3)
+                if not q.is_zero():
+                    constants.append(q)
+    # the shapes of the algebra benchmark's irreducibility strata, drawn as it draws them
+    strata = [st for st in perfbench.workloads.WORKLOADS["algebra"]["round"] if st.kind == "irreducibility"]
+    for seed in range(10):
+        for st in strata:
+            op = perfbench.workloads.generate(st, random.Random(seed), fixed_layout=True)
+            constants.append(Multivector(op.m, op.n, op.terms))
+    return constants
+
+
+def test_search_matches_the_sampled_reference():
+    # the reference tries the basis covectors through contract_terms, then 20
+    # seeded draws; on these populations no draw ever supplied the witness
+    constants = _search_population()
+    verdicts = [irreducibility_check(p) for p in constants]
+    assert verdicts == [irreducibility_by_sampled_covectors(p, 0) for p in constants]
+    assert {verdict.kind for verdict in verdicts} == set(IrreducibilityKind)
+
+
+def test_a_split_off_the_basis_gets_no_witness():
+    # only a draw of the reference separates it: none at seed 0, and at seed
+    # 120 a covector that kills the second summand's image
+    none = IrreducibilityVerdict(IrreducibilityKind.NO_WITNESS_FOUND)
+    assert irreducibility_check(OFF_BASIS_SPLIT) == none
+    assert irreducibility_by_sampled_covectors(OFF_BASIS_SPLIT, 0) == none
+    witness = Covector(6, (0, 0, -3, -3, 7, 7))
+    assert irreducibility_by_sampled_covectors(OFF_BASIS_SPLIT, 120) == IrreducibilityVerdict(
+        IrreducibilityKind.REDUCIBILITY_WITNESS, witness)
 
 
 def test_constant_questions_run_on_the_integer_echelon(monkeypatch):

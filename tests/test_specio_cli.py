@@ -168,6 +168,9 @@ def test_parse_rejects_unknown_fields():
     ('{"m": 3, "n": 2, "kind": "constant", "terms": [{"indices": [1, 2], "value": "1", "value": "2"}]}', "value"),
     ('{"m": 2, "n": 1, "kind": "polynomial", "terms": [{"indices": [1], "value": '
      '[{"coef": "1", "exps": [1, 0], "exps": [0, 1]}]}]}', "exps"),
+    # an object that closes before an integer past the digit limit is read is refused first
+    pytest.param('{"m": 2, "n": 1, "kind": "constant", "terms": [{"indices": [1], "value": "1", "value": "2"}, 1%s]}'
+                 % ("0" * 5000), "value", id="before-a-long-integer"),
 ])
 def test_parse_rejects_duplicate_fields(text, key, tmp_path, capsys):
     with pytest.raises(SpecError, match=f"duplicate field '{key}'"):
@@ -1010,6 +1013,35 @@ def test_cli_malformed_spec_error_lines(case, spec_path, capsys):
     assert main(["check", spec_path(f"{case}.json", obj)]) == 2
     out, err = capsys.readouterr()
     assert out == "" and err == f"error: {message}\n"
+
+
+_LONG = "1" + "0" * 5000  # past the interpreter's default limit of 4300 digits
+LONG_INTEGER_SPECS = {
+    "m": '{"m": %s, "n": 1, "kind": "constant", "terms": []}' % _LONG,
+    "index": '{"m": 2, "n": 1, "kind": "constant", "terms": [{"indices": [%s], "value": "1"}]}' % _LONG,
+    "exponent": '{"m": 1, "n": 1, "kind": "polynomial", "terms": [{"indices": [1], "value": '
+                '[{"coef": "1", "exps": [%s]}]}]}' % _LONG,
+    "value": '{"m": 2, "n": 1, "kind": "constant", "terms": [{"indices": [1], "value": %s}]}' % _LONG,
+}
+
+
+@pytest.mark.parametrize("case", sorted(LONG_INTEGER_SPECS))
+def test_an_integer_past_the_digit_limit_is_a_spec_error(case, tmp_path, capsys):
+    path = tmp_path / f"{case}.json"
+    path.write_text(LONG_INTEGER_SPECS[case], encoding="utf-8")
+    with pytest.raises(SpecError, match="^integer longer than the interpreter's digit limit$"):
+        parse_spec(path)
+    assert main(["check", str(path)]) == 2
+    assert capsys.readouterr() == ("", "error: integer longer than the interpreter's digit limit\n")
+
+
+def test_bytes_that_are_not_utf8_are_a_spec_error(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"m": 3, "n": 2, "kind": "\xff"}')
+    with pytest.raises(SpecError, match="^not UTF-8: invalid start byte at byte 26$"):
+        parse_spec(path)
+    assert main(["check", str(path)]) == 2
+    assert capsys.readouterr() == ("", "error: not UTF-8: invalid start byte at byte 26\n")
 
 
 @pytest.mark.parametrize("opener", ["[", '{"m": '])
