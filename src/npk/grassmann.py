@@ -96,30 +96,29 @@ def plucker_holds(terms) -> bool:
     """Whether every quadratic defect ``(i(dx^s) P) ^ P`` vanishes identically.
 
     ``P`` is the grade-n term map ``terms``, with polynomial coefficients,
-    and ``s`` runs over the basis (n-1)-blades: the rows of its (n-1)-face
-    table, built here.  The defects are the classical quadratic
-    decomposability relations.  Each defect coefficient is a sum of signed
-    products ``+-F[r] * P[b]`` over the face's terms ``r`` and the blades
-    ``b`` disjoint from it; the products are grouped by the
-    merged blade and each group is summed in one
-    :meth:`Polynomial.sum_of_products`, then tested once.
+    and ``s`` runs over the basis (n-1)-blades: the faces of the table of
+    blade positions ``{blade: k}``, built here, whose entries ``{(u,): +-k}``
+    read ``+-P[b_k]``.  The defects are the classical quadratic
+    decomposability relations.  Each defect coefficient is a sum of products
+    ``P[b_k] * P[b]``, the sign of ``k`` times that of merging ``u`` into
+    ``b``; they are grouped by the merged blade and each group is summed in
+    one :meth:`Polynomial.sum_of_products`, so no coefficient is negated.
     """
-    if not terms:
-        return True
-    dim = next(iter(terms.values())).num_vars
-    faces = blade_contractions(terms, len(next(iter(terms))) - 1)
-    # each face is grade 1, so its terms are (u,); (u,) ^ blade is tabulated
+    coefs = list(terms.values())
+    faces = blade_contractions({blade: k for k, blade in enumerate(terms, 1)}, len(next(iter(terms), ())) - 1)
+    # each face is grade 1, so its entries are (u,); (u,) ^ blade is tabulated
     # once per u, when a face first needs it (a failing check stops early)
     inserts: dict = {}
     for face in faces.values():
         groups: dict = {}
-        for (u,), a in face.items():
+        for (u,), k in face.items():
             row = inserts.get(u)
             if row is None:
                 row = inserts[u] = [(merged, b) for blade, b in terms.items() if (merged := merge_blades((u,), blade))]
+            a = coefs[abs(k) - 1]
             for (sign, key), b in row:
-                groups.setdefault(key, []).append((sign, a, b))
-        if any(Polynomial.sum_of_products(dim, products) for products in groups.values()):
+                groups.setdefault(key, []).append((sign if k > 0 else -sign, a, b))
+        if any(Polynomial.sum_of_products(coefs[0].num_vars, products) for products in groups.values()):
             return False
     return True
 

@@ -9,8 +9,8 @@ back into Fractions.  :func:`rref` is the two in turn, :func:`sparse_rank`
 the first alone, and ``grassmann._image`` feeds it face rows.  Subspaces
 of the base space and of its dual share one representation (a canonical
 reduced row-echelon basis); the caller tracks variance.  Canonical form
-makes subspace equality plain structural equality.  The kernel of a matrix
-is the annihilator of its row space, read off that space's echelon basis.
+makes subspace equality plain structural equality.  An annihilator (the
+kernel of the basis rows) is read off the echelon basis as integer rows.
 """
 
 from __future__ import annotations
@@ -150,17 +150,15 @@ class Subspace:
     def annihilator(self) -> "Subspace":
         """Covectors vanishing on the subspace: the kernel of its basis rows.
 
-        Read off the reduced echelon basis: each free column ``f`` gives
-        ``e_f - sum_i basis[i][f] e_(pivot i)``.
+        Read off the reduced echelon basis: each free column ``f`` gives the
+        sparse integer row of ``e_f - sum_i basis[i][f] e_(pivot i)`` (by
+        :func:`_integral`), and one :func:`_forward` and :func:`_reduced`
+        put those rows in canonical form.
         """
         width = self.ambient_dim
         pivots = [next(i for i, x in enumerate(row) if x) for row in self.basis]
-        vectors = []
-        for free in sorted(set(range(width)) - set(pivots)):
-            v = [Fraction(0)] * width
-            v[free] = Fraction(1)
-            for p, row in zip(pivots, self.basis):
-                v[p] = -row[free]
-            vectors.append(v)
-        return Subspace.from_vectors(vectors, width)
-
+        rows = (
+            _integral({free: 1} | {p: -row[free] for p, row in zip(pivots, self.basis) if row[free]})
+            for free in sorted(set(range(width)) - set(pivots))
+        )
+        return Subspace(width, tuple(map(tuple, _reduced(*_forward(rows, width), width))))

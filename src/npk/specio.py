@@ -22,7 +22,7 @@ term + 2 per monomial unless a field repeats (the decoder keeps its last
 value).  A refused spec, or one whose count is off, is decoded again
 through a hook that refuses a repeated field as each object closes, so
 every refusal, and its precedence, is that route's; each is a
-:class:`SpecError`, an over-long integer and bytes that are not UTF-8 too.
+:class:`SpecError`, an over-long integer or rational and non-UTF-8 bytes too.
 A coefficient is an unreduced ``(num, den)`` pair of ints, read without
 ``Fraction`` when it is an int or ``[-]digits/digits``, and merged by
 cross-multiplication.  An exponent list is keyed by ``bytes(exps)``,
@@ -90,6 +90,8 @@ def _ratio(text) -> tuple[int, int]:
     try:
         return Fraction(text).as_integer_ratio()
     except (ValueError, ZeroDivisionError) as exc:
+        if str(exc).startswith("Exceeds the limit"):  # int()'s digit limit, on a literal Fraction accepts
+            raise SpecError("rational longer than the interpreter's digit limit") from None
         raise SpecError(f"bad rational {text!r} ({exc})") from None
 
 

@@ -767,6 +767,8 @@ def _spec_rational(text) -> int | Fraction:
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
+        if str(exc).startswith("Exceeds the limit"):
+            raise SpecError("rational longer than the interpreter's digit limit") from None
         raise SpecError(f"bad rational {text!r} ({exc})") from None
 
 

@@ -26,9 +26,12 @@ from npk.grassmann import (
 )
 from npk.linalg import Subspace
 from npk.poisson import algebraic_condition, pointwise_decomposable
+from npk.polynomial import Polynomial
 from npk.suites import (
     random_constant_multivector,
+    random_decomposable_field,
     random_decomposable_multivector,
+    random_linear_field,
 )
 from oracles import (
     annihilator_by_contraction,
@@ -89,15 +92,32 @@ def test_rank_dimension_identity_random():
         assert profile.rank >= n  # nonzero input
 
 
-def test_annihilator_matches_contraction_kernel():
-    # image rows versus the C(m, n-1)-row matrix of the maps u -> i(dx^u) p
+def _annihilator_population():
     rng = random.Random("annihilator-oracle")
     cases = [Multivector.zero(5, 3)]
     for _ in range(60):
         n = rng.randint(1, 5)
         cases.append(random_constant_multivector(rng, rng.randint(n, 7), n, max_terms=4))
-    for p in cases:
+    return cases
+
+
+def test_annihilator_matches_contraction_kernel():
+    # image rows versus the C(m, n-1)-row matrix of the maps u -> i(dx^u) p
+    for p in _annihilator_population():
         assert sharp_profile(p).annihilator == annihilator_by_contraction(p)
+
+
+def test_annihilator_is_one_integer_pass(monkeypatch):
+    # the kernel rows go to the integer echelon as they are: no dense
+    # Fraction rows run through rref again
+    cases = _annihilator_population()
+    expected = [annihilator_by_contraction(p) for p in cases]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the annihilator ran rref")
+
+    monkeypatch.setattr(npk.linalg, "rref", forbidden)
+    assert [sharp_profile(p).annihilator for p in cases] == expected
 
 
 def test_sharp_profile_matches_fraction_rref():
@@ -442,6 +462,37 @@ def test_symbolic_identity_alone_matches_the_full_variable_route(monkeypatch):
         assert contraction_profile(p) == full == dict.fromkeys(full, dec), p
         assert {k: npk.grassmann._symbolic_profile(p, pivots, k) for k in full} == full, p
     assert verdicts == {(n, v) for n in (3, 4, 5) for v in (True, False)}
+
+
+def test_plucker_loop_negates_no_polynomial(monkeypatch):
+    # the face table carries blade positions, so a face entry's sign is an
+    # int sign of its products: seeded fields of grades 2-5 and the symbolic
+    # contractions of the profile route, built before the patch
+    rng = random.Random("plucker-signs")
+    fields = [make(rng, m, n) for n in (2, 3, 4, 5) for m in (n + 1, n + 2)
+              for make in (random_linear_field, random_decomposable_field) for _ in range(3)]
+    symbolic = []
+    plucker_holds = npk.grassmann.plucker_holds
+
+    def record(terms):
+        symbolic.append(terms)
+        return plucker_holds(terms)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(npk.grassmann, "plucker_holds", record)
+        for p in (MIXED, TWO_BLOCK, DEC_851, _two_blade_851(rng), _two_blade_851(rng)):
+            pivots = npk.grassmann._image(npk.linalg._integral(p.terms))[1]
+            for k in range(1, p.grade - 1):
+                npk.grassmann._symbolic_profile(p, pivots, k)
+    inputs = [f.terms for f in fields] + symbolic
+    expected = [plucker_holds(terms) for terms in inputs]
+    assert set(expected) == {True, False}
+
+    def forbidden(self):
+        raise AssertionError("a polynomial was negated")
+
+    monkeypatch.setattr(Polynomial, "__neg__", forbidden)
+    assert [plucker_holds(terms) for terms in inputs] == expected
 
 
 # the algebra benchmark's (8, 5, 1) shape: support 6, rank 5

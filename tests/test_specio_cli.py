@@ -1035,6 +1035,29 @@ def test_an_integer_past_the_digit_limit_is_a_spec_error(case, tmp_path, capsys)
     assert capsys.readouterr() == ("", "error: integer longer than the interpreter's digit limit\n")
 
 
+# the same digits as rational strings: refused under their place, without the text
+LONG_RATIONAL_SPECS = {
+    "value": ('{"m": 2, "n": 1, "kind": "constant", "terms": [{"indices": [1], "value": "%s"}]}' % _LONG, "terms[0]"),
+    "denominator": ('{"m": 2, "n": 1, "kind": "constant", "terms": [{"indices": [1], "value": "1/%s"}]}' % _LONG,
+                    "terms[0]"),
+    "coef": ('{"m": 1, "n": 1, "kind": "polynomial", "terms": [{"indices": [1], "value": '
+             '[{"coef": "-%s", "exps": [1]}]}]}' % _LONG, "terms[0].value[0]"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LONG_RATIONAL_SPECS))
+def test_a_rational_past_the_digit_limit_is_a_spec_error(case, tmp_path, capsys):
+    text, where = LONG_RATIONAL_SPECS[case]
+    path = tmp_path / f"{case}.json"
+    path.write_text(text, encoding="utf-8")
+    message = f"{where}: rational longer than the interpreter's digit limit"
+    with pytest.raises(SpecError) as info:
+        parse_spec(path)
+    assert str(info.value) == message
+    assert main(["check", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 def test_bytes_that_are_not_utf8_are_a_spec_error(tmp_path, capsys):
     path = tmp_path / "latin1.json"
     path.write_bytes(b'{"m": 3, "n": 2, "kind": "\xff"}')
