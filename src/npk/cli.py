@@ -102,9 +102,10 @@ def _cmd_factorize(field: MultivectorField, args) -> tuple[dict, int]:
         return {"command": "factorize", "error": "not decomposable"}, 1
     except ValueError as exc:
         return {"command": "factorize", "error": str(exc)}, 1
-    factors = [
-        [str(c) for c in f.vector_components()] for f in factorization.factors
-    ]
+    try:
+        factors = [[str(c) for c in f.vector_components()] for f in factorization.factors]
+    except ValueError:  # str() of an int past the interpreter's digit limit
+        raise SpecError("a factor coefficient is longer than the interpreter's digit limit") from None
     return {"command": "factorize", "factors": factors}, 0
 
 

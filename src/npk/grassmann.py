@@ -14,7 +14,7 @@ of every contraction-wedge defect ``(i(lam) P) ^ P`` over basis (n-1)-forms
 (the classical quadratic decomposability relations, :func:`plucker_holds`,
 run only where they are polynomial identities).  Rank also bounds
 reducibility: a multivector that splits into two independent grade-n
-summands needs rank at least 2n.
+summands has rank 2n or at least 2n + 2.
 
 Universally quantified conditions ("for all covectors ...") are decided
 exactly: by rank or an explicit integer witness where one applies, else by
@@ -331,12 +331,17 @@ def irreducibility_check(p: Multivector) -> IrreducibilityVerdict:
     """Search the basis covectors for a split of ``p`` into independent grade-n summands.
 
     Rank below 2n certifies irreducibility (each summand of a split has rank
-    at least n).  Otherwise the first row ``i(dx^u) p``, in ascending ``u``, of
-    the one 1-face table (a zero contraction has no row) that drops the rank
-    by at least n witnesses reducibility with ``dx^u``.  A search never
-    certifies irreducibility, so the remaining outcome is an honest "no
-    witness found"; the verdict depends on ``p`` alone.  Ranks are pivot
-    counts of :func:`_image` on integer terms.
+    at least n).  A nonzero n-vector has rank n or at least n + 2, since
+    every n-vector on an (n+1)-space is decomposable; a split's rank is the
+    sum of its summands' ranks, so it is 2n or at least 2n + 2.  At rank
+    2n + 1 no split exists: no search runs, and the verdict is "no witness
+    found", though that rank alone proves irreducibility.  Otherwise the
+    first row ``i(dx^u) p``, in ascending ``u``, of the one 1-face table (a
+    zero contraction has no row) that drops the rank by at least n
+    witnesses reducibility with ``dx^u``.  A search never certifies
+    irreducibility, so the remaining outcome is an honest "no witness
+    found"; the verdict depends on ``p`` alone.  Ranks are pivot counts of
+    :func:`_image` on integer terms.
     """
     if p.is_zero():
         raise ValueError("zero tensor")
@@ -346,6 +351,8 @@ def irreducibility_check(p: Multivector) -> IrreducibilityVerdict:
     rank = len(_image(terms)[1])
     if rank < 2 * n:
         return IrreducibilityVerdict(IrreducibilityKind.CERTIFIED_BY_RANK)
+    if rank == 2 * n + 1:
+        return IrreducibilityVerdict(IrreducibilityKind.NO_WITNESS_FOUND)
     for (u,), row in sorted(blade_contractions(terms, 1).items()):
         if len(_image(row, rank - n + 1)[1]) <= rank - n:  # the pass stops once the drop is too small
             return IrreducibilityVerdict(IrreducibilityKind.REDUCIBILITY_WITNESS, Covector.basis(p.dim, u))

@@ -5,12 +5,13 @@ one rational-to-integer scaling, :func:`_integral`, turns (like the term
 maps of ``grassmann``) into sparse integer rows; the one forward
 elimination, :func:`_forward`, runs fraction-free on those rows and stops
 once the rank reaches the width; :func:`_reduced` turns only its pivot rows
-back into Fractions.  :func:`rref` is the two in turn, :func:`sparse_rank`
-the first alone, and ``grassmann._image`` feeds it face rows.  Subspaces
-of the base space and of its dual share one representation (a canonical
-reduced row-echelon basis); the caller tracks variance.  Canonical form
-makes subspace equality plain structural equality.  An annihilator (the
-kernel of the basis rows) is read off the echelon basis as integer rows.
+back into Fractions.  :meth:`Subspace.from_vectors` is the two in turn,
+:func:`sparse_rank` the first alone, and ``grassmann._image`` feeds it face
+rows.  Subspaces of the base space and of its dual share one representation
+(a canonical reduced row-echelon basis); the caller tracks variance.
+Canonical form makes subspace equality plain structural equality.  An
+annihilator (the kernel of the basis rows) is read off the echelon basis as
+integer rows.
 """
 
 from __future__ import annotations
@@ -36,13 +37,6 @@ def _integral(coefs: dict) -> dict:
     """The ints and Fractions of ``coefs`` (any keys) times the lcm of their denominators, all integers."""
     den = lcm(*(c.denominator for c in coefs.values()))
     return {key: c.numerator * (den // c.denominator) for key, c in coefs.items()}
-
-
-def _integer_row(row: Sequence) -> dict[int, int]:
-    """The nonzero entries of ``row``, exact ints or Fractions, by :func:`_integral`."""
-    if not {*map(type, row)} <= _EXACT:
-        raise TypeError(f"entries must be ints or Fractions, not {row!r}")
-    return _integral({j: x for j, x in enumerate(row) if x})
 
 
 def _eliminate(vec: dict[int, int], pivot_row: dict[int, int], c: int) -> dict[int, int]:
@@ -88,31 +82,10 @@ def _forward(vecs: Iterable[dict[int, int]], width: int) -> tuple[dict[int, dict
 def sparse_rank(vecs: Iterable[dict[int, int]], width: int) -> int:
     """Rank of sparse integer rows ``{col: int}`` over at most ``width`` distinct columns.
 
-    The forward pass of :func:`rref` alone: no back-substitution and no
-    Fractions.
+    The forward pass of :meth:`Subspace.from_vectors` alone: no
+    back-substitution and no Fractions.
     """
     return len(_forward(vecs, width)[1])
-
-
-def rref(rows: Iterable[Sequence], width: int | None = None) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row-echelon form; returns the nonzero rows and pivot columns.
-
-    Fraction-free: every row is checked for length, and each one the
-    forward pass (:func:`_forward`) reads has its zero entries dropped and
-    is scaled by the lcm of its denominators to an integer row
-    ``{col: int}``.  Elimination stops once the rank equals ``width``.
-    Only the pivot rows are back-substituted (:func:`_reduced`) and
-    turned into dense Fraction rows with leading entry 1.
-    """
-    rows = list(rows)
-    if width is None:
-        if not rows:
-            raise ValueError("width required for an empty matrix")
-        width = len(rows[0])
-    if any(len(row) != width for row in rows):
-        raise ValueError("matrix rows must have equal length")
-    echelon, order = _forward(map(_integer_row, rows), width)
-    return _reduced(echelon, order, width), order
 
 
 def _reduced(echelon: dict[int, dict[int, int]], order: list[int], width: int) -> list[list[Fraction]]:
@@ -141,7 +114,20 @@ class Subspace:
 
     @classmethod
     def from_vectors(cls, vectors: Iterable[Sequence], ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim, tuple(map(tuple, rref(vectors, ambient_dim)[0])))
+        """The span of ``vectors``, each of ``ambient_dim`` exact ints or Fractions.
+
+        Every vector is checked, also after the rank is full, then scaled by
+        :func:`_integral` to a sparse integer row; one :func:`_forward` and
+        one :func:`_reduced` give the canonical basis.
+        """
+        rows = []
+        for vec in vectors:
+            if len(vec) != ambient_dim:
+                raise ValueError(f"vectors must have length {ambient_dim}, not {len(vec)}")
+            if not {*map(type, vec)} <= _EXACT:
+                raise TypeError(f"entries must be ints or Fractions, not {vec!r}")
+            rows.append(_integral({j: x for j, x in enumerate(vec) if x}))
+        return cls(ambient_dim, tuple(map(tuple, _reduced(*_forward(rows, ambient_dim), ambient_dim))))
 
     @property
     def dim(self) -> int:

@@ -23,8 +23,10 @@ value).  A refused spec, or one whose count is off, is decoded again
 through a hook that refuses a repeated field as each object closes, so
 every refusal, and its precedence, is that route's; each is a
 :class:`SpecError`, an over-long integer or rational and non-UTF-8 bytes too.
-A coefficient is an unreduced ``(num, den)`` pair of ints, read without
-``Fraction`` when it is an int or ``[-]digits/digits``, and merged by
+A coefficient is an unreduced ``(num, den)`` pair of ints, read from a
+JSON integer or from an ASCII string ``-?[0-9]+`` or ``-?[0-9]+/[0-9]+``
+with a nonzero denominator (any other string is refused, so no decimal,
+exponent, sign ``+``, space or ``_`` is read), and merged by
 cross-multiplication.  An exponent list is keyed by ``bytes(exps)``,
 which checks 0..255 in C, and packed at width 8 by ``int.from_bytes``; a
 wider exponent keys by its tuple.  A :class:`TensorSpec` is ``m``, ``n``,
@@ -43,7 +45,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 from operator import itemgetter
 
@@ -74,25 +75,21 @@ def _ints(xs: list) -> bool:
 
 
 def _ratio(text) -> tuple[int, int]:
-    """``(num, den)`` of a rational value, ``den > 0``, equal to ``Fraction(text)`` but not reduced."""
+    """``(num, den)`` of a rational value, ``den > 0``, not reduced: a JSON int, or ``[-]digits[/digits]`` in ASCII."""
     if not isinstance(text, str):
         if _is_int(text):
             return text, 1
         raise SpecError(f"rational values must be strings or integers, got {type(text).__name__}")
     num, slash, den = text.partition("/")
-    try:  # an int, or [-]digits/digits in ASCII, is read without Fraction's parser
-        if not slash:
-            return int(text), 1
-        if text.isascii() and num.removeprefix("-").isdigit() and den.isdigit() and (d := int(den)):
-            return int(num), d
+    if not (text.isascii() and num.removeprefix("-").isdigit() and (not slash or den.isdigit())):
+        raise SpecError(f"bad rational {text!r} (not an integer or integer/integer in ASCII digits)")
+    try:  # int() of ASCII digits fails only past the interpreter's digit limit
+        num, den = int(num), int(den) if slash else 1
     except ValueError:
-        pass
-    try:
-        return Fraction(text).as_integer_ratio()
-    except (ValueError, ZeroDivisionError) as exc:
-        if str(exc).startswith("Exceeds the limit"):  # int()'s digit limit, on a literal Fraction accepts
-            raise SpecError("rational longer than the interpreter's digit limit") from None
-        raise SpecError(f"bad rational {text!r} ({exc})") from None
+        raise SpecError("rational longer than the interpreter's digit limit") from None
+    if not den:
+        raise SpecError(f"bad rational {text!r} (zero denominator)")
+    return num, den
 
 
 def _merge(acc: dict, key, num: int, den: int) -> None:

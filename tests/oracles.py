@@ -17,6 +17,7 @@ pair table in full, which the package sums only up to its first witness.
 
 import json
 import random
+import re
 from fractions import Fraction
 from functools import cache
 from itertools import chain, combinations, permutations, product
@@ -78,17 +79,14 @@ def iterated_contraction(p: Multivector, covectors) -> Multivector:
     return acc
 
 
-def fraction_rref(rows, width=None):
-    """Dense Gauss-Jordan elimination over Fraction rows.
+def fraction_rref(rows, width):
+    """Dense Gauss-Jordan elimination over Fraction rows of length ``width``.
 
-    The reference for the fraction-free sparse :func:`npk.linalg.rref`:
-    same contract, the nonzero reduced rows and the pivot columns.
+    Returns the nonzero reduced rows and the pivot columns: the reference
+    for the fraction-free sparse :meth:`npk.linalg.Subspace.from_vectors`,
+    whose basis is those rows and whose leading columns are those pivots.
     """
     mat = [[x if isinstance(x, Fraction) else Fraction(x) for x in row] for row in rows]
-    if width is None:
-        if not mat:
-            raise ValueError("width required for an empty matrix")
-        width = len(mat[0])
     for row in mat:
         if len(row) != width:
             raise ValueError("matrix rows must have equal length")
@@ -752,24 +750,21 @@ def _spec_ints(xs: list) -> bool:
 
 
 def _spec_rational(text) -> int | Fraction:
+    # README's grammar: a JSON integer, or -?[0-9]+ or -?[0-9]+/[0-9]+ with a nonzero denominator
     if _spec_is_int(text):
         return text
     if not isinstance(text, str):
         raise SpecError(f"rational values must be strings or integers, got {type(text).__name__}")
-    num, slash, den = text.partition("/")
+    match = re.fullmatch(r"(-?[0-9]+)(?:/([0-9]+))?", text)
+    if match is None:
+        raise SpecError(f"bad rational {text!r} (not an integer or integer/integer in ASCII digits)")
     try:
-        if not slash:
-            return int(text)
-        if text.isascii() and num.removeprefix("-").isdigit() and den.isdigit():
-            return Fraction(int(num), int(den))
-    except (ValueError, ZeroDivisionError):
-        pass
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        if str(exc).startswith("Exceeds the limit"):
-            raise SpecError("rational longer than the interpreter's digit limit") from None
-        raise SpecError(f"bad rational {text!r} ({exc})") from None
+        num, den = int(match[1]), int(match[2] or "1")
+    except ValueError:
+        raise SpecError("rational longer than the interpreter's digit limit") from None
+    if den == 0:
+        raise SpecError(f"bad rational {text!r} (zero denominator)")
+    return Fraction(num, den) if match[2] else num
 
 
 def _spec_check_keys(obj: dict, allowed: set[str], where: str = "") -> None:

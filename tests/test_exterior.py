@@ -16,7 +16,7 @@ from npk.exterior import (
     merge_blades,
 )
 from npk.fields import MultivectorField
-from npk.linalg import Subspace, rref
+from npk.linalg import Subspace
 from npk.polynomial import Polynomial
 from npk.suites import random_constant_multivector, random_linear_field
 from oracles import covector_pair_table, iterated_contraction, pair_wedges_by_contraction, perm_sign, reference_face_table
@@ -354,8 +354,8 @@ _INEXACT = {
     "constant-bool": lambda: Polynomial.constant(True, 2),
     "constant-float": lambda: Polynomial.constant(1.0, 2),
     "field-float": lambda: MultivectorField(2, 1, {(1,): 0.25}),
-    "rref-float": lambda: rref([[Fraction(1), 0.5]]),
-    "rref-bool": lambda: rref([[True, 0]]),
+    "rref-float": lambda: Subspace.from_vectors([[Fraction(1), 0.5]], 2),
+    "rref-bool": lambda: Subspace.from_vectors([[True, 0]], 2),
     # span membership is asked as from_vectors(basis + (v,)) == span
     "contains-float": lambda: Subspace.from_vectors([[1, 0], [0.0, 1]], 2),
 }

@@ -109,14 +109,14 @@ def test_annihilator_matches_contraction_kernel():
 
 def test_annihilator_is_one_integer_pass(monkeypatch):
     # the kernel rows go to the integer echelon as they are: no dense
-    # Fraction rows run through rref again
+    # Fraction rows run through Subspace.from_vectors again
     cases = _annihilator_population()
     expected = [annihilator_by_contraction(p) for p in cases]
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("the annihilator ran rref")
+        raise AssertionError("the annihilator ran from_vectors")
 
-    monkeypatch.setattr(npk.linalg, "rref", forbidden)
+    monkeypatch.setattr(Subspace.from_vectors.__func__, "__code__", forbidden.__code__)
     assert [sharp_profile(p).annihilator for p in cases] == expected
 
 
@@ -792,12 +792,29 @@ def test_zero_contraction_is_no_witness():
 RANK_7 = Multivector(7, 3, {(1, 2, 7): -2, (1, 3, 7): -1, (1, 4, 5): 5, (2, 5, 6): -3, (3, 4, 6): 4})
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 3: a rank drop of n is taken for a split, "
-                   "so a rank-(2n + 1) 3-vector, which no split has, gets the witness dx^1")
 def test_rank_2n_plus_1_gets_no_reducibility_witness():
-    # a split has rank n + n or at least n + (n + 2): rank 2n + 1 = 7 has none
+    # a split has rank n + n or at least n + (n + 2): rank 2n + 1 = 7 has none,
+    # though dx^1 drops the rank by n and the old search took it for a witness
     assert sharp_profile(RANK_7).rank == 7
     assert irreducibility_check(RANK_7).kind is not IrreducibilityKind.REDUCIBILITY_WITNESS
+    assert irreducibility_by_sampled_covectors(RANK_7) == IrreducibilityVerdict(
+        IrreducibilityKind.REDUCIBILITY_WITNESS, Covector.basis(7, 1))
+
+
+def test_seeded_rank_2n_plus_1_constants_get_no_witness():
+    # sparse constants of rank 2n + 1 at n = 3 and 4: no search runs, and the
+    # old search finds a rank drop of n, never a split, on every one
+    rng = random.Random("rank-2n-plus-1")
+    none = IrreducibilityVerdict(IrreducibilityKind.NO_WITNESS_FOUND)
+    population = []
+    for n in (3, 4):
+        while sum(p.grade == n for p in population) < 40:
+            p = random_constant_multivector(rng, 2 * n + 1, n, max_terms=2 * n)
+            if not p.is_zero() and sharp_profile(p).rank == 2 * n + 1:
+                population.append(p)
+    assert [irreducibility_check(p) for p in population] == [none] * len(population)
+    old = {irreducibility_by_sampled_covectors(p).kind for p in population}
+    assert old == {IrreducibilityKind.REDUCIBILITY_WITNESS}
 
 
 # (e1+e2)^(e3+e4)^(e5+e6) + (e1-e2)^(e3-e4)^(e5-e6): a split that no basis covector separates
@@ -825,10 +842,13 @@ def _search_population() -> list:
 
 def test_search_matches_the_sampled_reference():
     # the reference tries the basis covectors through contract_terms, then 20
-    # seeded draws; on these populations no draw ever supplied the witness
+    # seeded draws; on these populations no draw ever supplied the witness.
+    # At rank 2n + 1 no split exists, and the package runs no search
     constants = _search_population()
     verdicts = [irreducibility_check(p) for p in constants]
-    assert verdicts == [irreducibility_by_sampled_covectors(p, 0) for p in constants]
+    none = IrreducibilityVerdict(IrreducibilityKind.NO_WITNESS_FOUND)
+    assert verdicts == [none if sharp_profile(p).rank == 2 * p.grade + 1 else irreducibility_by_sampled_covectors(p, 0)
+                        for p in constants]
     assert {verdict.kind for verdict in verdicts} == set(IrreducibilityKind)
 
 
@@ -860,7 +880,7 @@ def test_constant_questions_run_on_the_integer_echelon(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("a Fraction route was taken")
 
-    for fn in (npk.linalg.rref, npk.linalg._reduced, Subspace.from_vectors.__func__):
+    for fn in (npk.linalg._reduced, Subspace.from_vectors.__func__):
         monkeypatch.setattr(fn, "__code__", forbidden.__code__)
     assert [contraction_subspace_report(p, alpha) for p, alpha in reports] == expected
     monkeypatch.setattr(Multivector.contract, "__code__", forbidden.__code__)

@@ -3,9 +3,10 @@
 For a constant n-vector P (n = 3..5, m <= 8) decomposability by rank, the
 vanishing of every contraction-wedge defect as a polynomial identity, and
 the decomposability of every k-fold contraction (1 <= k <= n-2) are one
-verdict.  The irreducibility search certifies by rank exactly below 2n and
-otherwise reports the first basis covector that drops the rank by n; ranks
-here come from the dense contraction matrix of the oracles.
+verdict.  The irreducibility search certifies by rank exactly below 2n,
+finds no witness at rank 2n + 1 (no split has that rank), and otherwise
+reports the first basis covector that drops the rank by n; ranks here come
+from the dense contraction matrix of the oracles.
 """
 
 from hypothesis import given, settings
@@ -58,6 +59,9 @@ def test_search_certifies_by_rank_and_reports_the_first_basis_drop(p):
     verdict = irreducibility_check(p)
     assert (verdict.kind is IrreducibilityKind.CERTIFIED_BY_RANK) == (rank < 2 * n)
     if rank < 2 * n:
+        return
+    if rank == 2 * n + 1:
+        assert verdict.kind is IrreducibilityKind.NO_WITNESS_FOUND and verdict.witness is None
         return
     # a basis covector witnesses exactly when its contraction is nonzero and drops the rank by n
     drops = [u for u in range(1, m + 1)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from math import lcm
 
-from npk.linalg import Subspace, rref, sparse_rank
+from npk.linalg import Subspace, sparse_rank
 from oracles import fraction_rref, in_span, intersection_by_annihilators
 
 
@@ -185,44 +185,42 @@ def integer_rows(rows):
     return out
 
 
-def assert_matches_oracle(rows, width=None):
-    got = rref(rows, width)
-    want = fraction_rref(rows, width)
-    assert got == want
-    for row in got[0]:
+def assert_matches_oracle(rows, width):
+    # the canonical basis and its leading columns are the Gauss-Jordan rows and pivots
+    basis = Subspace.from_vectors(rows, width).basis
+    reduced, pivots = fraction_rref(rows, width)
+    assert basis == tuple(map(tuple, reduced))
+    assert [next(j for j, x in enumerate(row) if x) for row in basis] == pivots
+    for row in basis:
         assert all(isinstance(x, Fraction) for x in row)
     assert_rank_matches_oracle(rows, width)
 
 
-def assert_rank_matches_oracle(rows, width=None):
+def assert_rank_matches_oracle(rows, width):
     want = len(fraction_rref(rows, width)[0])
-    if width is None:
-        width = len(rows[0])
     assert sparse_rank(integer_rows(rows), width) == want
     assert sparse_rank(iter(integer_rows(rows)), width) == want
 
 
 def test_rref_special_rows():
-    assert_matches_oracle([[0, 0, 0], [1, 2, 3], [0, 0, 0]])
-    assert_matches_oracle([[1, 2, 3], [1, 2, 3], [1, 2, 3]])
-    assert_matches_oracle([[2, -4, 6], [Fraction(-1, 3), Fraction(2, 3), -1], [0, 1, 5], [0, -7, -35]])
-    assert_matches_oracle([[0, 0], [0, 0]])
+    assert_matches_oracle([[0, 0, 0], [1, 2, 3], [0, 0, 0]], 3)
+    assert_matches_oracle([[1, 2, 3], [1, 2, 3], [1, 2, 3]], 3)
+    assert_matches_oracle([[2, -4, 6], [Fraction(-1, 3), Fraction(2, 3), -1], [0, 1, 5], [0, -7, -35]], 3)
+    assert_matches_oracle([[0, 0], [0, 0]], 2)
 
 
 def test_rref_shapes():
-    assert_matches_oracle([[1, 2], [3, 4], [5, 6], [7, 9]])
-    assert_matches_oracle([[0, 0, 1, 2, 3, 4], [0, 1, 0, 0, 2, 0]])
-    assert_matches_oracle([[], [], []])
+    assert_matches_oracle([[1, 2], [3, 4], [5, 6], [7, 9]], 2)
+    assert_matches_oracle([[0, 0, 1, 2, 3, 4], [0, 1, 0, 0, 2, 0]], 6)
+    assert_matches_oracle([[], [], []], 0)
     assert_matches_oracle([], 0)
     assert_matches_oracle([], 4)
 
 
 def test_rref_hilbert_8():
     hilbert = [[Fraction(1, i + j + 1) for j in range(8)] for i in range(8)]
-    reduced, pivots = rref(hilbert)
-    assert pivots == list(range(8))
-    assert (reduced, pivots) == fraction_rref(hilbert)
-    assert_rank_matches_oracle(hilbert)
+    assert Subspace.from_vectors(hilbert, 8).dim == 8
+    assert_matches_oracle(hilbert, 8)
 
 
 def _entry(rng):
@@ -288,20 +286,14 @@ def test_subspace_invariant_under_permutation_and_scaling(case, rnd):
 
 
 def test_rref_validates_after_full_rank():
-    # the first two rows already have full rank; the ragged third must still raise
-    with pytest.raises(ValueError, match="matrix rows must have equal length"):
-        rref([[1, 0], [0, 1], [1, 2, 3]])
-    with pytest.raises(ValueError, match="matrix rows must have equal length"):
-        rref([[1, 0], [0, 1], [1]], 2)
-    with pytest.raises(ValueError, match="matrix rows must have equal length"):
-        rref(iter([[1, 0], [0, 1], [5, 5], []]))
-
-
-def test_rref_empty_needs_width():
-    with pytest.raises(ValueError, match="width required for an empty matrix"):
-        rref([])
-    with pytest.raises(ValueError, match="width required for an empty matrix"):
-        rref(iter(()))
+    # the first two rows already have full rank; a later ragged or inexact row must still raise
+    for rows, length in (([[1, 0], [0, 1], [1, 2, 3]], 3), ([[1, 0], [0, 1], [1]], 1),
+                         (iter([[1, 0], [0, 1], [5, 5], []]), 0)):
+        with pytest.raises(ValueError, match=f"^vectors must have length 2, not {length}$"):
+            Subspace.from_vectors(rows, 2)
+    for row in ([0.5, 1], [True, 0], [1, "1"]):
+        with pytest.raises(TypeError, match="^entries must be ints or Fractions, not "):
+            Subspace.from_vectors([[1, 0], [0, 1], row], 2)
 
 
 def test_sparse_rank_stops_at_full_rank():

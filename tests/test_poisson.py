@@ -652,10 +652,10 @@ def _count_eliminations(monkeypatch) -> list:
 
 def test_classify_runs_one_rank_only_elimination_per_point(monkeypatch, tmp_path, capsys):
     def forbidden(*args, **kwargs):
-        raise AssertionError("rank sampling reached sharp_profile or rref")
+        raise AssertionError("rank sampling reached sharp_profile or Subspace.from_vectors")
 
     # swapping the code object catches callers that imported the name directly
-    for fn in (npk.grassmann.sharp_profile, npk.linalg.rref):
+    for fn in (npk.grassmann.sharp_profile, npk.linalg.Subspace.from_vectors.__func__):
         monkeypatch.setattr(fn, "__code__", forbidden.__code__)
     calls = _count_eliminations(monkeypatch)
     polynomial = MultivectorField(M, 3, {(1, 2, 3): X[0], (1, 4, 5): X[1] + 1})

@@ -61,29 +61,41 @@ def test_parse_exact_rational():
     assert field.terms[(1, 2, 3)] == Fraction(3, 2)
 
 
-def test_parse_integer_strings_as_fraction_reads_them():
-    # integer strings skip Fraction, so each must still read as Fraction reads it
-    for value in ("7", " -3 ", "+4", "1_000", "-12/8", "1e2", "0.5", "007"):
-        num, den = _ratio(value)
-        assert (type(num), type(den), den > 0, Fraction(num, den)) == (int, int, True, Fraction(value)), value
-        field = to_field(parse_spec_text(CONSTANT_SPEC.replace('"1"', json.dumps(value))))
-        assert field.terms[(1, 2, 3)] == Fraction(value), value
+_GRAMMAR = "not an integer or integer/integer in ASCII digits"
+_DIGIT_LIMIT = "rational longer than the interpreter's digit limit"
+_LIMIT = "1" * 4300  # the most digits int() reads by default
+
+# each rational text with its (num, den), unreduced, or its refusal's exact text:
+# -?[0-9]+ or -?[0-9]+/[0-9]+ in ASCII, the denominator nonzero, and nothing else
+RATIONAL_TEXTS = {
+    "7": (7, 1), "-3": (-3, 1), "007": (7, 1), "-0": (0, 1),
+    "3/4": (3, 4), "-3/4": (-3, 4), "-12/8": (-12, 8), "03/04": (3, 4), "-0/5": (0, 5), "0/1": (0, 1),
+    _LIMIT: (int(_LIMIT), 1), f"-{_LIMIT}/{_LIMIT}": (-int(_LIMIT), int(_LIMIT)),
+    "3/0": "bad rational '3/0' (zero denominator)", "-0/00": "bad rational '-0/00' (zero denominator)",
+    _LIMIT + "1": _DIGIT_LIMIT, f"1/{_LIMIT}1": _DIGIT_LIMIT, f"-{_LIMIT}1/0": _DIGIT_LIMIT,
+    **{text: f"bad rational {text!r} ({_GRAMMAR})" for text in (
+        "0.5", "1e2", "1e3", "1e5000", "1e1000000", "1e100000000", "3.5/2", "1e3/4", "inf", "nan", "x", "",
+        " 3/4", "3/ 4", " -3 ", "7\n", "+4", "+3/4", "3/-4", "--3", "-", "/4", "3/", "3/4/5",
+        "1_000", "1_0/3", "\u0663/4", "\u00b2/4", "\uff17",
+    )},
+}
 
 
-def test_parse_fraction_strings_as_fraction_reads_them():
-    # "a/b" of ASCII digits is read as a pair of ints; every other text goes
-    # to Fraction, whose value, or refusal, each must match
-    corpus = ("3/4", "-3/4", "+3/4", " 3/4", "3/ 4", "3/-4", "1_0/3", "03/04", "-0/5", "3/0", "٣/4", "²/4", "3.5/2", "1e3")
-    for text in corpus:
-        try:
-            expected = Fraction(text)
-        except (ValueError, ZeroDivisionError) as exc:
+def test_rational_texts_follow_one_grammar():
+    # the loader's reader, the pairs-hook oracle's and a whole spec agree on every text
+    for text, want in RATIONAL_TEXTS.items():
+        spec = CONSTANT_SPEC.replace('"1"', json.dumps(text))
+        outcome = _load_outcome(parse_spec_text, spec)
+        assert outcome == _load_outcome(parse_spec_by_pairs_hook, spec), text
+        if isinstance(want, str):
             with pytest.raises(SpecError) as refusal:
                 _ratio(text)
-            assert str(refusal.value) == f"bad rational {text!r} ({exc})", text
+            assert str(refusal.value) == want, text
+            assert outcome == ("SpecError", f"terms[0]: {want}"), text
         else:
             num, den = _ratio(text)
-            assert (type(num), type(den), den > 0, Fraction(num, den)) == (int, int, True, expected), text
+            assert (type(num), type(den), (num, den)) == (int, int, want), text
+            assert to_field(parse_spec_text(spec)).terms.get((1, 2, 3), 0) == Fraction(num, den), text
 
 
 def test_parse_integer_values_read_as_their_strings():
@@ -414,9 +426,10 @@ def test_loader_decodes_once_without_a_hook_and_builds_no_fraction(monkeypatch):
         texts.append(serialize(from_field(field * scale, "polynomial")))
     want = [_load_outcome(parse_spec_by_pairs_hook, text) for text in texts]
     decodes, fractions = [], []
-    loads, fraction = npk.specio.json.loads, npk.specio.Fraction
+    assert not hasattr(npk.specio, "Fraction")  # the reader is str tests and int()
+    loads = npk.specio.json.loads
     monkeypatch.setattr(npk.specio.json, "loads", lambda *a, **kw: decodes.append(kw) or loads(*a, **kw))
-    monkeypatch.setattr(npk.specio, "Fraction", lambda *a: fractions.append(a) or fraction(*a))
+    monkeypatch.setattr(npk.polynomial, "Fraction", lambda *a: fractions.append(a) or Fraction(*a))
     for text, outcome in zip(texts, want):
         decodes.clear()
         assert _load_outcome(parse_spec_text, text) == outcome
@@ -988,7 +1001,7 @@ MALFORMED_SPECS = {
     ),
     "monomial-bad-rational": (
         _one_blade_spec([_MONO, {"coef": "1/0", "exps": [0, 1, 0]}]),
-        "terms[0].value[1]: bad rational '1/0' (Fraction(1, 0))",
+        "terms[0].value[1]: bad rational '1/0' (zero denominator)",
     ),
     "monomial-bool-coef": (
         _one_blade_spec([_MONO, {"coef": True, "exps": [0, 1, 0]}]),
@@ -996,7 +1009,7 @@ MALFORMED_SPECS = {
     ),
     "constant-bad-rational": (
         {"m": 3, "n": 2, "kind": "constant", "terms": [{"indices": [1, 2], "value": "x"}]},
-        "terms[0]: bad rational 'x' (Invalid literal for Fraction: 'x')",
+        "terms[0]: bad rational 'x' (not an integer or integer/integer in ASCII digits)",
     ),
     # a term's own refusal after a monomial list names the term, not a monomial
     "term-after-monomials": (
@@ -1056,6 +1069,22 @@ def test_a_rational_past_the_digit_limit_is_a_spec_error(case, tmp_path, capsys)
     assert str(info.value) == message
     assert main(["check", str(path)]) == 2
     assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_a_factor_past_the_digit_limit_is_a_spec_error(tmp_path, capsys):
+    # two accepted values of one blade merge to a 6,001-digit denominator, which
+    # only factorize writes: refused in one line, not a program fault
+    values = ["1/1" + "0" * 2999 + "1", "1/1" + "0" * 2999 + "3"]
+    path = tmp_path / "long-factor.json"
+    path.write_text(json.dumps({"m": 3, "n": 2, "kind": "constant",
+                                "terms": [{"indices": [1, 2], "value": v} for v in values]}), encoding="utf-8")
+    codes = {}
+    for command in ("check", "rank", "factorize", "nambu", "jacobi", "sigma-delta"):
+        codes[command] = main([command, str(path), "--json"])
+        out, err = capsys.readouterr()
+        if command == "factorize":
+            assert (out, err) == ("", "error: a factor coefficient is longer than the interpreter's digit limit\n")
+    assert codes == {"check": 0, "rank": 0, "factorize": 2, "nambu": 0, "jacobi": 0, "sigma-delta": 0}
 
 
 def test_bytes_that_are_not_utf8_are_a_spec_error(tmp_path, capsys):
