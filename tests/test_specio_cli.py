@@ -98,6 +98,32 @@ def test_rational_texts_follow_one_grammar():
             assert to_field(parse_spec_text(spec)).terms.get((1, 2, 3), 0) == Fraction(num, den), text
 
 
+def _read_as_fraction_or_refused(text):
+    # a text of the grammar reads to the value Fraction gives it; any other
+    # text Fraction reads (padded, signed, underscored, decimal, exponent) is refused
+    want = RATIONAL_TEXTS[text]
+    if isinstance(want, str):
+        with pytest.raises(SpecError) as refusal:
+            _ratio(text)
+        assert str(refusal.value) == want, text
+        return
+    num, den = _ratio(text)
+    assert (type(num), type(den), den > 0, Fraction(num, den)) == (int, int, True, Fraction(text)), text
+    field = to_field(parse_spec_text(CONSTANT_SPEC.replace('"1"', json.dumps(text))))
+    assert field.terms.get((1, 2, 3), 0) == Fraction(text), text
+
+
+def test_parse_integer_strings_as_fraction_reads_them():
+    for text in ("7", " -3 ", "+4", "1_000", "-12/8", "1e2", "0.5", "007"):
+        _read_as_fraction_or_refused(text)
+
+
+def test_parse_fraction_strings_as_fraction_reads_them():
+    corpus = ("3/4", "-3/4", "+3/4", " 3/4", "3/ 4", "3/-4", "1_0/3", "03/04", "-0/5", "3/0", "٣/4", "²/4", "3.5/2", "1e3")
+    for text in corpus:
+        _read_as_fraction_or_refused(text)
+
+
 def test_parse_integer_values_read_as_their_strings():
     # JSON integers take their own path through the parser, for constants
     # and for monomial coefficients alike
